@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interp, kernel, points
+from . import interp, points
 from .cheb import (
     check_degree,
     cospi_frac,
     product_series_at,
+    product_series_grid,
     t_norm_lattice,
 )
 from .functions import TestFunction
@@ -29,15 +30,15 @@ def gauss_chebyshev_axis(m):
     return cospi_frac(nums, 2 * m), nums
 
 
-def _eval_on(f, x1, x2):
+def _eval_on(f, x1, x2, dtype=float):
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
     try:
-        vals = np.asarray(f(x1, x2), dtype=float)
+        vals = np.asarray(f(x1, x2), dtype=dtype)
         if vals.shape == shape:
             return vals
     except Exception:
         pass
-    vec = np.vectorize(lambda a, b: float(f(a, b)), otypes=[float])
+    vec = np.vectorize(lambda a, b: f(a, b), otypes=[dtype])
     return vec(np.broadcast_to(x1, shape), np.broadcast_to(x2, shape))
 
 
@@ -94,11 +95,6 @@ def fourier_partial_sum(n, f, x, m=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _series_on_gc(coeffs, nums, two_m):
-    basis = t_norm_lattice(coeffs.shape[0] - 1, nums, two_m)
-    return basis.T @ coeffs @ basis
-
-
 def marcinkiewicz_ratio(n, coeffs, p, quad_m=None):
     """Discrete-to-continuous p-th power ratio for one polynomial.
 
@@ -113,14 +109,14 @@ def marcinkiewicz_ratio(n, coeffs, p, quad_m=None):
     b1 = t_norm_lattice(n, pset.k_num, n)
     b2 = t_norm_lattice(n, pset.eta_num, n + 1)
     m = quad_m if quad_m is not None else max(200, 2 * n + 1)
-    _, qnums = gauss_chebyshev_axis(m)
-    return _ratio(np.asarray(coeffs, dtype=float), p, b1, b2, qnums, m)
+    qnodes, _ = gauss_chebyshev_axis(m)
+    return _ratio(np.asarray(coeffs, dtype=float), p, b1, b2, qnodes)
 
 
-def _ratio(coeffs, p, node_b1, node_b2, qnums, m):
+def _ratio(coeffs, p, node_b1, node_b2, qnodes):
     node_vals = np.einsum("ab,aN,bN->N", coeffs, node_b1, node_b2)
     discrete = np.mean(np.abs(node_vals) ** p)
-    quad_vals = _series_on_gc(coeffs, qnums, 2 * m)
+    quad_vals = product_series_grid(coeffs, qnodes, qnodes)
     continuous = np.mean(np.abs(quad_vals) ** p)
     return float(discrete / continuous)
 
@@ -138,7 +134,7 @@ def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
     b1 = t_norm_lattice(n, pset.k_num, n)
     b2 = t_norm_lattice(n, pset.eta_num, n + 1)
     m = quad_m if quad_m is not None else max(200, 2 * n + 1)
-    _, qnums = gauss_chebyshev_axis(m)
+    qnodes, _ = gauss_chebyshev_axis(m)
     ks = np.arange(n + 1)
     keep = ks[:, None] + ks[None, :] <= n
     rng = np.random.default_rng(seed)
@@ -146,7 +142,7 @@ def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
     for t in range(trials):
         coeffs = rng.uniform(-1.0, 1.0, (n + 1, n + 1))
         coeffs[~keep] = 0.0
-        out[t] = _ratio(coeffs, p, b1, b2, qnums, m)
+        out[t] = _ratio(coeffs, p, b1, b2, qnodes)
     return out
 
 
@@ -197,73 +193,21 @@ class ConvergenceReport:
 
 
 def _as_p(p):
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity"):
-            return math.inf
-        p = float(p)
+    """Norm exponent from a number or string: p > 0, or +inf ("inf")."""
     p = float(p)
-    if not (p > 0 or math.isinf(p)):
-        raise ValueError("p must be positive or inf")
+    if not p > 0:
+        raise ValueError(f"p must be positive or inf, got {p}")
     return p
 
 
-# ---------------------------------------------------------------------------
-# extended-precision measurement pipeline for the convergence studies
-#
 # Interpolation errors of smooth functions fall under the double-precision
 # floor (~3e-15) well before n = 32, where a double instrument can no longer
-# resolve whether the error still decreases.  The study therefore measures
-# the operator in 80-bit arithmetic: node samples, projection, series
-# evaluation and the reference values all carry ~1e-19 resolution, while the
-# operator definition is unchanged.  Validated against the double kernel path
-# in the test suite on errors large enough for both to see.
-
+# resolve whether the error still decreases.  The convergence study therefore
+# measures the operator in 80-bit arithmetic: node samples, projection,
+# series evaluation and the reference values are all np.longdouble, while
+# the operator definition is unchanged.  The test suite checks it against
+# the double-precision kernel route on errors large enough for both to see.
 _LD = np.longdouble
-_PI_LD = _LD("3.14159265358979323846264338327950288419716939937510582")
-_SQRT2_LD = np.sqrt(_LD(2))
-
-
-def _ld_cospi_frac(num, den):
-    num = np.asarray(num, dtype=np.int64)
-    r = np.remainder(num, 2 * den)
-    r = np.minimum(r, 2 * den - r)
-    return np.cos(_PI_LD * r / _LD(den))
-
-
-def _ld_tnorm_lattice(kmax, nums, den):
-    ks = np.arange(kmax + 1, dtype=np.int64)
-    out = _ld_cospi_frac(np.multiply.outer(ks, np.asarray(nums, dtype=np.int64)), den)
-    out[1:] *= _SQRT2_LD
-    return out
-
-
-def _ld_tnorm_values(kmax, x):
-    theta = np.arccos(np.asarray(x, dtype=_LD))
-    out = np.cos(np.multiply.outer(np.arange(kmax + 1), theta))
-    out[1:] *= _SQRT2_LD
-    return out
-
-
-def _ld_axis(grid):
-    if grid.kind == "uniform":
-        return np.linspace(_LD(-1), _LD(1), grid.m)
-    nums = 2 * np.arange(1, grid.m + 1) - 1
-    return np.sort(_ld_cospi_frac(nums, 2 * grid.m))
-
-
-def _ld_coefficients(pset, f):
-    n = pset.degree
-    x1 = _ld_cospi_frac(pset.k_num, n)
-    x2 = _ld_cospi_frac(pset.eta_num, n + 1)
-    samples = np.asarray(f(x1, x2), dtype=_LD) * np.ones_like(x1)
-    weighted = samples / kernel.node_star_values(pset).astype(_LD)
-    b1 = _ld_tnorm_lattice(n, pset.k_num, n)
-    b2 = _ld_tnorm_lattice(n, pset.eta_num, n + 1)
-    coeffs = np.einsum("aN,bN,N->ab", b1, b2, weighted)
-    ks = np.arange(n + 1)
-    coeffs[ks[:, None] + ks[None, :] > n] = 0.0
-    coeffs[n, 0] *= _LD(0.5)
-    return coeffs
 
 
 def convergence_study(f, p, degrees, grid, quad_m=None):
@@ -286,50 +230,42 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
         raise ValueError("degrees must be nonempty and strictly increasing")
     if quad_m is None:
         quad_m = 4 * max(degrees)
-    kmax = check_degree(2 * max(degrees), minimum=1, what="reference degree")
+    check_degree(2 * max(degrees), minimum=1, what="reference degree")
 
-    gax = _ld_axis(grid)
-    f_grid = np.asarray(f(gax[:, None], gax[None, :]), dtype=_LD) \
-        * np.ones((grid.m, grid.m), dtype=_LD)
-    grid_basis = _ld_tnorm_values(kmax, gax)
-
+    gax = grid.axis(_LD)
+    f_grid = _eval_on(f, gax[:, None], gax[None, :], _LD)
     qnums = 2 * np.arange(1, quad_m + 1) - 1
-    qnodes = _ld_cospi_frac(qnums, 2 * quad_m)
-    f_quad = np.asarray(f(qnodes[:, None], qnodes[None, :]), dtype=_LD) \
-        * np.ones((quad_m, quad_m), dtype=_LD)
-    quad_basis = _ld_tnorm_lattice(kmax, qnums, 2 * quad_m)
+    qnodes = cospi_frac(qnums, 2 * quad_m, _LD)
+    f_quad = _eval_on(f, qnodes[:, None], qnodes[None, :], _LD)
 
-    psets = {}
-    coeff_cache = {}
+    fits = {}
 
-    def coeffs_for(n):
-        if n not in coeff_cache:
-            pset = psets.setdefault(n, points.generate(n))
-            coeff_cache[n] = _ld_coefficients(pset, f)
-        return coeff_cache[n]
-
-    def on_grid(coeffs):
-        b = grid_basis[: coeffs.shape[0]]
-        return b.T @ coeffs @ b
+    def fit(n):
+        """Degree-n node set and 80-bit coefficients, built once per degree."""
+        if n not in fits:
+            pset = points.generate(n)
+            samples = _eval_on(f, cospi_frac(pset.k_num, n, _LD),
+                               cospi_frac(pset.eta_num, n + 1, _LD), _LD)
+            fits[n] = pset, interp.to_coefficients(pset, samples)
+        return fits[n]
 
     rows = []
     for n in degrees:
-        c_n = coeffs_for(n)
-        vals = on_grid(c_n)
+        pset, coeffs = fit(n)
+        vals = product_series_grid(coeffs, gax, gax)
         err_uniform = float(np.max(np.abs(vals - f_grid)))
         if math.isinf(p):
             err_wp = err_uniform
         else:
-            b = quad_basis[: n + 1]
-            diff = b.T @ c_n @ b - f_quad
+            diff = product_series_grid(coeffs, qnodes, qnodes) - f_quad
             err_wp = float(np.mean(np.abs(diff) ** p) ** (1.0 / _LD(p)))
-        c_ref = coeffs_for(2 * n)
-        en_proxy = float(np.max(np.abs(on_grid(c_ref) - vals)))
-        leb = interp.lebesgue_constant(psets[n], grid)
+        ref = product_series_grid(fit(2 * n)[1], gax, gax)
+        en_proxy = float(np.max(np.abs(ref - vals)))
+        leb = interp.lebesgue_constant(pset, grid)
         rows.append(
             ConvergenceRow(
                 n=n,
-                cardinality=len(psets[n]),
+                cardinality=len(pset),
                 error_wp=err_wp,
                 error_uniform=err_uniform,
                 lebesgue_estimate=leb,

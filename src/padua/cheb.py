@@ -15,6 +15,9 @@ MAX_DEGREE = 4096
 
 SQRT2 = np.sqrt(2.0)
 
+# pi to more digits than any numpy float holds; each dtype rounds it once.
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582"
+
 
 class DomainError(ValueError):
     """An evaluation point left [-1, 1] (or the unit square)."""
@@ -34,8 +37,8 @@ def check_degree(n, minimum=0, what="degree"):
     return n
 
 
-def _unit(x, what="argument"):
-    arr = np.asarray(x, dtype=float)
+def _unit(x, what="argument", dtype=float):
+    arr = np.asarray(x, dtype=dtype)
     if not np.all(np.abs(arr) <= 1.0):
         raise DomainError(f"{what} outside [-1, 1]")
     return arr
@@ -90,18 +93,18 @@ def cheb_t_norm(k, x):
     return _like(SQRT2 * np.cos(k * np.arccos(xa)), x)
 
 
-def t_values(kmax, x):
+def t_values(kmax, x, dtype=float):
     """Table of T_k(x) for k = 0..kmax, shape (kmax+1,) + shape(x)."""
     kmax = check_degree(kmax)
-    theta = np.arccos(_unit(x))
+    theta = np.arccos(_unit(x, dtype=dtype))
     ks = np.arange(kmax + 1)
     return np.cos(np.multiply.outer(ks, theta))
 
 
-def t_norm_values(kmax, x):
-    """Table of the orthonormal polynomials for k = 0..kmax."""
-    out = t_values(kmax, x)
-    out[1:] *= SQRT2
+def t_norm_values(kmax, x, dtype=float):
+    """Table of the orthonormal polynomials for k = 0..kmax, in dtype."""
+    out = t_values(kmax, x, dtype)
+    out[1:] *= np.sqrt(out.dtype.type(2))
     return out
 
 
@@ -118,16 +121,18 @@ def u_values(kmax, x):
     return np.where(np.abs(xa) == 1.0, limit, out)
 
 
-def cospi_frac(num, den):
+def cospi_frac(num, den, dtype=float):
     """cos(pi * num / den) for integer num, with exact phase reduction.
 
     Reducing num mod 2*den before forming the angle keeps lattice values such
-    as cos(k*pi/n) correct to one ulp even for large products k*a.
+    as cos(k*pi/n) correct to one ulp even for large products k*a.  The angle
+    and cosine are formed in dtype (float64 by default, or np.longdouble).
     """
+    ftype = np.dtype(dtype).type
     num = np.asarray(num, dtype=np.int64)
     r = np.remainder(num, 2 * den)
     r = np.minimum(r, 2 * den - r)
-    return np.cos(np.pi * (r / float(den)))
+    return np.cos(ftype(_PI_DIGITS) * (r / ftype(den)))
 
 
 def sinpi_frac(num, den):
@@ -140,15 +145,17 @@ def sinpi_frac(num, den):
     return sign * np.sin(np.pi * (r / float(den)))
 
 
-def t_lattice(kmax, nums, den):
+def t_lattice(kmax, nums, den, dtype=float):
     """Table T_k(cos(pi*num/den)) for k = 0..kmax without an arccos round trip."""
     ks = np.arange(check_degree(kmax) + 1, dtype=np.int64)
-    return cospi_frac(np.multiply.outer(ks, np.asarray(nums, dtype=np.int64)), den)
+    return cospi_frac(np.multiply.outer(ks, np.asarray(nums, dtype=np.int64)), den,
+                      dtype)
 
 
-def t_norm_lattice(kmax, nums, den):
-    out = t_lattice(kmax, nums, den)
-    out[1:] *= SQRT2
+def t_norm_lattice(kmax, nums, den, dtype=float):
+    """Orthonormal counterpart of t_lattice: rows k >= 1 scaled by sqrt(2)."""
+    out = t_lattice(kmax, nums, den, dtype)
+    out[1:] *= np.sqrt(out.dtype.type(2))
     return out
 
 
@@ -168,13 +175,19 @@ def basis_vector(n, point):
 
 def product_series_at(coeffs, x1, x2):
     """Evaluate sum_ab coeffs[a,b] * Tnorm_a(x1) * Tnorm_b(x2) pointwise."""
-    t1 = t_norm_values(coeffs.shape[0] - 1, x1)
-    t2 = t_norm_values(coeffs.shape[1] - 1, x2)
+    dtype = np.result_type(coeffs.dtype, float)
+    t1 = t_norm_values(coeffs.shape[0] - 1, x1, dtype)
+    t2 = t_norm_values(coeffs.shape[1] - 1, x2, dtype)
     return np.einsum("ab,a...,b...->...", coeffs, t1, t2)
 
 
 def product_series_grid(coeffs, axis1, axis2):
-    """Evaluate the series on a tensor grid; out[i, j] pairs axis1[i] with axis2[j]."""
-    b1 = t_norm_values(coeffs.shape[0] - 1, np.asarray(axis1, dtype=float))
-    b2 = t_norm_values(coeffs.shape[1] - 1, np.asarray(axis2, dtype=float))
+    """Evaluate the series on a tensor grid; out[i, j] pairs axis1[i] with axis2[j].
+
+    The basis tables are built in the coefficients' float type, so float64
+    and np.longdouble series both evaluate at their own precision.
+    """
+    dtype = np.result_type(coeffs.dtype, float)
+    b1 = t_norm_values(coeffs.shape[0] - 1, axis1, dtype)
+    b2 = t_norm_values(coeffs.shape[1] - 1, axis2, dtype)
     return b1.T @ coeffs @ b2

@@ -7,13 +7,14 @@ Exit codes: 0 ok, 1 verification failure, 2 bad arguments, 3 I/O failure,
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import analysis, cubature, functions, interp, kernel, points, verify
+from . import analysis, cubature, functions, interp, points, verify
 from . import __version__
-from .cheb import DegreeError, DomainError
+from .cheb import DegreeError, DomainError, product_series_grid
 
 
 class SampleMismatchError(ValueError):
@@ -139,10 +140,20 @@ def _load_samples(path, pset):
             if len(parts) != 3:
                 raise SampleMismatchError(f"malformed sample row: {ln!r}")
             try:
-                pos = pset.position((int(parts[0]), int(parts[1])))
+                k, j, value = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise SampleMismatchError(f"malformed sample row: {ln!r}") from None
+            try:
+                pos = pset.position((k, j))
             except IndexError as exc:
                 raise SampleMismatchError(str(exc)) from None
-            values[pos] = float(parts[2])
+            if not math.isfinite(value):
+                raise SampleMismatchError(
+                    f"non-finite sample {value} at node k={k}, j={j}"
+                )
+            if not np.isnan(values[pos]):
+                raise SampleMismatchError(f"sample file repeats node k={k}, j={j}")
+            values[pos] = value
         if np.isnan(values).any():
             raise SampleMismatchError(
                 f"sample file covers {int(np.sum(~np.isnan(values)))} of "
@@ -157,10 +168,18 @@ def _load_samples(path, pset):
         raise SampleMismatchError(
             f"sample file has {values.size} rows, expected {len(pset)}"
         )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise SampleMismatchError(
+            f"non-finite sample {values[i]} in row {i + 1} "
+            f"(node k={pset.k_num[i]}, j={pset.j_num[i]})"
+        )
     return values
 
 
 def cmd_interp(args):
+    p = analysis._as_p(args.p)
     pset = points.generate(args.degree)
     if args.function is not None:
         try:
@@ -174,8 +193,7 @@ def cmd_interp(args):
         samples = _load_samples(args.samples, pset)
         truth = None
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
-    method = kernel.KernelMethod(args.method)
-    values = interp.interpolate_grid(pset, samples, grid, method=method)
+    values = interp.interpolate_grid(pset, samples, grid)
     ax = grid.axis()
 
     summary = None
@@ -184,14 +202,13 @@ def cmd_interp(args):
         ref = np.asarray(truth(ax[:, None], ax[None, :]), dtype=float) \
             * np.ones((grid.m, grid.m))
         err_uniform = float(np.max(np.abs(values - ref)))
-        if args.p.lower() in ("inf", "infinity"):
+        if math.isinf(p):
             err_wp, p_label = err_uniform, "inf"
         else:
-            p = float(args.p)
             quad_m = max(64, 4 * args.degree)
             qnodes, _ = analysis.gauss_chebyshev_axis(quad_m)
-            qvals = interp.interpolate_grid(
-                pset, samples, _FrozenAxisGrid(qnodes), method=method
+            qvals = product_series_grid(
+                interp.to_coefficients(pset, samples), qnodes, qnodes
             )
             tvals = np.asarray(truth(qnodes[:, None], qnodes[None, :]), dtype=float) \
                 * np.ones_like(qvals)
@@ -223,7 +240,6 @@ def cmd_interp(args):
             {
                 "degree": args.degree,
                 "function": args.function,
-                "method": args.method,
                 "grid": {"m": grid.m, "kind": grid.kind},
                 "axis": list(ax),
                 "summary": summary,
@@ -231,18 +247,6 @@ def cmd_interp(args):
             }
         )
     return 0
-
-
-class _FrozenAxisGrid:
-    """Adapter: an EvalGrid-shaped object over a fixed 1-D axis."""
-
-    def __init__(self, ax):
-        self._ax = np.asarray(ax, dtype=float)
-        self.m = self._ax.size
-        self.kind = "fixed"
-
-    def axis(self):
-        return self._ax
 
 
 def cmd_cubature(args):
@@ -387,8 +391,7 @@ def build_parser():
         description="Bivariate Lagrange interpolation and cubature at the "
         "Padua points.",
         epilog="Exit codes: 0 ok, 1 verification failure, 2 bad arguments, "
-        "3 I/O failure, 4 sample-data mismatch.  PADUA_THREADS caps grid "
-        "parallelism (default 1); results are identical at any setting.",
+        "3 I/O failure, 4 sample-data mismatch.",
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -406,7 +409,6 @@ def build_parser():
     src.add_argument("--samples", help="CSV sample file (k,j,value or bare column)")
     sp.add_argument("--grid", type=int, default=50)
     sp.add_argument("--grid-kind", choices=("uniform", "chebyshev"), default="uniform")
-    sp.add_argument("--method", choices=("auto", "direct", "compact"), default="auto")
     sp.add_argument("--p", default="2", help="error norm exponent, or 'inf'")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_interp)

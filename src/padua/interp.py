@@ -1,20 +1,17 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
-Pointwise evaluation is a length-N sum of modified-kernel values against the
-node samples.  Grid evaluation reuses the exact same per-point computation
-row by row, so grid results are bitwise identical to pointwise calls, and an
-optional thread pool (capped by the PADUA_THREADS environment variable) only
-changes who computes a row, never the result.
+Interpolant values, pointwise or on a grid, come from one route: the
+orthonormal Chebyshev coefficients of to_coefficients, evaluated as a tensor
+series.  The Lagrange basis itself (lagrange_matrix and the Lebesgue
+function) is built from the compact modified kernel.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .cheb import cospi_frac, t_norm_lattice
+from .cheb import cospi_frac, product_series_at, product_series_grid, t_norm_lattice
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
@@ -41,12 +38,13 @@ class EvalGrid:
         if self.kind not in _GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}; expected {_GRID_KINDS}")
 
-    def axis(self):
-        """The 1-D node positions, ascending."""
+    def axis(self, dtype=float):
+        """The 1-D node positions, ascending, in dtype."""
         if self.kind == "uniform":
-            return np.linspace(-1.0, 1.0, self.m)
+            ftype = np.dtype(dtype).type
+            return np.linspace(ftype(-1), ftype(1), self.m)
         nums = 2 * np.arange(1, self.m + 1) - 1
-        return np.sort(cospi_frac(nums, 2 * self.m))
+        return np.sort(cospi_frac(nums, 2 * self.m, dtype))
 
     def points(self):
         """All m*m tensor nodes as an (m*m, 2) array, row-major in the axes."""
@@ -54,16 +52,6 @@ class EvalGrid:
         return np.column_stack(
             [np.repeat(ax, self.m), np.tile(ax, self.m)]
         )
-
-
-def _worker_count():
-    raw = os.environ.get("PADUA_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def sample(pset, f):
@@ -92,7 +80,7 @@ def sample(pset, f):
     return out
 
 
-def lagrange_matrix(pset, x1, x2, method=kernel.KernelMethod.AUTO, _node_side=None,
+def lagrange_matrix(pset, x1, x2, method=kernel.KernelMethod.COMPACT, _node_side=None,
                     _star_diag=None):
     """Matrix of fundamental-polynomial values, shape (npoints, nnodes)."""
     n = pset.degree
@@ -106,59 +94,43 @@ def lagrange_matrix(pset, x1, x2, method=kernel.KernelMethod.AUTO, _node_side=No
 
 
 def _check_samples(pset, samples):
-    samples = np.asarray(samples, dtype=float)
+    """Finite node values as float64, or as np.longdouble if given so."""
+    samples = np.asarray(samples)
+    dtype = np.longdouble if samples.dtype == np.longdouble else float
+    samples = samples.astype(dtype, copy=False)
     if samples.shape != (len(pset),):
         raise ValueError(
             f"sample vector has length {samples.size}, expected {len(pset)}"
         )
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{bad.size} non-finite sample(s), first {samples[i]} at node "
+            f"k={pset.k_num[i]}, j={pset.j_num[i]}"
+        )
     return samples
 
 
-def interpolate(pset, samples, x, method=kernel.KernelMethod.AUTO):
-    """Interpolant value at one point: the sample-weighted fundamental sum."""
-    samples = _check_samples(pset, samples)
-    row = lagrange_matrix(pset, x[0], x[1], method)
-    return float((row * samples).sum(axis=-1)[0])
+def interpolate(pset, samples, x):
+    """Interpolant value at one point of the square."""
+    coeffs = to_coefficients(pset, samples)
+    return float(product_series_at(coeffs, x[0], x[1]))
 
 
-def interpolate_grid(pset, samples, grid, method=kernel.KernelMethod.AUTO):
-    """Interpolant values on a tensor grid; out[i, j] is at (axis[i], axis[j]).
-
-    Rows are independent; with PADUA_THREADS > 1 they are dispatched to a
-    thread pool with ordered write-back, so output is identical to the serial
-    run and to pointwise interpolate calls.
-    """
-    samples = _check_samples(pset, samples)
+def interpolate_grid(pset, samples, grid):
+    """Interpolant values on a tensor grid; out[i, j] is at (axis[i], axis[j])."""
     ax = grid.axis()
-    m = grid.m
-    node_side = kernel.node_tables(pset.degree, pset)
-    diag = kernel.node_star_values(pset)
-
-    def row(i):
-        mat = lagrange_matrix(
-            pset, np.full(m, ax[i]), ax, method, _node_side=node_side, _star_diag=diag
-        )
-        return (mat * samples).sum(axis=-1)
-
-    out = np.empty((m, m))
-    workers = min(_worker_count(), m)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, vals in enumerate(pool.map(row, range(m))):
-                out[i] = vals
-    else:
-        for i in range(m):
-            out[i] = row(i)
-    return out
+    return product_series_grid(to_coefficients(pset, samples), ax, ax)
 
 
-def lebesgue_function(pset, x, method=kernel.KernelMethod.AUTO):
+def lebesgue_function(pset, x, method=kernel.KernelMethod.COMPACT):
     """Sum of absolute fundamental-polynomial values at a point."""
     row = lagrange_matrix(pset, x[0], x[1], method)
     return float(np.abs(row).sum(axis=-1)[0])
 
 
-def lebesgue_constant(pset, grid, method=kernel.KernelMethod.AUTO):
+def lebesgue_constant(pset, grid, method=kernel.KernelMethod.COMPACT):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
@@ -181,18 +153,22 @@ def to_coefficients(pset, samples):
     """Expand the interpolant in the orthonormal product basis.
 
     Returns the (n+1) x (n+1) coefficient matrix C with C[a, b] multiplying
-    Tnorm_a(x1) * Tnorm_b(x2), zero for a + b > n.  The projection uses the
-    node weights, with the pure-x1 top-degree coefficient halved; that is the
-    node-side expansion of the modified kernel.  Validated against the direct
-    kernel sum in the test suite; grids evaluated through these coefficients
-    are a fast path, not the contract path.
+    Tnorm_a(x1) * Tnorm_b(x2), zero for a + b > n.  This is the node-side
+    expansion of the modified kernel: a projection of the node-weighted
+    samples on the angle lattice, with the pure-x1 top-degree coefficient
+    halved.  The samples sit in the (n+1) x (n+2) lattice matrix
+    G[k, m] (zero off the node set), so the projection is the matrix product
+    T1 G T2^T of two lattice tables.  C has the samples' float type: float64,
+    or np.longdouble for longdouble samples.  The test suite checks it
+    against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
     n = pset.degree
-    weighted = samples / kernel.node_star_values(pset)
-    b1 = t_norm_lattice(n, pset.k_num, n)
-    b2 = t_norm_lattice(n, pset.eta_num, n + 1)
-    coeffs = np.einsum("aN,bN,N->ab", b1, b2, weighted)
+    lattice = np.zeros((n + 1, n + 2), dtype=samples.dtype)
+    lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+    t1 = t_norm_lattice(n, np.arange(n + 1), n, samples.dtype)
+    t2 = t_norm_lattice(n, np.arange(n + 2), n + 1, samples.dtype)
+    coeffs = t1 @ lattice @ t2.T
     ks = np.arange(n + 1)
     coeffs[ks[:, None] + ks[None, :] > n] = 0.0
     coeffs[n, 0] *= 0.5

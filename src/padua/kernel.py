@@ -30,14 +30,12 @@ NODE_FACTORS = {
 
 
 class KernelMethod(Enum):
-    """Evaluation route: DIRECT is the double-sum oracle; COMPACT is the
-    closed form with the guard-band fallback to DIRECT; AUTO is the default
-    and currently selects COMPACT (whose fallback already handles the band).
+    """Evaluation route: DIRECT is the double-sum oracle; COMPACT, the
+    default, is the closed form with the guard-band fallback to DIRECT.
     """
 
     DIRECT = "direct"
     COMPACT = "compact"
-    AUTO = "auto"
 
 
 def _method(method):
@@ -255,7 +253,7 @@ def kernel_compact(n, x, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def kernel_star(n, x, y, method=KernelMethod.AUTO):
+def kernel_star(n, x, y, method=KernelMethod.COMPACT):
     """Modified kernel: the reproducing kernel minus T_n(x1) T_n(y1).
 
     Vanishes whenever x and y are distinct nodes of the degree-n set.
@@ -268,7 +266,7 @@ def kernel_star(n, x, y, method=KernelMethod.AUTO):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def star_matrix(n, sx, sy, method=KernelMethod.AUTO):
+def star_matrix(n, sx, sy, method=KernelMethod.COMPACT):
     """Cross matrix of the modified kernel between two sides of tables.
 
     Returns shape (len(sx), len(sy)).  Meant for grid workloads: build the
@@ -309,7 +307,7 @@ def kernel_star_at_node(pset, index):
     return float(node_star_values(pset)[pos])
 
 
-def fundamental_poly(pset, index, x, method=KernelMethod.AUTO):
+def fundamental_poly(pset, index, x, method=KernelMethod.COMPACT):
     """Fundamental Lagrange polynomial of node (k, j) evaluated at x.
 
     The ratio of the modified kernel against the node to its diagonal value;

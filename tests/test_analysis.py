@@ -13,8 +13,12 @@ from padua.analysis import (
     marcinkiewicz_trials,
     tensor_quadrature,
 )
+from padua import interp
+from padua.cheb import cospi_frac, product_series_grid
 from padua.functions import BUILTIN_FUNCTIONS, get
 from padua.interp import EvalGrid
+from padua.kernel import KernelMethod
+from padua.points import generate
 
 
 def _t(k, x):
@@ -166,6 +170,26 @@ def test_convergence_study_inf_norm():
     report = convergence_study(get("exp_sum"), "inf", [2, 4], EvalGrid(30))
     for row in report.rows:
         assert row.error_wp == row.error_uniform
+
+
+def test_convergence_study_80bit_matches_double_kernel_route():
+    ld = np.longdouble
+    f = get("runge2d")
+    grid = EvalGrid(30)
+    report = convergence_study(f, "inf", [8, 16], grid)
+    ax = grid.axis()
+    x1, x2 = np.repeat(ax, grid.m), np.tile(ax, grid.m)
+    truth = f(ax[:, None], ax[None, :])
+    for n, row in zip((8, 16), report.rows):
+        pset = generate(n)
+        samples = f(cospi_frac(pset.k_num, n, ld), cospi_frac(pset.eta_num, n + 1, ld))
+        coeffs = interp.to_coefficients(pset, np.asarray(samples, dtype=ld))
+        assert coeffs.dtype == ld
+        ext = product_series_grid(coeffs, grid.axis(ld), grid.axis(ld))
+        lmat = interp.lagrange_matrix(pset, x1, x2, method=KernelMethod.DIRECT)
+        double = (lmat @ interp.sample(pset, f)).reshape(grid.m, grid.m)
+        assert float(np.max(np.abs(ext - double))) <= 1e-9 * (n + 1)
+        assert abs(row.error_uniform - np.max(np.abs(double - truth))) <= 1e-12
 
 
 def test_convergence_study_validation():

@@ -240,3 +240,54 @@ def test_interp_chebyshev_grid(capsys):
     doc = json.loads(out)
     ax = np.array(doc["axis"])
     assert np.all(np.abs(ax) < 1.0) and doc["grid"]["kind"] == "chebyshev"
+
+
+@pytest.mark.parametrize("command", ["interp", "converge"])
+@pytest.mark.parametrize("p", ["0", "-1", "-inf", "nan"])
+def test_bad_p_exits_2(capsys, command, p):
+    argv = [command, "--function", "exp_sum", f"--p={p}", "--grid", "10"]
+    argv += ["--degree", "4"] if command == "interp" else ["--degrees", "2,4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: p must be positive or inf")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _kj_file(tmp_path, pset, extra=()):
+    rows = ["k,j,value"] + [f"{p.k},{p.j},{p.x1}" for p in pset.points]
+    path = tmp_path / "samples.csv"
+    path.write_text("\n".join(rows + list(extra)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("0,1,99.0",), "repeats node k=0, j=1"),
+        (("1,2,nan",), "non-finite sample nan at node k=1, j=2"),
+        (("1,x,0.5",), "malformed sample row"),
+    ],
+)
+def test_interp_sample_file_bad_rows_exit_4(tmp_path, capsys, extra, message):
+    from padua.points import generate
+
+    path = _kj_file(tmp_path, generate(2), extra)
+    code, out, err = run_cli(capsys, "interp", "--degree", "2", "--samples", str(path))
+    assert code == 4
+    assert out == ""
+    assert message in err
+
+
+def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys):
+    path = tmp_path / "column.csv"
+    path.write_text("\n".join(["1.0"] * 4 + ["nan"] + ["1.0"] * 5))
+    code, out, err = run_cli(capsys, "interp", "--degree", "3", "--samples", str(path))
+    assert code == 4
+    assert out == ""
+    assert "non-finite sample nan in row 5 (node k=1, j=3)" in err
+
+
+def test_interp_help_lists_no_method(capsys):
+    assert main(["interp", "--help"]) == 0
+    assert "--method" not in capsys.readouterr().out
