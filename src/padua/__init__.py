@@ -42,7 +42,6 @@ from .interp import (
     to_coefficients,
 )
 from .kernel import (
-    KernelMethod,
     d_term,
     fundamental_poly,
     kernel_compact,

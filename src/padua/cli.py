@@ -56,6 +56,13 @@ class OutputSpec:
             if close:
                 out.close()
 
+    def write_table(self, header, rows):
+        """Write rows as CSV, or as a JSON list of objects keyed by header."""
+        if self.fmt == "csv":
+            self.write_rows(header, rows)
+        else:
+            self.write_json([dict(zip(header, row)) for row in rows])
+
     def _cell(self, c):
         if isinstance(c, bool):
             return "true" if c else "false"
@@ -111,20 +118,10 @@ def _degree_list(text):
 
 def cmd_points(args):
     pset = points.generate(args.degree)
-    spec = _out_spec(args)
-    if spec.fmt == "csv":
-        spec.write_rows(
-            ("k", "j", "x1", "x2", "class"),
-            ((p.k, p.j, p.x1, p.x2, p.point_class.value) for p in pset.points),
-        )
-    else:
-        spec.write_json(
-            [
-                {"k": p.k, "j": p.j, "x1": p.x1, "x2": p.x2,
-                 "class": p.point_class.value}
-                for p in pset.points
-            ]
-        )
+    _out_spec(args).write_table(
+        ("k", "j", "x1", "x2", "class"),
+        ((p.k, p.j, p.x1, p.x2, p.point_class.value) for p in pset.points),
+    )
     return 0
 
 
@@ -268,22 +265,13 @@ def cmd_cubature(args):
                 {"function": args.function, "degree": args.degree, "integral": value}
             )
         return 0
-    if spec.fmt == "csv":
-        spec.write_rows(
-            ("k", "j", "x1", "x2", "class", "weight"),
-            (
-                (p.k, p.j, p.x1, p.x2, p.point_class.value, w)
-                for p, w in zip(pset.points, rule.weights)
-            ),
-        )
-    else:
-        spec.write_json(
-            [
-                {"k": p.k, "j": p.j, "x1": p.x1, "x2": p.x2,
-                 "class": p.point_class.value, "weight": float(w)}
-                for p, w in zip(pset.points, rule.weights)
-            ]
-        )
+    spec.write_table(
+        ("k", "j", "x1", "x2", "class", "weight"),
+        (
+            (p.k, p.j, p.x1, p.x2, p.point_class.value, w)
+            for p, w in zip(pset.points, rule.weights)
+        ),
+    )
     return 0
 
 
@@ -292,24 +280,11 @@ def cmd_lebesgue(args):
     rows = []
     for n in args.degrees:
         pset = points.generate(n)
-        rows.append(
-            {
-                "n": n,
-                "cardinality": len(pset),
-                "grid_m": grid.m,
-                "grid_kind": grid.kind,
-                "lebesgue": interp.lebesgue_constant(pset, grid),
-            }
-        )
-    spec = _out_spec(args)
-    if spec.fmt == "csv":
-        spec.write_rows(
-            ("n", "cardinality", "grid_m", "grid_kind", "lebesgue"),
-            ((r["n"], r["cardinality"], r["grid_m"], r["grid_kind"], r["lebesgue"])
-             for r in rows),
-        )
-    else:
-        spec.write_json(rows)
+        rows.append((n, len(pset), grid.m, grid.kind,
+                     interp.lebesgue_constant(pset, grid)))
+    _out_spec(args).write_table(
+        ("n", "cardinality", "grid_m", "grid_kind", "lebesgue"), rows
+    )
     return 0
 
 

@@ -159,7 +159,7 @@ def cd_residual(n, axis, x, y):
     else:
         corr = tnx * q_poly(n, 1, y) - tny * q_poly(n, 1, x)
         gap = np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float)
-    lhs = gap * kernel.kernel_star(n, x, y, method=kernel.KernelMethod.DIRECT)
+    lhs = gap * (kernel.kernel_direct(n, x, y) - tnx * tny)
     out = np.abs(lhs - (bilinear + corr))
     return float(out) if np.ndim(out) == 0 else out
 

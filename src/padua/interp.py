@@ -80,16 +80,13 @@ def sample(pset, f):
     return out
 
 
-def lagrange_matrix(pset, x1, x2, method=kernel.KernelMethod.COMPACT, _node_side=None,
-                    _star_diag=None):
+def lagrange_matrix(pset, x1, x2):
     """Matrix of fundamental-polynomial values, shape (npoints, nnodes)."""
     n = pset.degree
     sx = kernel.point_tables(n, np.atleast_1d(np.asarray(x1, dtype=float)),
                              np.atleast_1d(np.asarray(x2, dtype=float)))
-    sy = _node_side if _node_side is not None else kernel.node_tables(n, pset)
-    diag = _star_diag if _star_diag is not None else kernel.node_star_values(pset)
-    mat = kernel.star_matrix(n, sx, sy, method)
-    mat /= diag
+    mat = kernel.star_matrix(n, sx, kernel.node_tables(n, pset))
+    mat /= kernel.node_star_values(pset)
     return mat
 
 
@@ -124,27 +121,27 @@ def interpolate_grid(pset, samples, grid):
     return product_series_grid(to_coefficients(pset, samples), ax, ax)
 
 
-def lebesgue_function(pset, x, method=kernel.KernelMethod.COMPACT):
+def lebesgue_function(pset, x):
     """Sum of absolute fundamental-polynomial values at a point."""
-    row = lagrange_matrix(pset, x[0], x[1], method)
+    row = lagrange_matrix(pset, x[0], x[1])
     return float(np.abs(row).sum(axis=-1)[0])
 
 
-def lebesgue_constant(pset, grid, method=kernel.KernelMethod.COMPACT):
+def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
     together with the grid spec.
     """
+    n = pset.degree
     ax = grid.axis()
-    node_side = kernel.node_tables(pset.degree, pset)
+    node_side = kernel.node_tables(n, pset)
     diag = kernel.node_star_values(pset)
     best = 0.0
-    for i in range(grid.m):
-        mat = lagrange_matrix(
-            pset, np.full(grid.m, ax[i]), ax, method,
-            _node_side=node_side, _star_diag=diag,
-        )
+    for x1 in ax:
+        mat = kernel.star_matrix(n, kernel.point_tables(n, np.full(grid.m, x1), ax),
+                                 node_side)
+        mat /= diag
         best = max(best, float(np.abs(mat).sum(axis=-1).max()))
     return best
 

@@ -1,13 +1,12 @@
 """Reproducing kernels for the normalized product Chebyshev measure.
 
-Two evaluation routes are kept side by side: the direct double sum over the
-orthonormal product basis (the oracle, O(n^2) per pair) and the compact
-four-term trigonometric form (O(1) per pair).  The compact quotient
-degenerates when the two cosine arguments coincide; pairs inside that guard
-band are recomputed with the direct sum instead of an analytic limit.
+The compact four-term trigonometric form (O(1) per pair) is the production
+route: every kernel, Lagrange-basis and Lebesgue evaluation goes through it.
+Its quotient degenerates when two cosine arguments coincide; pairs inside that
+guard band are recomputed with the direct double sum over the orthonormal
+product basis (O(n^2) per pair) instead of an analytic limit.  kernel_direct
+exposes that double sum as the oracle the compact route is checked against.
 """
-
-from enum import Enum
 
 import numpy as np
 
@@ -27,21 +26,6 @@ NODE_FACTORS = {
     PointClass.EDGE: 1.0,
     PointClass.INTERIOR: 0.5,
 }
-
-
-class KernelMethod(Enum):
-    """Evaluation route: DIRECT is the double-sum oracle; COMPACT, the
-    default, is the closed form with the guard-band fallback to DIRECT.
-    """
-
-    DIRECT = "direct"
-    COMPACT = "compact"
-
-
-def _method(method):
-    if isinstance(method, KernelMethod):
-        return method
-    return KernelMethod(str(method).lower())
 
 
 class SideTables:
@@ -114,26 +98,20 @@ def _direct_from_angles(n, th1x, th2x, th1y, th2y):
     return np.einsum("a...,a...->...", u, cv[::-1])
 
 
-def _compact_terms(n, sx, sy, outer):
+def _compact_terms(n, sx, sy):
     """Four-term compact sum plus the mask of pairs inside the guard band.
 
     Every cos(m(theta +- phi)) splits into cos*cos -+ sin*sin, so twelve
     products cover all four sign combinations; the rest is adds and four
     divisions per pair.
     """
-    if outer:
-        def mul(a, b):
-            return a[:, None] * b[None, :]
-    else:
-        mul = np.multiply
-
     # products for the angle sums: (cos m th)(cos m ph), (sin m th)(sin m ph)
-    p1, q1 = mul(sx.c1, sy.c1), mul(sx.s1, sy.s1)
-    pn1, qn1 = mul(sx.cn1, sy.cn1), mul(sx.sn1, sy.sn1)
-    pm1, qm1 = mul(sx.cm1, sy.cm1), mul(sx.sm1, sy.sm1)
-    p2, q2 = mul(sx.c2, sy.c2), mul(sx.s2, sy.s2)
-    pn2, qn2 = mul(sx.cn2, sy.cn2), mul(sx.sn2, sy.sn2)
-    pm2, qm2 = mul(sx.cm2, sy.cm2), mul(sx.sm2, sy.sm2)
+    p1, q1 = sx.c1 * sy.c1, sx.s1 * sy.s1
+    pn1, qn1 = sx.cn1 * sy.cn1, sx.sn1 * sy.sn1
+    pm1, qm1 = sx.cm1 * sy.cm1, sx.sm1 * sy.sm1
+    p2, q2 = sx.c2 * sy.c2, sx.s2 * sy.s2
+    pn2, qn2 = sx.cn2 * sy.cn2, sx.sn2 * sy.sn2
+    pm2, qm2 = sx.cm2 * sy.cm2, sx.sm2 * sy.sm2
 
     total = None
     singular = None
@@ -157,53 +135,31 @@ def _compact_terms(n, sx, sy, outer):
     return total, singular
 
 
-# largest number of matrix entries materialized per temporary in grid sweeps
+# largest number of matrix entries materialized per temporary in star_matrix
 _BLOCK_ENTRIES = 1_500_000
 
 
-def _slice_side(side, sl):
+def _index_side(side, key):
     out = SideTables()
     for name in SideTables.__slots__:
-        setattr(out, name, getattr(side, name)[sl])
+        setattr(out, name, getattr(side, name)[key])
     return out
 
 
-def _kernel_from_tables(n, sx, sy, method, outer):
-    method = _method(method)
-    if outer:
-        g = sx.theta1.shape[0]
-        h = sy.theta1.shape[0]
-        # the direct route materializes (n+1)-deep basis tables per entry
-        depth = n + 1 if method is KernelMethod.DIRECT else 1
-        block = max(1, _BLOCK_ENTRIES // max(1, h * depth))
-        if g > block:
-            out = np.empty((g, h))
-            for start in range(0, g, block):
-                sl = slice(start, min(start + block, g))
-                out[sl] = _kernel_from_tables(n, _slice_side(sx, sl), sy, method, True)
-            return out
-    if method is KernelMethod.DIRECT:
-        if outer:
-            th1x, th1y = np.meshgrid(sx.theta1, sy.theta1, indexing="ij")
-            th2x, th2y = np.meshgrid(sx.theta2, sy.theta2, indexing="ij")
-            return _direct_from_angles(n, th1x, th2x, th1y, th2y)
-        return _direct_from_angles(n, sx.theta1, sx.theta2, sy.theta1, sy.theta2)
-    k, singular = _compact_terms(n, sx, sy, outer)
+def _kernel_from_tables(n, sx, sy):
+    """Compact kernel between side tables whose arrays broadcast together.
+
+    Pairs inside the guard band are recomputed with the direct sum.
+    """
+    k, singular = _compact_terms(n, sx, sy)
     if np.any(singular):
-        if outer:
-            gi, hi = np.nonzero(singular)
-            k[gi, hi] = _direct_from_angles(
-                n, sx.theta1[gi], sx.theta2[gi], sy.theta1[hi], sy.theta2[hi]
-            )
-        elif np.ndim(k) == 0:
-            k = _direct_from_angles(n, sx.theta1, sx.theta2, sy.theta1, sy.theta2)
-        else:
-            t1x, t2x, t1y, t2y = np.broadcast_arrays(
-                sx.theta1, sx.theta2, sy.theta1, sy.theta2
-            )
-            idx = np.nonzero(singular)
-            k = np.array(k)
-            k[idx] = _direct_from_angles(n, t1x[idx], t2x[idx], t1y[idx], t2y[idx])
+        t1x, t2x, t1y, t2y = np.broadcast_arrays(
+            sx.theta1, sx.theta2, sy.theta1, sy.theta2
+        )
+        k = np.asarray(k)
+        k[singular] = _direct_from_angles(
+            n, t1x[singular], t2x[singular], t1y[singular], t2y[singular]
+        )
     return k
 
 
@@ -249,11 +205,11 @@ def kernel_compact(n, x, y):
     n = check_degree(n)
     sx = point_tables(n, *x)
     sy = point_tables(n, *y)
-    out = _kernel_from_tables(n, sx, sy, KernelMethod.COMPACT, outer=False)
+    out = _kernel_from_tables(n, sx, sy)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def kernel_star(n, x, y, method=KernelMethod.COMPACT):
+def kernel_star(n, x, y):
     """Modified kernel: the reproducing kernel minus T_n(x1) T_n(y1).
 
     Vanishes whenever x and y are distinct nodes of the degree-n set.
@@ -261,18 +217,28 @@ def kernel_star(n, x, y, method=KernelMethod.COMPACT):
     n = check_degree(n, minimum=1)
     sx = point_tables(n, *x)
     sy = point_tables(n, *y)
-    k = _kernel_from_tables(n, sx, sy, method, outer=False)
-    out = k - sx.cn1 * sy.cn1
+    out = _kernel_from_tables(n, sx, sy) - sx.cn1 * sy.cn1
     return float(out) if np.ndim(out) == 0 else out
 
 
-def star_matrix(n, sx, sy, method=KernelMethod.COMPACT):
+def star_matrix(n, sx, sy):
     """Cross matrix of the modified kernel between two sides of tables.
 
     Returns shape (len(sx), len(sy)).  Meant for grid workloads: build the
-    side tables once, then reuse them across calls.
+    side tables once, then reuse them across calls.  Rows are evaluated in
+    blocks of at most _BLOCK_ENTRIES entries per temporary.
     """
-    k = np.asarray(_kernel_from_tables(n, sx, sy, method, outer=True))
+    rows, cols = sx.theta1.shape[0], sy.theta1.shape[0]
+    col_side = _index_side(sy, np.newaxis)
+    block = max(1, _BLOCK_ENTRIES // max(1, cols))
+    if rows <= block:
+        # one block: keep its result instead of copying into a preallocation
+        k = _kernel_from_tables(n, _index_side(sx, (slice(None), None)), col_side)
+    else:
+        k = np.empty((rows, cols))
+        for start in range(0, rows, block):
+            sl = slice(start, start + block)
+            k[sl] = _kernel_from_tables(n, _index_side(sx, (sl, None)), col_side)
     k -= sx.cn1[:, None] * sy.cn1[None, :]
     return k
 
@@ -307,7 +273,7 @@ def kernel_star_at_node(pset, index):
     return float(node_star_values(pset)[pos])
 
 
-def fundamental_poly(pset, index, x, method=KernelMethod.COMPACT):
+def fundamental_poly(pset, index, x):
     """Fundamental Lagrange polynomial of node (k, j) evaluated at x.
 
     The ratio of the modified kernel against the node to its diagonal value;
@@ -315,6 +281,6 @@ def fundamental_poly(pset, index, x, method=KernelMethod.COMPACT):
     """
     pos = pset.position(index)
     node = (pset.x1[pos], pset.x2[pos])
-    num = kernel_star(pset.degree, x, node, method)
+    num = kernel_star(pset.degree, x, node)
     out = np.asarray(num) / node_star_values(pset)[pos]
     return float(out) if np.ndim(out) == 0 else out

@@ -21,17 +21,6 @@ class AmbiguousMatchError(ValueError):
     """More than one set member lies within the match tolerance."""
 
 
-def classify(x1, x2):
-    """Geometric class of a point: how many coordinates sit on the boundary."""
-    on1 = abs(abs(x1) - 1.0) <= _BOUNDARY_TOL
-    on2 = abs(abs(x2) - 1.0) <= _BOUNDARY_TOL
-    if on1 and on2:
-        return PointClass.VERTEX
-    if on1 or on2:
-        return PointClass.EDGE
-    return PointClass.INTERIOR
-
-
 @dataclass(frozen=True, slots=True)
 class PaduaPoint:
     k: int

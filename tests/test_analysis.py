@@ -17,7 +17,6 @@ from padua import interp
 from padua.cheb import cospi_frac, product_series_grid
 from padua.functions import BUILTIN_FUNCTIONS, get
 from padua.interp import EvalGrid
-from padua.kernel import KernelMethod
 from padua.points import generate
 
 
@@ -172,7 +171,7 @@ def test_convergence_study_inf_norm():
         assert row.error_wp == row.error_uniform
 
 
-def test_convergence_study_80bit_matches_double_kernel_route():
+def test_convergence_study_80bit_matches_double_kernel_route(direct_lagrange_matrix):
     ld = np.longdouble
     f = get("runge2d")
     grid = EvalGrid(30)
@@ -186,7 +185,7 @@ def test_convergence_study_80bit_matches_double_kernel_route():
         coeffs = interp.to_coefficients(pset, np.asarray(samples, dtype=ld))
         assert coeffs.dtype == ld
         ext = product_series_grid(coeffs, grid.axis(ld), grid.axis(ld))
-        lmat = interp.lagrange_matrix(pset, x1, x2, method=KernelMethod.DIRECT)
+        lmat = direct_lagrange_matrix(pset, x1, x2)
         double = (lmat @ interp.sample(pset, f)).reshape(grid.m, grid.m)
         assert float(np.max(np.abs(ext - double))) <= 1e-9 * (n + 1)
         assert abs(row.error_uniform - np.max(np.abs(double - truth))) <= 1e-12

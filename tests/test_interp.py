@@ -14,7 +14,6 @@ from padua.interp import (
     sample,
     to_coefficients,
 )
-from padua.kernel import KernelMethod
 from padua.points import generate
 
 
@@ -154,13 +153,7 @@ def test_interpolate_grid_contains_node(rng):
     assert out[0, 0] == pytest.approx(samples[pos], abs=1e-9)
 
 
-def _direct_route(pset, samples, x1, x2):
-    """Interpolant values by the double-sum kernel: the oracle route."""
-    mat = interp.lagrange_matrix(pset, x1, x2, method=KernelMethod.DIRECT)
-    return mat @ samples
-
-
-def test_direct_method_grid_matches_pointwise(rng):
+def test_direct_method_grid_matches_pointwise(rng, direct_lagrange_matrix):
     # grid values of the coefficient route against the direct kernel sum
     for n in (2, 7, 16, 32):
         pset = generate(n)
@@ -168,7 +161,7 @@ def test_direct_method_grid_matches_pointwise(rng):
         grid = EvalGrid(9, "chebyshev")
         ax = grid.axis()
         out = interpolate_grid(pset, samples, grid)
-        direct = _direct_route(pset, samples, np.repeat(ax, 9), np.tile(ax, 9))
+        direct = direct_lagrange_matrix(pset, np.repeat(ax, 9), np.tile(ax, 9)) @ samples
         assert np.max(np.abs(out - direct.reshape(9, 9))) <= 1e-9 * (n + 1)
         for i in (0, 4, 8):
             assert abs(out[i, i] - interpolate(pset, samples, (ax[i], ax[i]))) \
@@ -262,7 +255,7 @@ def test_lebesgue_estimates_nondecreasing_under_refinement():
     assert lebesgue_constant(generate(1), EvalGrid(30)) >= 1.0
 
 
-def test_coefficients_match_direct_interpolation(rng):
+def test_coefficients_match_direct_interpolation(rng, direct_lagrange_matrix):
     # the coefficient transform is the production route; the kernel sum is
     # its oracle
     for n in (2, 7, 16, 32):
@@ -271,7 +264,7 @@ def test_coefficients_match_direct_interpolation(rng):
         coeffs = to_coefficients(pset, samples)
         pts = rng.uniform(-1, 1, (50, 2))
         fast = product_series_at(coeffs, pts[:, 0], pts[:, 1])
-        slow = _direct_route(pset, samples, pts[:, 0], pts[:, 1])
+        slow = direct_lagrange_matrix(pset, pts[:, 0], pts[:, 1]) @ samples
         assert np.max(np.abs(fast - slow)) <= 1e-9 * (n + 1)
 
 

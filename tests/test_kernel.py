@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from padua import kernel
-from padua.cheb import DomainError, t_norm_values
+from padua.cheb import DomainError, cheb_t, t_norm_values
 from padua.kernel import (
-    KernelMethod,
     d_term,
     fundamental_poly,
     kernel_compact,
@@ -58,13 +57,44 @@ def test_compact_agrees_with_direct(rng):
         assert np.max(np.abs(kc - kd)) <= 1e-9 * (n + 1)
 
 
+def _direct_star(n, x, y):
+    return kernel_direct(n, x, y) - cheb_t(n, x[0]) * cheb_t(n, y[0])
+
+
 def test_compact_handles_singular_band(rng):
+    # the one guard-band fallback, on paired batches, 0-d pairs and the
+    # cross matrix of star_matrix
     for n in (2, 9, 17):
+        tol = 1e-9 * (n + 1)
         xs, ys = singular_probe_pairs(n, rng, count=20)
-        kc = kernel_compact(n, (xs[:, 0], xs[:, 1]), (ys[:, 0], ys[:, 1]))
-        kd = kernel_direct(n, (xs[:, 0], xs[:, 1]), (ys[:, 0], ys[:, 1]))
+        x, y = (xs[:, 0], xs[:, 1]), (ys[:, 0], ys[:, 1])
+        sx, sy = kernel.point_tables(n, *x), kernel.point_tables(n, *y)
+        assert np.all(kernel._compact_terms(n, sx, sy)[1][::3])
+        kc = kernel_compact(n, x, y)
+        kd = kernel_direct(n, x, y)
         assert np.all(np.isfinite(kc))
-        assert np.max(np.abs(kc - kd)) <= 1e-9 * (n + 1)
+        assert np.max(np.abs(kc - kd)) <= tol
+        for i in range(0, len(xs), 7):
+            pair = (tuple(xs[i]), tuple(ys[i]))
+            assert abs(kernel_compact(n, *pair) - kernel_direct(n, *pair)) <= tol
+            assert abs(kernel_star(n, *pair) - _direct_star(n, *pair)) <= tol
+        cross = kernel.star_matrix(n, sx, sy)
+        a1, a2, b1, b2 = np.broadcast_arrays(xs[:, :1], xs[:, 1:], *y)
+        direct = _direct_star(n, (a1, a2), (b1, b2))
+        assert np.all(np.isfinite(cross))
+        assert np.max(np.abs(cross - direct)) <= tol
+
+
+def test_star_matrix_row_blocks_bitwise(rng, monkeypatch):
+    n = 9
+    xs, ys = singular_probe_pairs(n, rng, count=10)
+    sx = kernel.point_tables(n, xs[:, 0], xs[:, 1])
+    sy = kernel.point_tables(n, ys[:, 0], ys[:, 1])
+    whole = kernel.star_matrix(n, sx, sy)
+    # 4 rows per block: several blocks, each with guard-band pairs
+    monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 4 * len(ys))
+    blocked = kernel.star_matrix(n, sx, sy)
+    assert np.array_equal(blocked, whole)
 
 
 def test_compact_frozen_value_at_coincident_point():
@@ -113,7 +143,7 @@ def test_diagonal_lower_bound(rng):
 def test_star_frozen_values():
     assert kernel_star(2, (0.0, -0.5), (0.0, -0.5)) == pytest.approx(3.0, abs=1e-13)
     assert kernel_star(2, (1.0, -1.0), (1.0, -1.0)) == pytest.approx(12.0, abs=1e-12)
-    assert kernel_star(2, (1.0, -1.0), (1.0, -1.0), method="direct") == pytest.approx(
+    assert _direct_star(2, (1.0, -1.0), (1.0, -1.0)) == pytest.approx(
         oracles.kernel_star_double_sum(2, (1.0, -1.0), (1.0, -1.0)), abs=1e-12
     )
 
@@ -155,7 +185,7 @@ def test_node_values_match_star_direct_entrywise():
         pos = pset.position(idx)
         node = (pset.x1[pos], pset.x2[pos])
         assert kernel_star_at_node(pset, idx) == pytest.approx(
-            kernel_star(6, node, node, method=KernelMethod.DIRECT), abs=1e-9
+            _direct_star(6, node, node), abs=1e-9
         )
 
 

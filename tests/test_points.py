@@ -133,17 +133,17 @@ def test_position_lookup():
         pset.position((99, 1))
 
 
-def test_class_codes_match_scalar_classifier():
-    from padua.points import classify
-
-    order = {PointClass.VERTEX: 0, PointClass.EDGE: 1, PointClass.INTERIOR: 2}
+def test_class_codes_match_integer_lattice():
+    # on the angle lattice a coordinate is on the boundary exactly when its
+    # numerator is an end of its range: k in {0, n} or eta in {0, n+1}
+    classes = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
     for n in (1, 2, 9, 24):
         pset = generate(n)
-        expect = [order[classify(a, b)] for a, b in zip(pset.x1, pset.x2)]
-        assert list(pset.class_codes) == expect
-        assert [p.point_class for p in pset.points] == [
-            list(order)[c] for c in pset.class_codes
-        ]
+        on1 = (pset.k_num == 0) | (pset.k_num == n)
+        on2 = (pset.eta_num == 0) | (pset.eta_num == n + 1)
+        expect = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2))
+        assert list(pset.class_codes) == list(expect)
+        assert [p.point_class for p in pset.points] == [classes[c] for c in expect]
 
 
 def test_generate_near_degree_cap_stays_array_backed():
