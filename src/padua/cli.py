@@ -14,7 +14,6 @@ import numpy as np
 
 from . import analysis, cubature, functions, interp, points, verify
 from . import __version__
-from .cheb import DegreeError, DomainError, product_series_grid
 
 
 class SampleMismatchError(ValueError):
@@ -56,10 +55,13 @@ class OutputSpec:
             if close:
                 out.close()
 
-    def write_table(self, header, rows):
-        """Write rows as CSV, or as a JSON list of objects keyed by header."""
+    def write_table(self, header, rows, document=None):
+        """Write rows as CSV; as JSON, write document, or when there is none,
+        the rows as a list of objects keyed by header."""
         if self.fmt == "csv":
             self.write_rows(header, rows)
+        elif document is not None:
+            self.write_json(document)
         else:
             self.write_json([dict(zip(header, row)) for row in rows])
 
@@ -110,6 +112,13 @@ def _degree_list(text):
     if not values:
         raise argparse.ArgumentTypeError("empty degree list")
     return values
+
+
+def _builtin_function(name):
+    try:
+        return functions.get(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,70 +187,42 @@ def _load_samples(path, pset):
 def cmd_interp(args):
     p = analysis._as_p(args.p)
     pset = points.generate(args.degree)
-    if args.function is not None:
-        try:
-            func = functions.get(args.function)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    func = args.function
+    if func is not None:
         samples = interp.sample(pset, func)
-        truth = func
     else:
         samples = _load_samples(args.samples, pset)
-        truth = None
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
     values = interp.interpolate_grid(pset, samples, grid)
     ax = grid.axis()
-
-    summary = None
-    ref = None
-    if truth is not None:
-        ref = np.asarray(truth(ax[:, None], ax[None, :]), dtype=float) \
-            * np.ones((grid.m, grid.m))
-        err_uniform = float(np.max(np.abs(values - ref)))
-        if math.isinf(p):
-            err_wp, p_label = err_uniform, "inf"
-        else:
-            quad_m = max(64, 4 * args.degree)
-            qnodes, _ = analysis.gauss_chebyshev_axis(quad_m)
-            qvals = product_series_grid(
-                interp.to_coefficients(pset, samples), qnodes, qnodes
-            )
-            tvals = np.asarray(truth(qnodes[:, None], qnodes[None, :]), dtype=float) \
-                * np.ones_like(qvals)
-            err_wp = float(np.mean(np.abs(qvals - tvals) ** p) ** (1.0 / p))
-            p_label = p
-        summary = {"error_uniform": err_uniform, "error_wp": err_wp, "p": p_label}
+    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+    header, columns, summary = ("x1", "x2", "value"), [x1, x2, values], None
+    if func is not None:
+        err = analysis.measure_error(interp.to_coefficients(pset, samples), func, p,
+                                     grid, quad_m=max(64, 4 * args.degree))
+        header += ("reference", "abs_error")
+        columns += [err.reference, np.abs(values - err.reference)]
+        summary = {"error_uniform": err.error_uniform, "error_wp": err.error_wp,
+                   "p": "inf" if math.isinf(p) else p}
 
     spec = _out_spec(args)
-    if spec.fmt == "csv":
-        rows = []
-        for i in range(grid.m):
-            for j in range(grid.m):
-                if ref is not None:
-                    rows.append((ax[i], ax[j], values[i, j], ref[i, j],
-                                 abs(values[i, j] - ref[i, j])))
-                else:
-                    rows.append((ax[i], ax[j], values[i, j]))
-        header = ("x1", "x2", "value", "reference", "abs_error") if ref is not None \
-            else ("x1", "x2", "value")
-        spec.write_rows(header, rows)
-        if summary is not None:
-            print(
-                f"error_uniform={spec.num(summary['error_uniform'])} "
-                f"error_wp={spec.num(summary['error_wp'])} p={summary['p']}",
-                file=sys.stderr,
-            )
-    else:
-        spec.write_json(
-            {
-                "degree": args.degree,
-                "function": args.function,
-                "grid": {"m": grid.m, "kind": grid.kind},
-                "axis": list(ax),
-                "summary": summary,
-                "values": values.tolist(),
-            }
+    spec.write_table(
+        header,
+        zip(*(c.ravel() for c in columns)),
+        {
+            "degree": args.degree,
+            "function": None if func is None else func.name,
+            "grid": {"m": grid.m, "kind": grid.kind},
+            "axis": list(ax),
+            "summary": summary,
+            "values": values.tolist(),
+        },
+    )
+    if summary is not None and spec.fmt == "csv":
+        print(
+            f"error_uniform={spec.num(summary['error_uniform'])} "
+            f"error_wp={spec.num(summary['error_wp'])} p={summary['p']}",
+            file=sys.stderr,
         )
     return 0
 
@@ -251,19 +232,9 @@ def cmd_cubature(args):
     rule = cubature.build_rule(pset)
     spec = _out_spec(args)
     if args.function is not None:
-        try:
-            func = functions.get(args.function)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        value = cubature.integrate(rule, func)
-        if spec.fmt == "csv":
-            spec.write_rows(("function", "degree", "integral"),
-                            [(args.function, args.degree, value)])
-        else:
-            spec.write_json(
-                {"function": args.function, "degree": args.degree, "integral": value}
-            )
+        header = ("function", "degree", "integral")
+        row = (args.function.name, args.degree, cubature.integrate(rule, args.function))
+        spec.write_table(header, [row], dict(zip(header, row)))
         return 0
     spec.write_table(
         ("k", "j", "x1", "x2", "class", "weight"),
@@ -289,29 +260,18 @@ def cmd_lebesgue(args):
 
 
 def cmd_converge(args):
-    try:
-        func = functions.get(args.function)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
     report = analysis.convergence_study(
-        func, args.p, args.degrees, grid, quad_m=args.quad
+        args.function, args.p, args.degrees, grid, quad_m=args.quad
+    ).to_dict()
+    header = ("function", "p", "n", "cardinality", "error_wp", "error_uniform",
+              "lebesgue_estimate", "en_proxy")
+    _out_spec(args).write_table(
+        header,
+        ((report["function"], report["p"], *(r[h] for h in header[2:]))
+         for r in report["rows"]),
+        report,
     )
-    spec = _out_spec(args)
-    if spec.fmt == "csv":
-        p_label = "inf" if report.p == float("inf") else report.p
-        spec.write_rows(
-            ("function", "p", "n", "cardinality", "error_wp", "error_uniform",
-             "lebesgue_estimate", "en_proxy"),
-            (
-                (report.function, p_label, r.n, r.cardinality, r.error_wp,
-                 r.error_uniform, r.lebesgue_estimate, r.en_proxy)
-                for r in report.rows
-            ),
-        )
-    else:
-        spec.write_json(report.to_dict())
     return 0
 
 
@@ -319,40 +279,28 @@ def cmd_marcinkiewicz(args):
     ratios = analysis.marcinkiewicz_trials(
         args.degree, args.p, args.trials, seed=args.seed
     )
-    spec = _out_spec(args)
-    if spec.fmt == "csv":
-        spec.write_rows(
-            ("degree", "p", "seed", "trial", "ratio"),
-            ((args.degree, args.p, args.seed, t, r) for t, r in enumerate(ratios)),
-        )
-    else:
-        spec.write_json(
-            {
-                "degree": args.degree,
-                "p": args.p,
-                "trials": args.trials,
-                "seed": args.seed,
-                "min_ratio": float(ratios.min()),
-                "max_ratio": float(ratios.max()),
-                "ratios": list(ratios),
-            }
-        )
+    _out_spec(args).write_table(
+        ("degree", "p", "seed", "trial", "ratio"),
+        ((args.degree, args.p, args.seed, t, r) for t, r in enumerate(ratios)),
+        {
+            "degree": args.degree,
+            "p": args.p,
+            "trials": args.trials,
+            "seed": args.seed,
+            "min_ratio": float(ratios.min()),
+            "max_ratio": float(ratios.max()),
+            "ratios": list(ratios),
+        },
+    )
     return 0
 
 
 def cmd_verify(args):
     report = verify.run_verification(args.max_degree, args.seed)
-    spec = _out_spec(args)
-    if spec.fmt == "csv":
-        spec.write_rows(
-            ("check", "degree", "observed", "tolerance", "passed"),
-            (
-                (c["check"], c["degree"], c["observed"], c["tolerance"], c["passed"])
-                for c in report["checks"]
-            ),
-        )
-    else:
-        spec.write_json(report)
+    header = ("check", "degree", "observed", "tolerance", "passed")
+    _out_spec(args).write_table(
+        header, (tuple(c[h] for h in header) for c in report["checks"]), report
+    )
     return 0 if report["all_passed"] else 1
 
 
@@ -380,7 +328,7 @@ def build_parser():
     sp = sub.add_parser("interp", help="interpolate a function or sample file on a grid")
     sp.add_argument("--degree", type=int, required=True)
     src = sp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--function", help="builtin function name")
+    src.add_argument("--function", type=_builtin_function, help="builtin function name")
     src.add_argument("--samples", help="CSV sample file (k,j,value or bare column)")
     sp.add_argument("--grid", type=int, default=50)
     sp.add_argument("--grid-kind", choices=("uniform", "chebyshev"), default="uniform")
@@ -390,7 +338,7 @@ def build_parser():
 
     sp = sub.add_parser("cubature", help="emit weights, or integrate a builtin")
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--function", default=None)
+    sp.add_argument("--function", type=_builtin_function, default=None)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_cubature)
 
@@ -402,7 +350,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lebesgue)
 
     sp = sub.add_parser("converge", help="interpolation convergence study")
-    sp.add_argument("--function", required=True)
+    sp.add_argument("--function", type=_builtin_function, required=True)
     sp.add_argument("--p", default="2")
     sp.add_argument("--degrees", type=_degree_list, required=True)
     sp.add_argument("--grid", type=int, default=200)
@@ -439,9 +387,6 @@ def main(argv=None):
     except SampleMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DegreeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,14 +35,11 @@ def _cross_check(pset, star):
     n = pset.degree
     count = len(pset)
     if count <= _CHECK_NODES:
-        idx = np.arange(count)
+        idx = slice(None)
     else:
         rng = np.random.default_rng(n)  # deterministic per degree
         idx = rng.choice(count, size=_CHECK_NODES, replace=False)
-    tables = kernel.node_tables(n, pset)
-    direct = kernel._direct_from_angles(
-        n, tables.theta1[idx], tables.theta2[idx], tables.theta1[idx], tables.theta2[idx]
-    ) - tables.cn1[idx] ** 2
+    direct = kernel.node_star_direct(pset, idx)
     tol = 1e-9 + 1e-12 * n * (n + 1)
     err = np.max(np.abs(direct - star[idx]))
     if err > tol:

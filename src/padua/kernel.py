@@ -87,11 +87,11 @@ def _tnorm_from_angles(kmax, theta):
 
 
 def _direct_from_angles(n, th1x, th2x, th1y, th2y):
-    """Direct double sum of the reproducing kernel for paired angle arrays."""
-    t1x = _tnorm_from_angles(n, th1x)
-    t2x = _tnorm_from_angles(n, th2x)
-    t1y = _tnorm_from_angles(n, th1y)
-    t2y = _tnorm_from_angles(n, th2y)
+    """Direct double sum of the reproducing kernel; the angle arrays broadcast."""
+    t1x, t2x, t1y, t2y = (
+        _tnorm_from_angles(n, th)
+        for th in np.broadcast_arrays(th1x, th2x, th1y, th2y)
+    )
     u = t1x * t1y
     v = t2x * t2y
     cv = np.cumsum(v, axis=0)
@@ -243,14 +243,14 @@ def star_matrix(n, sx, sy):
     return k
 
 
-def node_star_values(pset, factors=None):
+def node_star_values(pset):
     """Diagonal modified-kernel values at the nodes via the class factors.
 
-    The value at a node is n(n+1) times 2, 1 or 1/2 for vertex, edge and
-    interior nodes respectively; build_rule cross-checks this against the
-    direct sum at construction time.
+    The value at a node is n(n+1) times NODE_FACTORS of its class: 2, 1 or
+    1/2 for vertex, edge and interior nodes respectively; build_rule
+    cross-checks this against the direct sum at construction time.
     """
-    f = NODE_FACTORS if factors is None else factors
+    f = NODE_FACTORS
     per_code = np.array(
         [f[PointClass.VERTEX], f[PointClass.EDGE], f[PointClass.INTERIOR]],
         dtype=float,
@@ -259,12 +259,19 @@ def node_star_values(pset, factors=None):
     return n * (n + 1.0) * per_code[pset.class_codes]
 
 
-def node_star_direct(pset):
-    """Diagonal modified-kernel values at the nodes by the direct double sum."""
+def node_star_direct(pset, positions=slice(None)):
+    """Diagonal modified-kernel values by the direct double sum.
+
+    positions selects nodes in set order (an index array or a slice; all
+    nodes by default).  Only the selected nodes' lattice angles are formed,
+    so a sampled check costs O(n^2) per node, not a table over the set.
+    """
     n = pset.degree
-    t = node_tables(n, pset)
-    k = _direct_from_angles(n, t.theta1, t.theta2, t.theta1, t.theta2)
-    return k - t.cn1 * t.cn1
+    a, b = pset.k_num[positions], pset.eta_num[positions]
+    th1 = np.pi * (a / float(n))
+    th2 = np.pi * (b / float(n + 1))
+    tn = cospi_frac(n * a, n)
+    return _direct_from_angles(n, th1, th2, th1, th2) - tn * tn
 
 
 def kernel_star_at_node(pset, index):

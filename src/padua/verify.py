@@ -2,17 +2,15 @@
 
 Every check reports the observed maximum residual next to its documented
 tolerance; the CLI maps any failure to exit code 1 while still writing the
-full report.  The node-factor mapping can be overridden (the negative
-control used by the test suite) to prove the cross-check actually bites.
+full report.  The closed-form node values come from kernel.NODE_FACTORS,
+which the report echoes; the test suite's negative control tampers with that
+mapping to prove the node-value cross-check actually bites.
 """
 
 import numpy as np
 
 from . import ideal, interp, kernel, points
 from .cheb import check_degree
-
-# Closed-form diagonal factors; module-level so tests can tamper with them.
-DEFAULT_NODE_FACTORS = dict(kernel.NODE_FACTORS)
 
 
 def singular_probe_pairs(n, rng, count=12):
@@ -39,18 +37,13 @@ def singular_probe_pairs(n, rng, count=12):
     return np.array(xs), np.array(ys)
 
 
-def _random_square(rng, count):
-    return rng.uniform(-1.0, 1.0, (count, 2))
-
-
-def run_verification(max_degree, seed, node_factors=None, samples=64):
+def run_verification(max_degree, seed):
     """Run the residual checks for every degree up to max_degree.
 
     Returns a JSON-ready dict with one record per check per degree and an
     overall all_passed flag.  Deterministic for a given seed.
     """
     max_degree = check_degree(max_degree, minimum=1)
-    factors = DEFAULT_NODE_FACTORS if node_factors is None else node_factors
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -74,8 +67,8 @@ def run_verification(max_degree, seed, node_factors=None, samples=64):
             worst = max(worst, float(np.max(np.abs(ideal.q_poly(n, k, node_xy)))))
         record("q_vanishing", n, worst, 1e-9 * (n + 1))
 
-        pts = _random_square(rng, samples)
-        qts = _random_square(rng, samples)
+        pts = rng.uniform(-1.0, 1.0, (64, 2))
+        qts = rng.uniform(-1.0, 1.0, (64, 2))
 
         if n >= 2:
             resid = ideal.three_term_residual(n, (pts[:, 0], pts[:, 1]))
@@ -100,22 +93,25 @@ def run_verification(max_degree, seed, node_factors=None, samples=64):
         record("delta_property", n,
                float(np.max(np.abs(lmat - np.eye(len(pset))))), 1e-9)
 
-        closed = kernel.node_star_values(pset, factors=factors)
+        closed = kernel.node_star_values(pset)
         record("node_value_cross_check", n,
                float(np.max(np.abs(closed - kernel.node_star_direct(pset)))),
                1e-9 + 1e-12 * n * (n + 1))
 
-        weights = 1.0 / kernel.node_star_values(pset, factors=factors)
+        weights = 1.0 / closed
         record("weight_sum", n, abs(float(np.add.reduce(weights)) - 1.0), 1e-12)
 
         ones = np.ones(len(pset))
         part = interp.lagrange_matrix(pset, pts[:, 0], pts[:, 1]) @ ones
         record("partition_of_unity", n, float(np.max(np.abs(part - 1.0))), 1e-8)
 
+    factors = kernel.NODE_FACTORS
     return {
         "max_degree": max_degree,
         "seed": int(seed),
-        "node_factors": {cls.value: factors[cls] for cls in sorted(factors, key=lambda c: c.value)},
+        "node_factors": {
+            cls.value: factors[cls] for cls in sorted(factors, key=lambda c: c.value)
+        },
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }

@@ -37,9 +37,18 @@ def test_lp_norm_frozen_values():
     assert lp_norm(f, 2) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_lp_norm_inf_is_max_over_nodes():
+    assert lp_norm(lambda a, b: 5.0 * np.ones_like(a * b), "inf") == 5.0
+    assert lp_norm(lambda a, b: -3.0 * np.ones_like(a * b), np.inf) == 3.0
+    # the largest |a * b| over the 200 x 200 Gauss-Chebyshev nodes
+    corner = np.cos(np.pi / 400) ** 2
+    assert lp_norm(lambda a, b: a * b, np.inf) == pytest.approx(corner, abs=1e-15)
+
+
 def test_lp_norm_validation():
-    with pytest.raises(ValueError):
-        lp_norm(lambda a, b: a, 0.0)
+    for p in (0.0, -1.0, "-inf", "nan"):
+        with pytest.raises(ValueError, match="p must be positive or inf"):
+            lp_norm(lambda a, b: a, p)
     with pytest.raises(ValueError):
         lp_norm(lambda a, b: a, 2, m=4)
 

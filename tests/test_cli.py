@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from padua import verify
+from padua import kernel
 from padua.cli import main
 from padua.points import PointClass
 
@@ -85,10 +85,21 @@ def test_interp_franke_positive_error(capsys):
     assert json.loads(out)["summary"]["error_uniform"] > 0
 
 
-def test_interp_unknown_function(capsys):
-    code, _, err = run_cli(capsys, "interp", "--degree", "4", "--function", "nope")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("interp", "--degree", "4"),
+        ("cubature", "--degree", "4"),
+        ("converge", "--degrees", "2,4"),
+    ],
+    ids=["interp", "cubature", "converge"],
+)
+def test_interp_unknown_function(capsys, argv):
+    # a parse error: rejected before any node set or rule is built
+    code, out, err = run_cli(capsys, *argv, "--function", "nope")
     assert code == 2
-    assert "unknown function" in err
+    assert out == ""
+    assert "unknown function 'nope'" in err
 
 
 def test_interp_sample_file_round_trip(tmp_path, capsys):
@@ -171,13 +182,14 @@ def test_verify_negative_control(capsys, monkeypatch):
         PointClass.EDGE: 1.0,
         PointClass.INTERIOR: 2.0,
     }
-    monkeypatch.setattr(verify, "DEFAULT_NODE_FACTORS", tampered)
+    monkeypatch.setattr(kernel, "NODE_FACTORS", tampered)
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "3", "--seed", "1")
     assert code == 1
     report = json.loads(out)
     assert report["all_passed"] is False
     failing = {c["check"] for c in report["checks"] if not c["passed"]}
     assert "node_value_cross_check" in failing
+    assert report["node_factors"] == {"edge": 1.0, "interior": 2.0, "vertex": 0.5}
 
 
 def test_verify_csv_format(capsys):

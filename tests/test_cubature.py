@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padua import kernel
 from padua.cheb import t_lattice
 from padua.cubature import build_rule, integrate
 from padua.points import PointClass, generate
@@ -15,6 +16,18 @@ def test_degree_two_weights_frozen():
     for p, w in zip(rule.nodes.points, rule.weights):
         assert w == pytest.approx(expect[p.point_class], abs=1e-12)
     assert np.sum(rule.weights) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 64])  # all 45 nodes checked; 50 of 2145 sampled
+def test_build_rule_rejects_transposed_node_factors(monkeypatch, n):
+    tampered = {
+        PointClass.VERTEX: kernel.NODE_FACTORS[PointClass.INTERIOR],
+        PointClass.EDGE: kernel.NODE_FACTORS[PointClass.EDGE],
+        PointClass.INTERIOR: kernel.NODE_FACTORS[PointClass.VERTEX],
+    }
+    monkeypatch.setattr(kernel, "NODE_FACTORS", tampered)
+    with pytest.raises(RuntimeError, match=f"cross-check failed at degree {n}"):
+        build_rule(generate(n))
 
 
 def test_weights_sum_positive_and_class_constant():

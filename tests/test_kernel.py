@@ -24,6 +24,17 @@ def test_direct_frozen_values():
     assert kernel_direct(2, (0.0, -0.5), (0.0, -0.5)) == pytest.approx(4.0, abs=1e-13)
 
 
+def test_direct_broadcasts_cross_shapes(rng):
+    # (P, 1) coordinates against (N,) coordinates give the (P, N) matrix
+    n = 2
+    x = rng.uniform(-1, 1, (60, 2))
+    y = rng.uniform(-1, 1, (7, 2))
+    xs, ys = (x[:, :1], x[:, 1:]), (y[:, 0], y[:, 1])
+    got = kernel_direct(n, xs, ys)
+    assert got.shape == (60, 7)
+    assert np.max(np.abs(got - oracles.kernel_double_sum(n, xs, ys))) <= 1e-12
+
+
 def test_direct_matches_double_sum_oracle(rng):
     for n in (1, 3, 6, 10):
         for _ in range(20):
@@ -177,6 +188,17 @@ def test_node_values_match_direct():
         closed = node_star_values(pset)
         direct = kernel.node_star_direct(pset)
         assert np.max(np.abs(closed - direct)) <= 1e-9
+
+
+def test_node_star_direct_positions_bitwise():
+    for n in (1, 2, 9, 64):
+        pset = generate(n)
+        full = kernel.node_star_direct(pset)
+        idx = np.random.default_rng(n).choice(len(pset), size=min(50, len(pset)),
+                                             replace=False)
+        assert np.array_equal(kernel.node_star_direct(pset, idx), full[idx])
+        assert np.array_equal(kernel.node_star_direct(pset, slice(1, None, 3)),
+                              full[1::3])
 
 
 def test_node_values_match_star_direct_entrywise():
