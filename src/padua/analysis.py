@@ -7,7 +7,7 @@ error model even for |f|^p integrands.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,22 +109,28 @@ def fourier_partial_sum(n, f, x, m=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _marcinkiewicz_setup(n, p, quad_m):
+    """Checked degree and p, then the node tables and the quadrature axis."""
+    n = check_degree(n, minimum=1)
+    p = _as_p(p)
+    if math.isinf(p) or p < 1:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    pset = points.generate(n)
+    b1 = t_norm_lattice(n, pset.k_num, n)
+    b2 = t_norm_lattice(n, pset.eta_num, n + 1)
+    m = quad_m if quad_m is not None else max(200, 2 * n + 1)
+    qnodes, _ = gauss_chebyshev_axis(m)
+    return n, p, (b1, b2, qnodes)
+
+
 def marcinkiewicz_ratio(n, coeffs, p, quad_m=None):
     """Discrete-to-continuous p-th power ratio for one polynomial.
 
     The numerator is the plain node average (1/N) sum |P(node)|^p; the
     denominator is the weighted integral of |P|^p by tensor quadrature.
     """
-    n = check_degree(n, minimum=1)
-    p = float(p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    pset = points.generate(n)
-    b1 = t_norm_lattice(n, pset.k_num, n)
-    b2 = t_norm_lattice(n, pset.eta_num, n + 1)
-    m = quad_m if quad_m is not None else max(200, 2 * n + 1)
-    qnodes, _ = gauss_chebyshev_axis(m)
-    return _ratio(np.asarray(coeffs, dtype=float), p, b1, b2, qnodes)
+    n, p, tables = _marcinkiewicz_setup(n, p, quad_m)
+    return _ratio(np.asarray(coeffs, dtype=float), p, *tables)
 
 
 def _ratio(coeffs, p, node_b1, node_b2, qnodes):
@@ -138,17 +144,9 @@ def _ratio(coeffs, p, node_b1, node_b2, qnodes):
 def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
     """Ratios for `trials` random polynomials with iid uniform [-1,1]
     coefficients in the orthonormal basis; reproducible for a given seed."""
-    n = check_degree(n, minimum=1)
-    p = float(p)
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    n, p, tables = _marcinkiewicz_setup(n, p, quad_m)
     if trials < 1:
         raise ValueError("need at least one trial")
-    pset = points.generate(n)
-    b1 = t_norm_lattice(n, pset.k_num, n)
-    b2 = t_norm_lattice(n, pset.eta_num, n + 1)
-    m = quad_m if quad_m is not None else max(200, 2 * n + 1)
-    qnodes, _ = gauss_chebyshev_axis(m)
     ks = np.arange(n + 1)
     keep = ks[:, None] + ks[None, :] <= n
     rng = np.random.default_rng(seed)
@@ -156,7 +154,7 @@ def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
     for t in range(trials):
         coeffs = rng.uniform(-1.0, 1.0, (n + 1, n + 1))
         coeffs[~keep] = 0.0
-        out[t] = _ratio(coeffs, p, b1, b2, qnodes)
+        out[t] = _ratio(coeffs, p, *tables)
     return out
 
 
@@ -186,24 +184,11 @@ class ConvergenceReport:
     rows: tuple
 
     def to_dict(self):
-        return {
-            "function": self.function,
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "grid_m": self.grid_m,
-            "grid_kind": self.grid_kind,
-            "quad_m": self.quad_m,
-            "rows": [
-                {
-                    "n": r.n,
-                    "cardinality": r.cardinality,
-                    "error_wp": r.error_wp,
-                    "error_uniform": r.error_uniform,
-                    "lebesgue_estimate": r.lebesgue_estimate,
-                    "en_proxy": r.en_proxy,
-                }
-                for r in self.rows
-            ],
-        }
+        out = asdict(self)
+        if math.isinf(self.p):
+            out["p"] = "inf"
+        out["rows"] = [asdict(r) for r in self.rows]
+        return out
 
 
 @dataclass(frozen=True)

@@ -184,10 +184,10 @@ def product_series_at(coeffs, x1, x2):
 def product_series_grid(coeffs, axis1, axis2):
     """Evaluate the series on a tensor grid; out[i, j] pairs axis1[i] with axis2[j].
 
-    The basis tables are built in the coefficients' float type, so float64
-    and np.longdouble series both evaluate at their own precision.
+    Leading axes of coeffs are a batch.  The tables are built in the
+    coefficients' float type, so float64 and longdouble keep their precision.
     """
     dtype = np.result_type(coeffs.dtype, float)
-    b1 = t_norm_values(coeffs.shape[0] - 1, axis1, dtype)
-    b2 = t_norm_values(coeffs.shape[1] - 1, axis2, dtype)
+    b1 = t_norm_values(coeffs.shape[-2] - 1, axis1, dtype)
+    b2 = t_norm_values(coeffs.shape[-1] - 1, axis2, dtype)
     return b1.T @ coeffs @ b2

@@ -1,9 +1,9 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
-Interpolant values, pointwise or on a grid, come from one route: the
-orthonormal Chebyshev coefficients of to_coefficients, evaluated as a tensor
-series.  The Lagrange basis itself (lagrange_matrix and the Lebesgue
-function) is built from the compact modified kernel.
+Values on a tensor grid, of interpolants and of the Lebesgue function, come
+from one route: the Chebyshev coefficients of to_coefficients, evaluated as a
+tensor series.  Lagrange values at scattered points (lagrange_matrix, the
+Lebesgue function) come from the compact modified kernel.
 """
 
 from dataclasses import dataclass
@@ -91,20 +91,20 @@ def lagrange_matrix(pset, x1, x2):
 
 
 def _check_samples(pset, samples):
-    """Finite node values as float64, or as np.longdouble if given so."""
+    """Finite node values (last axis) as float64, or np.longdouble if given so."""
     samples = np.asarray(samples)
     dtype = np.longdouble if samples.dtype == np.longdouble else float
     samples = samples.astype(dtype, copy=False)
-    if samples.shape != (len(pset),):
+    if samples.shape[-1:] != (len(pset),):
         raise ValueError(
-            f"sample vector has length {samples.size}, expected {len(pset)}"
+            f"samples of shape {samples.shape} need length {len(pset)} on the last axis"
         )
-    bad = np.flatnonzero(~np.isfinite(samples))
+    bad = np.argwhere(~np.isfinite(samples))
     if bad.size:
-        i = bad[0]
+        i = bad[0][-1]
         raise ValueError(
-            f"{bad.size} non-finite sample(s), first {samples[i]} at node "
-            f"k={pset.k_num[i]}, j={pset.j_num[i]}"
+            f"{len(bad)} non-finite sample(s), first {samples[tuple(bad[0])]} "
+            f"at node k={pset.k_num[i]}, j={pset.j_num[i]}"
         )
     return samples
 
@@ -131,19 +131,18 @@ def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
-    together with the grid spec.
+    together with the grid spec.  Fundamental polynomials are interpolants of
+    unit samples, taken as one batch per lattice row k of nodes.
     """
-    n = pset.degree
     ax = grid.axis()
-    node_side = kernel.node_tables(n, pset)
-    diag = kernel.node_star_values(pset)
-    best = 0.0
-    for x1 in ax:
-        mat = kernel.star_matrix(n, kernel.point_tables(n, np.full(grid.m, x1), ax),
-                                 node_side)
-        mat /= diag
-        best = max(best, float(np.abs(mat).sum(axis=-1).max()))
-    return best
+    total = np.zeros((grid.m, grid.m))
+    for k in range(pset.degree + 1):
+        rows = np.flatnonzero(pset.k_num == k)
+        units = np.zeros((rows.size, len(pset)))
+        units[np.arange(rows.size), rows] = 1.0
+        values = product_series_grid(to_coefficients(pset, units), ax, ax)
+        total += np.abs(values).sum(axis=0)
+    return float(total.max())
 
 
 def to_coefficients(pset, samples):
@@ -156,17 +155,17 @@ def to_coefficients(pset, samples):
     halved.  The samples sit in the (n+1) x (n+2) lattice matrix
     G[k, m] (zero off the node set), so the projection is the matrix product
     T1 G T2^T of two lattice tables.  C has the samples' float type: float64,
-    or np.longdouble for longdouble samples.  The test suite checks it
-    against the direct kernel sum.
+    or np.longdouble for longdouble samples; leading axes of samples are a
+    batch.  The test suite checks it against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
     n = pset.degree
-    lattice = np.zeros((n + 1, n + 2), dtype=samples.dtype)
-    lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+    lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
+    lattice[..., pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
     t1 = t_norm_lattice(n, np.arange(n + 1), n, samples.dtype)
     t2 = t_norm_lattice(n, np.arange(n + 2), n + 1, samples.dtype)
     coeffs = t1 @ lattice @ t2.T
     ks = np.arange(n + 1)
-    coeffs[ks[:, None] + ks[None, :] > n] = 0.0
-    coeffs[n, 0] *= 0.5
+    coeffs[..., ks[:, None] + ks[None, :] > n] = 0.0
+    coeffs[..., n, 0] *= 0.5
     return coeffs

@@ -1,7 +1,8 @@
 """Reproducing kernels for the normalized product Chebyshev measure.
 
 The compact four-term trigonometric form (O(1) per pair) is the production
-route: every kernel, Lagrange-basis and Lebesgue evaluation goes through it.
+route for kernel and Lagrange-basis values at scattered points; tensor grids
+go through the coefficients of interp.to_coefficients instead.
 Its quotient degenerates when two cosine arguments coincide; pairs inside that
 guard band are recomputed with the direct double sum over the orthonormal
 product basis (O(n^2) per pair) instead of an analytic limit.  kernel_direct
@@ -136,7 +137,7 @@ def _compact_terms(n, sx, sy):
 
 
 # largest number of matrix entries materialized per temporary in star_matrix
-_BLOCK_ENTRIES = 1_500_000
+_BLOCK_ENTRIES = 30_000
 
 
 def _index_side(side, key):
@@ -224,21 +225,17 @@ def kernel_star(n, x, y):
 def star_matrix(n, sx, sy):
     """Cross matrix of the modified kernel between two sides of tables.
 
-    Returns shape (len(sx), len(sy)).  Meant for grid workloads: build the
-    side tables once, then reuse them across calls.  Rows are evaluated in
-    blocks of at most _BLOCK_ENTRIES entries per temporary.
+    Returns shape (len(sx), len(sy)), for scattered points against a node
+    set.  Rows are evaluated in blocks of at most _BLOCK_ENTRIES entries per
+    temporary.
     """
     rows, cols = sx.theta1.shape[0], sy.theta1.shape[0]
     col_side = _index_side(sy, np.newaxis)
     block = max(1, _BLOCK_ENTRIES // max(1, cols))
-    if rows <= block:
-        # one block: keep its result instead of copying into a preallocation
-        k = _kernel_from_tables(n, _index_side(sx, (slice(None), None)), col_side)
-    else:
-        k = np.empty((rows, cols))
-        for start in range(0, rows, block):
-            sl = slice(start, start + block)
-            k[sl] = _kernel_from_tables(n, _index_side(sx, (sl, None)), col_side)
+    k = np.empty((rows, cols))
+    for start in range(0, rows, block):
+        sl = slice(start, start + block)
+        k[sl] = _kernel_from_tables(n, _index_side(sx, (sl, None)), col_side)
     k -= sx.cn1[:, None] * sy.cn1[None, :]
     return k
 

@@ -140,8 +140,12 @@ def test_marcinkiewicz_bounds_and_positivity():
 
 
 def test_marcinkiewicz_rejects_small_p():
-    with pytest.raises(ValueError):
-        marcinkiewicz_trials(4, 0.5, 10)
+    # and p that is not finite, for which the p-th power ratio is nan
+    for p in (0.5, math.inf, "inf", math.nan):
+        with pytest.raises(ValueError):
+            marcinkiewicz_trials(4, p, 10)
+        with pytest.raises(ValueError):
+            marcinkiewicz_ratio(4, np.ones((5, 5)), p)
     with pytest.raises(ValueError):
         marcinkiewicz_trials(4, 2, 0)
 
@@ -212,7 +216,10 @@ def test_convergence_study_validation():
 def test_convergence_report_dict_round_trip():
     report = convergence_study(get("coord1"), "inf", [2, 3], EvalGrid(16))
     d = report.to_dict()
+    assert list(d) == ["function", "p", "grid_m", "grid_kind", "quad_m", "rows"]
     assert d["p"] == "inf"
+    assert list(d["rows"][0]) == ["n", "cardinality", "error_wp", "error_uniform",
+                                  "lebesgue_estimate", "en_proxy"]
     assert len(d["rows"]) == 2
     assert d["rows"][0]["n"] == 2
     assert math.isfinite(d["rows"][1]["lebesgue_estimate"])

@@ -161,6 +161,15 @@ def test_marcinkiewicz_reproducible(capsys):
     assert len(ratios) == 8 and all(r > 0 for r in ratios)
 
 
+def test_marcinkiewicz_rejects_nonfinite_p(capsys):
+    for p in ("inf", "nan"):
+        code, out, err = run_cli(capsys, "marcinkiewicz", "--degree", "4", "--p", p,
+                                 "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--max-degree", "4", "--seed", "7",

@@ -9,6 +9,7 @@ from padua.interp import (
     SampleEvaluationError,
     interpolate,
     interpolate_grid,
+    lagrange_matrix,
     lebesgue_constant,
     lebesgue_function,
     sample,
@@ -253,6 +254,44 @@ def test_lebesgue_estimates_nondecreasing_under_refinement():
     assert vals[0] <= vals[1] + 1e-12
     assert vals[1] <= vals[2] + 1e-12
     assert lebesgue_constant(generate(1), EvalGrid(30)) >= 1.0
+
+
+def test_lebesgue_constant_matches_compact_kernel():
+    # the coefficient route of lebesgue_constant against the compact-kernel
+    # Lagrange matrix on the same grid points
+    for n in (1, 2, 7, 16):
+        pset = generate(n)
+        for kind in ("uniform", "chebyshev"):
+            for m in (10, 41):
+                grid = EvalGrid(m, kind)
+                x = grid.points()
+                compact = np.abs(lagrange_matrix(pset, x[:, 0], x[:, 1])).sum(1).max()
+                assert lebesgue_constant(pset, grid) == pytest.approx(compact,
+                                                                      rel=1e-12)
+
+
+def test_batched_coefficients_bitwise(rng):
+    for dtype in (float, np.longdouble):
+        for n in (1, 6, 17):
+            pset = generate(n)
+            batch = rng.normal(size=(2, 3, len(pset))).astype(dtype)
+            coeffs = to_coefficients(pset, batch)
+            assert coeffs.shape == (2, 3, n + 1, n + 1)
+            assert coeffs.dtype == np.dtype(dtype)
+            for i in np.ndindex(2, 3):
+                assert np.array_equal(coeffs[i], to_coefficients(pset, batch[i]))
+
+
+def test_batched_nonfinite_sample_reports_node():
+    pset = generate(3)
+    batch = np.ones((3, len(pset)))
+    batch[1, 4] = np.nan
+    batch[2, 0] = np.inf
+    with pytest.raises(ValueError, match=r"2 non-finite sample\(s\), first nan at node "
+                                         r"k=1, j=3"):
+        to_coefficients(pset, batch)
+    with pytest.raises(ValueError, match="need length 10 on the last axis"):
+        to_coefficients(pset, np.ones((2, len(pset) - 1)))
 
 
 def test_coefficients_match_direct_interpolation(rng, direct_lagrange_matrix):

@@ -22,20 +22,30 @@ def _load_spans():
     return module
 
 
-def test_tracer_sees_lebesgue_layers():
+def _traced_totals(*argv):
     tracer = _load_spans().Tracer(padua)
     tracer.install()
     try:
-        code = padua.cli.main(
-            ["lebesgue", "--degrees", "4", "--grid", "10", "--output", os.devnull]
-        )
+        code = padua.cli.main([*argv, "--output", os.devnull])
     finally:
         tracer.uninstall()
-    assert code == 0
-    totals = tracer.totals()
-    # one star_matrix call per grid row: 10 rows x 10 columns x 15 nodes
-    assert totals["kernel.star_matrix"]["pairs"] == 10 * 10 * 15
-    for name in ("kernel.point_tables", "kernel.node_tables",
-                 "interp.lebesgue_constant", "cli.output"):
-        assert totals[name]["calls"] >= 1
     assert not hasattr(padua.kernel.star_matrix, "__wrapped__")
+    return code, tracer.totals()
+
+
+def test_tracer_sees_lebesgue_layers():
+    code, totals = _traced_totals("lebesgue", "--degrees", "4", "--grid", "10")
+    assert code == 0
+    # tensor grids go through the coefficient route: one batch per node row
+    assert not any(name.startswith("kernel.") for name in totals)
+    assert totals["interp.to_coefficients"]["calls"] == 5
+    assert totals["interp.lebesgue_constant"]["grid_pts"] == 10 * 10
+    assert totals["cli.output"]["calls"] >= 1
+
+
+def test_tracer_sees_verify_kernel_layers():
+    code, totals = _traced_totals("verify", "--max-degree", "2")
+    assert code == 0
+    assert totals["kernel.star_matrix"]["pairs"] == 621
+    for name in ("kernel.point_tables", "kernel.node_tables", "cli.output"):
+        assert totals[name]["calls"] >= 1
