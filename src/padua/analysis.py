@@ -109,7 +109,7 @@ def fourier_partial_sum(n, f, x, m=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _marcinkiewicz_setup(n, p, quad_m):
+def _marcinkiewicz_setup(n, p):
     """Checked degree and p, then the node tables and the quadrature axis."""
     n = check_degree(n, minimum=1)
     p = _as_p(p)
@@ -118,18 +118,17 @@ def _marcinkiewicz_setup(n, p, quad_m):
     pset = points.generate(n)
     b1 = t_norm_lattice(n, pset.k_num, n)
     b2 = t_norm_lattice(n, pset.eta_num, n + 1)
-    m = quad_m if quad_m is not None else max(200, 2 * n + 1)
-    qnodes, _ = gauss_chebyshev_axis(m)
+    qnodes, _ = gauss_chebyshev_axis(max(200, 2 * n + 1))
     return n, p, (b1, b2, qnodes)
 
 
-def marcinkiewicz_ratio(n, coeffs, p, quad_m=None):
+def marcinkiewicz_ratio(n, coeffs, p):
     """Discrete-to-continuous p-th power ratio for one polynomial.
 
     The numerator is the plain node average (1/N) sum |P(node)|^p; the
     denominator is the weighted integral of |P|^p by tensor quadrature.
     """
-    n, p, tables = _marcinkiewicz_setup(n, p, quad_m)
+    n, p, tables = _marcinkiewicz_setup(n, p)
     return _ratio(np.asarray(coeffs, dtype=float), p, *tables)
 
 
@@ -141,10 +140,10 @@ def _ratio(coeffs, p, node_b1, node_b2, qnodes):
     return float(discrete / continuous)
 
 
-def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
+def marcinkiewicz_trials(n, p, trials, seed=0):
     """Ratios for `trials` random polynomials with iid uniform [-1,1]
     coefficients in the orthonormal basis; reproducible for a given seed."""
-    n, p, tables = _marcinkiewicz_setup(n, p, quad_m)
+    n, p, tables = _marcinkiewicz_setup(n, p)
     if trials < 1:
         raise ValueError("need at least one trial")
     ks = np.arange(n + 1)
@@ -158,9 +157,9 @@ def marcinkiewicz_trials(n, p, trials, seed=0, quad_m=None):
     return out
 
 
-def marcinkiewicz_ratios(n, p, trials, seed=0, quad_m=None):
+def marcinkiewicz_ratios(n, p, trials, seed=0):
     """Smallest and largest ratio over the random trials: (min, max)."""
-    ratios = marcinkiewicz_trials(n, p, trials, seed=seed, quad_m=quad_m)
+    ratios = marcinkiewicz_trials(n, p, trials, seed=seed)
     return float(ratios.min()), float(ratios.max())
 
 

@@ -193,15 +193,18 @@ def cmd_interp(args):
     else:
         samples = _load_samples(args.samples, pset)
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
-    values = interp.interpolate_grid(pset, samples, grid)
     ax = grid.axis()
     x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-    header, columns, summary = ("x1", "x2", "value"), [x1, x2, values], None
-    if func is not None:
+    if func is None:
+        values = interp.interpolate_grid(pset, samples, grid)
+        header, columns, summary = ("x1", "x2", "value"), [x1, x2, values], None
+    else:
+        # the measured series on the grid is the interpolant's grid values
         err = analysis.measure_error(interp.to_coefficients(pset, samples), func, p,
                                      grid, quad_m=max(64, 4 * args.degree))
-        header += ("reference", "abs_error")
-        columns += [err.reference, np.abs(values - err.reference)]
+        values = err.values
+        header = ("x1", "x2", "value", "reference", "abs_error")
+        columns = [x1, x2, values, err.reference, np.abs(values - err.reference)]
         summary = {"error_uniform": err.error_uniform, "error_wp": err.error_wp,
                    "p": "inf" if math.isinf(p) else p}
 

@@ -7,6 +7,8 @@ Its quotient degenerates when two cosine arguments coincide; pairs inside that
 guard band are recomputed with the direct double sum over the orthonormal
 product basis (O(n^2) per pair) instead of an analytic limit.  kernel_direct
 exposes that double sum as the oracle the compact route is checked against.
+Each side of an evaluation is one SideTables: its angles and one trig table,
+(cos, sin) of theta, n*theta and (n+1)*theta per coordinate.
 """
 
 import numpy as np
@@ -32,33 +34,34 @@ NODE_FACTORS = {
 class SideTables:
     """Per-point trig tables shared by every kernel evaluation at those points.
 
-    For each coordinate d the table holds cos/sin of theta_d, n*theta_d and
-    (n+1)*theta_d, plus the raw angles for direct-sum fallbacks.
+    trig[d][i] is the (cos, sin) pair of (1, n, n+1)[i] * theta_{d+1}, and
+    theta1, theta2 are the raw angles for direct-sum fallbacks.  Every array
+    has the points' own shape, so sides of different shapes broadcast;
+    side[key] indexes every array.
     """
 
-    __slots__ = (
-        "theta1", "theta2",
-        "c1", "s1", "cn1", "sn1", "cm1", "sm1",
-        "c2", "s2", "cn2", "sn2", "cm2", "sm2",
-    )
+    __slots__ = ("theta1", "theta2", "trig")
+
+    def __init__(self, theta1, theta2, trig):
+        self.theta1, self.theta2, self.trig = theta1, theta2, trig
+
+    def __getitem__(self, key):
+        trig = tuple(tuple((c[key], s[key]) for c, s in coord) for coord in self.trig)
+        return SideTables(self.theta1[key], self.theta2[key], trig)
 
 
 def point_tables(n, x1, x2):
-    """Build side tables for arbitrary points of the square."""
+    """Side tables for arbitrary points; cos(theta_d) is x_d itself."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if not (np.all(np.abs(x1) <= 1.0) and np.all(np.abs(x2) <= 1.0)):
         raise DomainError("point outside the square")
-    t = SideTables()
-    t.theta1 = np.arccos(x1)
-    t.theta2 = np.arccos(x2)
-    t.c1, t.s1 = x1, np.sin(t.theta1)
-    t.c2, t.s2 = x2, np.sin(t.theta2)
-    t.cn1, t.sn1 = np.cos(n * t.theta1), np.sin(n * t.theta1)
-    t.cn2, t.sn2 = np.cos(n * t.theta2), np.sin(n * t.theta2)
-    t.cm1, t.sm1 = np.cos((n + 1) * t.theta1), np.sin((n + 1) * t.theta1)
-    t.cm2, t.sm2 = np.cos((n + 1) * t.theta2), np.sin((n + 1) * t.theta2)
-    return t
+    thetas = np.arccos(x1), np.arccos(x2)
+    trig = tuple(
+        ((x, np.sin(th)),) + tuple((np.cos(m * th), np.sin(m * th)) for m in (n, n + 1))
+        for x, th in zip((x1, x2), thetas)
+    )
+    return SideTables(*thetas, trig)
 
 
 def node_tables(n, pset):
@@ -67,18 +70,12 @@ def node_tables(n, pset):
     Using the integer numerators keeps values like sin(n*theta1) exactly zero
     at the nodes instead of 1e-16 dust.
     """
-    a, b = pset.k_num, pset.eta_num
-    d1, d2 = pset.degree, pset.degree + 1
-    t = SideTables()
-    t.theta1 = np.pi * (a / float(d1))
-    t.theta2 = np.pi * (b / float(d2))
-    t.c1, t.s1 = cospi_frac(a, d1), sinpi_frac(a, d1)
-    t.c2, t.s2 = cospi_frac(b, d2), sinpi_frac(b, d2)
-    t.cn1, t.sn1 = cospi_frac(n * a, d1), sinpi_frac(n * a, d1)
-    t.cn2, t.sn2 = cospi_frac(n * b, d2), sinpi_frac(n * b, d2)
-    t.cm1, t.sm1 = cospi_frac((n + 1) * a, d1), sinpi_frac((n + 1) * a, d1)
-    t.cm2, t.sm2 = cospi_frac((n + 1) * b, d2), sinpi_frac((n + 1) * b, d2)
-    return t
+    lattice = (pset.k_num, pset.degree), (pset.eta_num, pset.degree + 1)
+    trig = tuple(
+        tuple((cospi_frac(m * a, d), sinpi_frac(m * a, d)) for m in (1, n, n + 1))
+        for a, d in lattice
+    )
+    return SideTables(*(np.pi * (a / float(d)) for a, d in lattice), trig)
 
 
 def _tnorm_from_angles(kmax, theta):
@@ -106,23 +103,16 @@ def _compact_terms(n, sx, sy):
     products cover all four sign combinations; the rest is adds and four
     divisions per pair.
     """
-    # products for the angle sums: (cos m th)(cos m ph), (sin m th)(sin m ph)
-    p1, q1 = sx.c1 * sy.c1, sx.s1 * sy.s1
-    pn1, qn1 = sx.cn1 * sy.cn1, sx.sn1 * sy.sn1
-    pm1, qm1 = sx.cm1 * sy.cm1, sx.sm1 * sy.sm1
-    p2, q2 = sx.c2 * sy.c2, sx.s2 * sy.s2
-    pn2, qn2 = sx.cn2 * sy.cn2, sx.sn2 * sy.sn2
-    pm2, qm2 = sx.cm2 * sy.cm2, sx.sm2 * sy.sm2
-
-    total = None
-    singular = None
+    # per coordinate, for the signs + then -: (cos(th +- ph),
+    # cos(n(th +- ph)) + cos((n+1)(th +- ph)))
+    pairs = []
+    for tx, ty in zip(sx.trig, sy.trig):
+        (p, q), (pn, qn), (pm, qm) = ((c * d, s * t) for (c, s), (d, t) in zip(tx, ty))
+        pairs.append(((p - q, (pn - qn) + (pm - qm)), (p + q, (pn + qn) + (pm + qm))))
+    total = singular = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s1 in (1.0, -1.0):
-            ca = p1 - q1 if s1 > 0 else p1 + q1
-            na = (pn1 - qn1) + (pm1 - qm1) if s1 > 0 else (pn1 + qn1) + (pm1 + qm1)
-            for s2 in (1.0, -1.0):
-                cb = p2 - q2 if s2 > 0 else p2 + q2
-                nb = (pn2 - qn2) + (pm2 - qm2) if s2 > 0 else (pn2 + qn2) + (pm2 + qm2)
+        for ca, na in pairs[0]:
+            for cb, nb in pairs[1]:
                 den = ca - cb
                 term = na - nb
                 term *= 0.25
@@ -138,13 +128,6 @@ def _compact_terms(n, sx, sy):
 
 # largest number of matrix entries materialized per temporary in star_matrix
 _BLOCK_ENTRIES = 30_000
-
-
-def _index_side(side, key):
-    out = SideTables()
-    for name in SideTables.__slots__:
-        setattr(out, name, getattr(side, name)[key])
-    return out
 
 
 def _kernel_from_tables(n, sx, sy):
@@ -218,7 +201,8 @@ def kernel_star(n, x, y):
     n = check_degree(n, minimum=1)
     sx = point_tables(n, *x)
     sy = point_tables(n, *y)
-    out = _kernel_from_tables(n, sx, sy) - sx.cn1 * sy.cn1
+    # trig[0][1][0] is cos(n theta1) = T_n(x1)
+    out = _kernel_from_tables(n, sx, sy) - sx.trig[0][1][0] * sy.trig[0][1][0]
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -230,13 +214,14 @@ def star_matrix(n, sx, sy):
     temporary.
     """
     rows, cols = sx.theta1.shape[0], sy.theta1.shape[0]
-    col_side = _index_side(sy, np.newaxis)
+    col_side = sy[np.newaxis]
     block = max(1, _BLOCK_ENTRIES // max(1, cols))
     k = np.empty((rows, cols))
     for start in range(0, rows, block):
         sl = slice(start, start + block)
-        k[sl] = _kernel_from_tables(n, _index_side(sx, (sl, None)), col_side)
-    k -= sx.cn1[:, None] * sy.cn1[None, :]
+        k[sl] = _kernel_from_tables(n, sx[sl, None], col_side)
+    # trig[0][1][0] is cos(n theta1) = T_n(x1)
+    k -= sx.trig[0][1][0][:, None] * sy.trig[0][1][0][None, :]
     return k
 
 

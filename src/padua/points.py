@@ -8,8 +8,6 @@ import numpy as np
 
 from .cheb import cheb_t, check_degree, cospi_frac
 
-_BOUNDARY_TOL = 1e-14
-
 
 class PointClass(Enum):
     VERTEX = "vertex"
@@ -88,9 +86,10 @@ class PaduaSet:
             raise IndexError(f"no node with index {tuple(index)}") from None
 
 
-def _classify_codes(x1, x2):
-    on1 = np.abs(np.abs(x1) - 1.0) <= _BOUNDARY_TOL
-    on2 = np.abs(np.abs(x2) - 1.0) <= _BOUNDARY_TOL
+def _classify_codes(n, k_num, eta_num):
+    # x1 = +-1 exactly when k_num is 0 or n, x2 = +-1 when eta_num is 0 or n+1
+    on1 = (k_num == 0) | (k_num == n)
+    on2 = (eta_num == 0) | (eta_num == n + 1)
     return np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2)).astype(np.int8)
 
 
@@ -116,37 +115,30 @@ def generate(n):
         eta_num=eta_num,
         x1=x1,
         x2=x2,
-        class_codes=_classify_codes(x1, x2),
+        class_codes=_classify_codes(n, k_num, eta_num),
     )
 
 
-def generating_curve_points(n, tol=1e-12):
+def generating_curve_points(n):
     """Distinct points sampled from the generating curve of this node family.
 
     The curve is parametrized so that its samples at t = k*pi/(n*(n+1)),
     0 <= k <= n*(n+1), land on the same angle lattice as generate(n); the
     deduplicated sample set equals generate(n) as a set.  Returns an array of
-    shape (N, 2).
+    shape (N, 2), in order of first appearance along the curve.
     """
     n = check_degree(n, minimum=1)
     ks = np.arange(n * (n + 1) + 1, dtype=np.int64)
+    # two samples coincide exactly when their reduced angle numerators do
+    r, s = ks % (2 * n), ks % (2 * (n + 1))
+    reduced = np.column_stack([np.minimum(r, 2 * n - r), np.minimum(s, 2 * (n + 1) - s)])
+    _, first = np.unique(reduced, axis=0, return_index=True)
+    ks = ks[np.sort(first)]
     a = cospi_frac(ks, n)
     b = cospi_frac(ks, n + 1)
     if n % 2 == 0:
-        pts = np.column_stack([a, -b])
-    else:
-        pts = np.column_stack([-a, b])
-    return _dedup(pts, tol)
-
-
-def _dedup(pts, tol):
-    # Curve samples that coincide are bitwise-equal here (both coordinates
-    # come from the same reduced integer angles), while distinct nodes are
-    # separated by far more than any sane tolerance, so bucketing by
-    # round(x / tol) groups exactly the true duplicates.
-    keys = np.round(pts / tol).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(first)]
+        return np.column_stack([a, -b])
+    return np.column_stack([-a, b])
 
 
 def curve_residual(n, x1, x2):

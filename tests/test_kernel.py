@@ -108,6 +108,33 @@ def test_star_matrix_row_blocks_bitwise(rng, monkeypatch):
     assert np.array_equal(blocked, whole)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 24, 64])
+def test_node_tables_exact_on_lattice(n):
+    # trig[d][i] is (cos, sin) of (1, n, n+1)[i] * theta_d; at the nodes
+    # n*theta1 = k*pi and (n+1)*theta2 = eta*pi, so these are exact
+    pset = generate(n)
+    t = kernel.node_tables(n, pset)
+    cn1, sn1 = t.trig[0][1]
+    cm2, sm2 = t.trig[1][2]
+    assert np.all(sn1 == 0.0) and np.all(sm2 == 0.0)
+    assert np.array_equal(cn1, (-1.0) ** pset.k_num)
+    assert np.array_equal(cm2, (-1.0) ** pset.eta_num)
+
+
+@pytest.mark.parametrize("key", [slice(3, 40, 2), (slice(5, 17), None), np.newaxis])
+def test_point_tables_index_bitwise(rng, key):
+    n = 7
+    x1, x2 = rng.uniform(-1.0, 1.0, (2, 50))
+    whole = kernel.point_tables(n, x1, x2)[key]
+    part = kernel.point_tables(n, x1[key], x2[key])
+    for name in ("theta1", "theta2"):
+        assert np.array_equal(getattr(whole, name), getattr(part, name))
+    for coord_w, coord_p in zip(whole.trig, part.trig, strict=True):
+        for (cw, sw), (cp, sp) in zip(coord_w, coord_p, strict=True):
+            assert cw.shape == cp.shape
+            assert np.array_equal(cw, cp) and np.array_equal(sw, sp)
+
+
 def test_compact_frozen_value_at_coincident_point():
     assert kernel_compact(2, (0.0, -0.5), (0.0, -0.5)) == pytest.approx(4.0, abs=1e-10)
 

@@ -137,10 +137,13 @@ def test_class_codes_match_integer_lattice():
     # on the angle lattice a coordinate is on the boundary exactly when its
     # numerator is an end of its range: k in {0, n} or eta in {0, n+1}
     classes = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
-    for n in (1, 2, 9, 24):
+    for n in (1, 2, 9, 24, 128):
         pset = generate(n)
         on1 = (pset.k_num == 0) | (pset.k_num == n)
         on2 = (pset.eta_num == 0) | (pset.eta_num == n + 1)
+        # the lattice ends are exactly the coordinates +-1
+        assert np.array_equal(on1, np.abs(pset.x1) == 1.0)
+        assert np.array_equal(on2, np.abs(pset.x2) == 1.0)
         expect = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2))
         assert list(pset.class_codes) == list(expect)
         assert [p.point_class for p in pset.points] == [classes[c] for c in expect]
