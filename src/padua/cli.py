@@ -23,8 +23,13 @@ class SampleMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # output plumbing
 
+# CSV rows formatted per write: Python strings exist for one block at a time
+_BLOCK_ROWS = 4096
+
 
 class OutputSpec:
+    """Where a command's table goes: CSV or JSON, to a path or '-' (stdout)."""
+
     def __init__(self, fmt, path, precision):
         if not 1 <= precision <= 17:
             raise ValueError("precision must be in 1..17")
@@ -45,32 +50,44 @@ class OutputSpec:
             return sys.stdout, False
         return open(self.path, "w", newline="\n"), True
 
-    def write_rows(self, header, rows):
+    def write_rows(self, header, columns):
+        """Write equal-length 1-D columns as CSV: a float cell is num(v), made
+        once per distinct bit pattern of its column (-0.0 and 0.0 apart); a
+        bool cell is true or false; any other cell is str(v)."""
+        columns = [np.asarray(c).ravel() for c in columns]
+        cells = [self._cell_table(c) for c in columns]
+        template = ",".join(["%s"] * len(header)) + "\n"
         out, close = self._open()
         try:
             out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(self._cell(c) for c in row) + "\n")
+            for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+                sl = slice(start, start + _BLOCK_ROWS)
+                block = [(v[sl] if c is None else v[c[sl]]).tolist() for v, c in cells]
+                out.write("".join(template % row for row in zip(*block)))
         finally:
             if close:
                 out.close()
 
-    def write_table(self, header, rows, document=None):
-        """Write rows as CSV; as JSON, write document, or when there is none,
-        the rows as a list of objects keyed by header."""
+    def _cell_table(self, column):
+        if column.dtype == bool:
+            return np.where(column, "true", "false"), None
+        if column.dtype.kind != "f":
+            return column, None
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+        distinct, codes = np.unique(bits, return_inverse=True)
+        fmt = f"%.{self.precision}g"
+        return np.array([fmt % v for v in distinct.view(np.float64).tolist()]), codes
+
+    def write_table(self, header, columns, document=None):
+        """Write equal-length 1-D columns as CSV (write_rows); as JSON, write
+        document, or when there is none, the rows as objects keyed by header."""
         if self.fmt == "csv":
-            self.write_rows(header, rows)
+            self.write_rows(header, columns)
         elif document is not None:
             self.write_json(document)
         else:
+            rows = zip(*(np.asarray(c).tolist() for c in columns))
             self.write_json([dict(zip(header, row)) for row in rows])
-
-    def _cell(self, c):
-        if isinstance(c, bool):
-            return "true" if c else "false"
-        if isinstance(c, (float, np.floating)):
-            return self.num(c)
-        return str(c)
 
     def write_json(self, obj):
         out, close = self._open()
@@ -125,12 +142,14 @@ def _builtin_function(name):
 # subcommands
 
 
+def _node_columns(pset):
+    names = np.array([c.value for c in points.CODE_TO_CLASS])
+    return [pset.k_num, pset.j_num, pset.x1, pset.x2, names[pset.class_codes]]
+
+
 def cmd_points(args):
     pset = points.generate(args.degree)
-    _out_spec(args).write_table(
-        ("k", "j", "x1", "x2", "class"),
-        ((p.k, p.j, p.x1, p.x2, p.point_class.value) for p in pset.points),
-    )
+    _out_spec(args).write_table(("k", "j", "x1", "x2", "class"), _node_columns(pset))
     return 0
 
 
@@ -211,7 +230,7 @@ def cmd_interp(args):
     spec = _out_spec(args)
     spec.write_table(
         header,
-        zip(*(c.ravel() for c in columns)),
+        columns,
         {
             "degree": args.degree,
             "function": None if func is None else func.name,
@@ -237,15 +256,10 @@ def cmd_cubature(args):
     if args.function is not None:
         header = ("function", "degree", "integral")
         row = (args.function.name, args.degree, cubature.integrate(rule, args.function))
-        spec.write_table(header, [row], dict(zip(header, row)))
+        spec.write_table(header, [[v] for v in row], dict(zip(header, row)))
         return 0
-    spec.write_table(
-        ("k", "j", "x1", "x2", "class", "weight"),
-        (
-            (p.k, p.j, p.x1, p.x2, p.point_class.value, w)
-            for p, w in zip(pset.points, rule.weights)
-        ),
-    )
+    spec.write_table(("k", "j", "x1", "x2", "class", "weight"),
+                     [*_node_columns(pset), rule.weights])
     return 0
 
 
@@ -257,7 +271,7 @@ def cmd_lebesgue(args):
         rows.append((n, len(pset), grid.m, grid.kind,
                      interp.lebesgue_constant(pset, grid)))
     _out_spec(args).write_table(
-        ("n", "cardinality", "grid_m", "grid_kind", "lebesgue"), rows
+        ("n", "cardinality", "grid_m", "grid_kind", "lebesgue"), list(zip(*rows))
     )
     return 0
 
@@ -271,8 +285,7 @@ def cmd_converge(args):
               "lebesgue_estimate", "en_proxy")
     _out_spec(args).write_table(
         header,
-        ((report["function"], report["p"], *(r[h] for h in header[2:]))
-         for r in report["rows"]),
+        [[{**report, **r}[h] for r in report["rows"]] for h in header],
         report,
     )
     return 0
@@ -284,7 +297,8 @@ def cmd_marcinkiewicz(args):
     )
     _out_spec(args).write_table(
         ("degree", "p", "seed", "trial", "ratio"),
-        ((args.degree, args.p, args.seed, t, r) for t, r in enumerate(ratios)),
+        list(zip(*((args.degree, args.p, args.seed, t, r)
+                   for t, r in enumerate(ratios)))),
         {
             "degree": args.degree,
             "p": args.p,
@@ -302,7 +316,7 @@ def cmd_verify(args):
     report = verify.run_verification(args.max_degree, args.seed)
     header = ("check", "degree", "observed", "tolerance", "passed")
     _out_spec(args).write_table(
-        header, (tuple(c[h] for h in header) for c in report["checks"]), report
+        header, [[c[h] for c in report["checks"]] for h in header], report
     )
     return 0 if report["all_passed"] else 1
 

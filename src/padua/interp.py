@@ -85,7 +85,7 @@ def lagrange_matrix(pset, x1, x2):
     n = pset.degree
     sx = kernel.point_tables(n, np.atleast_1d(np.asarray(x1, dtype=float)),
                              np.atleast_1d(np.asarray(x2, dtype=float)))
-    mat = kernel.star_matrix(n, sx, kernel.node_tables(n, pset))
+    mat = kernel.star_matrix(n, sx, kernel.node_tables(pset))
     mat /= kernel.node_star_values(pset)
     return mat
 

@@ -64,13 +64,14 @@ def point_tables(n, x1, x2):
     return SideTables(*thetas, trig)
 
 
-def node_tables(n, pset):
+def node_tables(pset):
     """Side tables for the nodes of a PaduaSet, built on the angle lattice.
 
     Using the integer numerators keeps values like sin(n*theta1) exactly zero
     at the nodes instead of 1e-16 dust.
     """
-    lattice = (pset.k_num, pset.degree), (pset.eta_num, pset.degree + 1)
+    n = pset.degree
+    lattice = (pset.k_num, n), (pset.eta_num, n + 1)
     trig = tuple(
         tuple((cospi_frac(m * a, d), sinpi_frac(m * a, d)) for m in (1, n, n + 1))
         for a, d in lattice
@@ -96,7 +97,7 @@ def _direct_from_angles(n, th1x, th2x, th1y, th2y):
     return np.einsum("a...,a...->...", u, cv[::-1])
 
 
-def _compact_terms(n, sx, sy):
+def _compact_terms(sx, sy):
     """Four-term compact sum plus the mask of pairs inside the guard band.
 
     Every cos(m(theta +- phi)) splits into cos*cos -+ sin*sin, so twelve
@@ -135,7 +136,7 @@ def _kernel_from_tables(n, sx, sy):
 
     Pairs inside the guard band are recomputed with the direct sum.
     """
-    k, singular = _compact_terms(n, sx, sy)
+    k, singular = _compact_terms(sx, sy)
     if np.any(singular):
         t1x, t2x, t1y, t2y = np.broadcast_arrays(
             sx.theta1, sx.theta2, sy.theta1, sy.theta2

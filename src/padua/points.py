@@ -28,7 +28,7 @@ class PaduaPoint:
     point_class: PointClass
 
 
-_CODE_TO_CLASS = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
+CODE_TO_CLASS = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class PaduaSet:
     def points(self):
         """Tuple of PaduaPoint records, lexicographic in (k, j)."""
         return tuple(
-            PaduaPoint(int(k), int(j), float(a), float(b), _CODE_TO_CLASS[c])
+            PaduaPoint(int(k), int(j), float(a), float(b), CODE_TO_CLASS[c])
             for k, j, a, b, c in zip(
                 self.k_num, self.j_num, self.x1, self.x2, self.class_codes
             )

@@ -1,9 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 Chebyshev values come from the three-term recurrence (the library itself
-uses the trigonometric form), and the kernel is the literal nested double
-sum.  Nothing here imports evaluation code from the package.
+uses the trigonometric form), the kernel is the literal nested double sum,
+and tables are written one cell at a time.  Nothing here imports evaluation
+or output code from the package.
 """
+
+import json
 
 import numpy as np
 
@@ -53,3 +56,35 @@ def gauss_chebyshev_integral(f, m):
     nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
     vals = np.asarray(f(nodes[:, None], nodes[None, :]), dtype=float)
     return float(np.mean(vals * np.ones((m, m))))
+
+
+def _float_cell(v, precision):
+    return format(float(v), f".{precision}g")
+
+
+def csv_table(header, rows, precision):
+    """CSV text of a table, cell by cell: a float as format(v, ".{p}g"), a
+    bool as true or false, anything else as str."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return _float_cell(v, precision)
+        return str(v)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_table(header, rows, precision):
+    """JSON text of a table as a list of objects keyed by header, every float
+    rounded to precision significant digits."""
+
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return float(_float_cell(v, precision))
+        return v
+
+    records = [{h: cell(v) for h, v in zip(header, row)} for row in rows]
+    return json.dumps(records, indent=2) + "\n"

@@ -80,7 +80,7 @@ def test_compact_handles_singular_band(rng):
         xs, ys = singular_probe_pairs(n, rng, count=20)
         x, y = (xs[:, 0], xs[:, 1]), (ys[:, 0], ys[:, 1])
         sx, sy = kernel.point_tables(n, *x), kernel.point_tables(n, *y)
-        assert np.all(kernel._compact_terms(n, sx, sy)[1][::3])
+        assert np.all(kernel._compact_terms(sx, sy)[1][::3])
         kc = kernel_compact(n, x, y)
         kd = kernel_direct(n, x, y)
         assert np.all(np.isfinite(kc))
@@ -113,7 +113,7 @@ def test_node_tables_exact_on_lattice(n):
     # trig[d][i] is (cos, sin) of (1, n, n+1)[i] * theta_d; at the nodes
     # n*theta1 = k*pi and (n+1)*theta2 = eta*pi, so these are exact
     pset = generate(n)
-    t = kernel.node_tables(n, pset)
+    t = kernel.node_tables(pset)
     cn1, sn1 = t.trig[0][1]
     cm2, sm2 = t.trig[1][2]
     assert np.all(sn1 == 0.0) and np.all(sm2 == 0.0)

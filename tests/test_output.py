@@ -1,0 +1,71 @@
+"""The column-wise CSV/JSON writer against the cell-by-cell reference writer
+of tests/oracles.py."""
+
+import numpy as np
+import pytest
+
+from oracles import csv_table, json_table
+from padua import cli, cubature, points
+
+# floats with repeats, signed zeros, infinities, NaNs (two payloads, both
+# signs) and subnormals
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310,
+            np.array(0x7FF8000000000001).view(np.float64).item(), 1.0, -1.0]
+
+
+def _random_columns(rng, rows):
+    pool = np.concatenate([
+        rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40),
+        rng.uniform(-1.0, 1.0, 40),
+        _SPECIAL,
+    ])
+    floats = rng.choice(pool, rows)
+    count = min(rows, len(_SPECIAL))
+    floats[rng.permutation(rows)[:count]] = _SPECIAL[:count]
+    return [
+        floats,
+        rng.integers(-10**12, 10**12, rows),
+        rng.choice(np.array(["vertex", "edge", "interior", "exp_sum"]), rows),
+        rng.integers(0, 2, rows).astype(bool),
+        rng.choice(pool[:5], rows).astype(np.longdouble),
+    ]
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_write_rows_matches_cell_reference(tmp_path, monkeypatch, precision):
+    block = 5
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    header = ("f", "i", "s", "b", "ld")
+    rng = np.random.default_rng(1000 + precision)
+    path = tmp_path / "table.csv"
+    spec = cli.OutputSpec("csv", str(path), precision)
+    for rows in (0, 1, block - 1, block, block + 1, 4 * block + 3):
+        columns = _random_columns(rng, rows)
+        spec.write_rows(header, columns)
+        assert path.read_text() == csv_table(header, zip(*columns), precision)
+
+
+def _node_rows(pset, weights=None):
+    rows = [(p.k, p.j, p.x1, p.x2, p.point_class.value) for p in pset.points]
+    if weights is None:
+        return rows
+    return [(*row, w) for row, w in zip(rows, weights)]
+
+
+@pytest.mark.parametrize("command", ["points", "cubature"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_node_tables_match_record_reference(tmp_path, command, n):
+    pset = points.generate(n)
+    header = ["k", "j", "x1", "x2", "class"]
+    weights = None
+    if command == "cubature":
+        header.append("weight")
+        weights = cubature.build_rule(pset).weights
+    rows = _node_rows(pset, weights)
+    path = tmp_path / "table"
+    for fmt, reference in (("csv", csv_table), ("json", json_table)):
+        for precision in (5, 17):
+            code = cli.main([command, "--degree", str(n), "--format", fmt,
+                             "--precision", str(precision), "--output", str(path)])
+            assert code == 0
+            assert path.read_text() == reference(header, rows, precision)

@@ -22,11 +22,11 @@ def _load_spans():
     return module
 
 
-def _traced_totals(*argv):
+def _traced_totals(*argv, output=os.devnull):
     tracer = _load_spans().Tracer(padua)
     tracer.install()
     try:
-        code = padua.cli.main([*argv, "--output", os.devnull])
+        code = padua.cli.main([*argv, "--output", str(output)])
     finally:
         tracer.uninstall()
     assert not hasattr(padua.kernel.star_matrix, "__wrapped__")
@@ -49,3 +49,13 @@ def test_tracer_sees_verify_kernel_layers():
     assert totals["kernel.star_matrix"]["pairs"] == 621
     for name in ("kernel.point_tables", "kernel.node_tables", "cli.output"):
         assert totals[name]["calls"] >= 1
+
+
+def test_tracer_counts_csv_output_bytes(tmp_path):
+    # the cli.output span wraps OutputSpec.write_rows; its bytes counter reads
+    # the file the command wrote
+    path = tmp_path / "points.csv"
+    code, totals = _traced_totals("points", "--degree", "8", output=path)
+    assert code == 0
+    assert totals["cli.output"]["calls"] == 1
+    assert totals["cli.output"]["bytes"] == path.stat().st_size > 0
