@@ -27,6 +27,7 @@ from .ideal import (
     cd_residual,
     mp_poly,
     q_poly,
+    q_rows,
     q_vector,
     s_term_residuals,
     struct_matrices,

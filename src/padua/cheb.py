@@ -44,6 +44,14 @@ def _unit(x, what="argument", dtype=float):
     return arr
 
 
+def check_square(x1, x2):
+    """Both coordinates as float arrays, after one check that they lie in the square."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if not (np.all(np.abs(x1) <= 1.0) and np.all(np.abs(x2) <= 1.0)):
+        raise DomainError("point outside the square")
+    return x1, x2
+
+
 def _like(values, template):
     if np.ndim(template) == 0:
         return float(values)
@@ -86,19 +94,23 @@ def cheb_t_norm(k, x):
 
     Returns 1 for k = 0 and sqrt(2) * T_k(x) for k >= 1.
     """
-    k = check_degree(k)
-    xa = _unit(x)
-    if k == 0:
-        return _like(np.ones_like(xa), x)
-    return _like(SQRT2 * np.cos(k * np.arccos(xa)), x)
+    t = cheb_t(k, x)
+    return t if k == 0 else _like(SQRT2 * t, x)
+
+
+def cos_table(orders, theta):
+    """Table cos(k * theta) for each k in orders, shape (len(orders),) + shape(theta).
+
+    Every Chebyshev table of the package is built here, in theta's float type.
+    There is no degree check: callers validate their orders.
+    """
+    return np.cos(np.multiply.outer(orders, theta))
 
 
 def t_values(kmax, x, dtype=float):
     """Table of T_k(x) for k = 0..kmax, shape (kmax+1,) + shape(x)."""
     kmax = check_degree(kmax)
-    theta = np.arccos(_unit(x, dtype=dtype))
-    ks = np.arange(kmax + 1)
-    return np.cos(np.multiply.outer(ks, theta))
+    return cos_table(np.arange(kmax + 1), np.arccos(_unit(x, dtype=dtype)))
 
 
 def t_norm_values(kmax, x, dtype=float):
@@ -106,19 +118,6 @@ def t_norm_values(kmax, x, dtype=float):
     out = t_values(kmax, x, dtype)
     out[1:] *= np.sqrt(out.dtype.type(2))
     return out
-
-
-def u_values(kmax, x):
-    """Table of U_k(x) for k = 0..kmax, with the endpoint limits at +-1."""
-    kmax = check_degree(kmax)
-    xa = _unit(x)
-    theta = np.arccos(xa)
-    ks = np.arange(kmax + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(np.multiply.outer(ks + 1, theta)) / np.sin(theta)
-    kcol = ks.reshape((kmax + 1,) + (1,) * np.ndim(xa))
-    limit = (kcol + 1.0) * np.where(xa < 0, np.where(kcol % 2 == 0, 1.0, -1.0), 1.0)
-    return np.where(np.abs(xa) == 1.0, limit, out)
 
 
 def cospi_frac(num, den, dtype=float):
@@ -167,9 +166,7 @@ def basis_vector(n, point):
     (n+1,) + broadcast shape and each column is the row at one point.
     """
     n = check_degree(n)
-    x1, x2 = point
-    t1 = t_norm_values(n, _unit(x1, "point"))
-    t2 = t_norm_values(n, _unit(x2, "point"))
+    t1, t2 = (t_norm_values(n, c) for c in check_square(*point))
     return t1[::-1] * t2
 
 

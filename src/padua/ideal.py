@@ -3,7 +3,8 @@
 The scaled vector of these polynomials satisfies a three-term relation against
 the orthonormal basis rows of consecutive degrees; the structure matrices of
 that relation are built here from their explicit stencils and feed the
-Christoffel-Darboux residual checks.
+Christoffel-Darboux residual checks.  Batched evaluations read all of these
+from one table T_k(x_d), k <= n+1, per coordinate of a point set.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .cheb import SQRT2, DomainError, basis_vector, cheb_u, check_degree
+from .cheb import SQRT2, cheb_u, check_degree, check_square, cos_table
+
+
+class _Tables:
+    """T_k(x_d) for k = 0..n+1, one table per coordinate of a point set.
+
+    Order n+1 passes the public degree cap at n = MAX_DEGREE, so the tables
+    come from cos_table, not cheb.t_values.  x holds the checked coordinates.
+    """
+
+    def __init__(self, n, x):
+        self.n, self.x = n, check_square(*x)
+        angles = np.broadcast_arrays(*(np.arccos(c) for c in self.x))
+        self.t1, self.t2 = (cos_table(np.arange(n + 2), th) for th in angles)
+
+    def q(self):
+        """The n+2 unscaled ideal-basis rows; row k is q_poly(n, k, x)."""
+        n, t1, t2 = self.n, self.t1, self.t2
+        q = np.empty_like(t1)
+        q[0] = t1[n + 1] - t1[n - 1]
+        q[1:] = t1[n::-1] * t2[1:] + t2[n::-1] * t1[: n + 1]
+        return q
+
+    def basis(self, m):
+        """Degree-m orthonormal product-basis row (m <= n+1), as cheb.basis_vector."""
+        p1, p2 = self.t1[: m + 1].copy(), self.t2[: m + 1].copy()
+        p1[1:] *= SQRT2
+        p2[1:] *= SQRT2
+        return p1[::-1] * p2
 
 
 def q_poly(n, k, x):
@@ -20,24 +49,29 @@ def q_poly(n, k, x):
     k = 0 is the univariate member T_{n+1}(x1) - T_{n-1}(x1); for
     1 <= k <= n+1 the entry is
     T_{n-k+1}(x1) T_k(x2) + T_{n-k+1}(x2) T_{k-1}(x1).
-    All of these vanish at every node of the degree-n set.
+    All of these vanish at every node of the degree-n set.  Only the orders
+    this member needs are formed.
     """
     n = check_degree(n, minimum=1)
     if not 0 <= k <= n + 1:
         raise IndexError(f"basis index {k} outside 0..{n + 1}")
-    x1, x2 = x
+    th1, th2 = (np.arccos(c) for c in check_square(*x))
     if k == 0:
-        return _t(n + 1, x1) - _t(n - 1, x1)
-    return _t(n - k + 1, x1) * _t(k, x2) + _t(n - k + 1, x2) * _t(k - 1, x1)
+        t1 = cos_table([n + 1, n - 1], th1)
+        out = t1[0] - t1[1]
+    else:
+        t1 = cos_table([n - k + 1, k - 1], th1)
+        t2 = cos_table([k, n - k + 1], th2)
+        out = t1[0] * t2[0] + t2[1] * t1[1]
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _t(k, x):
-    # internal: skips the public degree cap so q_poly works at n = MAX_DEGREE
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.abs(xa) <= 1.0):
-        raise DomainError("point outside the square")
-    out = np.cos(k * np.arccos(xa))
-    return float(out) if np.ndim(x) == 0 else out
+def q_rows(n, x):
+    """All n+2 members of the ideal basis, unscaled: row k is q_poly(n, k, x).
+
+    The shape is (n+2,) plus the broadcast shape of the coordinates.
+    """
+    return _Tables(check_degree(n, minimum=1), x).q()
 
 
 def mp_poly(n, j, x):
@@ -60,13 +94,15 @@ def q_vector(n, x):
     """Scaled ideal-basis vector at a point: sqrt(2) on the end entries, 2 inside.
 
     Returns an array of length n+2 (or shape (n+2,) + broadcast shape for
-    array coordinates).
+    array coordinates): the rows of q_rows times those scales.
     """
-    n = check_degree(n, minimum=1)
-    scales = np.full(n + 2, 2.0)
-    scales[0] = scales[-1] = SQRT2
-    rows = [scales[k] * q_poly(n, k, x) for k in range(n + 2)]
-    return np.stack([np.asarray(r, dtype=float) for r in rows])
+    return _scaled(q_rows(n, x))
+
+
+def _scaled(q):
+    out = 2.0 * q
+    out[[0, -1]] = SQRT2 * q[[0, -1]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,19 +150,11 @@ def three_term_residual(n, x):
     """
     n = check_degree(n, minimum=2)
     mats = struct_matrices(n)
-    q = q_vector(n, x)
-    p_up = basis_vector(n + 1, x)
-    p_mid = basis_vector(n, x)
-    p_low = basis_vector(n - 1, x)
-    recon = p_up + _matvec(mats.g1, p_mid) + _matvec(mats.g2, p_low)
-    resid = np.abs(q - recon)
-    out = resid.max(axis=0)
+    tx = _Tables(n, x)
+    recon = (tx.basis(n + 1) + np.einsum("rc,c...->r...", mats.g1, tx.basis(n))
+             + np.einsum("rc,c...->r...", mats.g2, tx.basis(n - 1)))
+    out = np.abs(_scaled(tx.q()) - recon).max(axis=0)
     return float(out) if out.ndim == 0 else out
-
-
-def _matvec(mat, vec):
-    # vec may be (m,) or (m,) + batch shape
-    return np.einsum("rc,c...->r...", mat, vec)
 
 
 def cd_residual(n, axis, x, y):
@@ -142,23 +170,18 @@ def cd_residual(n, axis, x, y):
         raise ValueError("axis must be 1 or 2")
     mats = struct_matrices(n)
     a = mats.a1 if axis == 1 else mats.a2
-    x1, x2 = x
-    y1, y2 = y
-    qx = q_vector(n, x)
-    qy = q_vector(n, y)
-    px = basis_vector(n, x)
-    py = basis_vector(n, y)
-    bilinear = np.einsum("c...,rc,r...->...", qx, a, py) - np.einsum(
-        "r...,rc,c...->...", px, a, qy
+    tx, ty = _Tables(n, x), _Tables(n, y)
+    qx, qy = tx.q(), ty.q()
+    px, py = tx.basis(n), ty.basis(n)
+    bilinear = np.einsum("c...,rc,r...->...", _scaled(qx), a, py) - np.einsum(
+        "r...,rc,c...->...", px, a, _scaled(qy)
     )
-    tnx = _t(n, np.asarray(x1, dtype=float))
-    tny = _t(n, np.asarray(y1, dtype=float))
+    tnx, tny = tx.t1[n], ty.t1[n]
     if axis == 1:
-        corr = 0.5 * tnx * q_poly(n, 0, y) - 0.5 * tny * q_poly(n, 0, x)
-        gap = np.asarray(x1, dtype=float) - np.asarray(y1, dtype=float)
+        corr = 0.5 * tnx * qy[0] - 0.5 * tny * qx[0]
     else:
-        corr = tnx * q_poly(n, 1, y) - tny * q_poly(n, 1, x)
-        gap = np.asarray(x2, dtype=float) - np.asarray(y2, dtype=float)
+        corr = tnx * qy[1] - tny * qx[1]
+    gap = tx.x[axis - 1] - ty.x[axis - 1]
     lhs = gap * (kernel.kernel_direct(n, x, y) - tnx * tny)
     out = np.abs(lhs - (bilinear + corr))
     return float(out) if np.ndim(out) == 0 else out
@@ -177,14 +200,9 @@ def s_term_residuals(n, x, y):
     """
     n = check_degree(n, minimum=2)
     mats = struct_matrices(n)
-    x1 = np.asarray(x[0], dtype=float)
-    x2 = np.asarray(x[1], dtype=float)
-    y1 = np.asarray(y[0], dtype=float)
-    y2 = np.asarray(y[1], dtype=float)
-    px = basis_vector(n, x)
-    py = basis_vector(n, y)
-    px_low = basis_vector(n - 1, x)
-    py_low = basis_vector(n - 1, y)
+    tx, ty = _Tables(n, x), _Tables(n, y)
+    px, py = tx.basis(n), ty.basis(n)
+    px_low, py_low = tx.basis(n - 1), ty.basis(n - 1)
 
     m31 = mats.a1 @ mats.g2
     s31 = np.einsum("r...,rc,c...->...", px, m31, py_low) - np.einsum(
@@ -194,17 +212,13 @@ def s_term_residuals(n, x, y):
     m22 = m22 - m22.T
     s22 = np.einsum("r...,rc,c...->...", px, m22, py)
 
-    h = _t(n, x1) * _t(n, y1)
-    r31 = np.abs(
-        s31
-        - (x1 - y1) * h
-        - 0.5 * _t(n, x1) * q_poly(n, 0, y)
-        + 0.5 * _t(n, y1) * q_poly(n, 0, x)
-    )
-    r22_prod = np.abs(s22 - (_t(n, x1) * _t(n, y2) - _t(n, x2) * _t(n, y1)))
-    r22_q = np.abs(
-        s22 - (x2 - y2) * h + _t(n, y1) * q_poly(n, 1, x) - _t(n, x1) * q_poly(n, 1, y)
-    )
+    d1, d2 = (a - b for a, b in zip(tx.x, ty.x))
+    qx, qy = tx.q(), ty.q()
+    tn1x, tn2x, tn1y, tn2y = tx.t1[n], tx.t2[n], ty.t1[n], ty.t2[n]
+    h = tn1x * tn1y
+    r31 = np.abs(s31 - d1 * h - 0.5 * tn1x * qy[0] + 0.5 * tn1y * qx[0])
+    r22_prod = np.abs(s22 - (tn1x * tn2y - tn2x * tn1y))
+    r22_q = np.abs(s22 - d2 * h + tn1y * qx[1] - tn1x * qy[1])
     return {
         "s31": float(np.max(r31)),
         "s22_product": float(np.max(r22_prod)),

@@ -69,13 +69,13 @@ def sample(pset, f):
     except Exception:
         pass
     out = np.empty(len(pset))
-    for i, p in enumerate(pset.points):
+    columns = (pset.k_num, pset.j_num, pset.x1, pset.x2)
+    for i, (k, j, x1, x2) in enumerate(zip(*(c.tolist() for c in columns))):
         try:
-            out[i] = float(f(p.x1, p.x2))
+            out[i] = float(f(x1, x2))
         except Exception as exc:
             raise SampleEvaluationError(
-                f"function evaluation failed at node k={p.k}, j={p.j}, "
-                f"x=({p.x1!r}, {p.x2!r})"
+                f"function evaluation failed at node k={k}, j={j}, x=({x1!r}, {x2!r})"
             ) from exc
     return out
 

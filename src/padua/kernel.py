@@ -13,7 +13,7 @@ Each side of an evaluation is one SideTables: its angles and one trig table,
 
 import numpy as np
 
-from .cheb import SQRT2, DomainError, check_degree, cospi_frac, sinpi_frac
+from .cheb import SQRT2, check_degree, check_square, cos_table, cospi_frac, sinpi_frac
 from .points import PointClass
 
 # |cos(alpha) - cos(beta)| below this sends the whole pair to the direct sum.
@@ -52,10 +52,7 @@ class SideTables:
 
 def point_tables(n, x1, x2):
     """Side tables for arbitrary points; cos(theta_d) is x_d itself."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if not (np.all(np.abs(x1) <= 1.0) and np.all(np.abs(x2) <= 1.0)):
-        raise DomainError("point outside the square")
+    x1, x2 = check_square(x1, x2)
     thetas = np.arccos(x1), np.arccos(x2)
     trig = tuple(
         ((x, np.sin(th)),) + tuple((np.cos(m * th), np.sin(m * th)) for m in (n, n + 1))
@@ -79,18 +76,12 @@ def node_tables(pset):
     return SideTables(*(np.pi * (a / float(d)) for a, d in lattice), trig)
 
 
-def _tnorm_from_angles(kmax, theta):
-    out = np.cos(np.multiply.outer(np.arange(kmax + 1), theta))
-    out[1:] *= SQRT2
-    return out
-
-
 def _direct_from_angles(n, th1x, th2x, th1y, th2y):
     """Direct double sum of the reproducing kernel; the angle arrays broadcast."""
-    t1x, t2x, t1y, t2y = (
-        _tnorm_from_angles(n, th)
-        for th in np.broadcast_arrays(th1x, th2x, th1y, th2y)
-    )
+    angles = np.stack(np.broadcast_arrays(th1x, th2x, th1y, th2y))
+    t = cos_table(np.arange(n + 1), angles)
+    t[1:] *= SQRT2
+    t1x, t2x, t1y, t2y = np.moveaxis(t, 1, 0)
     u = t1x * t1y
     v = t2x * t2y
     cv = np.cumsum(v, axis=0)
@@ -156,9 +147,8 @@ def kernel_direct(n, x, y):
     to paired batches.
     """
     n = check_degree(n)
-    sx = point_tables(n, *x)
-    sy = point_tables(n, *y)
-    out = _direct_from_angles(n, sx.theta1, sx.theta2, sy.theta1, sy.theta2)
+    angles = (np.arccos(c) for p in (x, y) for c in check_square(*p))
+    out = _direct_from_angles(n, *angles)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -212,7 +202,8 @@ def star_matrix(n, sx, sy):
 
     Returns shape (len(sx), len(sy)), for scattered points against a node
     set.  Rows are evaluated in blocks of at most _BLOCK_ENTRIES entries per
-    temporary.
+    temporary, the T_n(x1) T_n(y1) correction included, so no temporary
+    spans the whole matrix.
     """
     rows, cols = sx.theta1.shape[0], sy.theta1.shape[0]
     col_side = sy[np.newaxis]
@@ -221,8 +212,8 @@ def star_matrix(n, sx, sy):
     for start in range(0, rows, block):
         sl = slice(start, start + block)
         k[sl] = _kernel_from_tables(n, sx[sl, None], col_side)
-    # trig[0][1][0] is cos(n theta1) = T_n(x1)
-    k -= sx.trig[0][1][0][:, None] * sy.trig[0][1][0][None, :]
+        # trig[0][1][0] is cos(n theta1) = T_n(x1)
+        k[sl] -= sx.trig[0][1][0][sl, None] * sy.trig[0][1][0]
     return k
 
 

@@ -12,7 +12,6 @@ from padua.cheb import (
     cospi_frac,
     t_norm_lattice,
     t_norm_values,
-    u_values,
 )
 
 import oracles
@@ -141,10 +140,3 @@ def test_lattice_tables_match_direct_evaluation():
     table = t_norm_lattice(20, nums, n)
     direct = t_norm_values(20, x)
     assert np.max(np.abs(table - direct)) <= 1e-12
-
-
-def test_u_values_table(rng):
-    x = np.concatenate([rng.uniform(-1, 1, 64), [1.0, -1.0]])
-    table = u_values(6, x)
-    for k in range(7):
-        assert np.allclose(table[k], oracles.cheb_u_rec(k, x), atol=1e-11)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from padua.cheb import basis_vector, cheb_u
+from padua.cheb import MAX_DEGREE, DomainError, basis_vector, cheb_u
 from padua.ideal import (
     cd_residual,
     mp_poly,
     q_poly,
+    q_rows,
     q_vector,
     s_term_residuals,
     struct_matrices,
@@ -78,6 +79,63 @@ def test_q_vector_scaling_consistency():
         np.sqrt(2) * q_poly(1, 2, (1.0, 1.0)),
     ]
     assert np.allclose(vec, expect, atol=1e-14)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _point(rng, shape):
+    x = rng.uniform(-1, 1, (2,) + shape)
+    return (float(x[0]), float(x[1])) if shape == () else (x[0], x[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+def test_q_rows_bitwise_equal_to_q_poly(rng, n):
+    # the batched table and the per-member route give the same bits
+    for shape in ((), (40,), (5, 3)):
+        x = _point(rng, shape)
+        rows = q_rows(n, x)
+        assert rows.shape == (n + 2,) + shape
+        for k in range(n + 2):
+            member = q_poly(n, k, x)
+            assert shape != () or type(member) is float
+            assert _bits(rows[k]) == _bits(member)
+
+
+def test_q_vector_is_scaled_q_rows(rng):
+    for n in (1, 4, 17):
+        for shape in ((), (30,), (4, 2)):
+            x = _point(rng, shape)
+            scales = np.full(n + 2, 2.0)
+            scales[[0, -1]] = np.sqrt(2.0)
+            expect = scales.reshape((n + 2,) + (1,) * len(shape)) * q_rows(n, x)
+            assert _bits(q_vector(n, x)) == _bits(expect)
+
+
+def test_q_members_at_max_degree(rng):
+    # order n+1 passes the public degree cap at n = MAX_DEGREE
+    n = MAX_DEGREE
+    x = rng.uniform(-1, 1, (2, 25))
+    theta = np.arccos(x[0])
+    expect = np.cos((n + 1) * theta) - np.cos((n - 1) * theta)
+    assert _bits(q_poly(n, 0, (x[0], x[1]))) == _bits(expect)
+    rows = q_rows(n, (x[0], x[1]))
+    assert rows.shape == (n + 2, 25)
+    assert _bits(rows[0]) == _bits(expect)
+    assert _bits(rows[n + 1]) == _bits(q_poly(n, n + 1, (x[0], x[1])))
+
+
+@pytest.mark.parametrize(
+    "x", [(0.0, 1.5), (np.array([0.2, -1.01]), np.zeros(2)), (np.nan, 0.0)]
+)
+def test_batched_routes_reject_points_off_the_square(x):
+    with pytest.raises(DomainError):
+        q_rows(3, x)
+    with pytest.raises(DomainError):
+        three_term_residual(3, x)
+    with pytest.raises(DomainError):
+        q_poly(3, 0, x)
 
 
 def test_q_vector_zero_at_nodes():

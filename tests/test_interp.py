@@ -63,8 +63,30 @@ def test_sample_failure_names_node():
             raise ValueError("boom")
         return 1.0
 
-    with pytest.raises(SampleEvaluationError, match="k=2, j=1"):
+    with pytest.raises(SampleEvaluationError, match="k=2, j=1") as info:
         sample(pset, bad)
+    # the coordinates print as the node's PaduaPoint record would, and the
+    # records of the sampled set stay unbuilt
+    p = generate(2).points[pset.position((2, 1))]
+    assert str(info.value).endswith(f"k=2, j=1, x=({p.x1!r}, {p.x2!r})")
+    assert "points" not in pset.__dict__
+
+
+def test_sample_scalar_fallback_reads_columns():
+    # a callable that rejects arrays takes the per-node path, which reads the
+    # set's columns and leaves the PaduaPoint records unbuilt
+    def poly(a, b):
+        return a * a * b + 3.0 * a - b
+
+    def scalar_only(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        return poly(a, b)
+
+    pset = generate(9)
+    vals = sample(pset, scalar_only)
+    assert "points" not in pset.__dict__
+    assert np.array_equal(vals, sample(pset, poly))
 
 
 def test_interpolate_constant(rng):

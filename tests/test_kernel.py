@@ -108,6 +108,23 @@ def test_star_matrix_row_blocks_bitwise(rng, monkeypatch):
     assert np.array_equal(blocked, whole)
 
 
+def test_star_matrix_peak_memory_near_result():
+    # the T_n(x1) T_n(y1) correction is subtracted block by block, so no
+    # temporary as large as the N x N result is formed next to it
+    import tracemalloc
+
+    from padua.interp import lagrange_matrix
+
+    pset = generate(60)
+    tracemalloc.start()
+    try:
+        lmat = lagrange_matrix(pset, pset.x1, pset.x2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * lmat.nbytes
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 24, 64])
 def test_node_tables_exact_on_lattice(n):
     # trig[d][i] is (cos, sin) of (1, n, n+1)[i] * theta_d; at the nodes

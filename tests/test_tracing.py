@@ -47,8 +47,14 @@ def test_tracer_sees_verify_kernel_layers():
     code, totals = _traced_totals("verify", "--max-degree", "2")
     assert code == 0
     assert totals["kernel.star_matrix"]["pairs"] == 621
-    for name in ("kernel.point_tables", "kernel.node_tables", "cli.output"):
+    for name in ("kernel.point_tables", "kernel.node_tables", "kernel.kernel_direct",
+                 "cli.output"):
         assert totals[name]["calls"] >= 1
+    # the ideal basis comes from one table per point set: no per-member
+    # q_poly calls, one three-term and two CD residual calls at n = 2
+    assert totals.get("ideal.q_poly", {"calls": 0})["calls"] == 0
+    assert totals["ideal.three_term_residual"]["calls"] == 1
+    assert totals["ideal.cd_residual"]["calls"] == 2
 
 
 def test_tracer_counts_csv_output_bytes(tmp_path):
