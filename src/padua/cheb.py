@@ -183,8 +183,13 @@ def product_series_grid(coeffs, axis1, axis2):
 
     Leading axes of coeffs are a batch.  The tables are built in the
     coefficients' float type, so float64 and longdouble keep their precision.
+    When axis2 is axis1 and coeffs is square, the one table of that axis
+    serves both sides.
     """
     dtype = np.result_type(coeffs.dtype, float)
     b1 = t_norm_values(coeffs.shape[-2] - 1, axis1, dtype)
-    b2 = t_norm_values(coeffs.shape[-1] - 1, axis2, dtype)
+    if axis2 is axis1 and coeffs.shape[-1] == coeffs.shape[-2]:
+        b2 = b1
+    else:
+        b2 = t_norm_values(coeffs.shape[-1] - 1, axis2, dtype)
     return b1.T @ coeffs @ b2

@@ -15,6 +15,14 @@ from .cheb import cospi_frac, product_series_at, product_series_grid, t_norm_lat
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
+# Largest number of grid points per axis.  A grid has m * m points: at
+# m = 1000 that is 1e6 values, 8 MB per float64 array (16 MB in 80-bit).
+# `interp` keeps five such columns (x1, x2, value, reference, abs_error) and
+# writes 1e6 CSV rows, about 100 MB at 17 digits; lebesgue_constant holds the
+# grid values of one lattice row of nodes, up to n/2 + 1 interpolants, and
+# their absolute values, about (n + 2) * 8 MB (270 MB at n = 32).
+MAX_GRID = 1000
+
 
 class SampleEvaluationError(RuntimeError):
     """A sampled function failed to evaluate; the message carries the node."""
@@ -22,7 +30,7 @@ class SampleEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Tensor evaluation grid on the square: m points per axis.
+    """Tensor evaluation grid on the square: m points per axis, 2 <= m <= MAX_GRID.
 
     kind "uniform" uses equally spaced points including the corners; kind
     "chebyshev" uses Chebyshev-Gauss points, which cluster near the boundary
@@ -35,6 +43,10 @@ class EvalGrid:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("grid needs at least 2 points per axis")
+        if self.m > MAX_GRID:
+            raise ValueError(
+                f"grid of {self.m} points per axis: at most {MAX_GRID} are allowed"
+            )
         if self.kind not in _GRID_KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}; expected {_GRID_KINDS}")
 

@@ -12,6 +12,12 @@ import numpy as np
 from . import ideal, interp, kernel, points
 from .cheb import check_degree
 
+# Largest --max-degree.  The delta-property check holds one N x N float64
+# Lagrange matrix at the nodes of each degree, N = (n+1)(n+2)/2: 212 MB at
+# n = 100, about 1 GB at n = 150 and 3.3 GB at n = 200.  Larger degrees are
+# refused before any work, not left to fail with a MemoryError.
+MAX_VERIFY_DEGREE = 100
+
 
 def singular_probe_pairs(n, rng, count=12):
     """Point pairs engineered to land in or near the compact-form guard band.
@@ -40,10 +46,18 @@ def singular_probe_pairs(n, rng, count=12):
 def run_verification(max_degree, seed):
     """Run the residual checks for every degree up to max_degree.
 
+    max_degree may be at most MAX_VERIFY_DEGREE; a larger one raises
+    ValueError before any check runs.
+
     Returns a JSON-ready dict with one record per check per degree and an
     overall all_passed flag.  Deterministic for a given seed.
     """
     max_degree = check_degree(max_degree, minimum=1)
+    if max_degree > MAX_VERIFY_DEGREE:
+        raise ValueError(
+            f"unsupported max degree {max_degree}: verify holds an N x N Lagrange "
+            f"matrix, so it allows max degree <= {MAX_VERIFY_DEGREE}"
+        )
     rng = np.random.default_rng(seed)
     checks = []
 

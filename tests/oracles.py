@@ -58,6 +58,41 @@ def gauss_chebyshev_integral(f, m):
     return float(np.mean(vals * np.ones((m, m))))
 
 
+def _t_norm_lattice_table(kmax, nums, den):
+    """Orthonormal T_k(cos(pi num / den)), k = 0..kmax, from reduced phases."""
+    phase = np.outer(np.arange(kmax + 1), nums) % (2 * den)
+    table = np.cos(np.pi * phase / den)
+    table[1:] *= np.sqrt(2.0)
+    return table
+
+
+def marcinkiewicz_trials_loop(n, p, trials, seed):
+    """Marcinkiewicz ratios, one random polynomial per loop iteration.
+
+    Each trial draws (n+1) x (n+1) uniform [-1, 1] coefficients of the
+    orthonormal product basis, keeps total degree <= n, sums the series at
+    every Padua node (cos(k pi/n), cos(eta pi/(n+1))) with k + eta odd, and
+    on the tensor Gauss-Chebyshev grid of max(200, 2n+1) nodes per axis, and
+    divides the node mean of |P|^p by the grid mean.
+    """
+    k, eta = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
+    m = max(200, 2 * n + 1)
+    b1 = _t_norm_lattice_table(n, k, n)
+    b2 = _t_norm_lattice_table(n, eta, n + 1)
+    q = _t_norm_lattice_table(n, 2 * np.arange(1, m + 1) - 1, 2 * m)
+    ks = np.arange(n + 1)
+    keep = ks[:, None] + ks[None, :] <= n
+    rng = np.random.default_rng(seed)
+    out = np.empty(trials)
+    for t in range(trials):
+        coeffs = rng.uniform(-1.0, 1.0, (n + 1, n + 1))
+        coeffs[~keep] = 0.0
+        at_nodes = np.einsum("ab,aN,bN->N", coeffs, b1, b2)
+        on_grid = q.T @ coeffs @ q
+        out[t] = np.mean(np.abs(at_nodes) ** p) / np.mean(np.abs(on_grid) ** p)
+    return out
+
+
 def _float_cell(v, precision):
     return format(float(v), f".{precision}g")
 

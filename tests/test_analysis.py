@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from padua.analysis import (
     marcinkiewicz_trials,
     tensor_quadrature,
 )
-from padua import interp
+from padua import analysis, interp
 from padua.cheb import cospi_frac, product_series_grid
 from padua.functions import BUILTIN_FUNCTIONS, get
 from padua.interp import EvalGrid
 from padua.points import generate
+
+import oracles
 
 
 def _t(k, x):
@@ -129,6 +132,49 @@ def test_marcinkiewicz_trials_reproducible():
     assert np.array_equal(a, b)
     c = marcinkiewicz_trials(6, 2, 20, seed=4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [1, 4, 17, 32])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_marcinkiewicz_trials_match_per_trial_loop(n, p):
+    got = marcinkiewicz_trials(n, p, 20, seed=11)
+    expect = oracles.marcinkiewicz_trials_loop(n, p, 20, seed=11)
+    assert np.max(np.abs(got - expect) / expect) <= 1e-13
+    # one polynomial through marcinkiewicz_ratio meets the same evaluator
+    ks = np.arange(n + 1)
+    coeffs = np.random.default_rng(11).uniform(-1.0, 1.0, (n + 1, n + 1))
+    coeffs[ks[:, None] + ks[None, :] > n] = 0.0
+    assert marcinkiewicz_ratio(n, coeffs, p) == got[0]
+
+
+@pytest.mark.parametrize("trials", [7, 200])
+def test_marcinkiewicz_trials_block_invariant(monkeypatch, trials):
+    # n = 8 keeps the default 200-node quadrature axis: 40,000 entries a trial
+    default = marcinkiewicz_trials(8, 3.5, trials, seed=2)
+    for block in (1, 3):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block * 200 * 200)
+        assert np.array_equal(marcinkiewicz_trials(8, 3.5, trials, seed=2), default)
+
+
+def test_marcinkiewicz_trials_seed_prefix():
+    for n, p in ((5, 2.0), (32, 1.5)):
+        assert np.array_equal(marcinkiewicz_trials(n, p, 3, seed=9),
+                              marcinkiewicz_trials(n, p, 7, seed=9)[:3])
+
+
+def test_marcinkiewicz_trials_memory_below_lebesgue_constant():
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    trials = peak(lambda: marcinkiewicz_trials(32, 2, 200))
+    lebesgue = peak(lambda: interp.lebesgue_constant(generate(32),
+                                                     EvalGrid(200, "chebyshev")))
+    assert trials < lebesgue
 
 
 def test_marcinkiewicz_bounds_and_positivity():

@@ -10,6 +10,7 @@ from padua.cheb import (
     cheb_t_norm,
     cheb_u,
     cospi_frac,
+    product_series_grid,
     t_norm_lattice,
     t_norm_values,
 )
@@ -140,3 +141,18 @@ def test_lattice_tables_match_direct_evaluation():
     table = t_norm_lattice(20, nums, n)
     direct = t_norm_values(20, x)
     assert np.max(np.abs(table - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_product_series_grid_one_table_per_axis(rng, dtype):
+    # the same axis object on both sides builds one table; a copy builds two
+    ax = np.linspace(-1, 1, 37).astype(dtype)
+    for shape in ((9, 9), (3, 9, 9)):
+        coeffs = rng.uniform(-1, 1, shape).astype(dtype)
+        one = product_series_grid(coeffs, ax, ax)
+        assert one.dtype == dtype
+        assert np.array_equal(one, product_series_grid(coeffs, ax, ax.copy()))
+    # non-square coefficients keep a table of their own per side
+    coeffs = rng.uniform(-1, 1, (9, 5)).astype(dtype)
+    expect = t_norm_values(8, ax, dtype).T @ coeffs @ t_norm_values(4, ax, dtype)
+    assert np.array_equal(product_series_grid(coeffs, ax, ax), expect)

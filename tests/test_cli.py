@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from padua import kernel
+from padua import kernel, points
 from padua.cli import main
+from padua.interp import MAX_GRID
 from padua.points import PointClass
+from padua.verify import MAX_VERIFY_DEGREE
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +201,32 @@ def test_verify_negative_control(capsys, monkeypatch):
     failing = {c["check"] for c in report["checks"] if not c["passed"]}
     assert "node_value_cross_check" in failing
     assert report["node_factors"] == {"edge": 1.0, "interior": 2.0, "vertex": 0.5}
+
+
+def test_verify_degree_limit_exits_2_before_any_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    code, out, err = run_cli(capsys, "verify", "--max-degree",
+                             str(MAX_VERIFY_DEGREE + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_VERIFY_DEGREE) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp", "--degree", "4", "--function", "franke"],
+    ["lebesgue", "--degrees", "4"],
+    ["converge", "--function", "exp_sum", "--degrees", "2,4"],
+])
+def test_grid_above_limit_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--grid", str(MAX_GRID + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_GRID) in err
 
 
 def test_verify_csv_format(capsys):
