@@ -118,14 +118,31 @@ def fourier_partial_sum(n, f, x, m=None):
 _BLOCK_ENTRIES = 320_000
 
 
+# Largest degree of marcinkiewicz_ratio and marcinkiewicz_trials.  The
+# quadrature axis has m = max(200, 2n + 1) nodes; past m = 400 a block holds
+# one trial, whose m x m quadrature values sit beside the (m, n+1) product
+# q.T @ C and the (n+1, m) table.  At n = 500 (m = 1001) that is 1.0e6
+# values, 8 MB of float64 and the size of one MAX_GRID grid, plus 4 MB per
+# table; at n = 2000 it would be 128 MB and at n = 4096 537 MB per trial.
+# Larger degrees are refused before any work, not left to exhaust memory.
+MAX_MARCINKIEWICZ_DEGREE = 500
+
+
 def _marcinkiewicz_setup(n, p):
     """Checked degree and p, then the tables every ratio of degree n reads.
 
     The tables are the orthonormal lattice tables of the two node axes, the
     flat index k_num * (n+2) + eta_num of each node on that lattice, and the
-    orthonormal table at the quadrature axis.
+    orthonormal table at the quadrature axis.  Degrees above
+    MAX_MARCINKIEWICZ_DEGREE raise ValueError before any table is built.
     """
     n = check_degree(n, minimum=1)
+    if n > MAX_MARCINKIEWICZ_DEGREE:
+        raise ValueError(
+            f"unsupported degree {n}: one Marcinkiewicz trial holds a quadrature "
+            f"grid of (2n+1)^2 values, so degree <= {MAX_MARCINKIEWICZ_DEGREE} "
+            f"is allowed"
+        )
     p = _as_p(p)
     if math.isinf(p) or p < 1:
         raise ValueError(f"p must be finite and at least 1, got {p}")

@@ -2,8 +2,11 @@
 
 Values on a tensor grid, of interpolants and of the Lebesgue function, come
 from one route: the Chebyshev coefficients of to_coefficients, evaluated as a
-tensor series.  Lagrange values at scattered points (lagrange_matrix, the
-Lebesgue function) come from the compact modified kernel.
+tensor series.  Values on the node lattice come from the same coefficient
+tables: lagrange_node_blocks gives the fundamental polynomials at the nodes,
+one lattice row of nodes at a time.  Lagrange values at scattered points
+(lagrange_matrix, the Lebesgue function) come from the compact modified
+kernel.
 """
 
 from dataclasses import dataclass
@@ -100,6 +103,40 @@ def lagrange_matrix(pset, x1, x2):
     mat = kernel.star_matrix(n, sx, kernel.node_tables(pset))
     mat /= kernel.node_star_values(pset)
     return mat
+
+
+def lagrange_node_blocks(pset):
+    """Fundamental-polynomial values at the nodes, one lattice row k at a time.
+
+    Yields (cols, block) once per row k = 0..n of the node lattice: cols are
+    the set positions of the nodes with k_num == k, and block[p, j] is the
+    fundamental polynomial of node cols[j] at node p, shape (N, len(cols)).
+    The values come from the tables of to_coefficients: the fundamental
+    polynomial of node (k, eta) has coefficients w T1[a, k] T2[b, eta] for
+    a + b <= n, so on the lattice it is
+    sum_a T1[a, k'] T1[a, k] Z[a, eta', eta] with the cumulative table
+    Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta], built once, and
+    Z[n] halved for the (n, 0) coefficient.  Each row is one matrix product
+    over a, gathered at the flat node index k_num * (n+2) + eta_num; no
+    N x N matrix is formed.
+    """
+    n = pset.degree
+    l1 = t_norm_lattice(n, np.arange(n + 1), n)
+    l2 = t_norm_lattice(n, np.arange(n + 2), n + 1)
+    z = np.cumsum(l2[:, :, None] * l2[:, None, :], axis=0)[::-1]
+    z[n] *= 0.5
+    at_nodes = pset.k_num * (n + 2) + pset.eta_num
+    star = kernel.node_star_values(pset)
+    # row k holds every eta of the parity opposite to k, in order
+    ztabs = [np.ascontiguousarray(z[:, :, par::2]).reshape(n + 1, -1)
+             for par in (1, 0)]
+    starts = np.searchsorted(pset.k_num, np.arange(n + 2))
+    for k in range(n + 1):
+        cols = np.arange(starts[k], starts[k + 1])
+        lattice = ((l1.T * l1[:, k]) @ ztabs[k % 2]).reshape(-1, cols.size)
+        block = lattice[at_nodes]
+        block /= star[cols]
+        yield cols, block
 
 
 def _check_samples(pset, samples):

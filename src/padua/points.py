@@ -86,36 +86,34 @@ class PaduaSet:
             raise IndexError(f"no node with index {tuple(index)}") from None
 
 
-def _classify_codes(n, k_num, eta_num):
-    # x1 = +-1 exactly when k_num is 0 or n, x2 = +-1 when eta_num is 0 or n+1
-    on1 = (k_num == 0) | (k_num == n)
-    on2 = (eta_num == 0) | (eta_num == n + 1)
-    return np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2)).astype(np.int8)
-
-
 def generate(n):
     """Build the full degree-n node set with geometric classes.
 
     The first coordinate runs over cos(k*pi/n), k = 0..n.  The second runs
     over cos(m*pi/(n+1)) where m is odd for even k and even for odd k, so the
     set is exactly the odd-sum part of the two angle lattices and has
-    cardinality (n+1)(n+2)/2 for every n >= 1.
+    cardinality (n+1)(n+2)/2 for every n >= 1.  The coordinates are gathered
+    from the 2n+3 lattice cosines, and a node is a vertex, edge or interior
+    node as 2, 1 or 0 of its numerators are an end of their range: k in
+    {0, n}, eta in {0, n+1}.
     """
     n = check_degree(n, minimum=1)
     counts = np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
     k_num = np.repeat(np.arange(n + 1, dtype=np.int64), counts)
-    j_num = np.concatenate([np.arange(1, c + 1, dtype=np.int64) for c in counts])
-    eta_num = np.where(k_num % 2 == 0, 2 * j_num - 1, 2 * j_num - 2)
-    x1 = cospi_frac(k_num, n)
-    x2 = cospi_frac(eta_num, n + 1)
+    starts = np.cumsum(counts) - counts
+    j_num = np.arange(k_num.size, dtype=np.int64) - np.repeat(starts, counts) + 1
+    eta_num = 2 * j_num - 1 - (k_num & 1)
+    on1 = np.zeros(n + 1, dtype=np.int8)
+    on2 = np.zeros(n + 2, dtype=np.int8)
+    on1[[0, n]] = on2[[0, n + 1]] = 1
     return PaduaSet(
         degree=n,
         k_num=k_num,
         j_num=j_num,
         eta_num=eta_num,
-        x1=x1,
-        x2=x2,
-        class_codes=_classify_codes(n, k_num, eta_num),
+        x1=cospi_frac(np.arange(n + 1), n)[k_num],
+        x2=cospi_frac(np.arange(n + 2), n + 1)[eta_num],
+        class_codes=2 - on1[k_num] - on2[eta_num],
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from padua import kernel, points
+from padua.analysis import MAX_MARCINKIEWICZ_DEGREE
 from padua.cli import main
 from padua.interp import MAX_GRID
 from padua.points import PointClass
@@ -170,6 +171,20 @@ def test_marcinkiewicz_rejects_nonfinite_p(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_marcinkiewicz_degree_limit_exits_2_before_any_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    code, out, err = run_cli(capsys, "marcinkiewicz", "--degree",
+                             str(MAX_MARCINKIEWICZ_DEGREE + 1), "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(MAX_MARCINKIEWICZ_DEGREE) in err
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):

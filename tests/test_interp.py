@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import t_norm_rec
+from oracles import kernel_star_double_sum, t_norm_rec
 from padua import interp
 from padua.cheb import product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
@@ -10,6 +12,7 @@ from padua.interp import (
     interpolate,
     interpolate_grid,
     lagrange_matrix,
+    lagrange_node_blocks,
     lebesgue_constant,
     lebesgue_function,
     sample,
@@ -334,3 +337,64 @@ def test_coefficient_degrees_truncated(rng):
     coeffs = to_coefficients(pset, rng.normal(size=len(pset)))
     ks = np.arange(6)
     assert np.all(coeffs[ks[:, None] + ks[None, :] > 5] == 0.0)
+
+
+def _assembled_node_blocks(pset):
+    """The N x N matrix of lagrange_node_blocks, columns placed by cols."""
+    out = np.full((len(pset), len(pset)), np.nan)
+    seen = []
+    for cols, block in lagrange_node_blocks(pset):
+        assert block.shape == (len(pset), cols.size)
+        assert np.all(pset.k_num[cols] == pset.k_num[cols[0]])
+        out[:, cols] = block
+        seen.append(cols)
+    # one block per lattice row, in set order, covering every node once
+    assert len(seen) == pset.degree + 1
+    assert np.array_equal(np.concatenate(seen), np.arange(len(pset)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_node_blocks_match_double_sum_oracle(n):
+    # L[p, nu] = K*(p, nu) / K*(nu, nu), both from the literal nested sum
+    pset = generate(n)
+    x = (pset.x1[:, None], pset.x2[:, None])
+    y = (pset.x1[None, :], pset.x2[None, :])
+    diag = kernel_star_double_sum(n, (pset.x1, pset.x2), (pset.x1, pset.x2))
+    expect = kernel_star_double_sum(n, x, y) / diag
+    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 40])
+def test_node_blocks_match_lagrange_matrix(n):
+    pset = generate(n)
+    expect = lagrange_matrix(pset, pset.x1, pset.x2)
+    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-12
+
+
+def _delta_error(pset):
+    worst = 0.0
+    for cols, block in lagrange_node_blocks(pset):
+        block[cols, np.arange(cols.size)] -= 1.0
+        worst = max(worst, float(np.max(np.abs(block))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 100])
+def test_node_blocks_delta_property_tight(n):
+    # the coefficient tables keep the deltas at rounding level; the verify
+    # check and the kernel-route tests hold them to 1e-9
+    assert _delta_error(generate(n)) <= 1e-13
+
+
+def test_node_blocks_delta_check_memory_at_verify_limit():
+    # the N x N matrix at n = 100 would be 212 MB; one lattice row of nodes
+    # and the cumulative table stay far below that
+    pset = generate(100)
+    tracemalloc.start()
+    try:
+        _delta_error(pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6

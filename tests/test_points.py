@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padua.cheb import DegreeError
+from padua.cheb import DegreeError, cospi_frac
 from padua.points import (
     AmbiguousMatchError,
     PointClass,
@@ -156,3 +156,22 @@ def test_generate_near_degree_cap_stays_array_backed():
     assert "points" not in pset.__dict__
     assert int(np.sum(pset.class_codes == 0)) == 2
     assert pset.position((0, 1)) == 0
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 256, 512, 2048, 4096])
+def test_generate_fields_bitwise_per_node(n):
+    # the coordinates gathered from the lattice cosines and the class codes
+    # read from the edge tables equal their per-node definitions bit for bit
+    pset = generate(n)
+    counts = [n // 2 + 1 if k % 2 == 0 else (n + 1) // 2 + 1 for k in range(n + 1)]
+    j_num = np.concatenate([np.arange(1, c + 1) for c in counts])
+    assert np.array_equal(pset.j_num, j_num)
+    assert np.array_equal(pset.eta_num,
+                          np.where(pset.k_num % 2 == 0, 2 * j_num - 1, 2 * j_num - 2))
+    assert pset.x1.tobytes() == cospi_frac(pset.k_num, n).tobytes()
+    assert pset.x2.tobytes() == cospi_frac(pset.eta_num, n + 1).tobytes()
+    on1 = (pset.k_num == 0) | (pset.k_num == n)
+    on2 = (pset.eta_num == 0) | (pset.eta_num == n + 1)
+    codes = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2)).astype(np.int8)
+    assert pset.class_codes.dtype == np.int8
+    assert np.array_equal(pset.class_codes, codes)
