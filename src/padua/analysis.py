@@ -147,8 +147,7 @@ def _marcinkiewicz_setup(n, p):
     if math.isinf(p) or p < 1:
         raise ValueError(f"p must be finite and at least 1, got {p}")
     pset = points.generate(n)
-    l1 = t_norm_lattice(n, np.arange(n + 1), n)
-    l2 = t_norm_lattice(n, np.arange(n + 2), n + 1)
+    l1, l2 = interp.lattice_tables(n)
     at_nodes = pset.k_num * (n + 2) + pset.eta_num
     qnodes, _ = gauss_chebyshev_axis(max(200, 2 * n + 1))
     return n, p, (l1, l2, at_nodes, t_norm_values(n, qnodes))

@@ -1,12 +1,14 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
-Values on a tensor grid, of interpolants and of the Lebesgue function, come
-from one route: the Chebyshev coefficients of to_coefficients, evaluated as a
-tensor series.  Values on the node lattice come from the same coefficient
-tables: lagrange_node_blocks gives the fundamental polynomials at the nodes,
-one lattice row of nodes at a time.  Lagrange values at scattered points
-(lagrange_matrix, the Lebesgue function) come from the compact modified
-kernel.
+Values on a tensor grid come from the lattice tables of to_coefficients (see
+lattice_tables): interpolants as the Chebyshev coefficients of
+to_coefficients evaluated as a tensor series, and the Lebesgue function as
+one matrix product per lattice row of nodes on the closed-form coefficients
+of the fundamental polynomials.  Values on the node lattice come from the
+same tables: lagrange_node_blocks gives the fundamental polynomials at the
+nodes, one lattice row of nodes at a time.  Lagrange values at scattered
+points (lagrange_matrix, the Lebesgue function) come from the compact
+modified kernel.
 """
 
 from dataclasses import dataclass
@@ -14,16 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .cheb import cospi_frac, product_series_at, product_series_grid, t_norm_lattice
+from .cheb import (
+    cospi_frac,
+    product_series_at,
+    product_series_grid,
+    t_norm_lattice,
+    t_norm_values,
+)
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
 # Largest number of grid points per axis.  A grid has m * m points: at
 # m = 1000 that is 1e6 values, 8 MB per float64 array (16 MB in 80-bit).
 # `interp` keeps five such columns (x1, x2, value, reference, abs_error) and
-# writes 1e6 CSV rows, about 100 MB at 17 digits; lebesgue_constant holds the
-# grid values of one lattice row of nodes, up to n/2 + 1 interpolants, and
-# their absolute values, about (n + 2) * 8 MB (270 MB at n = 32).
+# writes 1e6 CSV rows, about 100 MB at 17 digits.  lebesgue_constant holds
+# the (n+1)(n+2)m cumulative grid table Y (1.8 MB at n = 32, m = 200; 9 MB at
+# n = 32, m = 1000) and, for one lattice row of nodes, the (m, B m) product
+# over its B <= n/2 + 1 kept nodes, about (n/2 + 1) * 8 MB at m = 1000
+# (136 MB at n = 32).
 MAX_GRID = 1000
 
 
@@ -105,6 +115,36 @@ def lagrange_matrix(pset, x1, x2):
     return mat
 
 
+def lattice_tables(n, dtype=float):
+    """The orthonormal tables of the two node axes, in dtype.
+
+    l1[a, k] = Tnorm_a(cos(k pi/n)) for k = 0..n and
+    l2[b, eta] = Tnorm_b(cos(eta pi/(n+1))) for eta = 0..n+1, a, b = 0..n.
+    The node set is the odd-sum part k + eta odd of this lattice.
+    """
+    return (t_norm_lattice(n, np.arange(n + 1), n, dtype),
+            t_norm_lattice(n, np.arange(n + 2), n + 1, dtype))
+
+
+def _tail_sums(left, right):
+    """y[a] = sum_{b <= n-a} outer(left[b], right[b]) for a = 0..n, y[n] halved.
+
+    left and right are 2-D tables of n+1 rows.  With left = T2 this is the
+    b-sum over a + b <= n of the fundamental polynomials' coefficients
+    T2[b, eta]; the halved y[n] carries the halved (n, 0) coefficient.  It is
+    accumulated in place from y[n] down, one outer product at a time.
+    """
+    n = left.shape[0] - 1
+    y = np.empty((n + 1, left.shape[1], right.shape[1]),
+                 dtype=np.result_type(left, right))
+    np.multiply.outer(left[0], right[0], out=y[n])
+    for b in range(1, n + 1):
+        np.multiply.outer(left[b], right[b], out=y[n - b])
+        y[n - b] += y[n - b + 1]
+    y[n] *= 0.5
+    return y
+
+
 def lagrange_node_blocks(pset):
     """Fundamental-polynomial values at the nodes, one lattice row k at a time.
 
@@ -121,16 +161,14 @@ def lagrange_node_blocks(pset):
     N x N matrix is formed.
     """
     n = pset.degree
-    l1 = t_norm_lattice(n, np.arange(n + 1), n)
-    l2 = t_norm_lattice(n, np.arange(n + 2), n + 1)
-    z = np.cumsum(l2[:, :, None] * l2[:, None, :], axis=0)[::-1]
-    z[n] *= 0.5
+    l1, l2 = lattice_tables(n)
+    z = _tail_sums(l2, l2)
     at_nodes = pset.k_num * (n + 2) + pset.eta_num
     star = kernel.node_star_values(pset)
     # row k holds every eta of the parity opposite to k, in order
     ztabs = [np.ascontiguousarray(z[:, :, par::2]).reshape(n + 1, -1)
              for par in (1, 0)]
-    starts = np.searchsorted(pset.k_num, np.arange(n + 2))
+    starts = pset.row_starts
     for k in range(n + 1):
         cols = np.arange(starts[k], starts[k + 1])
         lattice = ((l1.T * l1[:, k]) @ ztabs[k % 2]).reshape(-1, cols.size)
@@ -180,17 +218,44 @@ def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
-    together with the grid spec.  Fundamental polynomials are interpolants of
-    unit samples, taken as one batch per lattice row k of nodes.
+    together with the grid spec.  The fundamental polynomial of node
+    nu = (k, eta) has the coefficients w T1[a, k] T2[b, eta] for a + b <= n,
+    with the (n, 0) term halved and w = 1 / K*(nu, nu), so on the grid it is
+    w sum_a P[a, i] T1[a, k] Y[a, eta, j], where P is the orthonormal table
+    of the grid axis and Y[a, eta, j] = sum_{b <= n-a} T2[b, eta] P[b, j]
+    (Y[n] halved) is built once.  The node set, and so the Lebesgue
+    function, is invariant under one reflection: x1 -> -x1 for even n
+    (k -> n - k), x2 -> -x2 for odd n (eta -> n + 1 - eta).  Only the nodes
+    up to their mirror image in set order are summed, the self-mirrored ones
+    with weight 1/2, as one matrix product per lattice row; the reflected
+    sum is then added.  The grid axes are mirror-symmetric to rounding.
     """
-    ax = grid.axis()
-    total = np.zeros((grid.m, grid.m))
-    for k in range(pset.degree + 1):
-        rows = np.flatnonzero(pset.k_num == k)
-        units = np.zeros((rows.size, len(pset)))
-        units[np.arange(rows.size), rows] = 1.0
-        values = product_series_grid(to_coefficients(pset, units), ax, ax)
-        total += np.abs(values).sum(axis=0)
+    n = pset.degree
+    p = t_norm_values(n, grid.axis())
+    l1, l2 = lattice_tables(n)
+    y = _tail_sums(l2, p)
+    k, eta, starts = pset.k_num, pset.eta_num, pset.row_starts
+    if n % 2 == 0:
+        k_m, eta_m = n - k, eta
+    else:
+        k_m, eta_m = k, n + 1 - eta
+    mirror = starts[k_m] + (eta_m + (k_m & 1) + 1) // 2 - 1
+    pos = np.arange(len(pset))
+    kept = pos <= mirror
+    weight = np.where(pos == mirror, 0.5, 1.0) / kernel.node_star_values(pset)
+    m = grid.m
+    total = np.zeros((m, m))
+    for row in range(n + 1):
+        cols = starts[row] + np.flatnonzero(kept[starts[row]:starts[row + 1]])
+        if cols.size == 0:
+            continue
+        ycols = np.take(y, eta[cols], axis=1)
+        ycols *= weight[cols, None]
+        vals = (p.T * l1[:, row]) @ ycols.reshape(n + 1, -1)
+        np.abs(vals, out=vals)
+        total += vals.reshape(m, cols.size, m).sum(axis=1)
+        del ycols, vals  # free this row's product before the next one is formed
+    total += total[::-1] if n % 2 == 0 else total[:, ::-1]
     return float(total.max())
 
 
@@ -211,8 +276,7 @@ def to_coefficients(pset, samples):
     n = pset.degree
     lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
     lattice[..., pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
-    t1 = t_norm_lattice(n, np.arange(n + 1), n, samples.dtype)
-    t2 = t_norm_lattice(n, np.arange(n + 2), n + 1, samples.dtype)
+    t1, t2 = lattice_tables(n, samples.dtype)
     coeffs = t1 @ lattice @ t2.T
     ks = np.arange(n + 1)
     coeffs[..., ks[:, None] + ks[None, :] > n] = 0.0

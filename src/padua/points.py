@@ -1,5 +1,6 @@
 """Generation, indexing, and classification of the Padua node sets."""
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -72,18 +73,28 @@ class PaduaSet:
         return np.column_stack([self.x1, self.x2])
 
     @cached_property
-    def index_map(self):
-        return {
-            (int(k), int(j)): i
-            for i, (k, j) in enumerate(zip(self.k_num, self.j_num))
-        }
+    def row_starts(self):
+        """Set position of the first node of each lattice row k, and N at k = n+1."""
+        return np.concatenate([[0], np.cumsum(_row_counts(self.degree))])
 
     def position(self, index):
-        """Array position of node (k, j); raises IndexError when absent."""
+        """Array position of node (k, j); raises IndexError when absent.
+
+        Nodes are in (k, j) order, so the position is row_starts[k] + j - 1.
+        """
         try:
-            return self.index_map[tuple(index)]
-        except KeyError:
+            k, j = (operator.index(v) for v in index)
+        except (TypeError, ValueError):
             raise IndexError(f"no node with index {tuple(index)}") from None
+        starts = self.row_starts
+        if not (0 <= k <= self.degree and 1 <= j <= starts[k + 1] - starts[k]):
+            raise IndexError(f"no node with index {(k, j)}")
+        return int(starts[k]) + j - 1
+
+
+def _row_counts(n):
+    """Nodes per lattice row k = 0..n: n//2 + 1 for even k, (n+1)//2 + 1 for odd k."""
+    return np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
 
 
 def generate(n):
@@ -98,7 +109,7 @@ def generate(n):
     {0, n}, eta in {0, n+1}.
     """
     n = check_degree(n, minimum=1)
-    counts = np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
+    counts = _row_counts(n)
     k_num = np.repeat(np.arange(n + 1, dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts
     j_num = np.arange(k_num.size, dtype=np.int64) - np.repeat(starts, counts) + 1

@@ -51,6 +51,21 @@ def kernel_star_double_sum(n, x, y):
     return kernel_double_sum(n, x, y) - cheb_t_rec(n, x[0]) * cheb_t_rec(n, y[0])
 
 
+def lebesgue_grid_max(n, axis):
+    """Maximum over the tensor grid axis x axis of sum_nu |K*(x, nu) / K*(nu, nu)|.
+
+    The nodes are (cos(k pi/n), cos(eta pi/(n+1))) with k + eta odd, and both
+    kernel values come from the literal nested sum.
+    """
+    k, eta = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
+    nodes = (np.cos(np.pi * k / n), np.cos(np.pi * eta / (n + 1)))
+    diag = kernel_star_double_sum(n, nodes, nodes)
+    x1, x2 = np.meshgrid(axis, axis, indexing="ij")
+    x = (x1.reshape(-1, 1), x2.reshape(-1, 1))
+    vals = kernel_star_double_sum(n, x, (nodes[0][None, :], nodes[1][None, :])) / diag
+    return float(np.abs(vals).sum(axis=1).max())
+
+
 def gauss_chebyshev_integral(f, m):
     """Tensor quadrature for the normalized Chebyshev weight, m per axis."""
     nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import kernel_star_double_sum, t_norm_rec
+from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
 from padua import interp
 from padua.cheb import product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
@@ -283,16 +283,67 @@ def test_lebesgue_estimates_nondecreasing_under_refinement():
 
 def test_lebesgue_constant_matches_compact_kernel():
     # the coefficient route of lebesgue_constant against the compact-kernel
-    # Lagrange matrix on the same grid points
-    for n in (1, 2, 7, 16):
+    # Lagrange matrix on the same grid points; 31 and 33 reflect x2, 32 x1
+    cases = [(n, m) for n in (1, 2, 7, 16) for m in (10, 41)]
+    cases += [(31, 41), (32, 41), (33, 41)]
+    for n, m in cases:
         pset = generate(n)
         for kind in ("uniform", "chebyshev"):
-            for m in (10, 41):
-                grid = EvalGrid(m, kind)
-                x = grid.points()
-                compact = np.abs(lagrange_matrix(pset, x[:, 0], x[:, 1])).sum(1).max()
-                assert lebesgue_constant(pset, grid) == pytest.approx(compact,
-                                                                      rel=1e-12)
+            grid = EvalGrid(m, kind)
+            x = grid.points()
+            compact = np.abs(lagrange_matrix(pset, x[:, 0], x[:, 1])).sum(1).max()
+            assert lebesgue_constant(pset, grid) == pytest.approx(compact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lebesgue_constant_matches_double_sum_oracle(n):
+    # grid axes and nodes written out here, kernel values from the nested sum
+    for m in (9, 10):
+        axes = {
+            "uniform": np.linspace(-1.0, 1.0, m),
+            "chebyshev": np.sort(np.cos((2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))),
+        }
+        for kind, axis in axes.items():
+            got = lebesgue_constant(generate(n), EvalGrid(m, kind))
+            assert got == pytest.approx(lebesgue_grid_max(n, axis), rel=1e-13)
+
+
+def test_lebesgue_constant_skips_coefficient_route(monkeypatch):
+    # the fundamental polynomials' coefficients are closed-form: no
+    # projection of unit samples and no per-batch tensor series
+    def refuse(*args, **kwargs):
+        raise AssertionError("lebesgue_constant went through the coefficient route")
+
+    expect = lebesgue_constant(generate(9), EvalGrid(20, "chebyshev"))
+    monkeypatch.setattr(interp, "to_coefficients", refuse)
+    monkeypatch.setattr(interp, "product_series_grid", refuse)
+    assert lebesgue_constant(generate(9), EvalGrid(20, "chebyshev")) == expect
+
+
+def test_lebesgue_constant_memory():
+    # the unit-sample route through to_coefficients peaked at 12.4 MB here;
+    # the product of one lattice row of kept nodes must stay below it
+    pset = generate(32)
+    grid = EvalGrid(200, "chebyshev")
+    tracemalloc.start()
+    try:
+        lebesgue_constant(pset, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.4e6
+
+
+def test_tail_sums_equal_cumulative_sum_bitwise():
+    # the in-place accumulation adds the same terms in the same order as
+    # the reversed cumulative sum it replaces
+    rng = np.random.default_rng(3)
+    for n, cols in ((1, 4), (6, 9), (17, 30)):
+        left = rng.standard_normal((n + 1, n + 2))
+        right = rng.standard_normal((n + 1, cols))
+        expect = np.cumsum(left[:, :, None] * right[:, None, :], axis=0)[::-1]
+        expect[n] *= 0.5
+        assert interp._tail_sums(left, right).tobytes() == expect.tobytes()
 
 
 def test_batched_coefficients_bitwise(rng):

@@ -133,6 +133,38 @@ def test_position_lookup():
         pset.position((99, 1))
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_position_is_enumeration_order(n):
+    pset = generate(n)
+    got = [pset.position((k, j)) for k, j in zip(pset.k_num, pset.j_num)]
+    assert got == list(range(len(pset)))
+
+
+def test_position_out_of_range():
+    for n in (1, 2, 7, 8):
+        pset = generate(n)
+        last_even, last_odd = n // 2 + 1, (n + 1) // 2 + 1
+        bad = [(-1, 1), (n + 1, 1), (0, 0), (1, 0), (0, last_even + 1),
+               (1, last_odd + 1), (0, -1)]
+        for index in bad:
+            with pytest.raises(IndexError):
+                pset.position(index)
+        assert pset.position((0, last_even)) == last_even - 1
+        assert pset.position((1, last_odd)) == last_even + last_odd - 1
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_node_set_reflection_symmetry(n):
+    # x1 -> -x1 (k -> n - k) maps the set onto itself for even n, and
+    # x2 -> -x2 (eta -> n + 1 - eta) for odd n; the other one never does
+    pset = generate(n)
+    nodes = set(zip(pset.k_num.tolist(), pset.eta_num.tolist()))
+    flip1 = {(n - k, eta) for k, eta in nodes}
+    flip2 = {(k, n + 1 - eta) for k, eta in nodes}
+    assert (flip1 == nodes) == (n % 2 == 0)
+    assert (flip2 == nodes) == (n % 2 == 1)
+
+
 def test_class_codes_match_integer_lattice():
     # on the angle lattice a coordinate is on the boundary exactly when its
     # numerator is an end of its range: k in {0, n} or eta in {0, n+1}
