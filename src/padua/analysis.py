@@ -309,6 +309,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     if quad_m is None:
         quad_m = 4 * max(degrees)
     check_degree(2 * max(degrees), minimum=1, what="reference degree")
+    interp.check_lebesgue_size(max(degrees), grid)
 
     gax = grid.axis(_LD)
     fits = {}

@@ -265,6 +265,7 @@ def cmd_cubature(args):
 
 def cmd_lebesgue(args):
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
+    interp.check_lebesgue_size(max(args.degrees), grid)
     rows = []
     for n in args.degrees:
         pset = points.generate(n)

@@ -29,12 +29,38 @@ _GRID_KINDS = ("uniform", "chebyshev")
 # Largest number of grid points per axis.  A grid has m * m points: at
 # m = 1000 that is 1e6 values, 8 MB per float64 array (16 MB in 80-bit).
 # `interp` keeps five such columns (x1, x2, value, reference, abs_error) and
-# writes 1e6 CSV rows, about 100 MB at 17 digits.  lebesgue_constant holds
-# the (n+1)(n+2)m cumulative grid table Y (1.8 MB at n = 32, m = 200; 9 MB at
-# n = 32, m = 1000) and, for one lattice row of nodes, the (m, B m) product
-# over its B <= n/2 + 1 kept nodes, about (n/2 + 1) * 8 MB at m = 1000
-# (136 MB at n = 32).
+# writes 1e6 CSV rows, about 100 MB at 17 digits.
 MAX_GRID = 1000
+
+# Largest number of float64 table values lebesgue_constant may hold.  At
+# degree n on an m-point grid it keeps the (n+1)(n+2)m cumulative grid table
+# Y and, for one lattice row of nodes, the (n+1, B, m) gather of Y and the
+# (m, B m) product over its B <= n/2 + 1 kept nodes, besides two (m, m)
+# sums: lebesgue_entries(n, m) values in all (tracemalloc peaks within
+# 1.2 % of it at n = 64, m = 200 and at n = 32, m = 1000).  2**25 values are
+# 268 MB.  n = 256 at m = 200 needs 25.1e6 (the growth study to n = 256)
+# and n = 32 at m = 1000 needs 20.7e6.  The largest allowed degree is 301
+# at m = 200 and 53 at m = 1000; n = 4096 at m = 200 would need 5.1e9 values
+# (41 GB).  `lebesgue` and `converge` refuse larger runs before any table is
+# built.
+MAX_LEBESGUE_ENTRIES = 1 << 25
+
+
+def lebesgue_entries(n, m):
+    """Float64 values lebesgue_constant holds at degree n on an m-point grid."""
+    kept = n // 2 + 1
+    return (n + 1) * (n + 2) * m + kept * m * (n + 1 + m) + 2 * m * m
+
+
+def check_lebesgue_size(n, grid):
+    """ValueError when lebesgue_constant(n, grid) would exceed MAX_LEBESGUE_ENTRIES."""
+    entries = lebesgue_entries(n, grid.m)
+    if entries > MAX_LEBESGUE_ENTRIES:
+        raise ValueError(
+            f"Lebesgue constant of degree {n} on a grid of {grid.m} points per "
+            f"axis needs {entries} table values; at most {MAX_LEBESGUE_ENTRIES} "
+            f"are allowed"
+        )
 
 
 class SampleEvaluationError(RuntimeError):
@@ -229,8 +255,10 @@ def lebesgue_constant(pset, grid):
     up to their mirror image in set order are summed, the self-mirrored ones
     with weight 1/2, as one matrix product per lattice row; the reflected
     sum is then added.  The grid axes are mirror-symmetric to rounding.
+    Runs over MAX_LEBESGUE_ENTRIES table values raise ValueError first.
     """
     n = pset.degree
+    check_lebesgue_size(n, grid)
     p = t_norm_values(n, grid.axis())
     l1, l2 = lattice_tables(n)
     y = _tail_sums(l2, p)

@@ -233,19 +233,35 @@ def node_star_values(pset):
     return n * (n + 1.0) * per_code[pset.class_codes]
 
 
+# Largest (n+1) x P cosine table node_star_direct forms per block of P nodes.
+# A block holds about eight tables of this size (the cosines of four angle
+# arrays, the products and the cumulative sum), 4 MB in all; every degree up
+# to 49, so every verify run up to --max-degree 49, is a single block.
+_DIRECT_BLOCK_ENTRIES = 1 << 16
+
+
 def node_star_direct(pset, positions=slice(None)):
     """Diagonal modified-kernel values by the direct double sum.
 
     positions selects nodes in set order (an index array or a slice; all
-    nodes by default).  Only the selected nodes' lattice angles are formed,
-    so a sampled check costs O(n^2) per node, not a table over the set.
+    nodes by default).  Each node's lattice numerators come from its position
+    (pset.lattice_index), and the nodes are summed in blocks of
+    _DIRECT_BLOCK_ENTRIES // (n+1), so a sampled check costs O(n^2) per node
+    and the whole set never needs a table over all N nodes.
     """
     n = pset.degree
-    a, b = pset.k_num[positions], pset.eta_num[positions]
-    th1 = np.pi * (a / float(n))
-    th2 = np.pi * (b / float(n + 1))
-    tn = cospi_frac(n * a, n)
-    return _direct_from_angles(n, th1, th2, th1, th2) - tn * tn
+    if isinstance(positions, slice):
+        positions = np.arange(*positions.indices(len(pset)))
+    positions = np.asarray(positions, dtype=np.int64)
+    block = max(1, _DIRECT_BLOCK_ENTRIES // (n + 1))
+    out = np.empty(positions.shape)
+    for start in range(0, positions.size, block):
+        a, b = pset.lattice_index(positions[start:start + block])
+        th1 = np.pi * (a / float(n))
+        th2 = np.pi * (b / float(n + 1))
+        tn = cospi_frac(n * a, n)
+        out[start:start + block] = _direct_from_angles(n, th1, th2, th1, th2) - tn * tn
+    return out
 
 
 def kernel_star_at_node(pset, index):

@@ -1,7 +1,15 @@
-"""Generation, indexing, and classification of the Padua node sets."""
+"""Generation, indexing, and classification of the Padua node sets.
+
+A node set is its degree n.  Its nodes are the odd-sum half k + eta odd of
+the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
+which is the union of two tensor sub-grids: even k with odd eta, and odd k
+with even eta (sub_grids).  Code that works on those grids, such as the
+cubature sum, reads only the lattice cosines of lattice_axes; the per-node
+arrays of PaduaSet are built on their first read.
+"""
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -32,27 +40,47 @@ class PaduaPoint:
 CODE_TO_CLASS = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
 
 
+class _NodeArray:
+    """A per-node array of PaduaSet, built together with the others on first read.
+
+    A non-data descriptor: the first read stores every per-node array in the
+    instance dict, which then shadows the descriptor.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, pset, owner=None):
+        if pset is None:
+            return self
+        pset.__dict__.update(_node_arrays(pset.degree))
+        return pset.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class PaduaSet:
     """The degree-n node set, ordered lexicographically in (k, j).
 
-    Coordinates live on the angle lattices cos(k*pi/n) and cos(m*pi/(n+1));
-    the integer numerators k_num and eta_num are kept so downstream kernel
-    code can build trig tables without an arccos round trip.  The per-point
-    record view `points` is materialized lazily so that sets near the degree
-    cap stay array-backed.
+    The set is stored as its degree alone.  The per-node arrays (the integer
+    numerators k_num, j_num, eta_num, the coordinates x1, x2 and the
+    class_codes) are built together on the first read of any of them and
+    kept; the numerators let kernel code build trig tables without an arccos
+    round trip.  The per-point record view `points` is materialized lazily
+    too, so sets near the degree cap stay array-backed.
     """
 
     degree: int
-    k_num: np.ndarray = field(repr=False, compare=False)
-    j_num: np.ndarray = field(repr=False, compare=False)
-    eta_num: np.ndarray = field(repr=False, compare=False)
-    x1: np.ndarray = field(repr=False, compare=False)
-    x2: np.ndarray = field(repr=False, compare=False)
-    class_codes: np.ndarray = field(repr=False, compare=False)
+
+    k_num = _NodeArray()
+    j_num = _NodeArray()
+    eta_num = _NodeArray()
+    x1 = _NodeArray()
+    x2 = _NodeArray()
+    class_codes = _NodeArray()
 
     def __len__(self):
-        return self.k_num.shape[0]
+        n = self.degree
+        return (n + 1) * (n + 2) // 2
 
     @property
     def cardinality(self):
@@ -91,14 +119,44 @@ class PaduaSet:
             raise IndexError(f"no node with index {(k, j)}")
         return int(starts[k]) + j - 1
 
+    def lattice_index(self, positions):
+        """Lattice numerators (k, eta) of the nodes at the given set positions.
+
+        The inverse of position, by arithmetic on row_starts: k is the row
+        that holds the position, j - 1 its offset in the row, and
+        eta = 2j - 1 for even k, 2j - 2 for odd k.  No per-node array is read.
+        """
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.size and (pos.min() < 0 or pos.max() >= len(self)):
+            raise IndexError(f"set positions outside 0..{len(self) - 1}")
+        starts = self.row_starts
+        k = np.searchsorted(starts, pos, side="right") - 1
+        return k, 2 * (pos - starts[k]) + 1 - (k & 1)
+
+    def sub_grids(self):
+        """The set as two tensor grids of lattice numerators: ((ks, etas), ...).
+
+        Even k with odd eta, then odd k with even eta.  Row i of a grid is
+        lattice row ks[i], whose nodes take the etas in order, so grid entry
+        (i, c) is the node at set position row_starts[ks[i]] + c.
+        """
+        n = self.degree
+        return ((np.arange(0, n + 1, 2), np.arange(1, n + 2, 2)),
+                (np.arange(1, n + 1, 2), np.arange(0, n + 2, 2)))
+
 
 def _row_counts(n):
     """Nodes per lattice row k = 0..n: n//2 + 1 for even k, (n+1)//2 + 1 for odd k."""
     return np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
 
 
-def generate(n):
-    """Build the full degree-n node set with geometric classes.
+def lattice_axes(n):
+    """The lattice cosines cos(k pi/n), k = 0..n, and cos(eta pi/(n+1)), eta = 0..n+1."""
+    return cospi_frac(np.arange(n + 1), n), cospi_frac(np.arange(n + 2), n + 1)
+
+
+def _node_arrays(n):
+    """The per-node arrays of the degree-n set, keyed by their PaduaSet names.
 
     The first coordinate runs over cos(k*pi/n), k = 0..n.  The second runs
     over cos(m*pi/(n+1)) where m is odd for even k and even for odd k, so the
@@ -108,7 +166,6 @@ def generate(n):
     node as 2, 1 or 0 of its numerators are an end of their range: k in
     {0, n}, eta in {0, n+1}.
     """
-    n = check_degree(n, minimum=1)
     counts = _row_counts(n)
     k_num = np.repeat(np.arange(n + 1, dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts
@@ -117,15 +174,24 @@ def generate(n):
     on1 = np.zeros(n + 1, dtype=np.int8)
     on2 = np.zeros(n + 2, dtype=np.int8)
     on1[[0, n]] = on2[[0, n + 1]] = 1
-    return PaduaSet(
-        degree=n,
-        k_num=k_num,
-        j_num=j_num,
-        eta_num=eta_num,
-        x1=cospi_frac(np.arange(n + 1), n)[k_num],
-        x2=cospi_frac(np.arange(n + 2), n + 1)[eta_num],
-        class_codes=2 - on1[k_num] - on2[eta_num],
-    )
+    axis1, axis2 = lattice_axes(n)
+    return {
+        "k_num": k_num,
+        "j_num": j_num,
+        "eta_num": eta_num,
+        "x1": axis1[k_num],
+        "x2": axis2[eta_num],
+        "class_codes": 2 - on1[k_num] - on2[eta_num],
+    }
+
+
+def generate(n):
+    """The degree-n node set, after checking 1 <= n <= MAX_DEGREE.
+
+    Only the degree is stored; the per-node arrays are built on first read
+    (see PaduaSet and _node_arrays).
+    """
+    return PaduaSet(check_degree(n, minimum=1))
 
 
 def generating_curve_points(n):

@@ -7,6 +7,7 @@ or output code from the package.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -71,6 +72,18 @@ def gauss_chebyshev_integral(f, m):
     nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
     vals = np.asarray(f(nodes[:, None], nodes[None, :]), dtype=float)
     return float(np.mean(vals * np.ones((m, m))))
+
+
+def set_order_sums(weights, x1, x2, f):
+    """The node sum of f in set order, as the cubature took it node by node.
+
+    Returns (np.add.reduce(w * f), math.fsum(w * f), np.add.reduce(|w * f|)):
+    numpy's pairwise sum of the products in set order, their correctly
+    rounded sum, and the scale that summation errors are measured against.
+    """
+    products = weights * np.broadcast_to(np.asarray(f(x1, x2), dtype=float), x1.shape)
+    return (float(np.add.reduce(products)), math.fsum(products.tolist()),
+            float(np.add.reduce(np.abs(products))))
 
 
 def _t_norm_lattice_table(kmax, nums, den):

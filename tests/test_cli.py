@@ -6,7 +6,13 @@ import pytest
 from padua import kernel, points
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE
 from padua.cli import main
-from padua.interp import MAX_GRID
+from padua.interp import (
+    MAX_GRID,
+    MAX_LEBESGUE_ENTRIES,
+    EvalGrid,
+    check_lebesgue_size,
+    lebesgue_entries,
+)
 from padua.points import PointClass
 from padua.verify import MAX_VERIFY_DEGREE
 
@@ -242,6 +248,37 @@ def test_grid_above_limit_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(MAX_GRID) in err
+
+
+def _first_refused_lebesgue_degree(m):
+    return next(n for n in range(1, 4097) if lebesgue_entries(n, m) > MAX_LEBESGUE_ENTRIES)
+
+
+def test_lebesgue_size_bound_keeps_the_growth_study():
+    # the Lebesgue growth study runs to n = 256 on the default 200-point grid
+    check_lebesgue_size(256, EvalGrid(200, "chebyshev"))
+    n = _first_refused_lebesgue_degree(200)
+    check_lebesgue_size(n - 1, EvalGrid(200))
+    with pytest.raises(ValueError, match=str(MAX_LEBESGUE_ENTRIES)):
+        check_lebesgue_size(n, EvalGrid(200))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lebesgue", "--degrees", "4,{n}"],
+    ["converge", "--function", "exp_sum", "--degrees", "4,{n}"],
+])
+def test_lebesgue_size_above_bound_exits_2_before_any_work(capsys, monkeypatch, argv):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    n = _first_refused_lebesgue_degree(200)
+    code, out, err = run_cli(capsys, *[a.format(n=n) for a in argv], "--grid", "200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(MAX_LEBESGUE_ENTRIES) in err
 
 
 def test_verify_csv_format(capsys):

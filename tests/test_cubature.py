@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from padua import kernel
+from padua import functions, kernel
 from padua.cheb import t_lattice
 from padua.cubature import build_rule, integrate
+from padua.interp import SampleEvaluationError
 from padua.points import PointClass, generate
 
 import oracles
@@ -99,3 +103,122 @@ def test_integrate_matches_tensor_quadrature_oracle(rng):
     assert integrate(rule, poly) == pytest.approx(
         oracles.gauss_chebyshev_integral(poly, 64), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 511, 2048])
+def test_weights_bitwise_equal_class_values(n):
+    # a[k] * b[eta] is 1 / K*(nu, nu) of the class factors to the last bit,
+    # since the factors differ by powers of two
+    pset = generate(n)
+    weights = build_rule(pset).weights
+    assert weights.tobytes() == (1.0 / kernel.node_star_values(pset)).tobytes()
+
+
+def _random_series(rng, n):
+    # orthonormal product series of total degree <= 2n - 1, broadcasting
+    kmax = 2 * n - 1
+    ks = np.arange(kmax + 1)
+    coeffs = rng.uniform(-1.0, 1.0, (kmax + 1, kmax + 1))
+    coeffs[ks[:, None] + ks[None, :] > kmax] = 0.0
+
+    def poly(a, b):
+        t1 = np.cos(np.multiply.outer(ks, np.arccos(a)))
+        t2 = np.cos(np.multiply.outer(ks, np.arccos(b)))
+        return np.einsum("ab,a...,b...->...", coeffs, t1, t2)
+
+    return poly
+
+
+def test_integrate_matches_set_order_sum(rng):
+    # the lattice sums take the same products w * f as the set-order sum, in
+    # another order: within 4e-16 of their correctly rounded sum, relative to
+    # sum |w f|, and so within 8e-16 of the set-order pairwise sum, which is
+    # itself up to 4.4e-16 off (n = 26, const)
+    worst_exact = worst_set = 0.0
+    for n in range(1, 41):
+        pset = generate(n)
+        rule = build_rule(pset)
+        weights = 1.0 / kernel.node_star_values(pset)
+        fs = [*functions.BUILTIN_FUNCTIONS.values()] + [_random_series(rng, n)
+                                                         for _ in range(3)]
+        for f in fs:
+            got = integrate(rule, f)
+            set_order, exact, scale = oracles.set_order_sums(weights, pset.x1,
+                                                             pset.x2, f)
+            worst_exact = max(worst_exact, abs(got - exact) / scale)
+            worst_set = max(worst_set, abs(got - set_order) / scale)
+    assert worst_exact <= 4e-16
+    assert worst_set <= 8e-16
+
+
+def test_integrate_exact_through_degree_2n_minus_1():
+    # integrate itself, not only the weights: T_a(x1) T_b(x2) with
+    # a + b <= 2n - 1 integrates to the indicator of (a, b) = (0, 0)
+    for n in range(1, 21):
+        rule = build_rule(generate(n))
+        worst = 0.0
+        for a in range(2 * n):
+            for b in range(2 * n - a):
+                got = integrate(rule, lambda x1, x2: np.cos(a * np.arccos(x1))
+                                * np.cos(b * np.arccos(x2)))
+                worst = max(worst, abs(got - (1.0 if a == b == 0 else 0.0)))
+        assert worst <= 1e-13, n
+
+
+def test_integrate_scalar_callable_through_fallback():
+    # a callable that only takes Python floats is sampled node by node and
+    # summed by the same lattice reduction: bitwise equal to the broadcasting
+    # route on the same values
+    for n in (1, 2, 7, 30):
+        pset = generate(n)
+        rule = build_rule(pset)
+        via_lattice = integrate(rule, lambda a, b: a * a + b)
+        via_nodes = integrate(rule, lambda a, b: float(a) * float(a) + float(b))
+        assert via_nodes == via_lattice
+        got = integrate(rule, lambda a, b: math.exp(a + b))
+        assert got == pytest.approx(integrate(rule, functions.get("exp_sum")),
+                                    rel=1e-15)
+
+
+def test_integrate_failing_callable_names_first_node_in_set_order():
+    pset = generate(6)
+    rule = build_rule(pset)
+
+    def fails_left(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        if a < -0.3 and b > 0.0:
+            raise ValueError("boom")
+        return 1.0
+
+    first = next(p for p in pset.points if p.x1 < -0.3 and p.x2 > 0.0)
+    with pytest.raises(SampleEvaluationError, match=f"k={first.k}, j={first.j},"):
+        integrate(rule, fails_left)
+
+
+def test_integrate_builds_no_per_node_array():
+    rule = build_rule(generate(2048))
+    integrate(rule, functions.get("exp_sum"))
+    assert "k_num" not in rule.nodes.__dict__
+    assert "weights" not in rule.__dict__
+
+
+def test_integrate_peak_memory_at_degree_2048():
+    # two 1025 x 1025 sub-grids, one at a time (26 MB); the set-order sum
+    # over per-node arrays peaked at 137 MB
+    f = functions.get("exp_sum")
+    tracemalloc.start()
+    try:
+        integrate(build_rule(generate(2048)), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def test_build_rule_rejects_factors_that_do_not_split(monkeypatch):
+    tampered = dict(kernel.NODE_FACTORS)
+    tampered[PointClass.EDGE] = 3.0
+    monkeypatch.setattr(kernel, "NODE_FACTORS", tampered)
+    with pytest.raises(RuntimeError, match="do not split"):
+        build_rule(generate(4))

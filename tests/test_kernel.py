@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,23 @@ def test_node_star_direct_positions_bitwise():
         assert np.array_equal(kernel.node_star_direct(pset, idx), full[idx])
         assert np.array_equal(kernel.node_star_direct(pset, slice(1, None, 3)),
                               full[1::3])
+
+
+def test_node_star_direct_blocks_bound_memory(monkeypatch):
+    # at n = 120 the budget splits the 7381 nodes into blocks of 541 (4.4 MB
+    # peak); one unblocked call peaks at 58 MB
+    pset = generate(120)
+    assert len(pset) * 121 > kernel._DIRECT_BLOCK_ENTRIES
+    tracemalloc.start()
+    try:
+        blocked = kernel.node_star_direct(pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert np.max(np.abs(blocked - node_star_values(pset))) <= 1e-9 + 1e-12 * 120 * 121
+    monkeypatch.setattr(kernel, "_DIRECT_BLOCK_ENTRIES", len(pset) * 121)
+    assert np.array_equal(kernel.node_star_direct(pset), blocked)
 
 
 def test_node_values_match_star_direct_entrywise():

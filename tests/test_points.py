@@ -9,6 +9,7 @@ from padua.points import (
     find_index,
     generate,
     generating_curve_points,
+    lattice_axes,
 )
 
 
@@ -207,3 +208,44 @@ def test_generate_fields_bitwise_per_node(n):
     codes = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2)).astype(np.int8)
     assert pset.class_codes.dtype == np.int8
     assert np.array_equal(pset.class_codes, codes)
+
+
+def test_generate_and_len_build_no_per_node_array():
+    pset = generate(4096)
+    assert len(pset) == 4097 * 4098 // 2
+    assert pset.cardinality == len(pset)
+    assert "k_num" not in pset.__dict__
+    # the first read builds all six arrays together
+    pset = generate(5)
+    pset.x2
+    assert {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} <= set(pset.__dict__)
+    assert pset == generate(5) and repr(pset) == "PaduaSet(degree=5)"
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 511])
+def test_lattice_index_inverts_position(n):
+    pset = generate(n)
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    assert np.array_equal(k, pset.k_num)
+    assert np.array_equal(eta, pset.eta_num)
+    with pytest.raises(IndexError):
+        pset.lattice_index([len(pset)])
+    with pytest.raises(IndexError):
+        pset.lattice_index([-1])
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 512])
+def test_sub_grids_tile_the_set_in_set_order(n):
+    # grid entry (i, c) is the node at row_starts[ks[i]] + c, and the two
+    # grids cover every node once
+    pset = generate(n)
+    x1, x2 = lattice_axes(n)
+    seen = np.zeros(len(pset), dtype=int)
+    for ks, etas in pset.sub_grids():
+        pos = pset.row_starts[ks][:, None] + np.arange(etas.size)
+        assert np.array_equal(pset.k_num[pos], np.broadcast_to(ks[:, None], pos.shape))
+        assert np.array_equal(pset.eta_num[pos], np.broadcast_to(etas, pos.shape))
+        assert pset.x1[pos].tobytes() == np.broadcast_to(x1[ks][:, None], pos.shape).tobytes()
+        assert pset.x2[pos].tobytes() == np.broadcast_to(x2[etas], pos.shape).tobytes()
+        np.add.at(seen, pos.ravel(), 1)
+    assert np.all(seen == 1)
