@@ -3,7 +3,10 @@
 The measurement instrument throughout is tensor Gauss-Chebyshev quadrature,
 kept separate from the node-based operators under test: per axis it is exact
 for polynomials of degree below twice the node count, which gives a clean
-error model even for |f|^p integrands.
+error model even for |f|^p integrands.  measure_error and convergence_study
+measure interpolants through one instrument (_Instrument: f on the grid and
+on the quadrature grid, one orthonormal table per axis); a study builds it
+once for all its degrees.
 """
 
 import math
@@ -16,7 +19,7 @@ from .cheb import (
     check_degree,
     cospi_frac,
     product_series_at,
-    product_series_grid,
+    series_on_tables,
     t_norm_lattice,
     t_norm_values,
 )
@@ -37,6 +40,8 @@ def _eval_on(f, x1, x2, dtype=float):
         vals = np.asarray(f(x1, x2), dtype=dtype)
         if vals.shape == shape:
             return vals
+    except MemoryError:
+        raise
     except Exception:
         pass
     vec = np.vectorize(lambda a, b: f(a, b), otypes=[dtype])
@@ -249,6 +254,48 @@ class ErrorMeasurement:
     error_wp: float
 
 
+class _Instrument:
+    """f on a grid and on a quadrature grid, with one orthonormal table per
+    axis, in one float type: what measuring an interpolant against f reads
+    that does not depend on the interpolant, built once.
+
+    The grid table has rows 0..grid_kmax and the quadrature table rows
+    0..quad_kmax.  A series of degree n reads the leading n+1 rows, which
+    are bitwise the table of degree n, since row k of cos_table does not
+    depend on the row count.  Nothing of the quadrature grid is built when
+    p = inf.
+    """
+
+    def __init__(self, f, p, grid, quad_m, dtype, grid_kmax, quad_kmax):
+        self.p = p
+        ax = grid.axis(dtype)
+        self.grid_table = t_norm_values(grid_kmax, ax, dtype)
+        self.reference = _eval_on(f, ax[:, None], ax[None, :], dtype)
+        if not math.isinf(p):
+            q, _ = gauss_chebyshev_axis(quad_m, dtype)
+            self.quad_table = t_norm_values(quad_kmax, q, dtype)
+            self.truth = _eval_on(f, q[:, None], q[None, :], dtype)
+
+    def on_grid(self, coeffs):
+        """The series of coeffs on the grid."""
+        return _series(coeffs, self.grid_table)
+
+    def measure(self, coeffs, values):
+        """The ErrorMeasurement of coeffs, whose series on the grid is values."""
+        error_uniform = float(_p_mean(values - self.reference, math.inf))
+        if math.isinf(self.p):
+            error_wp = error_uniform
+        else:
+            quad = _series(coeffs, self.quad_table)
+            error_wp = float(_p_mean(quad - self.truth, self.p))
+        return ErrorMeasurement(values, self.reference, error_uniform, error_wp)
+
+
+def _series(coeffs, table):
+    """The series of coeffs on the tensor grid of one axis, from its table."""
+    return series_on_tables(coeffs, table[:coeffs.shape[-2]], table[:coeffs.shape[-1]])
+
+
 def measure_error(coeffs, f, p, grid, quad_m):
     """Measure a Chebyshev coefficient series against f.
 
@@ -256,21 +303,14 @@ def measure_error(coeffs, f, p, grid, quad_m):
     np.longdouble).  values and reference are the series and f on the grid,
     and error_uniform is their largest deviation there.  error_wp is the
     weighted L^p error by tensor Gauss-Chebyshev quadrature with quad_m nodes
-    per axis, or the uniform error when p = inf.
+    per axis, or the uniform error when p = inf.  convergence_study measures
+    through the same instrument, built once for all its degrees.
     """
     p = _as_p(p)
-    dtype = np.result_type(coeffs.dtype, float)
-    ax = grid.axis(dtype)
-    values = product_series_grid(coeffs, ax, ax)
-    reference = _eval_on(f, ax[:, None], ax[None, :], dtype)
-    error_uniform = float(_p_mean(values - reference, math.inf))
-    if math.isinf(p):
-        error_wp = error_uniform
-    else:
-        q, _ = gauss_chebyshev_axis(quad_m, dtype)
-        truth = _eval_on(f, q[:, None], q[None, :], dtype)
-        error_wp = float(_p_mean(product_series_grid(coeffs, q, q) - truth, p))
-    return ErrorMeasurement(values, reference, error_uniform, error_wp)
+    kmax = max(coeffs.shape[-2:]) - 1
+    instrument = _Instrument(f, p, grid, quad_m, np.result_type(coeffs.dtype, float),
+                             kmax, kmax)
+    return instrument.measure(coeffs, instrument.on_grid(coeffs))
 
 
 # Interpolation errors of smooth functions fall under the double-precision
@@ -283,7 +323,24 @@ def measure_error(coeffs, f, p, grid, quad_m):
 # The builtin test functions evaluate in float64, though, so their samples
 # and references are rounded to double: their errors floor near 1e-16
 # (exp_sum, n = 24: error_wp 2.9e-16), not near the 80-bit epsilon.
+#
+# Each piece of work is done once per study: one grid table to degree
+# 2 max(degrees) and one quadrature table to max(degrees), f on the grid and
+# on the quadrature grid, and the grid series of each degree, so that the
+# values of degree n are also the en_proxy reference of degree n/2.  The
+# 2-D products go through cheb.matmul (np.dot), which for longdouble sums
+# in a register instead of storing each partial sum.  The rows are bitwise
+# those of one measure_error per degree.
 _LD = np.longdouble
+
+# Largest quadrature size per axis of a convergence study.  The study holds
+# f and the interpolant on the quad_m x quad_m Gauss-Chebyshev grid in
+# 80-bit, 16 bytes a value, beside their difference and its powers: at 1250
+# that is 1.6e6 values, 25 MB per array.  The default 4 * max(degrees) is
+# 1204 at degree 301, the largest degree the Lebesgue-table bound
+# (interp.MAX_LEBESGUE_ENTRIES) admits on the default 200-point grid.
+# Larger sizes are refused before any work, whatever p is.
+MAX_QUAD = 1250
 
 
 def convergence_study(f, p, degrees, grid, quad_m=None):
@@ -299,6 +356,12 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     measure_error) so that super-geometric convergence stays visible below
     the double floor; for the builtin functions, which evaluate in float64,
     the measured errors floor near 1e-16 instead.
+
+    The study builds each piece of work once: the grid and quadrature
+    tables, f on both grids, each degree's fit, and each degree's series on
+    the grid, which for a degree 2n in degrees is also the reference of n.
+    The rows equal, bit for bit, those of one measure_error per degree.
+    quad_m outside 1..MAX_QUAD raises ValueError before any work.
     """
     if not isinstance(f, TestFunction):
         raise TypeError("f must be a TestFunction (see padua.functions)")
@@ -306,12 +369,17 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     degrees = [check_degree(d, minimum=1) for d in degrees]
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be nonempty and strictly increasing")
+    top = max(degrees)
     if quad_m is None:
-        quad_m = 4 * max(degrees)
-    check_degree(2 * max(degrees), minimum=1, what="reference degree")
-    interp.check_lebesgue_size(max(degrees), grid)
+        quad_m = 4 * top
+    if not 1 <= quad_m <= MAX_QUAD:
+        raise ValueError(
+            f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"
+        )
+    check_degree(2 * top, minimum=1, what="reference degree")
+    interp.check_lebesgue_size(top, grid)
 
-    gax = grid.axis(_LD)
+    instrument = _Instrument(f, p, grid, quad_m, _LD, 2 * top, top)
     fits = {}
 
     def fit(n):
@@ -323,12 +391,19 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
             fits[n] = pset, interp.to_coefficients(pset, samples)
         return fits[n]
 
+    # grid values of a later degree 2n, kept from the row of n
+    later = {}
     rows = []
     for n in degrees:
         pset, coeffs = fit(n)
-        err = measure_error(coeffs, f, p, grid, quad_m)
-        ref = product_series_grid(fit(2 * n)[1], gax, gax)
-        en_proxy = float(np.max(np.abs(ref - err.values)))
+        values = later.pop(n, None)
+        if values is None:
+            values = instrument.on_grid(coeffs)
+        err = instrument.measure(coeffs, values)
+        ref = instrument.on_grid(fit(2 * n)[1])
+        if 2 * n in degrees:
+            later[2 * n] = ref
+        en_proxy = float(np.max(np.abs(ref - values)))
         leb = interp.lebesgue_constant(pset, grid)
         rows.append(
             ConvergenceRow(

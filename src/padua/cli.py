@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -73,10 +74,7 @@ class OutputSpec:
             return np.where(column, "true", "false"), None
         if column.dtype.kind != "f":
             return column, None
-        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-        distinct, codes = np.unique(bits, return_inverse=True)
-        fmt = f"%.{self.precision}g"
-        return np.array([fmt % v for v in distinct.view(np.float64).tolist()]), codes
+        return _per_distinct(column, f"%.{self.precision}g".__mod__)
 
     def write_table(self, header, columns, document=None):
         """Write equal-length 1-D columns as CSV (write_rows); as JSON, write
@@ -90,13 +88,92 @@ class OutputSpec:
             self.write_json([dict(zip(header, row)) for row in rows])
 
     def write_json(self, obj):
+        """Write obj as json.dumps(self._round(obj), indent=2) would, byte for
+        byte.  A list of floats, and each column of a list of records with the
+        same keys, is formatted once per distinct float bit pattern, as in
+        write_rows; anything else goes through json.dumps."""
+        text = self._json(obj, "\n")
         out, close = self._open()
         try:
-            out.write(json.dumps(self._round(obj), indent=2))
+            out.write(text)
             out.write("\n")
         finally:
             if close:
                 out.close()
+
+    def _json(self, obj, nl):
+        """JSON text of obj whose lines after the first start with nl."""
+        inner = nl + "  "
+        if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+            items = (f"{_json_str(k)}: {self._json(v, inner)}" for k, v in obj.items())
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim):
+            if len(obj) == 0:
+                return "[]"
+            cells = self._json_scalars(obj)
+            if cells is None:
+                cells = self._json_records(obj, inner)
+            if cells is None:
+                cells = [self._json(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(cells) + nl + "]"
+        cells = self._json_scalars([obj])
+        if cells is not None:
+            return cells[0]
+        return json.dumps(self._round(obj), indent=2).replace("\n", nl)
+
+    def _json_records(self, rows, nl):
+        """Texts of a list of flat dicts with the same string keys, one per
+        row, its items indented one level below nl; None for any other list."""
+        first = rows[0]
+        if not (isinstance(first, dict) and first
+                and all(isinstance(k, str) for k in first)):
+            return None
+        keys = list(first)
+        if not all(isinstance(r, dict) and list(r) == keys for r in rows):
+            return None
+        cells = [self._json_scalars([r[k] for r in rows]) for k in keys]
+        if any(c is None for c in cells):
+            return None
+        inner = nl + "  "
+        template = "{" + ",".join(inner + _json_str(k).replace("%", "%%") + ": %s"
+                                  for k in keys) + nl + "}"
+        return [template % row for row in zip(*cells)]
+
+    def _json_scalars(self, values):
+        """JSON texts of a flat sequence of floats, ints, bools, strings and
+        None, the floats rounded by jnum; None if any value is another type."""
+        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f":
+            texts, codes = _per_distinct(values, self._json_float)
+            return texts[codes].tolist()
+        kinds = set(map(type, values))
+        if all(issubclass(k, (float, np.floating)) for k in kinds):
+            return self._json_scalars(np.array(values, dtype=np.float64))
+        formats = {k: self._json_scalar_format(k) for k in kinds}
+        if None in formats.values():
+            return None
+        return [formats[type(v)](v) for v in values]
+
+    def _json_scalar_format(self, kind):
+        if kind is bool:
+            return {True: "true", False: "false"}.__getitem__
+        if kind is type(None):
+            return lambda v: "null"
+        if issubclass(kind, str):
+            return _json_str
+        if issubclass(kind, int):
+            return int.__repr__
+        if issubclass(kind, (float, np.floating)):
+            return self._json_float
+        return None
+
+    def _json_float(self, v):
+        """jnum(v) as json writes a float: NaN, Infinity, -Infinity or repr."""
+        x = self.jnum(v)
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
 
     def _round(self, obj):
         if isinstance(obj, (float, np.floating)):
@@ -108,6 +185,14 @@ class OutputSpec:
         if isinstance(obj, (list, tuple, np.ndarray)):
             return [self._round(v) for v in obj]
         return obj
+
+
+def _per_distinct(column, fmt):
+    """fmt(v) of each distinct float64 bit pattern of column (-0.0 and 0.0
+    apart), and the index of each value's text: (texts, codes)."""
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    distinct, codes = np.unique(bits, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.view(np.float64).tolist()]), codes
 
 
 def _out_spec(args):

@@ -18,6 +18,7 @@ import numpy as np
 from . import kernel
 from .cheb import (
     cospi_frac,
+    matmul,
     product_series_at,
     product_series_grid,
     t_norm_lattice,
@@ -296,8 +297,9 @@ def to_coefficients(pset, samples):
     samples on the angle lattice, with the pure-x1 top-degree coefficient
     halved.  The samples sit in the (n+1) x (n+2) lattice matrix
     G[k, m] (zero off the node set), so the projection is the matrix product
-    T1 G T2^T of two lattice tables.  C has the samples' float type: float64,
-    or np.longdouble for longdouble samples; leading axes of samples are a
+    T1 G T2^T of two lattice tables (cheb.matmul: np.dot for one sample
+    vector, @ for a batch).  C has the samples' float type: float64, or
+    np.longdouble for longdouble samples; leading axes of samples are a
     batch.  The test suite checks it against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
@@ -305,7 +307,7 @@ def to_coefficients(pset, samples):
     lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
     lattice[..., pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
     t1, t2 = lattice_tables(n, samples.dtype)
-    coeffs = t1 @ lattice @ t2.T
+    coeffs = matmul(matmul(t1, lattice), t2.T)
     ks = np.arange(n + 1)
     coeffs[..., ks[:, None] + ks[None, :] > n] = 0.0
     coeffs[..., n, 0] *= 0.5

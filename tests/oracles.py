@@ -3,7 +3,11 @@
 Chebyshev values come from the three-term recurrence (the library itself
 uses the trigonometric form), the kernel is the literal nested double sum,
 and tables are written one cell at a time.  Nothing here imports evaluation
-or output code from the package.
+or output code from the package, with one exception:
+convergence_study_per_degree is the convergence study in its per-degree form,
+which the restructured study must match bit for bit, so it builds on the
+package's node sets, lattice tables, node weights and Lebesgue constants and
+owns only the tables of the grids, the products and the per-degree loop.
 """
 
 import json
@@ -151,3 +155,80 @@ def json_table(header, rows, precision):
 
     records = [{h: cell(v) for h, v in zip(header, row)} for row in rows]
     return json.dumps(records, indent=2) + "\n"
+
+
+def convergence_study_per_degree(f, p, degrees, grid, quad_m=None):
+    """Rows of the 80-bit convergence study, measured one degree at a time.
+
+    Per degree n: 80-bit samples at the nodes, the coefficients as
+    T1 @ G @ T2.T, the series on the grid and on the quad_m-point
+    Gauss-Chebyshev grid from tables of degree n built for that call, f on
+    both grids evaluated again, and the degree-2n reference on a table of
+    degree 2n; every product by @.  Returns (n, cardinality, error_wp,
+    error_uniform, lebesgue_estimate, en_proxy) tuples.
+    """
+    from padua import interp, kernel, points
+    from padua.cheb import cospi_frac, t_norm_values
+
+    ld = np.longdouble
+    p = float(p)
+    if quad_m is None:
+        quad_m = 4 * max(degrees)
+
+    def on_grid(f, axis):
+        return np.asarray(f(axis[:, None], axis[None, :]), dtype=ld)
+
+    def series(coeffs, axis):
+        table = t_norm_values(coeffs.shape[0] - 1, axis, ld)
+        return table.T @ coeffs @ table
+
+    def p_mean(v, p):
+        v = np.abs(v)
+        return v.max() if math.isinf(p) else np.mean(v**p) ** (1 / ld(p))
+
+    def fit(n):
+        pset = points.generate(n)
+        samples = np.asarray(f(cospi_frac(pset.k_num, n, ld),
+                               cospi_frac(pset.eta_num, n + 1, ld)), dtype=ld)
+        lattice = np.zeros((n + 1, n + 2), dtype=ld)
+        lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+        t1, t2 = interp.lattice_tables(n, ld)
+        coeffs = t1 @ lattice @ t2.T
+        ks = np.arange(n + 1)
+        coeffs[ks[:, None] + ks[None, :] > n] = 0.0
+        coeffs[n, 0] *= 0.5
+        return pset, coeffs
+
+    rows = []
+    for n in degrees:
+        pset, coeffs = fit(n)
+        ax = grid.axis(ld)
+        values = series(coeffs, ax)
+        error_uniform = float(p_mean(values - on_grid(f, ax), math.inf))
+        if math.isinf(p):
+            error_wp = error_uniform
+        else:
+            q = cospi_frac(2 * np.arange(1, quad_m + 1) - 1, 2 * quad_m, ld)
+            error_wp = float(p_mean(series(coeffs, q) - on_grid(f, q), p))
+        reference = series(fit(2 * n)[1], grid.axis(ld))
+        rows.append((n, len(pset), error_wp, error_uniform,
+                     interp.lebesgue_constant(pset, grid),
+                     float(np.max(np.abs(reference - values)))))
+    return rows
+
+
+def json_document(obj, precision):
+    """JSON text of a document as json.dumps(..., indent=2) writes it, every
+    float (numpy floats and the entries of arrays included) rounded to
+    precision significant digits and every tuple or array written as a list."""
+
+    def rounded(v):
+        if isinstance(v, (float, np.floating)):
+            return float(_float_cell(v, precision))
+        if isinstance(v, dict):
+            return {k: rounded(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple, np.ndarray)):
+            return [rounded(x) for x in v]
+        return v
+
+    return json.dumps(rounded(obj), indent=2) + "\n"

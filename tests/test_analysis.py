@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +17,7 @@ from padua.analysis import (
 )
 from padua import analysis, interp
 from padua.cheb import cospi_frac, product_series_grid
-from padua.functions import BUILTIN_FUNCTIONS, get
+from padua.functions import BUILTIN_FUNCTIONS, TestFunction, get
 from padua.interp import EvalGrid
 from padua.points import generate
 
@@ -250,6 +251,62 @@ def test_convergence_study_80bit_matches_double_kernel_route(direct_lagrange_mat
         assert abs(row.error_uniform - np.max(np.abs(double - truth))) <= 1e-12
 
 
+@pytest.mark.parametrize("name, p, kind, degrees, quad_m", [
+    ("exp_sum", 2, "uniform", [4, 8, 16, 24], None),
+    ("runge2d", "inf", "uniform", [4, 8, 16, 24], None),
+    ("franke", 1, "chebyshev", [3, 5, 6, 10, 12], 37),
+    ("abs_diag", 2, "chebyshev", [2, 4, 8], None),
+    ("exp_sum", "inf", "chebyshev", [1, 2, 3, 6], 5),
+    ("coord1", 1, "uniform", [1, 2, 4], 50),
+])
+def test_convergence_study_rows_equal_per_degree_oracle(name, p, kind, degrees, quad_m):
+    # the study shares tables, f on the grids and grid values across degrees;
+    # its rows must equal, bit for bit, one measurement per degree
+    grid = EvalGrid(41, kind)
+    report = convergence_study(get(name), p, degrees, grid, quad_m=quad_m)
+    expect = oracles.convergence_study_per_degree(get(name), p, degrees, grid, quad_m)
+    assert [dataclasses.astuple(r) for r in report.rows] == expect
+
+
+def test_convergence_study_evaluates_each_grid_series_and_f_on_the_grid_once(monkeypatch):
+    shapes = []
+
+    def exp_sum(x1, x2):
+        shapes.append(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+        return get("exp_sum")(x1, x2)
+
+    series_degrees = []
+    on_grid = analysis._Instrument.on_grid
+
+    def counted_on_grid(self, coeffs):
+        series_degrees.append(coeffs.shape[-1] - 1)
+        return on_grid(self, coeffs)
+
+    monkeypatch.setattr(analysis._Instrument, "on_grid", counted_on_grid)
+    f = TestFunction("exp_sum", exp_sum, "counted")
+    convergence_study(f, 2, [4, 8, 16, 24], EvalGrid(30), quad_m=40)
+    # degrees 8 and 16 serve as the references of 4 and 8: 6 series, not 8
+    assert sorted(series_degrees) == [4, 8, 16, 24, 32, 48]
+    assert shapes.count((30, 30)) == 1
+    assert shapes.count((40, 40)) == 1
+    # plus the node samples of the six fits
+    assert len(shapes) == 2 + 6
+
+
+def test_eval_on_does_not_retry_after_memory_error():
+    calls = []
+
+    def f(x1, x2):
+        calls.append(np.shape(x1))
+        if np.ndim(x1):
+            raise MemoryError
+        return x1 + x2
+
+    with pytest.raises(MemoryError):
+        analysis._eval_on(f, np.zeros((3, 1)), np.zeros((1, 3)))
+    assert calls == [(3, 1)]
+
+
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
         convergence_study(get("const"), 2, [], EvalGrid(10))
@@ -257,6 +314,10 @@ def test_convergence_study_validation():
         convergence_study(get("const"), 2, [4, 4], EvalGrid(10))
     with pytest.raises(TypeError):
         convergence_study(lambda a, b: a, 2, [2, 4], EvalGrid(10))
+    for p in (2, "inf"):
+        for quad_m in (0, analysis.MAX_QUAD + 1):
+            with pytest.raises(ValueError, match=str(analysis.MAX_QUAD)):
+                convergence_study(get("const"), p, [2, 4], EvalGrid(10), quad_m=quad_m)
 
 
 def test_convergence_report_dict_round_trip():

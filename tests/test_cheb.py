@@ -156,3 +156,16 @@ def test_product_series_grid_one_table_per_axis(rng, dtype):
     coeffs = rng.uniform(-1, 1, (9, 5)).astype(dtype)
     expect = t_norm_values(8, ax, dtype).T @ coeffs @ t_norm_values(4, ax, dtype)
     assert np.array_equal(product_series_grid(coeffs, ax, ax), expect)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_product_series_grid_2d_bitwise_equal_to_matmul(rng, dtype):
+    # 2-D products go through cheb.matmul (np.dot), which sums each entry in
+    # the same order as @: the values are bitwise those of t.T @ c @ t
+    for n, m in ((0, 1), (1, 2), (4, 1), (16, 37), (48, 200)):
+        ax = np.sort(rng.uniform(-1, 1, m)).astype(dtype)
+        coeffs = rng.uniform(-1, 1, (n + 1, n + 1)).astype(dtype)
+        t = t_norm_values(n, ax, dtype)
+        got = product_series_grid(coeffs, ax, ax)
+        assert got.dtype == dtype
+        assert np.array_equal(got, t.T @ coeffs @ t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padua import kernel, points
-from padua.analysis import MAX_MARCINKIEWICZ_DEGREE
+from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_QUAD
 from padua.cli import main
 from padua.interp import (
     MAX_GRID,
@@ -279,6 +279,27 @@ def test_lebesgue_size_above_bound_exits_2_before_any_work(capsys, monkeypatch, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert str(MAX_LEBESGUE_ENTRIES) in err
+
+
+def test_quad_bound_keeps_the_default_of_every_admitted_degree():
+    # the default quadrature 4 * max(degrees) stays allowed for every degree
+    # the Lebesgue bound admits on the default 200-point grid
+    assert 4 * (_first_refused_lebesgue_degree(200) - 1) <= MAX_QUAD
+
+
+@pytest.mark.parametrize("p", ["2", "inf"])
+@pytest.mark.parametrize("quad", [0, MAX_QUAD + 1, 100000])
+def test_converge_quad_outside_bound_exits_2_before_any_work(capsys, monkeypatch, p, quad):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    code, out, err = run_cli(capsys, "converge", "--function", "exp_sum", "--degrees",
+                             "4", "--p", p, "--quad", str(quad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_QUAD) in err
 
 
 def test_verify_csv_format(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
-from padua import interp
+from padua import interp, kernel
 from padua.cheb import product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
     EvalGrid,
@@ -356,6 +356,25 @@ def test_batched_coefficients_bitwise(rng):
             assert coeffs.dtype == np.dtype(dtype)
             for i in np.ndindex(2, 3):
                 assert np.array_equal(coeffs[i], to_coefficients(pset, batch[i]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_coefficients_bitwise_equal_to_matmul(rng, dtype):
+    # the 2-D projection goes through cheb.matmul (np.dot), which sums each
+    # entry in the same order as @: bitwise equal to t1 @ G @ t2.T
+    for n in (1, 2, 7, 24, 48):
+        pset = generate(n)
+        samples = rng.uniform(-1, 1, len(pset)).astype(dtype)
+        lattice = np.zeros((n + 1, n + 2), dtype=dtype)
+        lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+        t1, t2 = interp.lattice_tables(n, dtype)
+        expect = t1 @ lattice @ t2.T
+        ks = np.arange(n + 1)
+        expect[ks[:, None] + ks[None, :] > n] = 0.0
+        expect[n, 0] *= 0.5
+        got = to_coefficients(pset, samples)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expect)
 
 
 def test_batched_nonfinite_sample_reports_node():

@@ -1,10 +1,10 @@
-"""The column-wise CSV/JSON writer against the cell-by-cell reference writer
+"""The column-wise CSV/JSON writer against the cell-by-cell reference writers
 of tests/oracles.py."""
 
 import numpy as np
 import pytest
 
-from oracles import csv_table, json_table
+from oracles import csv_table, json_document, json_table
 from padua import cli, cubature, points
 
 # floats with repeats, signed zeros, infinities, NaNs (two payloads, both
@@ -43,6 +43,63 @@ def test_write_rows_matches_cell_reference(tmp_path, monkeypatch, precision):
         columns = _random_columns(rng, rows)
         spec.write_rows(header, columns)
         assert path.read_text() == csv_table(header, zip(*columns), precision)
+
+
+def _records(rng, rows, keys):
+    floats, ints, strs, bools, lds = _random_columns(rng, rows)
+    mixed = [None, 3, -0.0, "inf", True, 2.5, np.float32(0.1), np.longdouble(1) / 3]
+    columns = [floats.tolist(), list(floats), ints.tolist(), strs.tolist(),
+               bools.tolist(), list(lds), [mixed[i % len(mixed)] for i in range(rows)]]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def _documents(rng):
+    """Documents of every shape the writer meets: record tables with float,
+    numpy-float, int, string, bool and mixed columns, float lists and arrays,
+    nested and empty containers, and the forms it leaves to json.dumps."""
+    keys = ["f", "np_f", "i", "s", "b", "ld", "mixed"]
+    table = _records(rng, 23, keys)
+    return [
+        table,
+        _records(rng, 1, keys),
+        {"rows": table, "summary": {"p": "inf", "error": 1.5e-17, "ok": False},
+         "axis": list(np.linspace(-1, 1, 7)), "values": np.linspace(0, 1, 12).reshape(3, 4),
+         "grid": {"m": 200, "kind": "uniform"}, "none": None},
+        {"ld": np.linspace(-1, 1, 5).astype(np.longdouble), "f32": np.float32(1) / 3,
+         "tuple": (1, 2.0, "x"), "empty_list": [], "empty_dict": {}, "nested": [[], [{}]],
+         "text": 'quote " backslash \\ newline \n percent %s unicode \u00e9\u2603'},
+        [{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}, {"a": 0.1}],
+        [{"x": [1.0, 2.0]}, {"x": {"y": 0.3}}],
+        [{"%s": 0.5, "k\"ey": 1}, {"%s": -0.5, "k\"ey": 2}],
+        {1: 0.25, None: "none key", 2.5: [0.1, 0.2]},
+        [1, 2.0, "3", None, True, [4.5, [5.5]], {"z": 6.5}],
+        list(_SPECIAL),
+        np.array(_SPECIAL),
+        [],
+        {},
+        0.1,
+        "scalar",
+        None,
+    ]
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_write_json_matches_json_dumps(tmp_path, precision):
+    rng = np.random.default_rng(2000 + precision)
+    path = tmp_path / "doc.json"
+    spec = cli.OutputSpec("json", str(path), precision)
+    for doc in _documents(rng):
+        spec.write_json(doc)
+        assert path.read_text() == json_document(doc, precision)
+
+
+def test_write_json_refuses_what_json_dumps_refuses(tmp_path):
+    spec = cli.OutputSpec("json", str(tmp_path / "doc.json"), 17)
+    for doc in ({"n": np.int64(3)}, [np.bool_(True)], {"rows": np.arange(3)}):
+        with pytest.raises(TypeError):
+            json_document(doc, 17)
+        with pytest.raises(TypeError):
+            spec.write_json(doc)
 
 
 def _node_rows(pset, weights=None):
