@@ -23,7 +23,7 @@ from .cheb import (
     t_norm_lattice,
     t_norm_values,
 )
-from .functions import TestFunction
+from .functions import TestFunction, evaluate
 
 
 def gauss_chebyshev_axis(m, dtype=float):
@@ -34,24 +34,10 @@ def gauss_chebyshev_axis(m, dtype=float):
     return cospi_frac(nums, 2 * m, dtype), nums
 
 
-def _eval_on(f, x1, x2, dtype=float):
-    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-    try:
-        vals = np.asarray(f(x1, x2), dtype=dtype)
-        if vals.shape == shape:
-            return vals
-    except MemoryError:
-        raise
-    except Exception:
-        pass
-    vec = np.vectorize(lambda a, b: f(a, b), otypes=[dtype])
-    return vec(np.broadcast_to(x1, shape), np.broadcast_to(x2, shape))
-
-
 def tensor_quadrature(f, m):
     """Integral of f against the normalized Chebyshev weight, m nodes per axis."""
     nodes, _ = gauss_chebyshev_axis(m)
-    vals = _eval_on(f, nodes[:, None], nodes[None, :])
+    vals = evaluate(f, nodes[:, None], nodes[None, :])
     return float(np.mean(vals))
 
 
@@ -83,7 +69,7 @@ def lp_norm(f, p, m=200):
     if m < 16:
         raise ValueError("quadrature size m must be at least 16")
     nodes, _ = gauss_chebyshev_axis(m)
-    return float(_p_mean(_eval_on(f, nodes[:, None], nodes[None, :]), p))
+    return float(_p_mean(evaluate(f, nodes[:, None], nodes[None, :]), p))
 
 
 def fourier_coefficients(n, f, m=None):
@@ -99,7 +85,7 @@ def fourier_coefficients(n, f, m=None):
     if m < n + 1:
         raise ValueError("quadrature size too small for the requested degree")
     nodes, nums = gauss_chebyshev_axis(m)
-    vals = _eval_on(f, nodes[:, None], nodes[None, :])
+    vals = evaluate(f, nodes[:, None], nodes[None, :])
     basis = t_norm_lattice(n, nums, 2 * m)
     coeffs = basis @ vals @ basis.T / float(m * m)
     ks = np.arange(n + 1)
@@ -270,11 +256,11 @@ class _Instrument:
         self.p = p
         ax = grid.axis(dtype)
         self.grid_table = t_norm_values(grid_kmax, ax, dtype)
-        self.reference = _eval_on(f, ax[:, None], ax[None, :], dtype)
+        self.reference = evaluate(f, ax[:, None], ax[None, :], dtype)
         if not math.isinf(p):
             q, _ = gauss_chebyshev_axis(quad_m, dtype)
             self.quad_table = t_norm_values(quad_kmax, q, dtype)
-            self.truth = _eval_on(f, q[:, None], q[None, :], dtype)
+            self.truth = evaluate(f, q[:, None], q[None, :], dtype)
 
     def on_grid(self, coeffs):
         """The series of coeffs on the grid."""
@@ -333,14 +319,24 @@ def measure_error(coeffs, f, p, grid, quad_m):
 # those of one measure_error per degree.
 _LD = np.longdouble
 
-# Largest quadrature size per axis of a convergence study.  The study holds
-# f and the interpolant on the quad_m x quad_m Gauss-Chebyshev grid in
-# 80-bit, 16 bytes a value, beside their difference and its powers: at 1250
-# that is 1.6e6 values, 25 MB per array.  The default 4 * max(degrees) is
-# 1204 at degree 301, the largest degree the Lebesgue-table bound
-# (interp.MAX_LEBESGUE_ENTRIES) admits on the default 200-point grid.
-# Larger sizes are refused before any work, whatever p is.
+# Largest quadrature size per axis of a measurement against f.  A
+# convergence study holds f and the interpolant on the quad_m x quad_m
+# Gauss-Chebyshev grid in 80-bit, 16 bytes a value, beside their difference
+# and its powers: at 1250 that is 1.6e6 values, 25 MB per array.  The
+# default 4 * max(degrees) is 1204 at degree 301, the largest degree the
+# Lebesgue-table bound (interp.MAX_LEBESGUE_ENTRIES) admits on the default
+# 200-point grid.  `interp --function` measures in float64 with
+# max(64, 4n) nodes, so it allows n <= 312.  Larger sizes are refused by
+# check_quad before any work, whatever p is.
 MAX_QUAD = 1250
+
+
+def check_quad(quad_m):
+    """ValueError unless 1 <= quad_m <= MAX_QUAD."""
+    if not 1 <= quad_m <= MAX_QUAD:
+        raise ValueError(
+            f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"
+        )
 
 
 def convergence_study(f, p, degrees, grid, quad_m=None):
@@ -372,10 +368,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     top = max(degrees)
     if quad_m is None:
         quad_m = 4 * top
-    if not 1 <= quad_m <= MAX_QUAD:
-        raise ValueError(
-            f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"
-        )
+    check_quad(quad_m)
     check_degree(2 * top, minimum=1, what="reference degree")
     interp.check_lebesgue_size(top, grid)
 
@@ -386,9 +379,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
         """Degree-n node set and 80-bit coefficients, built once per degree."""
         if n not in fits:
             pset = points.generate(n)
-            samples = _eval_on(f, cospi_frac(pset.k_num, n, _LD),
-                               cospi_frac(pset.eta_num, n + 1, _LD), _LD)
-            fits[n] = pset, interp.to_coefficients(pset, samples)
+            fits[n] = pset, interp.to_coefficients(pset, interp.sample(pset, f, _LD))
         return fits[n]
 
     # grid values of a later degree 2n, kept from the row of n

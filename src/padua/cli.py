@@ -239,8 +239,11 @@ def cmd_points(args):
 
 
 def _load_samples(path, pset):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise SampleMismatchError(f"sample file {path} is not UTF-8 text") from None
     if not lines:
         raise SampleMismatchError(f"sample file {path} is empty")
     if lines[0].replace(" ", "").lower() == "k,j,value":
@@ -293,6 +296,8 @@ def cmd_interp(args):
     pset = points.generate(args.degree)
     func = args.function
     if func is not None:
+        quad_m = max(64, 4 * args.degree)
+        analysis.check_quad(quad_m)
         samples = interp.sample(pset, func)
     else:
         samples = _load_samples(args.samples, pset)
@@ -305,7 +310,7 @@ def cmd_interp(args):
     else:
         # the measured series on the grid is the interpolant's grid values
         err = analysis.measure_error(interp.to_coefficients(pset, samples), func, p,
-                                     grid, quad_m=max(64, 4 * args.degree))
+                                     grid, quad_m)
         values = err.values
         header = ("x1", "x2", "value", "reference", "abs_error")
         columns = [x1, x2, values, err.reference, np.abs(values - err.reference)]

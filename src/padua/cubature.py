@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import interp, kernel, points
+from . import kernel, points
+from .functions import evaluate
 from .points import PointClass
 
 # How many nodes the construction-time weight cross-check samples.
@@ -102,51 +103,21 @@ def integrate(rule, f):
     """Weighted node sum of f; equals the weighted integral for polynomials
     of total degree at most 2n-1.
 
-    f is called once per sub-grid with broadcasting lattice axes: x1 of
-    shape (K, 1) and x2 of shape (1, E), and must return the (K, E) values.
-    If it raises or returns another shape, it is evaluated node by node
-    through interp.sample instead (whose SampleEvaluationError names the
-    first failing node), and the samples are put back on the sub-grids.
-    Either way the sum is the same fixed-tree pairwise reduction, so results
-    do not depend on any parallel schedule.
+    f goes through functions.evaluate once per sub-grid with broadcasting
+    lattice axes: x1 of shape (K, 1) and x2 of shape (1, E), and should
+    return the (K, E) values.  If it raises or returns another shape, that
+    sub-grid is evaluated node by node, in sub-grid order (the even rows k
+    first, each row in set order), and the first failing node is named in
+    the SampleEvaluationError.  The sum is a fixed-tree pairwise reduction,
+    so results do not depend on any parallel schedule.
     """
-    pset = rule.nodes
-    grids = pset.sub_grids()
     x1, x2 = points.lattice_axes(rule.degree)
-    try:
-        return _lattice_sum(rule, (_on_grid(f, x1[ks][:, None], x2[etas][None, :])
-                                   for ks, etas in grids))
-    except _OffGrid:
-        pass
-    samples = interp.sample(pset, f)
-    starts = pset.row_starts
-    return _lattice_sum(rule, (samples[starts[ks][:, None] + np.arange(etas.size)]
-                               for ks, etas in grids))
-
-
-class _OffGrid(Exception):
-    """f did not give its values on a sub-grid from the broadcasting axes."""
-
-
-def _on_grid(f, x1, x2):
-    """f on the grid x1 x x2 as float64; _OffGrid if it fails or returns another shape."""
-    try:
-        vals = np.asarray(f(x1, x2), dtype=float)
-    except Exception as exc:
-        raise _OffGrid from exc
-    if vals.shape != (x1.size, x2.size):
-        raise _OffGrid
-    return vals
-
-
-def _lattice_sum(rule, grid_values):
-    """Sum over the sub-grids of sum_i a[ks[i]] sum_c b[etas[c]] vals[i, c].
-
-    grid_values yields each sub-grid's values in turn; one grid's values are
-    released before the next are formed.
-    """
     total = 0.0
-    for (ks, etas), vals in zip(rule.nodes.sub_grids(), grid_values):
+    for ks, etas in rule.nodes.sub_grids():
+        # grid entry (r, c) is node k = ks[r], j = c + 1 (PaduaSet.sub_grids)
+        width = etas.size
+        vals = evaluate(f, x1[ks][:, None], x2[etas][None, :],
+                        name=lambda i: f"node k={ks[i // width]}, j={i % width + 1}")
         total += np.add.reduce(rule.a[ks] * np.add.reduce(vals * rule.b[etas], axis=1))
-        del vals
+        del vals  # release this grid's values before the next are formed
     return float(total)

@@ -1,8 +1,47 @@
-"""Built-in test functions on the square, shared by the CLI and the studies."""
+"""Built-in test functions on the square, shared by the CLI and the studies,
+and evaluate, the one place where the package calls a user function."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class SampleEvaluationError(RuntimeError):
+    """A sampled function failed to evaluate; the message carries the point."""
+
+
+def evaluate(f, x1, x2, dtype=float, name=None):
+    """f on the broadcast of x1 and x2, as an array of that shape in dtype.
+
+    f is called once on the arrays.  If that raises or returns another shape,
+    the points are visited one at a time in C order, and the first failure
+    raises SampleEvaluationError naming the point: name(i) for the point's
+    flat index i, when given, then x=(x1, x2).  Float64 points reach f as
+    Python floats, other float types as their own scalars, so 80-bit points
+    stay 80-bit.  MemoryError and SampleEvaluationError from the call on the
+    arrays propagate at once, with no per-point retry.
+    """
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    try:
+        vals = np.asarray(f(x1, x2), dtype=dtype)
+        if vals.shape == shape:
+            return vals
+    except (MemoryError, SampleEvaluationError):
+        raise
+    except Exception:
+        pass
+    columns = [np.broadcast_to(x, shape).ravel() for x in (x1, x2)]
+    columns = [c.tolist() if c.dtype == np.float64 else list(c) for c in columns]
+    out = np.empty(len(columns[0]), dtype=dtype)
+    for i, (a, b) in enumerate(zip(*columns)):
+        try:
+            out[i] = f(a, b)
+        except Exception as exc:
+            where = "" if name is None else f"{name(i)}, "
+            raise SampleEvaluationError(
+                f"function evaluation failed at {where}x=({a}, {b})"
+            ) from exc
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .cheb import (
     t_norm_lattice,
     t_norm_values,
 )
+from .functions import SampleEvaluationError, evaluate  # noqa: F401 (re-exported)
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
@@ -64,10 +65,6 @@ def check_lebesgue_size(n, grid):
         )
 
 
-class SampleEvaluationError(RuntimeError):
-    """A sampled function failed to evaluate; the message carries the node."""
-
-
 @dataclass(frozen=True)
 class EvalGrid:
     """Tensor evaluation grid on the square: m points per axis, 2 <= m <= MAX_GRID.
@@ -106,30 +103,19 @@ class EvalGrid:
         )
 
 
-def sample(pset, f):
-    """Evaluate f at every node, in set order.
+def sample(pset, f, dtype=float):
+    """f at every node, in set order, as an array in dtype.
 
-    Vectorized callables are used directly; otherwise the nodes are visited
-    one by one, and a failure is reported with the node that caused it.
+    The coordinates are formed in dtype from the lattice numerators; in
+    float64 they are bitwise pset.x1 and pset.x2.  f goes through
+    functions.evaluate: a callable that takes arrays is called once, any
+    other is visited node by node, and a failure raises
+    SampleEvaluationError naming the node.
     """
-    try:
-        vals = np.asarray(f(pset.x1, pset.x2), dtype=float)
-        if vals.shape == pset.x1.shape:
-            return vals
-    except SampleEvaluationError:
-        raise
-    except Exception:
-        pass
-    out = np.empty(len(pset))
-    columns = (pset.k_num, pset.j_num, pset.x1, pset.x2)
-    for i, (k, j, x1, x2) in enumerate(zip(*(c.tolist() for c in columns))):
-        try:
-            out[i] = float(f(x1, x2))
-        except Exception as exc:
-            raise SampleEvaluationError(
-                f"function evaluation failed at node k={k}, j={j}, x=({x1!r}, {x2!r})"
-            ) from exc
-    return out
+    n = pset.degree
+    k, j = pset.k_num, pset.j_num
+    return evaluate(f, cospi_frac(k, n, dtype), cospi_frac(pset.eta_num, n + 1, dtype),
+                    dtype, name=lambda i: f"node k={k[i]}, j={j[i]}")
 
 
 def lagrange_matrix(pset, x1, x2):

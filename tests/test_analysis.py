@@ -17,7 +17,12 @@ from padua.analysis import (
 )
 from padua import analysis, interp
 from padua.cheb import cospi_frac, product_series_grid
-from padua.functions import BUILTIN_FUNCTIONS, TestFunction, get
+from padua.functions import (
+    BUILTIN_FUNCTIONS,
+    SampleEvaluationError,
+    TestFunction,
+    get,
+)
 from padua.interp import EvalGrid
 from padua.points import generate
 
@@ -293,18 +298,24 @@ def test_convergence_study_evaluates_each_grid_series_and_f_on_the_grid_once(mon
     assert len(shapes) == 2 + 6
 
 
-def test_eval_on_does_not_retry_after_memory_error():
-    calls = []
+def test_lp_norm_failure_names_the_point():
+    # the quadrature grid goes through functions.evaluate: a callable that
+    # takes only scalars is visited point by point in C order, and the first
+    # failure names its point
+    def scalar_only(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        if a < 0.0 and b > 0.9:
+            raise ValueError("boom")
+        return a * b
 
-    def f(x1, x2):
-        calls.append(np.shape(x1))
-        if np.ndim(x1):
-            raise MemoryError
-        return x1 + x2
-
-    with pytest.raises(MemoryError):
-        analysis._eval_on(f, np.zeros((3, 1)), np.zeros((1, 3)))
-    assert calls == [(3, 1)]
+    nodes, _ = analysis.gauss_chebyshev_axis(16)
+    first = (float(nodes[nodes < 0.0][0]), float(nodes[nodes > 0.9][0]))
+    with pytest.raises(SampleEvaluationError) as info:
+        lp_norm(scalar_only, 2, m=16)
+    assert str(info.value) == (
+        f"function evaluation failed at x=({first[0]!r}, {first[1]!r})")
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_convergence_study_validation():

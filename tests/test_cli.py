@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from padua import kernel, points
+from padua import interp, kernel, points
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_QUAD
 from padua.cli import main
 from padua.interp import (
@@ -302,6 +302,22 @@ def test_converge_quad_outside_bound_exits_2_before_any_work(capsys, monkeypatch
     assert str(MAX_QUAD) in err
 
 
+def test_interp_function_quad_outside_bound_exits_2_before_sampling(capsys, monkeypatch):
+    # interp --function measures with max(64, 4n) quadrature nodes per axis,
+    # bounded by MAX_QUAD: degree 312 is the largest allowed
+    def refuse(pset, f, dtype=float):
+        raise AssertionError(f"degree {pset.degree} sampled past the limit")
+
+    monkeypatch.setattr(interp, "sample", refuse)
+    assert 4 * 312 <= MAX_QUAD < 4 * 313
+    code, out, err = run_cli(capsys, "interp", "--degree", "313", "--function",
+                             "exp_sum", "--grid", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_QUAD) in err
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-degree", "2", "--seed", "3",
                            "--format", "csv")
@@ -399,6 +415,15 @@ def test_interp_sample_file_bad_rows_exit_4(tmp_path, capsys, extra, message):
     assert code == 4
     assert out == ""
     assert message in err
+
+
+def test_interp_sample_file_not_utf8_exits_4(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "interp", "--degree", "2", "--samples", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == f"error: sample file {path} is not UTF-8 text\n"
 
 
 def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padua import functions, kernel
+from padua import functions, kernel, points
 from padua.cheb import t_lattice
 from padua.cubature import build_rule, integrate
 from padua.interp import SampleEvaluationError
@@ -194,6 +194,44 @@ def test_integrate_failing_callable_names_first_node_in_set_order():
     first = next(p for p in pset.points if p.x1 < -0.3 and p.x2 > 0.0)
     with pytest.raises(SampleEvaluationError, match=f"k={first.k}, j={first.j},"):
         integrate(rule, fails_left)
+
+
+def test_integrate_does_not_retry_after_memory_error():
+    calls = []
+
+    def f(a, b):
+        calls.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        raise MemoryError
+
+    rule = build_rule(generate(6))
+    with pytest.raises(MemoryError):
+        integrate(rule, f)
+    assert calls == [(4, 4)]
+
+
+def test_integrate_failure_names_first_node_in_sub_grid_order():
+    # rows k = 1 (odd) and k = 2 (even) fail; the even-k sub-grid is visited
+    # first, so node k=2, j=1 is named although k=1 comes first in set order,
+    # and the message is made without any per-node array of the set
+    n = 6
+    rule = build_rule(generate(n))
+    before = set(rule.nodes.__dict__)
+
+    def fails_inside(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        if 0.0 < a < 0.9:
+            raise ValueError("boom")
+        return 1.0
+
+    x1, x2 = points.lattice_axes(n)
+    with pytest.raises(SampleEvaluationError) as info:
+        integrate(rule, fails_inside)
+    assert str(info.value) == (
+        f"function evaluation failed at node k=2, j=1, x=({float(x1[2])!r}, "
+        f"{float(x2[1])!r})")
+    assert set(rule.nodes.__dict__) == before
+    assert "k_num" not in before
 
 
 def test_integrate_builds_no_per_node_array():

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
 from padua import interp, kernel
-from padua.cheb import product_series_at, t_norm_lattice, t_norm_values
+from padua.cheb import cospi_frac, product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
     EvalGrid,
     SampleEvaluationError,
@@ -90,6 +90,58 @@ def test_sample_scalar_fallback_reads_columns():
     vals = sample(pset, scalar_only)
     assert "points" not in pset.__dict__
     assert np.array_equal(vals, sample(pset, poly))
+
+
+def test_sample_does_not_retry_after_memory_error():
+    calls = []
+
+    def f(a, b):
+        calls.append(np.shape(a))
+        raise MemoryError
+
+    pset = generate(6)
+    with pytest.raises(MemoryError):
+        sample(pset, f)
+    assert calls == [(len(pset),)]
+
+
+def test_sample_80bit_scalar_fallback_equals_vectorized():
+    # the per-node path hands f 80-bit scalars and stores 80-bit values, so
+    # it matches the vectorized 80-bit result bit for bit
+    ld = np.longdouble
+
+    def poly(a, b):
+        return a * a * b + 3 * a - b
+
+    def scalar_only(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        assert type(a) is ld and type(b) is ld
+        return poly(a, b)
+
+    pset = generate(9)
+    vec = sample(pset, poly, ld)
+    assert vec.dtype == ld
+    assert np.array_equal(sample(pset, scalar_only, ld), vec)
+    n = pset.degree
+    assert np.array_equal(vec, poly(cospi_frac(pset.k_num, n, ld),
+                                    cospi_frac(pset.eta_num, n + 1, ld)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 2048])
+def test_sample_float64_coordinates_are_the_sets(n):
+    seen = []
+
+    def f(a, b):
+        seen.append((a, b))
+        return a + b
+
+    pset = generate(n)
+    sample(pset, f)
+    (a, b), = seen
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), pset.x1.view(np.int64))
+    assert np.array_equal(b.view(np.int64), pset.x2.view(np.int64))
 
 
 def test_interpolate_constant(rng):

@@ -68,3 +68,12 @@ def test_tracer_counts_csv_output_bytes(tmp_path):
     assert code == 0
     assert totals["cli.output"]["calls"] == 1
     assert totals["cli.output"]["bytes"] == path.stat().st_size > 0
+
+
+def test_tracer_sees_one_sample_per_converge_fit():
+    # convergence_study samples f at the nodes through interp.sample, once
+    # per fit: degrees 2 and 4 and the reference degree 8
+    code, totals = _traced_totals("converge", "--function", "exp_sum", "--degrees",
+                                  "2,4", "--grid", "10")
+    assert code == 0
+    assert totals["interp.sample"]["calls"] == 3
