@@ -118,6 +118,15 @@ _BLOCK_ENTRIES = 320_000
 # Larger degrees are refused before any work, not left to exhaust memory.
 MAX_MARCINKIEWICZ_DEGREE = 500
 
+# Largest trial count of marcinkiewicz_trials.  The ratios take 8 bytes a
+# trial, but the CLI writes one table row per trial, built from per-trial
+# Python tuples and, in JSON, a list of the ratios: about 0.4 KB a trial.
+# 10^5 trials add about 40 MB to the process and take about 11 s at n = 2 on
+# a 2-core Xeon (200 trials at n = 32 take about 0.02 s of numerical work).
+# Larger counts are refused before any allocation, not left to fail inside
+# numpy's allocator.
+MAX_MARCINKIEWICZ_TRIALS = 100_000
+
 
 def _marcinkiewicz_setup(n, p):
     """Checked degree and p, then the tables every ratio of degree n reads.
@@ -179,11 +188,17 @@ def marcinkiewicz_trials(n, p, trials, seed=0):
     (B, n+1, n+1) coefficients in one call, which takes the same numbers from
     the generator as B draws of one matrix: a seed gives the same polynomials
     whatever the block size, and the first t ratios of a run do not depend on
-    how many trials follow.
+    how many trials follow.  A trial count outside
+    1..MAX_MARCINKIEWICZ_TRIALS raises ValueError before any allocation.
     """
-    n, p, tables = _marcinkiewicz_setup(n, p)
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_MARCINKIEWICZ_TRIALS:
+        raise ValueError(
+            f"unsupported trial count {trials}: one table row per trial, so at most "
+            f"{MAX_MARCINKIEWICZ_TRIALS} trials are allowed"
+        )
+    n, p, tables = _marcinkiewicz_setup(n, p)
     ks = np.arange(n + 1)
     keep = ks[:, None] + ks[None, :] <= n
     block = max(1, _BLOCK_ENTRIES // tables[-1].shape[-1] ** 2)

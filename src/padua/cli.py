@@ -24,7 +24,7 @@ class SampleMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # output plumbing
 
-# CSV rows formatted per write: Python strings exist for one block at a time
+# Rows assembled per write: Python strings exist for one block at a time
 _BLOCK_ROWS = 4096
 
 
@@ -52,29 +52,44 @@ class OutputSpec:
         return open(self.path, "w", newline="\n"), True
 
     def write_rows(self, header, columns):
-        """Write equal-length 1-D columns as CSV: a float cell is num(v), made
-        once per distinct bit pattern of its column (-0.0 and 0.0 apart); a
-        bool cell is true or false; any other cell is str(v)."""
+        """Write equal-length 1-D columns as CSV: a float cell is num(v), a
+        bool cell is true or false, any other cell is str(v).  Cell texts are
+        made column by column (a float column's once per distinct bit
+        pattern, -0.0 and 0.0 apart) and joined one block of rows at a time."""
         columns = [np.asarray(c).ravel() for c in columns]
-        cells = [self._cell_table(c) for c in columns]
-        template = ",".join(["%s"] * len(header)) + "\n"
+        cells = [self._csv_cells(c) for c in columns]
+        seps = [","] * (len(columns) - 1) + ["\n"]
+        rows = len(columns[0]) if columns else 0
         out, close = self._open()
         try:
             out.write(",".join(header) + "\n")
-            for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
-                sl = slice(start, start + _BLOCK_ROWS)
-                block = [(v[sl] if c is None else v[c[sl]]).tolist() for v, c in cells]
-                out.write("".join(template % row for row in zip(*block)))
+            for text in _join_blocks(cells, seps, rows, "\n"):
+                out.write(text)
         finally:
             if close:
                 out.close()
 
-    def _cell_table(self, column):
-        if column.dtype == bool:
-            return np.where(column, "true", "false"), None
-        if column.dtype.kind != "f":
-            return column, None
-        return _per_distinct(column, f"%.{self.precision}g".__mod__)
+    def _csv_cells(self, column):
+        """CSV texts of one column as a function of a slice of rows."""
+        if column.dtype.kind in "fbiu":
+            return _column_cells(column, f"%.{self.precision}g".__mod__)
+
+        def cells(sl):
+            # a block of strings is passed through as it is
+            values = column[sl].tolist()
+            if set(map(type, values)) <= {str}:
+                return column[sl]
+            return [self._csv_cell(v) for v in values]
+
+        return cells
+
+    def _csv_cell(self, v):
+        """The CSV text of one value of a column of mixed objects."""
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return self.num(v)
+        return str(v)
 
     def write_table(self, header, columns, document=None):
         """Write equal-length 1-D columns as CSV (write_rows); as JSON, write
@@ -84,14 +99,14 @@ class OutputSpec:
         elif document is not None:
             self.write_json(document)
         else:
-            rows = zip(*(np.asarray(c).tolist() for c in columns))
-            self.write_json([dict(zip(header, row)) for row in rows])
+            self.write_json(_Records(header, [np.asarray(c) for c in columns]))
 
     def write_json(self, obj):
         """Write obj as json.dumps(self._round(obj), indent=2) would, byte for
-        byte.  A list of floats, and each column of a list of records with the
-        same keys, is formatted once per distinct float bit pattern, as in
-        write_rows; anything else goes through json.dumps."""
+        byte (a _Records as its list of records).  A list of records with the
+        same keys is assembled column by column, as in write_rows, and a list
+        or column of floats is formatted once per distinct bit pattern;
+        anything else goes through json.dumps."""
         text = self._json(obj, "\n")
         out, close = self._open()
         try:
@@ -104,6 +119,8 @@ class OutputSpec:
     def _json(self, obj, nl):
         """JSON text of obj whose lines after the first start with nl."""
         inner = nl + "  "
+        if isinstance(obj, _Records):
+            return self._json_records(obj.keys, obj.columns, nl)
         if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
             items = (f"{_json_str(k)}: {self._json(v, inner)}" for k, v in obj.items())
             return "{" + inner + ("," + inner).join(items) + nl + "}"
@@ -112,8 +129,10 @@ class OutputSpec:
                 return "[]"
             cells = self._json_scalars(obj)
             if cells is None:
-                cells = self._json_records(obj, inner)
-            if cells is None:
+                keys = _record_keys(obj)
+                if keys is not None:
+                    columns = [[r[k] for r in obj] for k in keys]
+                    return self._json_records(keys, columns, nl)
                 cells = [self._json(v, inner) for v in obj]
             return "[" + inner + ("," + inner).join(cells) + nl + "]"
         cells = self._json_scalars([obj])
@@ -121,23 +140,33 @@ class OutputSpec:
             return cells[0]
         return json.dumps(self._round(obj), indent=2).replace("\n", nl)
 
-    def _json_records(self, rows, nl):
-        """Texts of a list of flat dicts with the same string keys, one per
-        row, its items indented one level below nl; None for any other list."""
-        first = rows[0]
-        if not (isinstance(first, dict) and first
-                and all(isinstance(k, str) for k in first)):
-            return None
-        keys = list(first)
-        if not all(isinstance(r, dict) and list(r) == keys for r in rows):
-            return None
-        cells = [self._json_scalars([r[k] for r in rows]) for k in keys]
-        if any(c is None for c in cells):
-            return None
-        inner = nl + "  "
-        template = "{" + ",".join(inner + _json_str(k).replace("%", "%%") + ": %s"
-                                  for k in keys) + nl + "}"
-        return [template % row for row in zip(*cells)]
+    def _json_records(self, keys, columns, nl):
+        """JSON text of the list of records {keys[i]: columns[i][r]}, its lines
+        after the first starting with nl, assembled column by column."""
+        rows = len(columns[0]) if columns else 0
+        if rows == 0:
+            return "[]"
+        inner, item = nl + "  ", nl + "    "
+        names = [_json_str(k) + ": " for k in keys]
+        cells = [self._json_cells(c, item) for c in columns]
+        start = "{" + item + names[0]
+        seps = ["," + item + k for k in names[1:]] + [inner + "}," + inner + start]
+        last = inner + "}" + nl + "]"
+        return "".join(["[" + inner + start, *_join_blocks(cells, seps, rows, last)])
+
+    def _json_cells(self, column, nl):
+        """JSON texts of one record column as a function of a slice of rows;
+        a value that is not a JSON scalar is written by _json after nl."""
+        if isinstance(column, np.ndarray):
+            if column.ndim == 1 and column.dtype.kind in "fbiu":
+                return _column_cells(column, self._json_float)
+            column = column.tolist()
+
+        def cells(sl):
+            texts = self._json_scalars(column[sl])
+            return [self._json(v, nl) for v in column[sl]] if texts is None else texts
+
+        return cells
 
     def _json_scalars(self, values):
         """JSON texts of a flat sequence of floats, ints, bools, strings and
@@ -148,6 +177,8 @@ class OutputSpec:
         kinds = set(map(type, values))
         if all(issubclass(k, (float, np.floating)) for k in kinds):
             return self._json_scalars(np.array(values, dtype=np.float64))
+        if kinds == {str}:
+            return list(map(_json_str, values))
         formats = {k: self._json_scalar_format(k) for k in kinds}
         if None in formats.values():
             return None
@@ -187,12 +218,74 @@ class OutputSpec:
         return obj
 
 
+class _Records:
+    """A table to be written as a JSON list of records {keys[i]: columns[i][r]},
+    held as its equal-length columns."""
+
+    def __init__(self, keys, columns):
+        self.keys = keys
+        self.columns = columns
+
+
+def _record_keys(rows):
+    """The keys of a list of flat dicts with the same string keys in the same
+    order; None for any other list."""
+    first = rows[0]
+    if not (isinstance(first, dict) and first
+            and all(isinstance(k, str) for k in first)):
+        return None
+    keys = list(first)
+    if not all(isinstance(r, dict) and list(r) == keys for r in rows):
+        return None
+    return keys
+
+
 def _per_distinct(column, fmt):
     """fmt(v) of each distinct float64 bit pattern of column (-0.0 and 0.0
     apart), and the index of each value's text: (texts, codes)."""
     bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
     distinct, codes = np.unique(bits, return_inverse=True)
-    return np.array([fmt(v) for v in distinct.view(np.float64).tolist()]), codes
+    texts = [fmt(v) for v in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object), codes
+
+
+def _column_cells(column, float_text):
+    """Cell texts of a float, bool or integer column as a function of a slice
+    of rows, each looked up in a table of texts: float_text(v) per distinct
+    float, true/false, and str(i) for i in min..max when that range is no
+    longer than the column (str per value otherwise)."""
+    kind = column.dtype.kind
+    if kind == "f":
+        texts, codes = _per_distinct(column, float_text)
+        return lambda sl: texts[codes[sl]]
+    if kind == "b":
+        texts = np.array(["false", "true"], dtype=object)
+        return lambda sl: texts[column[sl].view(np.uint8)]
+    # 64-bit, so that v - lo cannot wrap when hi - lo fits the row count
+    column = column.astype(np.uint64 if kind == "u" else np.int64, copy=False)
+    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, -1)
+    if hi - lo >= column.size:
+        return lambda sl: list(map(str, column[sl].tolist()))
+    texts = np.array([str(i) for i in range(lo, hi + 1)], dtype=object)
+    lo = column.dtype.type(lo)
+    return lambda sl: texts[column[sl] - lo]
+
+
+def _join_blocks(cells, seps, rows, last):
+    """Text of the rows cells[0] seps[0] cells[1] seps[1] ..., one string per
+    block of _BLOCK_ROWS rows, with the last row's final separator replaced
+    by last; cells[i](sl) gives column i's texts of the rows in slice sl.
+    Each block is one object matrix whose separator slots are filled once."""
+    block = np.empty((min(rows, _BLOCK_ROWS), 2 * len(cells)), dtype=object)
+    block[:, 1::2] = seps
+    for start in range(0, rows, _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
+        part = block[:min(rows - start, _BLOCK_ROWS)]
+        for i, cell in enumerate(cells):
+            part[:, 2 * i] = cell(sl)
+        if start + len(part) == rows:
+            part[-1, -1] = last
+        yield "".join(part.ravel().tolist())
 
 
 def _out_spec(args):
@@ -228,7 +321,7 @@ def _builtin_function(name):
 
 
 def _node_columns(pset):
-    names = np.array([c.value for c in points.CODE_TO_CLASS])
+    names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
     return [pset.k_num, pset.j_num, pset.x1, pset.x2, names[pset.class_codes]]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padua import interp, kernel, points
-from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_QUAD
+from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_MARCINKIEWICZ_TRIALS, MAX_QUAD
 from padua.cli import main
 from padua.interp import (
     MAX_GRID,
@@ -191,6 +191,21 @@ def test_marcinkiewicz_degree_limit_exits_2_before_any_work(capsys, monkeypatch)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert str(MAX_MARCINKIEWICZ_DEGREE) in err
+
+
+@pytest.mark.parametrize("trials", [MAX_MARCINKIEWICZ_TRIALS + 1, 10**11])
+def test_marcinkiewicz_trials_limit_exits_2_before_any_work(capsys, monkeypatch, trials):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    code, out, err = run_cli(capsys, "marcinkiewicz", "--degree", "2", "--trials",
+                             str(trials))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(MAX_MARCINKIEWICZ_TRIALS) in err
 
 
 def test_verify_passes_and_is_deterministic(tmp_path, capsys):

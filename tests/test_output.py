@@ -1,6 +1,9 @@
 """The column-wise CSV/JSON writer against the cell-by-cell reference writers
 of tests/oracles.py."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ _SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310,
 
 
 def _random_columns(rng, rows):
+    """Columns of every kind the writer meets, in the order of _HEADER."""
     pool = np.concatenate([
         rng.standard_normal(40) * 10.0 ** rng.integers(-320, 300, 40),
         rng.uniform(-1.0, 1.0, 40),
@@ -22,31 +26,74 @@ def _random_columns(rng, rows):
     floats = rng.choice(pool, rows)
     count = min(rows, len(_SPECIAL))
     floats[rng.permutation(rows)[:count]] = _SPECIAL[:count]
+    mixed = [None, 3, -0.0, "inf", True, 2.5, np.float32(0.1), np.longdouble(1) / 3,
+             -7, "x,y"]
     return [
         floats,
+        # a range wider than the row count: str per value
         rng.integers(-10**12, 10**12, rows),
         rng.choice(np.array(["vertex", "edge", "interior", "exp_sum"]), rows),
         rng.integers(0, 2, rows).astype(bool),
         rng.choice(pool[:5], rows).astype(np.longdouble),
+        # at least 2**63, then small negative and constant ints: a text table
+        # over min..max once the range fits the row count
+        np.uint64(2**63) + rng.integers(0, 5, rows).astype(np.uint64),
+        rng.integers(-6, 0, rows),
+        np.full(rows, 7, dtype=np.int32),
+        np.array([mixed[i] for i in rng.integers(0, len(mixed), rows)], dtype=object),
     ]
+
+
+_HEADER = ("f", "i", "s", "b", "ld", "u64", "neg", "const", "obj")
 
 
 @pytest.mark.parametrize("precision", range(1, 18))
 def test_write_rows_matches_cell_reference(tmp_path, monkeypatch, precision):
     block = 5
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
-    header = ("f", "i", "s", "b", "ld")
     rng = np.random.default_rng(1000 + precision)
     path = tmp_path / "table.csv"
     spec = cli.OutputSpec("csv", str(path), precision)
     for rows in (0, 1, block - 1, block, block + 1, 4 * block + 3):
         columns = _random_columns(rng, rows)
-        spec.write_rows(header, columns)
-        assert path.read_text() == csv_table(header, zip(*columns), precision)
+        spec.write_rows(_HEADER, columns)
+        assert path.read_text() == csv_table(_HEADER, zip(*columns), precision)
+        # each column alone: the last separator of a row is its only one
+        for name, column in zip(_HEADER, columns):
+            spec.write_rows([name], [column])
+            assert path.read_text() == csv_table([name], zip(column), precision)
+
+
+def test_write_rows_with_no_rows_writes_the_header(tmp_path):
+    path = tmp_path / "table.csv"
+    spec = cli.OutputSpec("csv", str(path), 17)
+    spec.write_rows(_HEADER, _random_columns(np.random.default_rng(0), 0))
+    assert path.read_text() == ",".join(_HEADER) + "\n"
+    spec.write_rows(["x"], [[]])
+    assert path.read_text() == "x\n"
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_write_table_json_records_match_json_table(tmp_path, monkeypatch, precision):
+    # with no document, write_table writes the rows as records keyed by the
+    # header; the reference reads each column as Python values, as
+    # np.asarray(column).tolist() gives them
+    block = 5
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(3000 + precision)
+    path = tmp_path / "table.json"
+    spec = cli.OutputSpec("json", str(path), precision)
+    for rows in (0, 1, block - 1, block, block + 1, 4 * block + 3):
+        columns = _random_columns(rng, rows)
+        spec.write_table(_HEADER, columns)
+        values = list(zip(*(c.tolist() for c in columns)))
+        assert path.read_text() == json_table(_HEADER, values, precision)
+        spec.write_table(["f"], columns[:1])
+        assert path.read_text() == json_table(["f"], zip(columns[0].tolist()), precision)
 
 
 def _records(rng, rows, keys):
-    floats, ints, strs, bools, lds = _random_columns(rng, rows)
+    floats, ints, strs, bools, lds = _random_columns(rng, rows)[:5]
     mixed = [None, 3, -0.0, "inf", True, 2.5, np.float32(0.1), np.longdouble(1) / 3]
     columns = [floats.tolist(), list(floats), ints.tolist(), strs.tolist(),
                bools.tolist(), list(lds), [mixed[i % len(mixed)] for i in range(rows)]]
@@ -126,3 +173,19 @@ def test_node_tables_match_record_reference(tmp_path, command, n):
                              "--precision", str(precision), "--output", str(path)])
             assert code == 0
             assert path.read_text() == reference(header, rows, precision)
+
+
+def test_write_rows_memory_at_degree_1024():
+    # 525,825 rows: the writer holds the float columns' codes and one block
+    # of strings, never a string per row.  Its peak, 24.7 MiB, is np.unique's
+    # work arrays for the second float column beside the first one's codes.
+    pset = points.generate(1024)
+    columns = cli._node_columns(pset)
+    spec = cli.OutputSpec("csv", os.devnull, 17)
+    tracemalloc.start()
+    try:
+        spec.write_rows(("k", "j", "x1", "x2", "class"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27 * 2**20

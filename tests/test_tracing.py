@@ -70,6 +70,17 @@ def test_tracer_counts_csv_output_bytes(tmp_path):
     assert totals["cli.output"]["bytes"] == path.stat().st_size > 0
 
 
+def test_tracer_counts_json_output_bytes(tmp_path):
+    # a JSON node table goes through OutputSpec.write_json, the span's other
+    # entry
+    path = tmp_path / "points.json"
+    code, totals = _traced_totals("points", "--degree", "8", "--format", "json",
+                                  output=path)
+    assert code == 0
+    assert totals["cli.output"]["calls"] == 1
+    assert totals["cli.output"]["bytes"] == path.stat().st_size > 0
+
+
 def test_tracer_sees_one_sample_per_converge_fit():
     # convergence_study samples f at the nodes through interp.sample, once
     # per fit: degrees 2 and 4 and the reference degree 8
