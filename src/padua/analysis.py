@@ -119,10 +119,11 @@ _BLOCK_ENTRIES = 320_000
 MAX_MARCINKIEWICZ_DEGREE = 500
 
 # Largest trial count of marcinkiewicz_trials.  The ratios take 8 bytes a
-# trial, but the CLI writes one table row per trial, built from per-trial
-# Python tuples and, in JSON, a list of the ratios: about 0.4 KB a trial.
-# 10^5 trials add about 40 MB to the process and take about 11 s at n = 2 on
-# a 2-core Xeon (200 trials at n = 32 take about 0.02 s of numerical work).
+# trial, and the CLI writes one table row per trial from whole-run columns
+# and one text per distinct ratio: 10^5 trials add about 28 MB to the process
+# (65 MB peak RSS against 37 MB for one trial) and take about 12 s at n = 2
+# on a 2-core Xeon, nearly all of it in the ratio blocks (200 trials at
+# n = 32 take about 0.02 s of numerical work).
 # Larger counts are refused before any allocation, not left to fail inside
 # numpy's allocator.
 MAX_MARCINKIEWICZ_TRIALS = 100_000

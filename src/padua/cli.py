@@ -6,7 +6,6 @@ Exit codes: 0 ok, 1 verification failure, 2 bad arguments, 3 I/O failure,
 """
 
 import argparse
-import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -42,10 +41,6 @@ class OutputSpec:
         """Format one float at the configured precision (CSV cell)."""
         return format(float(v), f".{self.precision}g")
 
-    def jnum(self, v):
-        """Round one float for JSON so dumps round-trips the same digits."""
-        return float(format(float(v), f".{self.precision}g"))
-
     def _open(self):
         if self.path in (None, "-"):
             return sys.stdout, False
@@ -56,32 +51,23 @@ class OutputSpec:
         bool cell is true or false, any other cell is str(v).  Cell texts are
         made column by column (a float column's once per distinct bit
         pattern, -0.0 and 0.0 apart) and joined one block of rows at a time."""
-        columns = [np.asarray(c).ravel() for c in columns]
-        cells = [self._csv_cells(c) for c in columns]
-        seps = [","] * (len(columns) - 1) + ["\n"]
-        rows = len(columns[0]) if columns else 0
+        table = _Records(header, columns)
+        cells = [_column_cells(c, f"%.{self.precision}g".__mod__, self._csv_texts)
+                 for c in table.columns]
+        seps = [","] * (len(cells) - 1) + ["\n"]
         out, close = self._open()
         try:
             out.write(",".join(header) + "\n")
-            for text in _join_blocks(cells, seps, rows, "\n"):
-                out.write(text)
+            out.writelines(_join_blocks(cells, seps, table.rows, "\n"))
         finally:
             if close:
                 out.close()
 
-    def _csv_cells(self, column):
-        """CSV texts of one column as a function of a slice of rows."""
-        if column.dtype.kind in "fbiu":
-            return _column_cells(column, f"%.{self.precision}g".__mod__)
-
-        def cells(sl):
-            # a block of strings is passed through as it is
-            values = column[sl].tolist()
-            if set(map(type, values)) <= {str}:
-                return column[sl]
-            return [self._csv_cell(v) for v in values]
-
-        return cells
+    def _csv_texts(self, values):
+        """CSV texts of a block of a column of objects; strings pass through."""
+        if set(map(type, values)) <= {str}:
+            return values
+        return [self._csv_cell(v) for v in values]
 
     def _csv_cell(self, v):
         """The CSV text of one value of a column of mixed objects."""
@@ -96,148 +82,117 @@ class OutputSpec:
         document, or when there is none, the rows as objects keyed by header."""
         if self.fmt == "csv":
             self.write_rows(header, columns)
-        elif document is not None:
-            self.write_json(document)
         else:
-            self.write_json(_Records(header, [np.asarray(c) for c in columns]))
+            self.write_json(_Records(header, columns) if document is None else document)
 
     def write_json(self, obj):
-        """Write obj as json.dumps(self._round(obj), indent=2) would, byte for
-        byte (a _Records as its list of records).  A list of records with the
-        same keys is assembled column by column, as in write_rows, and a list
-        or column of floats is formatted once per distinct bit pattern;
-        anything else goes through json.dumps."""
-        text = self._json(obj, "\n")
+        """Write obj as json.dumps(obj, indent=2) writes it, byte for byte, with
+        every float rounded to the configured precision, tuples and arrays
+        written as lists and a _Records as its list of records.  Keys are
+        str and scalars are str, int, float (numpy floats too), bool or None;
+        anything else raises TypeError, as in json.dumps, but only once the
+        text before it is written.  The text is written piece by piece: a
+        record table one block of _BLOCK_ROWS rows at a time, assembled column
+        by column as in write_rows, and a 1-D float array in one piece, with
+        its floats formatted once per distinct bit pattern."""
         out, close = self._open()
         try:
-            out.write(text)
+            out.writelines(self._json(obj, "\n"))
             out.write("\n")
         finally:
             if close:
                 out.close()
 
     def _json(self, obj, nl):
-        """JSON text of obj whose lines after the first start with nl."""
+        """Pieces of the JSON text of obj, whose lines after the first start
+        with nl."""
         inner = nl + "  "
         if isinstance(obj, _Records):
-            return self._json_records(obj.keys, obj.columns, nl)
-        if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-            items = (f"{_json_str(k)}: {self._json(v, inner)}" for k, v in obj.items())
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        if isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim):
+            yield from self._json_records(obj, nl)
+        elif isinstance(obj, dict):
+            if not obj:
+                yield "{}"
+                return
+            sep = "{" + inner
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                yield sep + _json_str(k) + ": "
+                yield from self._json(v, inner)
+                sep = "," + inner
+            yield nl + "}"
+        elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim):
             if len(obj) == 0:
-                return "[]"
-            cells = self._json_scalars(obj)
-            if cells is None:
-                keys = _record_keys(obj)
-                if keys is not None:
-                    columns = [[r[k] for r in obj] for k in keys]
-                    return self._json_records(keys, columns, nl)
-                cells = [self._json(v, inner) for v in obj]
-            return "[" + inner + ("," + inner).join(cells) + nl + "]"
-        cells = self._json_scalars([obj])
-        if cells is not None:
-            return cells[0]
-        return json.dumps(self._round(obj), indent=2).replace("\n", nl)
+                yield "[]"
+            elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+                texts, codes = _per_distinct(obj, self._json_float)
+                yield "[" + inner + ("," + inner).join(texts[codes].tolist()) + nl + "]"
+            else:
+                sep = "[" + inner
+                for v in obj:
+                    yield sep
+                    yield from self._json(v, inner)
+                    sep = "," + inner
+                yield nl + "]"
+        else:
+            yield self._json_scalar(obj)
 
-    def _json_records(self, keys, columns, nl):
-        """JSON text of the list of records {keys[i]: columns[i][r]}, its lines
-        after the first starting with nl, assembled column by column."""
-        rows = len(columns[0]) if columns else 0
-        if rows == 0:
-            return "[]"
+    def _json_records(self, table, nl):
+        """Pieces of the JSON text of a _Records, its lines after the first
+        starting with nl: one piece per block of rows, each assembled column
+        by column with the key prefixes as separators."""
+        if table.rows == 0:
+            yield "[]"
+            return
         inner, item = nl + "  ", nl + "    "
-        names = [_json_str(k) + ": " for k in keys]
-        cells = [self._json_cells(c, item) for c in columns]
+        names = [_json_str(k) + ": " for k in table.keys]
+        cells = [_column_cells(c, self._json_float, self._json_texts)
+                 for c in table.columns]
         start = "{" + item + names[0]
         seps = ["," + item + k for k in names[1:]] + [inner + "}," + inner + start]
-        last = inner + "}" + nl + "]"
-        return "".join(["[" + inner + start, *_join_blocks(cells, seps, rows, last)])
+        yield "[" + inner + start
+        yield from _join_blocks(cells, seps, table.rows, inner + "}" + nl + "]")
 
-    def _json_cells(self, column, nl):
-        """JSON texts of one record column as a function of a slice of rows;
-        a value that is not a JSON scalar is written by _json after nl."""
-        if isinstance(column, np.ndarray):
-            if column.ndim == 1 and column.dtype.kind in "fbiu":
-                return _column_cells(column, self._json_float)
-            column = column.tolist()
-
-        def cells(sl):
-            texts = self._json_scalars(column[sl])
-            return [self._json(v, nl) for v in column[sl]] if texts is None else texts
-
-        return cells
-
-    def _json_scalars(self, values):
-        """JSON texts of a flat sequence of floats, ints, bools, strings and
-        None, the floats rounded by jnum; None if any value is another type."""
-        if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f":
-            texts, codes = _per_distinct(values, self._json_float)
-            return texts[codes].tolist()
-        kinds = set(map(type, values))
-        if all(issubclass(k, (float, np.floating)) for k in kinds):
-            return self._json_scalars(np.array(values, dtype=np.float64))
-        if kinds == {str}:
+    def _json_texts(self, values):
+        """JSON texts of a block of a column of objects."""
+        if set(map(type, values)) <= {str}:
             return list(map(_json_str, values))
-        formats = {k: self._json_scalar_format(k) for k in kinds}
-        if None in formats.values():
-            return None
-        return [formats[type(v)](v) for v in values]
+        return list(map(self._json_scalar, values))
 
-    def _json_scalar_format(self, kind):
-        if kind is bool:
-            return {True: "true", False: "false"}.__getitem__
-        if kind is type(None):
-            return lambda v: "null"
-        if issubclass(kind, str):
-            return _json_str
-        if issubclass(kind, int):
-            return int.__repr__
-        if issubclass(kind, (float, np.floating)):
-            return self._json_float
-        return None
+    def _json_scalar(self, v):
+        """The JSON text of a str, bool, int, float (numpy floats too, rounded
+        as _json_float) or None; TypeError for anything else."""
+        if isinstance(v, str):
+            return _json_str(v)
+        if v is None:
+            return "null"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, (float, np.floating)):
+            return self._json_float(v)
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
     def _json_float(self, v):
-        """jnum(v) as json writes a float: NaN, Infinity, -Infinity or repr."""
-        x = self.jnum(v)
+        """v rounded to the configured precision, as json writes a float: NaN,
+        Infinity, -Infinity or repr."""
+        x = float(self.num(v))
         if x != x:
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
         return float.__repr__(x)
 
-    def _round(self, obj):
-        if isinstance(obj, (float, np.floating)):
-            return self.jnum(obj)
-        if isinstance(obj, (int, np.integer, bool, str)) or obj is None:
-            return obj
-        if isinstance(obj, dict):
-            return {k: self._round(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple, np.ndarray)):
-            return [self._round(v) for v in obj]
-        return obj
-
 
 class _Records:
-    """A table to be written as a JSON list of records {keys[i]: columns[i][r]},
-    held as its equal-length columns."""
+    """A table of equal-length 1-D columns, written as JSON as the list of
+    records {keys[i]: columns[i][r]}."""
 
     def __init__(self, keys, columns):
         self.keys = keys
-        self.columns = columns
-
-
-def _record_keys(rows):
-    """The keys of a list of flat dicts with the same string keys in the same
-    order; None for any other list."""
-    first = rows[0]
-    if not (isinstance(first, dict) and first
-            and all(isinstance(k, str) for k in first)):
-        return None
-    keys = list(first)
-    if not all(isinstance(r, dict) and list(r) == keys for r in rows):
-        return None
-    return keys
+        self.columns = [np.asarray(c).ravel() for c in columns]
+        self.rows = len(self.columns[0]) if self.columns else 0
 
 
 def _per_distinct(column, fmt):
@@ -249,11 +204,12 @@ def _per_distinct(column, fmt):
     return np.array(texts, dtype=object), codes
 
 
-def _column_cells(column, float_text):
-    """Cell texts of a float, bool or integer column as a function of a slice
-    of rows, each looked up in a table of texts: float_text(v) per distinct
-    float, true/false, and str(i) for i in min..max when that range is no
-    longer than the column (str per value otherwise)."""
+def _column_cells(column, float_text, object_texts):
+    """Cell texts of a 1-D column as a function of a slice of rows.  A float,
+    bool or integer column's texts are looked up in a table: float_text(v)
+    per distinct float, true/false, and str(i) for i in min..max when that
+    range is no longer than the column (str per value otherwise).  Any other
+    column's block of values (as Python objects) goes to object_texts."""
     kind = column.dtype.kind
     if kind == "f":
         texts, codes = _per_distinct(column, float_text)
@@ -261,6 +217,8 @@ def _column_cells(column, float_text):
     if kind == "b":
         texts = np.array(["false", "true"], dtype=object)
         return lambda sl: texts[column[sl].view(np.uint8)]
+    if kind not in "iu":
+        return lambda sl: object_texts(column[sl].tolist())
     # 64-bit, so that v - lo cannot wrap when hi - lo fits the row count
     column = column.astype(np.uint64 if kind == "u" else np.int64, copy=False)
     lo, hi = (int(column.min()), int(column.max())) if column.size else (0, -1)
@@ -295,8 +253,18 @@ def _out_spec(args):
 def _add_output_flags(sub, default_format="csv"):
     sub.add_argument("--format", choices=("csv", "json"), default=default_format)
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--precision", type=int, default=17,
+    sub.add_argument("--precision", type=_precision, default=17,
                      help="decimal digits for numeric output (1..17)")
+
+
+def _precision(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"precision must be in 1..17, not {value}")
+    return value
 
 
 def _degree_list(text):
@@ -418,9 +386,9 @@ def cmd_interp(args):
             "degree": args.degree,
             "function": None if func is None else func.name,
             "grid": {"m": grid.m, "kind": grid.kind},
-            "axis": list(ax),
+            "axis": ax,
             "summary": summary,
-            "values": values.tolist(),
+            "values": values,
         },
     )
     if summary is not None and spec.fmt == "csv":
@@ -467,10 +435,9 @@ def cmd_converge(args):
     ).to_dict()
     header = ("function", "p", "n", "cardinality", "error_wp", "error_uniform",
               "lebesgue_estimate", "en_proxy")
+    columns = [[{**report, **r}[h] for r in report["rows"]] for h in header]
     _out_spec(args).write_table(
-        header,
-        [[{**report, **r}[h] for r in report["rows"]] for h in header],
-        report,
+        header, columns, {**report, "rows": _Records(header[2:], columns[2:])}
     )
     return 0
 
@@ -479,10 +446,11 @@ def cmd_marcinkiewicz(args):
     ratios = analysis.marcinkiewicz_trials(
         args.degree, args.p, args.trials, seed=args.seed
     )
+    trials = len(ratios)
     _out_spec(args).write_table(
         ("degree", "p", "seed", "trial", "ratio"),
-        list(zip(*((args.degree, args.p, args.seed, t, r)
-                   for t, r in enumerate(ratios)))),
+        [np.full(trials, args.degree), np.full(trials, args.p),
+         np.full(trials, args.seed), np.arange(trials), ratios],
         {
             "degree": args.degree,
             "p": args.p,
@@ -490,7 +458,7 @@ def cmd_marcinkiewicz(args):
             "seed": args.seed,
             "min_ratio": float(ratios.min()),
             "max_ratio": float(ratios.max()),
-            "ratios": list(ratios),
+            "ratios": ratios,
         },
     )
     return 0
@@ -499,8 +467,9 @@ def cmd_marcinkiewicz(args):
 def cmd_verify(args):
     report = verify.run_verification(args.max_degree, args.seed)
     header = ("check", "degree", "observed", "tolerance", "passed")
+    columns = [[c[h] for c in report["checks"]] for h in header]
     _out_spec(args).write_table(
-        header, [[c[h] for c in report["checks"]] for h in header], report
+        header, columns, {**report, "checks": _Records(header, columns)}
     )
     return 0 if report["all_passed"] else 1
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from padua import interp, kernel, points
+from padua import interp, kernel, points, verify
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_MARCINKIEWICZ_TRIALS, MAX_QUAD
 from padua.cli import main
 from padua.interp import (
@@ -348,6 +348,22 @@ def test_precision_flag_rounds_output(capsys):
     assert "0.5" in out
     with_precision = [ln.split(",")[3] for ln in out.strip().splitlines()[1:]]
     assert all(len(tok) <= 6 for tok in with_precision)
+
+
+@pytest.mark.parametrize("precision", ["0", "18", "-3", "five"])
+def test_precision_outside_range_exits_2_before_any_work(capsys, monkeypatch, precision):
+    def refuse(*args):
+        raise AssertionError("verification ran with a bad --precision")
+
+    monkeypatch.setattr(verify, "run_verification", refuse)
+    code, out, err = run_cli(capsys, "verify", "--max-degree", "60", "--precision",
+                             precision)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"invalid int value: '{precision}'" if precision == "five"
+        else f"precision must be in 1..17, not {precision}"
+    )
 
 
 def test_output_to_missing_directory_is_io_error(capsys):
