@@ -301,7 +301,7 @@ def cmd_points(args):
 
 def _load_samples(path, pset):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except UnicodeDecodeError:
         raise SampleMismatchError(f"sample file {path} is not UTF-8 text") from None

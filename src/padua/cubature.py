@@ -1,9 +1,8 @@
 """Degree-(2n-1) cubature at the nodes for the normalized Chebyshev weight.
 
-The weight of node (k, eta) is 1 / K*(nu, nu) = 1 / (n(n+1) F[class]), with
-F = kernel.NODE_FACTORS.  The class counts how many of k in {0, n} and
-eta in {0, n+1} hold, so whenever F_edge^2 = F_interior * F_vertex the weight
-is a product of one factor per lattice axis, a[k] * b[eta].  The node set is
+The weight of node (k, eta) is 1 / K*(nu, nu), the reciprocal of the closed
+form A[k] * B[eta] of kernel.node_star_axes, so it is a product of one factor
+per lattice axis, a[k] * b[eta] with a = 1/A and b = 1/B.  The node set is
 the union of two tensor sub-grids of the lattice (points.PaduaSet.sub_grids),
 and integrate sums a[k] b[eta] f(x1_k, x2_eta) over each of them, calling f
 on the lattice axes; no array over the N nodes is formed.
@@ -16,7 +15,6 @@ import numpy as np
 
 from . import kernel, points
 from .functions import evaluate
-from .points import PointClass
 
 # How many nodes the construction-time weight cross-check samples.
 _CHECK_NODES = 50
@@ -44,43 +42,19 @@ class CubatureRule:
 def build_rule(pset):
     """Build the cubature rule: weight = 1 / (diagonal modified-kernel value).
 
-    The per-axis factors come from kernel.NODE_FACTORS; RuntimeError is
-    raised when those do not split into one factor per axis.  The weights
-    are cross-checked against the direct double sum at up to 50 nodes before
-    the rule is returned; a mismatch raises RuntimeError rather than
-    producing silently wrong weights.
+    The per-axis factors are the reciprocals of kernel.node_star_axes, which
+    raises RuntimeError when the node factors do not split into one factor
+    per axis.  The closed form is cross-checked against the direct double sum
+    at up to 50 nodes before the rule is returned; a mismatch raises
+    RuntimeError rather than producing silently wrong weights.
     """
-    a, b = _axis_factors(pset.degree)
-    _cross_check(pset, a, b)
+    values = kernel.node_star_axes(pset.degree)
+    _cross_check(pset, *values)
+    a, b = (1.0 / v for v in values)
     return CubatureRule(degree=pset.degree, nodes=pset, a=a, b=b)
 
 
-def _axis_factors(n):
-    """a (length n+1) and b (length n+2) with a[k] b[eta] = 1 / (n(n+1) F[class]).
-
-    Interior nodes get the product 1 / (n(n+1) F_interior), held in a; an end
-    of either range multiplies it by F_interior / F_edge, which gives the
-    edge weight exactly, and the vertex weight when F_edge^2 equals
-    F_interior * F_vertex.  With the factors 2, 1, 1/2 the end factor is 1/2,
-    so every product is the class weight to the last bit.
-    """
-    f = kernel.NODE_FACTORS
-    vertex, edge, interior = (f[PointClass.VERTEX], f[PointClass.EDGE],
-                              f[PointClass.INTERIOR])
-    if edge * edge != interior * vertex:
-        raise RuntimeError(
-            f"node factors do not split into one factor per lattice axis: "
-            f"edge^2 = {edge * edge!r} but interior * vertex = {interior * vertex!r}"
-        )
-    end = interior / edge
-    a = np.full(n + 1, 1.0 / (n * (n + 1.0) * interior))
-    a[[0, n]] *= end
-    b = np.ones(n + 2)
-    b[[0, n + 1]] = end
-    return a, b
-
-
-def _cross_check(pset, a, b):
+def _cross_check(pset, axis_k, axis_eta):
     n = pset.degree
     count = len(pset)
     if count <= _CHECK_NODES:
@@ -90,8 +64,8 @@ def _cross_check(pset, a, b):
         positions = rng.choice(count, size=_CHECK_NODES, replace=False)
     k, eta = pset.lattice_index(positions)
     direct = kernel.node_star_direct(pset, positions)
-    tol = 1e-9 + 1e-12 * n * (n + 1)
-    err = np.max(np.abs(direct - 1.0 / (a[k] * b[eta])))
+    tol = kernel.node_star_tolerance(n)
+    err = np.max(np.abs(direct - axis_k[k] * axis_eta[eta]))
     if err > tol:
         raise RuntimeError(
             f"node weight cross-check failed at degree {n}: "

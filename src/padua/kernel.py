@@ -7,14 +7,17 @@ Its quotient degenerates when two cosine arguments coincide; pairs inside that
 guard band are recomputed with the direct double sum over the orthonormal
 product basis (O(n^2) per pair) instead of an analytic limit.  kernel_direct
 exposes that double sum as the oracle the compact route is checked against.
+The node values have a closed form, one factor per lattice axis
+(node_star_axes), checked by a direct sum on the lattice (node_star_direct).
 Each side of an evaluation is one SideTables: its angles and one trig table,
 (cos, sin) of theta, n*theta and (n+1)*theta per coordinate.
 """
 
 import numpy as np
 
-from .cheb import SQRT2, check_degree, check_square, cos_table, cospi_frac, sinpi_frac
-from .points import PointClass
+from .cheb import (SQRT2, check_degree, check_square, cos_table, cospi_frac, sinpi_frac,
+                   t_norm_lattice)
+from .points import CODE_TO_CLASS, PointClass
 
 # |cos(alpha) - cos(beta)| below this sends the whole pair to the direct sum.
 # The quotient loses roughly eps * (n+1) / den to cancellation, so the band
@@ -67,8 +70,12 @@ def node_tables(pset):
     Using the integer numerators keeps values like sin(n*theta1) exactly zero
     at the nodes instead of 1e-16 dust.
     """
-    n = pset.degree
-    lattice = (pset.k_num, n), (pset.eta_num, n + 1)
+    return _lattice_tables(pset.degree, pset.k_num, pset.eta_num)
+
+
+def _lattice_tables(n, k, eta):
+    """node_tables for the nodes with lattice numerators k and eta, entry by entry."""
+    lattice = (k, n), (eta, n + 1)
     trig = tuple(
         tuple((cospi_frac(m * a, d), sinpi_frac(m * a, d)) for m in (1, n, n + 1))
         for a, d in lattice
@@ -217,57 +224,71 @@ def star_matrix(n, sx, sy):
     return k
 
 
-def node_star_values(pset):
-    """Diagonal modified-kernel values at the nodes via the class factors.
+def node_star_axes(n):
+    """A (length n+1) and B (length n+2) with A[k] B[eta] = n(n+1) NODE_FACTORS[class].
 
-    The value at a node is n(n+1) times NODE_FACTORS of its class: 2, 1 or
-    1/2 for vertex, edge and interior nodes respectively; build_rule
-    cross-checks this against the direct sum at construction time.
+    A node is a vertex, edge or interior node as 2, 1 or 0 of k in {0, n} and
+    eta in {0, n+1} hold.  A holds n(n+1) F_interior; an end of either range
+    multiplies it by F_edge / F_interior, which splits the class values when
+    F_edge^2 = F_interior F_vertex (RuntimeError otherwise).  With 2, 1, 1/2
+    every factor is n(n+1) times a power of two: exact to the last bit.
     """
-    f = NODE_FACTORS
-    per_code = np.array(
-        [f[PointClass.VERTEX], f[PointClass.EDGE], f[PointClass.INTERIOR]],
-        dtype=float,
-    )
-    n = pset.degree
-    return n * (n + 1.0) * per_code[pset.class_codes]
+    vertex, edge, interior = (NODE_FACTORS[c] for c in CODE_TO_CLASS)
+    if edge * edge != interior * vertex:
+        raise RuntimeError(
+            f"node factors do not split into one factor per lattice axis: "
+            f"edge^2 = {edge * edge!r} but interior * vertex = {interior * vertex!r}"
+        )
+    end = edge / interior
+    a = np.full(n + 1, n * (n + 1.0) * interior)
+    a[[0, n]] *= end
+    b = np.ones(n + 2)
+    b[[0, n + 1]] = end
+    return a, b
 
 
-# Largest (n+1) x P cosine table node_star_direct forms per block of P nodes.
-# A block holds about eight tables of this size (the cosines of four angle
-# arrays, the products and the cumulative sum), 4 MB in all; every degree up
-# to 49, so every verify run up to --max-degree 49, is a single block.
-_DIRECT_BLOCK_ENTRIES = 1 << 16
+def node_star_tolerance(n):
+    """Bound on |node_star_values - node_star_direct| at degree n."""
+    return 1e-9 + 1e-12 * n * (n + 1)
+
+
+def node_star_values(pset):
+    """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta].
+
+    verify and build_rule check this closed form against node_star_direct.
+    """
+    a, b = node_star_axes(pset.degree)
+    return a[pset.k_num] * b[pset.eta_num]
 
 
 def node_star_direct(pset, positions=slice(None)):
     """Diagonal modified-kernel values by the direct double sum.
 
     positions selects nodes in set order (an index array or a slice; all
-    nodes by default).  Each node's lattice numerators come from its position
-    (pset.lattice_index), and the nodes are summed in blocks of
-    _DIRECT_BLOCK_ENTRIES // (n+1), so a sampled check costs O(n^2) per node
-    and the whole set never needs a table over all N nodes.
+    nodes by default).  The value at node (k, eta) is D[k, eta] =
+    sum_a T1[a, k]^2 sum_{b <= n-a} T2[b, eta]^2 - T_n(x1)^2, T_n(x1) = +-1,
+    on the orthonormal lattice tables of the distinct k and eta selected.  The
+    contraction is an einsum, not BLAS, so a node's value does not depend on
+    which other nodes are selected.
     """
     n = pset.degree
     if isinstance(positions, slice):
         positions = np.arange(*positions.indices(len(pset)))
-    positions = np.asarray(positions, dtype=np.int64)
-    block = max(1, _DIRECT_BLOCK_ENTRIES // (n + 1))
-    out = np.empty(positions.shape)
-    for start in range(0, positions.size, block):
-        a, b = pset.lattice_index(positions[start:start + block])
-        th1 = np.pi * (a / float(n))
-        th2 = np.pi * (b / float(n + 1))
-        tn = cospi_frac(n * a, n)
-        out[start:start + block] = _direct_from_angles(n, th1, th2, th1, th2) - tn * tn
-    return out
+    k, eta = pset.lattice_index(positions)
+    ks, ik = np.unique(k, return_inverse=True)
+    etas, ie = np.unique(eta, return_inverse=True)
+    t1 = np.square(t_norm_lattice(n, ks, n))
+    t2 = np.square(t_norm_lattice(n, etas, n + 1))
+    # tail[a] = sum_{b <= n-a} t2[b]
+    tail = np.cumsum(t2, axis=0)[::-1]
+    return np.einsum("ak,ae->ke", t1, tail)[ik, ie] - 1.0
 
 
 def kernel_star_at_node(pset, index):
-    """Diagonal modified-kernel value at node (k, j)."""
-    pos = pset.position(index)
-    return float(node_star_values(pset)[pos])
+    """Diagonal modified-kernel value at node (k, j), A[k] B[eta] of node_star_axes."""
+    k, eta = pset.lattice_index(pset.position(index))
+    a, b = node_star_axes(pset.degree)
+    return float(a[k] * b[eta])
 
 
 def fundamental_poly(pset, index, x):
@@ -277,7 +298,9 @@ def fundamental_poly(pset, index, x):
     equals 1 at the node itself and 0 at every other node.
     """
     pos = pset.position(index)
-    node = (pset.x1[pos], pset.x2[pos])
-    num = kernel_star(pset.degree, x, node)
-    out = np.asarray(num) / node_star_values(pset)[pos]
-    return float(out) if np.ndim(out) == 0 else out
+    x1, x2 = np.broadcast_arrays(*check_square(*x))
+    n = pset.degree
+    sx = point_tables(n, x1.ravel(), x2.ravel())
+    col = star_matrix(n, sx, _lattice_tables(n, *pset.lattice_index([pos])))[:, 0]
+    out = (col / kernel_star_at_node(pset, index)).reshape(x1.shape)
+    return float(out) if out.ndim == 0 else out

@@ -56,6 +56,25 @@ def kernel_star_double_sum(n, x, y):
     return kernel_double_sum(n, x, y) - cheb_t_rec(n, x[0]) * cheb_t_rec(n, y[0])
 
 
+def class_star_values(pset):
+    """K*(nu, nu) at the nodes: n(n+1) times 2, 1 or 1/2 for vertex, edge, interior."""
+    n = pset.degree
+    return n * (n + 1.0) * np.array([2.0, 1.0, 0.5])[pset.class_codes]
+
+
+def axis_weight_factors(n):
+    """Cubature factors a (k = 0..n) and b (eta = 0..n+1), a[k] b[eta] = 1 / K*(nu, nu).
+
+    Interior nodes get 1 / (n(n+1) / 2) from a; an end of either range
+    halves it.
+    """
+    a = np.full(n + 1, 1.0 / (n * (n + 1.0) * 0.5))
+    a[[0, n]] *= 0.5
+    b = np.ones(n + 2)
+    b[[0, n + 1]] = 0.5
+    return a, b
+
+
 def lebesgue_grid_max(n, axis):
     """Maximum over the tensor grid axis x axis of sum_nu |K*(x, nu) / K*(nu, nu)|.
 

@@ -457,6 +457,31 @@ def test_interp_sample_file_not_utf8_exits_4(tmp_path, capsys):
     assert err == f"error: sample file {path} is not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("header", [True, False])
+def test_interp_sample_file_with_byte_order_mark(tmp_path, capsys, header):
+    # spreadsheet tools write UTF-8 with a leading BOM
+    from padua.points import generate
+
+    pset = generate(3)
+    rows = ([f"{p.k},{p.j},{p.x1 * p.x2}" for p in pset.points] if header
+            else [f"{p.x1 * p.x2}" for p in pset.points])
+    text = "\n".join((["k,j,value"] if header else []) + rows)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    argv = ("interp", "--degree", "3", "--grid", "4", "--samples")
+    expect = run_cli(capsys, *argv, str(plain))
+    got = run_cli(capsys, *argv, str(marked))
+    assert got[0] == 0
+    assert got == expect
+    # a BOM does not make other bytes UTF-8
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"\n\xff")
+    code, out, err = run_cli(capsys, *argv, str(marked))
+    assert (code, out) == (4, "")
+    assert err == f"error: sample file {marked} is not UTF-8 text\n"
+
+
 def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys):
     path = tmp_path / "column.csv"
     path.write_text("\n".join(["1.0"] * 4 + ["nan"] + ["1.0"] * 5))

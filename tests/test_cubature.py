@@ -114,6 +114,33 @@ def test_weights_bitwise_equal_class_values(n):
     assert weights.tobytes() == (1.0 / kernel.node_star_values(pset)).tobytes()
 
 
+@pytest.mark.parametrize("n", [*range(1, 65), 2048, 4096])
+def test_axis_factors_bitwise_oracle(n):
+    rule = build_rule(generate(n))
+    a, b = oracles.axis_weight_factors(n)
+    assert rule.a.tobytes() == a.tobytes()
+    assert rule.b.tobytes() == b.tobytes()
+
+
+def test_cross_check_samples_agree_at_degree_cap(monkeypatch):
+    # the 50 nodes build_rule samples at n = 4096, against the closed form
+    seen = []
+    direct = kernel.node_star_direct
+
+    def record(pset, positions):
+        values = direct(pset, positions)
+        seen.append((pset.lattice_index(positions), values))
+        return values
+
+    monkeypatch.setattr(kernel, "node_star_direct", record)
+    n = 4096
+    build_rule(generate(n))
+    ((k, eta), values), = seen
+    assert values.size == 50
+    a, b = kernel.node_star_axes(n)
+    assert np.max(np.abs(values - a[k] * b[eta])) <= 1e-7
+
+
 def _random_series(rng, n):
     # orthonormal product series of total degree <= 2n - 1, broadcasting
     kmax = 2 * n - 1

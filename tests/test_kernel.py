@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padua import kernel
-from padua.cheb import DomainError, cheb_t, t_norm_values
+from padua.cheb import DomainError, cheb_t, cospi_frac, t_norm_values
 from padua.kernel import (
     d_term,
     fundamental_poly,
@@ -247,21 +247,67 @@ def test_node_star_direct_positions_bitwise():
                               full[1::3])
 
 
-def test_node_star_direct_blocks_bound_memory(monkeypatch):
-    # at n = 120 the budget splits the 7381 nodes into blocks of 541 (4.4 MB
-    # peak); one unblocked call peaks at 58 MB
+def test_node_star_direct_bounds_memory():
+    # at n = 120 the 7381 nodes take two 121 x 122 tables and one 121 x 122
+    # contraction (under 1 MB); one table per node peaked at 58 MB
     pset = generate(120)
-    assert len(pset) * 121 > kernel._DIRECT_BLOCK_ENTRIES
     tracemalloc.start()
     try:
-        blocked = kernel.node_star_direct(pset)
+        direct = kernel.node_star_direct(pset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
-    assert np.max(np.abs(blocked - node_star_values(pset))) <= 1e-9 + 1e-12 * 120 * 121
-    monkeypatch.setattr(kernel, "_DIRECT_BLOCK_ENTRIES", len(pset) * 121)
-    assert np.array_equal(kernel.node_star_direct(pset), blocked)
+    assert np.max(np.abs(direct - node_star_values(pset))) <= 1e-9 + 1e-12 * 120 * 121
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 2048])
+def test_node_star_values_bitwise_class_oracle(n):
+    pset = generate(n)
+    assert node_star_values(pset).tobytes() == oracles.class_star_values(pset).tobytes()
+
+
+def test_node_star_axes_bitwise_class_oracle_at_degree_cap():
+    # every node of the degree-4096 set, sub-grid by sub-grid, without the
+    # per-node arrays (8.4e6 nodes)
+    n = 4096
+    a, b = kernel.node_star_axes(n)
+    factor = np.array([0.5, 1.0, 2.0])
+    for ks, etas in generate(n).sub_grids():
+        ends = np.isin(ks, [0, n])[:, None].astype(int) + np.isin(etas, [0, n + 1])
+        expect = n * (n + 1.0) * factor[ends]
+        assert (a[ks][:, None] * b[etas][None, :]).tobytes() == expect.tobytes()
+
+
+def test_node_functions_read_no_node_arrays():
+    # one node's value or fundamental polynomial needs none of the 8.4e6-long
+    # per-node arrays of the degree-4096 set
+    pset = generate(4096)
+    assert kernel_star_at_node(pset, (3, 2)) == 4096 * 4097 * 0.5
+    assert kernel_star_at_node(pset, (0, 1)) == 4096 * 4097 * 1.0
+    node = cospi_frac(3, 4096), cospi_frac(2, 4097)
+    assert abs(fundamental_poly(pset, (3, 2), node) - 1.0) <= 1e-9
+    assert abs(fundamental_poly(pset, (0, 1), node)) <= 1e-9
+    assert "k_num" not in pset.__dict__
+
+
+def test_fundamental_poly_bitwise_lagrange_matrix_column(rng):
+    from padua.interp import lagrange_matrix
+
+    for n in (1, 5, 16, 40, 64):
+        pset = generate(n)
+        x1 = np.concatenate([pset.x1, rng.uniform(-1, 1, 30)])
+        x2 = np.concatenate([pset.x2, rng.uniform(-1, 1, 30)])
+        lmat = lagrange_matrix(pset, x1, x2)
+        for pos in (0, len(pset) // 3, len(pset) - 1):
+            idx = (int(pset.k_num[pos]), int(pset.j_num[pos]))
+            col = lmat[:, pos]
+            # (1, m) against (m,) broadcasts to (1, m)
+            got = fundamental_poly(pset, idx, (x1[None, :], x2))
+            assert got.shape == (1, x1.size)
+            assert got.tobytes() == col.tobytes()
+            scalar = fundamental_poly(pset, idx, (x1[pos], x2[pos]))
+            assert isinstance(scalar, float) and scalar == col[pos]
 
 
 def test_node_values_match_star_direct_entrywise():
