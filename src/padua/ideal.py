@@ -162,8 +162,9 @@ def cd_residual(n, axis, x, y):
 
     axis selects the coordinate (1 or 2).  The left side is
     (x_axis - y_axis) * Kstar(x, y) with the kernel evaluated by the direct
-    double sum; the right side combines the scaled ideal-basis vectors, the
-    structure matrix for that axis, and the correction polynomials.
+    double sum (kernel.direct_from_tables) on rows 0..n of the tables the
+    right side reads; the right side combines the scaled ideal-basis vectors,
+    the structure matrix for that axis, and the correction polynomials.
     """
     n = check_degree(n, minimum=2)
     if axis not in (1, 2):
@@ -182,7 +183,9 @@ def cd_residual(n, axis, x, y):
     else:
         corr = tnx * qy[1] - tny * qx[1]
     gap = tx.x[axis - 1] - ty.x[axis - 1]
-    lhs = gap * (kernel.kernel_direct(n, x, y) - tnx * tny)
+    direct = kernel.direct_from_tables(tx.t1[: n + 1], tx.t2[: n + 1], ty.t1[: n + 1],
+                                       ty.t2[: n + 1])
+    lhs = gap * (direct - tnx * tny)
     out = np.abs(lhs - (bilinear + corr))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -7,8 +7,9 @@ one matrix product per lattice row of nodes on the closed-form coefficients
 of the fundamental polynomials.  Values on the node lattice come from the
 same tables: lagrange_node_blocks gives the fundamental polynomials at the
 nodes, one lattice row of nodes at a time.  Lagrange values at scattered
-points (lagrange_matrix, the Lebesgue function) come from the compact
-modified kernel.
+points (lagrange_matrix, the Lebesgue function) come from the same closed-form
+coefficients, summed at each point: O(n^3) per point, in blocks of bounded
+size.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import kernel
 from .cheb import (
+    check_square,
     cospi_frac,
     matmul,
     product_series_at,
@@ -46,6 +48,15 @@ MAX_GRID = 1000
 # (41 GB).  `lebesgue` and `converge` refuse larger runs before any table is
 # built.
 MAX_LEBESGUE_ENTRIES = 1 << 25
+
+
+# Largest number of float64 values in one temporary of lagrange_matrix: the
+# point tables of a block of points, its cumulative table Y and its product
+# with the node axis.  2**17 values are 1 MB, so the temporaries of an N x N
+# Lagrange matrix stay small next to it (the peak at n = 60 over the nodes is
+# 1.1 times the 28.6 MB result).  One point's part of a sub-grid,
+# (n+1) (n+3)/2 values, exceeds it from n = 511 on and is then split over eta.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def lebesgue_entries(n, m):
@@ -119,13 +130,48 @@ def sample(pset, f, dtype=float):
 
 
 def lagrange_matrix(pset, x1, x2):
-    """Matrix of fundamental-polynomial values, shape (npoints, nnodes)."""
+    """Matrix of fundamental-polynomial values, shape (npoints, nnodes).
+
+    x1 and x2 broadcast together; row i is the point at flat index i of the
+    broadcast shape in C order.  The fundamental polynomial of node
+    nu = (k, eta) has the coefficients T1[a, k] T2[b, eta] / (A[k] B[eta])
+    for a + b <= n, the (n, 0) term halved (kernel.node_star_axes), so at a
+    point with u[a] = Tnorm_a(x1), v[b] = Tnorm_b(x2) it is
+    sum_a u[a] T1[a, k] / A[k] Y[a, eta], with
+    Y[a, eta] = sum_{b <= n-a} v[b] T2[b, eta] / B[eta] and Y[n] halved.  The
+    nodes are two tensor grids of the lattice (pset.sub_grids), so per block
+    of points and grid this is one cumulative sum over b and one matrix
+    product over a, scattered into the set positions of the grid.  Besides
+    the result and the two lattice tables, no temporary holds more than
+    _BLOCK_ENTRIES values; where one point's part of a grid has more, it is
+    split over eta.  The cost is O(n^3) per point.
+    """
     n = pset.degree
-    sx = kernel.point_tables(n, np.atleast_1d(np.asarray(x1, dtype=float)),
-                             np.atleast_1d(np.asarray(x2, dtype=float)))
-    mat = kernel.star_matrix(n, sx, kernel.node_tables(pset))
-    mat /= kernel.node_star_values(pset)
-    return mat
+    x1, x2 = (np.ravel(c) for c in np.broadcast_arrays(*check_square(x1, x2)))
+    a_fac, b_fac = kernel.node_star_axes(n)
+    # the x1 side runs over a in reverse, so Y[a] is the forward cumulative
+    # sum y[n - a]: the terms and order of _tail_sums, with the products
+    # formed in one pass rather than one outer product per row
+    grids = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
+              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks])
+             for ks, etas in pset.sub_grids()]
+    out = np.empty((x1.size, len(pset)))
+    chunk = min((n + 3) // 2, max(1, _BLOCK_ENTRIES // (n + 1)))
+    block = max(1, _BLOCK_ENTRIES // ((n + 1) * chunk))
+    for start in range(0, x1.size, block):
+        rows = slice(start, start + block)
+        u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
+        for left, right, row_starts in grids:
+            for first in range(0, right.shape[1], chunk):
+                y = v[:, :, None] * right[:, None, first:first + chunk]
+                for m in range(1, n + 1):
+                    y[m] += y[m - 1]
+                y[0] *= 0.5
+                y *= u[:, :, None]
+                lat = (left.T @ y.reshape(n + 1, -1)).reshape(left.shape[1], u.shape[1], -1)
+                pos = row_starts[:, None] + np.arange(first, first + lat.shape[2])
+                out[rows, pos] = lat.transpose(1, 0, 2)
+    return out
 
 
 def lattice_tables(n, dtype=float):
@@ -165,29 +211,39 @@ def lagrange_node_blocks(pset):
     the set positions of the nodes with k_num == k, and block[p, j] is the
     fundamental polynomial of node cols[j] at node p, shape (N, len(cols)).
     The values come from the tables of to_coefficients: the fundamental
-    polynomial of node (k, eta) has coefficients w T1[a, k] T2[b, eta] for
-    a + b <= n, so on the lattice it is
-    sum_a T1[a, k'] T1[a, k] Z[a, eta', eta] with the cumulative table
-    Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta], built once, and
-    Z[n] halved for the (n, 0) coefficient.  Each row is one matrix product
-    over a, gathered at the flat node index k_num * (n+2) + eta_num; no
+    polynomial of node (k, eta) has coefficients T1[a, k] T2[b, eta] /
+    (A[k] B[eta]) for a + b <= n (kernel.node_star_axes), so at node
+    (k', eta') it is sum_a T1[a, k'] T1[a, k] / A[k] Z[a, eta', eta] with the
+    cumulative table Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta]
+    / B[eta], built once, and Z[n] halved for the (n, 0) coefficient.  The
+    nodes are two tensor grids of the lattice (pset.sub_grids): even k' with
+    odd eta', odd k' with even eta'.  So each row is two matrix products over
+    a, one per grid, written into the set positions of the grid's rows; no
     N x N matrix is formed.
     """
     n = pset.degree
     l1, l2 = lattice_tables(n)
-    z = _tail_sums(l2, l2)
-    at_nodes = pset.k_num * (n + 2) + pset.eta_num
-    star = kernel.node_star_values(pset)
-    # row k holds every eta of the parity opposite to k, in order
-    ztabs = [np.ascontiguousarray(z[:, :, par::2]).reshape(n + 1, -1)
-             for par in (1, 0)]
+    a_fac, b_fac = kernel.node_star_axes(n)
+    (ks0, etas0), (ks1, etas1) = pset.sub_grids()
+    n0 = etas0.size
+    # the eta' of both grids in order, so each grid's Z rows are one slice
+    order = np.concatenate([etas0, etas1])
+    z = [_tail_sums(l2[:, order], l2[:, etas] / b_fac[etas]) for etas in (etas0, etas1)]
+    left0, left1 = (np.ascontiguousarray(l1[:, ks].T) for ks in (ks0, ks1))
+    l1 /= a_fac
     starts = pset.row_starts
     for k in range(n + 1):
         cols = np.arange(starts[k], starts[k + 1])
-        lattice = ((l1.T * l1[:, k]) @ ztabs[k % 2]).reshape(-1, cols.size)
-        block = lattice[at_nodes]
-        block /= star[cols]
-        yield cols, block
+        zk = z[k % 2]
+        # set order pairs lattice row 2r (grid 0) with row 2r + 1 (grid 1), so
+        # each grid's product lands in one strided view of the block; for
+        # even n the last pair has no odd row, and its slots are cut off
+        pairs = np.empty((ks0.size, order.size, cols.size))
+        np.matmul(left0 * l1[:, k], zk[:, :n0].reshape(n + 1, -1),
+                  out=pairs[:, :n0].reshape(ks0.size, -1))
+        np.matmul(left1 * l1[:, k], zk[:, n0:].reshape(n + 1, -1),
+                  out=pairs[:ks1.size, n0:].reshape(ks1.size, -1))
+        yield cols, pairs.reshape(-1, cols.size)[:len(pset)]
 
 
 def _check_samples(pset, samples):
@@ -222,9 +278,14 @@ def interpolate_grid(pset, samples, grid):
 
 
 def lebesgue_function(pset, x):
-    """Sum of absolute fundamental-polynomial values at a point."""
-    row = lagrange_matrix(pset, x[0], x[1])
-    return float(np.abs(row).sum(axis=-1)[0])
+    """Sum of absolute fundamental-polynomial values at the points x = (x1, x2).
+
+    The coordinates broadcast; the result has their broadcast shape, or is a
+    float for a single point.
+    """
+    shape = np.broadcast_shapes(np.shape(x[0]), np.shape(x[1]))
+    out = np.abs(lagrange_matrix(pset, x[0], x[1])).sum(axis=-1).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def lebesgue_constant(pset, grid):

@@ -1,22 +1,25 @@
 """Reproducing kernels for the normalized product Chebyshev measure.
 
-The compact four-term trigonometric form (O(1) per pair) is the production
-route for kernel and Lagrange-basis values at scattered points; tensor grids
-go through the coefficients of interp.to_coefficients instead.
-Its quotient degenerates when two cosine arguments coincide; pairs inside that
-guard band are recomputed with the direct double sum over the orthonormal
-product basis (O(n^2) per pair) instead of an analytic limit.  kernel_direct
-exposes that double sum as the oracle the compact route is checked against.
-The node values have a closed form, one factor per lattice axis
-(node_star_axes), checked by a direct sum on the lattice (node_star_direct).
-Each side of an evaluation is one SideTables: its angles and one trig table,
-(cos, sin) of theta, n*theta and (n+1)*theta per coordinate.
+The compact four-term trigonometric form (O(1) per pair) evaluates the kernel
+and the modified kernel at scattered point pairs (kernel_compact,
+kernel_star, star_matrix); Lagrange values go through the closed-form
+coefficients of the fundamental polynomials instead (interp.lagrange_matrix,
+fundamental_poly here).  The compact quotient degenerates when two cosine
+arguments coincide; pairs inside that guard band are recomputed with the
+direct double sum over the orthonormal product basis (O(n^2) per pair)
+instead of an analytic limit.  kernel_direct exposes that double sum as the
+oracle the compact route is checked against; direct_from_tables is the same
+sum on Chebyshev tables a caller already holds.  The node values have a
+closed form, one factor per lattice axis (node_star_axes), checked by a
+direct sum on the lattice (node_star_direct).  Each side of a compact
+evaluation is one SideTables: its angles and one trig table, (cos, sin) of
+theta, n*theta and (n+1)*theta per coordinate.
 """
 
 import numpy as np
 
-from .cheb import (SQRT2, check_degree, check_square, cos_table, cospi_frac, sinpi_frac,
-                   t_norm_lattice)
+from .cheb import (check_degree, check_square, cos_table, cospi_frac, sinpi_frac,
+                   t_norm_lattice, t_norm_values)
 from .points import CODE_TO_CLASS, PointClass
 
 # |cos(alpha) - cos(beta)| below this sends the whole pair to the direct sum.
@@ -86,11 +89,21 @@ def _lattice_tables(n, k, eta):
 def _direct_from_angles(n, th1x, th2x, th1y, th2y):
     """Direct double sum of the reproducing kernel; the angle arrays broadcast."""
     angles = np.stack(np.broadcast_arrays(th1x, th2x, th1y, th2y))
-    t = cos_table(np.arange(n + 1), angles)
-    t[1:] *= SQRT2
-    t1x, t2x, t1y, t2y = np.moveaxis(t, 1, 0)
+    return direct_from_tables(*cos_table(np.arange(n + 1), angles).swapaxes(0, 1))
+
+
+def direct_from_tables(t1x, t2x, t1y, t2y):
+    """Direct double sum of the reproducing kernel from Chebyshev tables.
+
+    Each argument holds T_a at one coordinate of one side for a = 0..n on its
+    first axis (cos(a theta), as cheb.cos_table builds it); the other axes
+    broadcast.  The orthonormal factor 2 of the rows a >= 1 is applied to the
+    products, so the sum is over 2 T_a(x1) T_a(y1) and 2 T_b(x2) T_b(y2).
+    """
     u = t1x * t1y
     v = t2x * t2y
+    u[1:] *= 2.0
+    v[1:] *= 2.0
     cv = np.cumsum(v, axis=0)
     return np.einsum("a...,a...->...", u, cv[::-1])
 
@@ -294,13 +307,21 @@ def kernel_star_at_node(pset, index):
 def fundamental_poly(pset, index, x):
     """Fundamental Lagrange polynomial of node (k, j) evaluated at x.
 
-    The ratio of the modified kernel against the node to its diagonal value;
-    equals 1 at the node itself and 0 at every other node.
+    Equals 1 at the node itself and 0 at every other node.  The polynomial
+    of node nu = (k, eta) has the coefficients T1[a, k] T2[b, eta] / K*(nu, nu)
+    for a + b <= n, the (n, 0) term halved, so at a point it is
+    sum_a Tnorm_a(x1) T1[a, k] sum_{b <= n-a} Tnorm_b(x2) T2[b, eta] / K*(nu, nu):
+    O(n) per point, on the lattice values of this one node.  The result has
+    the broadcast shape of x, or is a float for a single point.
     """
     pos = pset.position(index)
     x1, x2 = np.broadcast_arrays(*check_square(*x))
     n = pset.degree
-    sx = point_tables(n, x1.ravel(), x2.ravel())
-    col = star_matrix(n, sx, _lattice_tables(n, *pset.lattice_index([pos])))[:, 0]
-    out = (col / kernel_star_at_node(pset, index)).reshape(x1.shape)
+    k, eta = pset.lattice_index(pos)
+    column = (-1,) + (1,) * x1.ndim
+    v = t_norm_values(n, x2) * t_norm_lattice(n, eta, n + 1).reshape(column)
+    tail = np.cumsum(v, axis=0)[::-1]
+    tail[n] *= 0.5
+    u = t_norm_values(n, x1) * t_norm_lattice(n, k, n).reshape(column)
+    out = np.einsum("a...,a...->...", u, tail) / kernel_star_at_node(pset, index)
     return float(out) if out.ndim == 0 else out

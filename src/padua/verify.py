@@ -7,7 +7,10 @@ come from kernel; the closed form is built from kernel.NODE_FACTORS, which
 the report echoes, and the test suite's negative control tampers with that
 mapping to prove the node-value cross-check actually bites.  The delta
 property is checked one lattice row of nodes at a time
-(interp.lagrange_node_blocks), so no N x N matrix is held.
+(interp.lagrange_node_blocks), so no N x N matrix is held, and the partition
+of unity on interp.lagrange_matrix; both take the fundamental polynomials
+from their closed-form coefficients, so they read at rounding level.  The
+compact kernel is checked against its direct sum on its own.
 """
 
 import numpy as np
@@ -16,11 +19,12 @@ from . import ideal, interp, kernel, points
 from .cheb import check_degree
 
 # Largest --max-degree.  The checks of one degree cost O(n^5) flops, most of
-# it the delta property (N fundamental polynomials at N nodes, one BLAS
-# product per lattice row), so a whole run grows like max_degree^6: about
-# 10 s at 100 on a 2-core Xeon, of which the delta check is 5.7 s, and
-# roughly 11 times that at 150.  Memory stays small (the delta check peaks
-# near 28 MB at n = 100).  Larger degrees are refused before any work.
+# it the delta property (N fundamental polynomials at N nodes, two BLAS
+# products per lattice row), so a whole run grows like max_degree^6.  At 100
+# a run took 4.2-6.2 s in-process on a 2-core Xeon (seeds 1-10, median
+# 5.3 s), of which the delta check is 3-4 s; 150 would take roughly 11 times
+# that.  Memory stays small (the delta check peaks near 13 MB at n = 100).
+# Larger degrees are refused before any work.
 MAX_VERIFY_DEGREE = 100
 
 
@@ -107,7 +111,7 @@ def run_verification(max_degree, seed):
         worst = 0.0
         for cols, block in interp.lagrange_node_blocks(pset):
             block[cols, np.arange(cols.size)] -= 1.0
-            worst = max(worst, float(np.max(np.abs(block, out=block))))
+            worst = max(worst, float(block.max()), float(-block.min()))
         record("delta_property", n, worst, 1e-9)
 
         closed = kernel.node_star_values(pset)

@@ -313,6 +313,102 @@ def test_partition_of_unity_all_degrees():
         assert worst <= 1e-8, f"partition of unity failed at degree {n}"
 
 
+def test_partition_of_unity_to_rounding_all_degrees(rng):
+    # the closed-form coefficients keep the sum of the fundamental
+    # polynomials at rounding level, beside the 1e-8 check above
+    x = np.vstack([EvalGrid(30, "chebyshev").points(), rng.uniform(-1.0, 1.0, (100, 2)),
+                   [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (0.0, 1.0)]])
+    for n in range(1, 65):
+        mat = lagrange_matrix(generate(n), x[:, 0], x[:, 1])
+        worst = float(np.max(np.abs(mat.sum(axis=1) - 1.0)))
+        assert worst <= 1e-13, f"partition of unity off by {worst} at degree {n}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 40])
+def test_lagrange_matrix_matches_double_sum_oracle(rng, direct_lagrange_matrix, n):
+    pset = generate(n)
+    x = np.vstack([rng.uniform(-1.0, 1.0, (20, 2)),
+                   [(1.0, 1.0), (-1.0, -1.0), (1.0, 0.3), (-0.4, -1.0), (0.0, 0.0)],
+                   np.column_stack([pset.x1[::7], pset.x2[::7]])])
+    got = lagrange_matrix(pset, x[:, 0], x[:, 1])
+    expect = direct_lagrange_matrix(pset, x[:, 0], x[:, 1])
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13
+
+
+def test_lagrange_matrix_broadcasts_coordinates(rng):
+    # rows follow the C order of the broadcast shape of x1 and x2
+    pset = generate(8)
+    x2 = np.array([0.1, 0.2])
+    got = lagrange_matrix(pset, 0.5, x2)
+    assert got.shape == (2, len(pset))
+    assert np.max(np.abs(got - lagrange_matrix(pset, [0.5, 0.5], x2))) <= 1e-15
+    a1, a2 = rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(-1.0, 1.0, (1, 4))
+    got = lagrange_matrix(pset, a1, a2)
+    b1, b2 = np.broadcast_arrays(a1, a2)
+    assert got.shape == (12, len(pset))
+    assert np.max(np.abs(got - lagrange_matrix(pset, b1.ravel(), b2.ravel()))) <= 1e-15
+    for i, j in ((0, 0), (1, 2), (2, 3)):
+        row = lagrange_matrix(pset, a1[i, j], a2[0, j])
+        assert np.max(np.abs(got[4 * i + j] - row[0])) <= 1e-15
+    with pytest.raises(ValueError):
+        lagrange_matrix(pset, np.zeros(3), np.zeros(2))
+
+
+def test_lagrange_matrix_splits_large_lattices_with_bounded_memory():
+    # at n = 1024 one point's part of a sub-grid holds 5.3e5 values, so it is
+    # split over eta; the 12.6 MB result, the two 8.4 MB lattice tables and
+    # blocks of 1 MB stay well below the 149 MB the node-side trig tables took
+    n = 1024
+    pset = generate(n)
+    x1, x2 = np.array([0.3, -0.9, 1.0]), np.array([-0.2, 0.7, -1.0])
+    tracemalloc.start()
+    try:
+        mat = lagrange_matrix(pset, x1, x2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.nbytes == 3 * len(pset) * 8
+    assert peak < 40e6
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12
+    # one column at a time, in O(n) per point, as an independent summation
+    for pos in (0, 1000, len(pset) // 2, len(pset) - 1):
+        idx = (int(pset.k_num[pos]), int(pset.j_num[pos]))
+        col = kernel.fundamental_poly(pset, idx, (x1, x2))
+        assert np.max(np.abs(col - mat[:, pos])) <= 1e-14
+
+
+@pytest.mark.parametrize("entries", [17, 50, 400])
+def test_lagrange_matrix_blocks_do_not_change_values(rng, monkeypatch, entries):
+    # one eta per block (17 values at n = 16), a split that leaves a short
+    # last block, and several points per block against the default blocks
+    pset = generate(16)
+    x = rng.uniform(-1.0, 1.0, (9, 2))
+    expect = lagrange_matrix(pset, x[:, 0], x[:, 1])
+    monkeypatch.setattr(interp, "_BLOCK_ENTRIES", entries)
+    got = lagrange_matrix(pset, x[:, 0], x[:, 1])
+    assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+def test_lebesgue_function_array_matches_scalar_calls(rng):
+    pset = generate(8)
+    x1, x2 = np.array([0.1, 0.9]), np.array([0.2, -0.99])
+    got = lebesgue_function(pset, (x1, x2))
+    assert got.shape == (2,)
+    for i in range(2):
+        single = lebesgue_function(pset, (x1[i], x2[i]))
+        assert isinstance(single, float)
+        assert abs(got[i] - single) <= 1e-14
+    assert got[0] == pytest.approx(3.9505, abs=1e-4)
+    assert got[1] == pytest.approx(4.1943, abs=1e-4)
+    a1, a2 = rng.uniform(-1.0, 1.0, (2, 3)), rng.uniform(-1.0, 1.0, 3)
+    grid = lebesgue_function(pset, (a1, a2))
+    assert grid.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert abs(grid[i, j] - lebesgue_function(pset, (a1[i, j], a2[j]))) <= 1e-14
+
+
 def test_lebesgue_function_basics(rng):
     pset = generate(8)
     pos = 11
@@ -334,8 +430,9 @@ def test_lebesgue_estimates_nondecreasing_under_refinement():
 
 
 def test_lebesgue_constant_matches_compact_kernel():
-    # the coefficient route of lebesgue_constant against the compact-kernel
-    # Lagrange matrix on the same grid points; 31 and 33 reflect x2, 32 x1
+    # lebesgue_constant's half-lattice grid products against the Lagrange
+    # matrix of the same grid points, taken point by point; 31 and 33
+    # reflect x2, 32 x1
     cases = [(n, m) for n in (1, 2, 7, 16) for m in (10, 41)]
     cases += [(31, 41), (32, 41), (33, 41)]
     for n, m in cases:

@@ -47,10 +47,15 @@ def test_tracer_sees_lebesgue_layers():
 def test_tracer_sees_verify_kernel_layers():
     code, totals = _traced_totals("verify", "--max-degree", "2")
     assert code == 0
-    # only the partition-of-unity matrices, 64 points against N nodes per
-    # degree (64 * 3 + 64 * 6); the delta check runs on the lattice tables
-    assert totals["kernel.star_matrix"]["pairs"] == 576
-    for name in ("kernel.point_tables", "kernel.node_tables", "kernel.kernel_direct",
+    # the partition of unity takes one lagrange_matrix per degree, on the
+    # closed-form coefficients of the fundamental polynomials, and the delta
+    # check runs on the lattice tables: neither reaches the cross matrix of
+    # the compact kernel or the node-side trig tables
+    assert totals["interp.lagrange_matrix"]["calls"] == 2
+    assert "kernel.star_matrix" not in totals
+    assert "kernel.node_tables" not in totals
+    # the oracle agreement check still evaluates both kernel forms
+    for name in ("kernel.point_tables", "kernel.kernel_compact", "kernel.kernel_direct",
                  "cli.output"):
         assert totals[name]["calls"] >= 1
     # the ideal basis comes from one table per point set: no per-member
