@@ -20,17 +20,24 @@ class _Tables:
 
     Order n+1 passes the public degree cap at n = MAX_DEGREE, so the tables
     come from cos_table, not cheb.t_values.  x holds the checked coordinates.
+    Each table has its own coordinate's shape, with leading unit axes up to
+    the other's number of axes, so on broadcasting axes such as a tensor
+    grid's (K, 1) and (1, E) the tables stay one axis long and the products
+    of the two broadcast.
     """
 
     def __init__(self, n, x):
         self.n, self.x = n, check_square(*x)
-        angles = np.broadcast_arrays(*(np.arccos(c) for c in self.x))
-        self.t1, self.t2 = (cos_table(np.arange(n + 2), th) for th in angles)
+        ndim = max(c.ndim for c in self.x)
+        self.t1, self.t2 = (
+            cos_table(np.arange(n + 2), np.arccos(c.reshape((1,) * (ndim - c.ndim) + c.shape)))
+            for c in self.x
+        )
 
     def q(self):
         """The n+2 unscaled ideal-basis rows; row k is q_poly(n, k, x)."""
         n, t1, t2 = self.n, self.t1, self.t2
-        q = np.empty_like(t1)
+        q = np.empty((n + 2,) + np.broadcast_shapes(t1.shape[1:], t2.shape[1:]))
         q[0] = t1[n + 1] - t1[n - 1]
         q[1:] = t1[n::-1] * t2[1:] + t2[n::-1] * t1[: n + 1]
         return q

@@ -141,7 +141,8 @@ def lagrange_matrix(pset, x1, x2):
     Y[a, eta] = sum_{b <= n-a} v[b] T2[b, eta] / B[eta] and Y[n] halved.  The
     nodes are two tensor grids of the lattice (pset.sub_grids), so per block
     of points and grid this is one cumulative sum over b and one matrix
-    product over a, scattered into the set positions of the grid.  Besides
+    product over a, written through one strided view of the grid's set
+    positions (set order pairs lattice rows 2r and 2r + 1).  Besides
     the result and the two lattice tables, no temporary holds more than
     _BLOCK_ENTRIES values; where one point's part of a grid has more, it is
     split over eta.  The cost is O(n^3) per point.
@@ -153,7 +154,7 @@ def lagrange_matrix(pset, x1, x2):
     # sum y[n - a]: the terms and order of _tail_sums, with the products
     # formed in one pass rather than one outer product per row
     grids = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
-              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks])
+              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks[0]])
              for ks, etas in pset.sub_grids()]
     out = np.empty((x1.size, len(pset)))
     chunk = min((n + 3) // 2, max(1, _BLOCK_ENTRIES // (n + 1)))
@@ -161,7 +162,12 @@ def lagrange_matrix(pset, x1, x2):
     for start in range(0, x1.size, block):
         rows = slice(start, start + block)
         u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
-        for left, right, row_starts in grids:
+        for left, right, offset in grids:
+            # set order pairs lattice row 2r with row 2r + 1, n + 2 nodes a
+            # pair, so a grid's rows are rows n + 2 apart from its first node
+            dest = np.lib.stride_tricks.as_strided(
+                out[rows, offset:], shape=(u.shape[1], left.shape[1], right.shape[1]),
+                strides=(out.strides[0], (n + 2) * out.strides[1], out.strides[1]))
             for first in range(0, right.shape[1], chunk):
                 y = v[:, :, None] * right[:, None, first:first + chunk]
                 for m in range(1, n + 1):
@@ -169,8 +175,7 @@ def lagrange_matrix(pset, x1, x2):
                 y[0] *= 0.5
                 y *= u[:, :, None]
                 lat = (left.T @ y.reshape(n + 1, -1)).reshape(left.shape[1], u.shape[1], -1)
-                pos = row_starts[:, None] + np.arange(first, first + lat.shape[2])
-                out[rows, pos] = lat.transpose(1, 0, 2)
+                dest[:, :, first:first + chunk] = lat.transpose(1, 0, 2)
     return out
 
 

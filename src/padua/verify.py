@@ -5,12 +5,14 @@ tolerance; the CLI maps any failure to exit code 1 while still writing the
 full report.  The node values, their direct sum and the bound they agree to
 come from kernel; the closed form is built from kernel.NODE_FACTORS, which
 the report echoes, and the test suite's negative control tampers with that
-mapping to prove the node-value cross-check actually bites.  The delta
-property is checked one lattice row of nodes at a time
-(interp.lagrange_node_blocks), so no N x N matrix is held, and the partition
-of unity on interp.lagrange_matrix; both take the fundamental polynomials
-from their closed-form coefficients, so they read at rounding level.  The
-compact kernel is checked against its direct sum on its own.
+mapping to prove the node-value cross-check actually bites.  The ideal basis
+is checked to vanish on the lattice axes of the two node sub-grids, so its
+cos tables have n+1 and n+2 points, not N.  The delta property is checked
+one lattice row of nodes at a time (interp.lagrange_node_blocks), so no
+N x N matrix is held, and the partition of unity on interp.lagrange_matrix;
+both take the fundamental polynomials from their closed-form coefficients,
+so they read at rounding level.  The compact kernel is checked against its
+direct sum on its own.
 """
 
 import numpy as np
@@ -83,7 +85,10 @@ def run_verification(max_degree, seed):
 
     for n in range(1, max_degree + 1):
         pset = points.generate(n)
-        worst = float(np.max(np.abs(ideal.q_rows(n, (pset.x1, pset.x2)))))
+        x1, x2 = points.lattice_axes(n)
+        worst = max(float(np.max(np.abs(ideal.q_rows(n, (x1[ks][:, None],
+                                                         x2[etas][None, :])))))
+                    for ks, etas in pset.sub_grids())
         record("q_vanishing", n, worst, 1e-9 * (n + 1))
 
         pts = rng.uniform(-1.0, 1.0, (64, 2))

@@ -3,11 +3,13 @@
 Chebyshev values come from the three-term recurrence (the library itself
 uses the trigonometric form), the kernel is the literal nested double sum,
 and tables are written one cell at a time.  Nothing here imports evaluation
-or output code from the package, with one exception:
-convergence_study_per_degree is the convergence study in its per-degree form,
-which the restructured study must match bit for bit, so it builds on the
-package's node sets, lattice tables, node weights and Lebesgue constants and
-owns only the tables of the grids, the products and the per-degree loop.
+or output code from the package, with three exceptions, each an earlier form
+of a package function that its successor must match bit for bit, so each
+builds on the package's own tables and owns only the part that changed:
+convergence_study_per_degree is the convergence study in its per-degree form
+(it owns the tables of the grids, the products and the per-degree loop);
+lagrange_matrix_scatter writes the blocks of lagrange_matrix by fancy index;
+integrate_whole_sub_grids is the cubature sum over whole sub-grids.
 """
 
 import json
@@ -251,3 +253,55 @@ def json_document(obj, precision):
         return v
 
     return json.dumps(rounded(obj), indent=2) + "\n"
+
+
+def lagrange_matrix_scatter(pset, x1, x2):
+    """interp.lagrange_matrix with each block scattered by fancy index.
+
+    The same tables, blocks (interp._BLOCK_ENTRIES, read at the call), cumulative
+    sums and matrix products as the package, but every block lands in the
+    result through out[rows, pos] with the set positions pos of the grid's
+    nodes, not through a strided view of the result.
+    """
+    from padua import interp, kernel
+    from padua.cheb import check_square, t_norm_lattice, t_norm_values
+
+    n = pset.degree
+    x1, x2 = (np.ravel(c) for c in np.broadcast_arrays(*check_square(x1, x2)))
+    a_fac, b_fac = kernel.node_star_axes(n)
+    grids = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
+              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks])
+             for ks, etas in pset.sub_grids()]
+    out = np.empty((x1.size, len(pset)))
+    chunk = min((n + 3) // 2, max(1, interp._BLOCK_ENTRIES // (n + 1)))
+    block = max(1, interp._BLOCK_ENTRIES // ((n + 1) * chunk))
+    for start in range(0, x1.size, block):
+        rows = slice(start, start + block)
+        u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
+        for left, right, row_starts in grids:
+            for first in range(0, right.shape[1], chunk):
+                y = v[:, :, None] * right[:, None, first:first + chunk]
+                for m in range(1, n + 1):
+                    y[m] += y[m - 1]
+                y[0] *= 0.5
+                y *= u[:, :, None]
+                lat = (left.T @ y.reshape(n + 1, -1)).reshape(left.shape[1], u.shape[1], -1)
+                pos = row_starts[:, None] + np.arange(first, first + lat.shape[2])
+                out[rows, pos] = lat.transpose(1, 0, 2)
+    return out
+
+
+def integrate_whole_sub_grids(rule, f):
+    """cubature.integrate with f called once on each whole sub-grid.
+
+    sum_k a[k] sum_eta b[eta] f over the (K, E) values of each sub-grid, by
+    numpy's pairwise reductions, f called on the broadcasting lattice axes.
+    """
+    from padua import points
+
+    x1, x2 = points.lattice_axes(rule.degree)
+    total = 0.0
+    for ks, etas in rule.nodes.sub_grids():
+        vals = np.asarray(f(x1[ks][:, None], x2[etas][None, :]), dtype=float)
+        total += np.add.reduce(rule.a[ks] * np.add.reduce(vals * rule.b[etas], axis=1))
+    return float(total)

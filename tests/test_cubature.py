@@ -269,16 +269,66 @@ def test_integrate_builds_no_per_node_array():
 
 
 def test_integrate_peak_memory_at_degree_2048():
-    # two 1025 x 1025 sub-grids, one at a time (26 MB); the set-order sum
-    # over per-node arrays peaked at 137 MB
+    # blocks of 63 rows of 1025 nodes (2**16 values at most): exp_sum holds
+    # two block arrays at once (x1 + x2 and its exp, then the values and their
+    # weighted copy), 1.18 MB with the axes; three blocks of 2**16 float64 is
+    # the bound.  Whole 1025 x 1025 sub-grids peaked at 26 MB, and the
+    # set-order sum over per-node arrays at 137 MB.
     f = functions.get("exp_sum")
+    rule = build_rule(generate(2048))
     tracemalloc.start()
     try:
-        integrate(build_rule(generate(2048)), f)
+        integrate(rule, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40e6
+    assert peak <= 3 * 8 * 2**16
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 511, 1024, 2048])
+def test_integrate_row_blocks_bitwise_whole_sub_grids(n):
+    # the same products in the same reduction trees as one pass over each
+    # whole sub-grid; from n = 511 on a sub-grid spans several blocks, the
+    # last one short
+    rule = build_rule(generate(n))
+    for name, f in functions.BUILTIN_FUNCTIONS.items():
+        assert integrate(rule, f) == oracles.integrate_whole_sub_grids(rule, f), name
+
+
+def test_integrate_failure_in_second_block_names_first_node():
+    # n = 1024: the even-k sub-grid has 513 rows of 513 nodes, in blocks of
+    # 127 rows, so its second block is rows k = 254..506.  f fails on any
+    # array call that holds row 260, and per point at (k=260, j=5), (k=280,
+    # j=1) and (k=1, j=1), which is first in set order but in the odd-k
+    # sub-grid, visited second.
+    n = 1024
+    rule = build_rule(generate(n))
+    x1, x2 = points.lattice_axes(n)
+    bad = {(float(x1[260]), float(x2[9])), (float(x1[280]), float(x2[1])),
+           (float(x1[1]), float(x2[0]))}
+    array_rows, point_rows = [], []
+
+    def f(a, b):
+        if np.ndim(a) > 0:
+            array_rows.append(np.ravel(a).tolist())
+            if float(x1[260]) in array_rows[-1]:
+                raise ValueError("array call on the failing block")
+            return np.ones(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        point_rows.append(a)
+        if (a, b) in bad:
+            raise ValueError("boom")
+        return 1.0
+
+    with pytest.raises(SampleEvaluationError) as info:
+        integrate(rule, f)
+    assert str(info.value) == (
+        f"function evaluation failed at node k=260, j=5, x=({float(x1[260])!r}, "
+        f"{float(x2[9])!r})")
+    assert array_rows == [x1[0:254:2].tolist(), x1[254:508:2].tolist()]
+    # the point calls run over the failing block only, rows 254..258 whole
+    # and row 260 up to its fifth node
+    assert len(point_rows) == 3 * 513 + 5
+    assert set(point_rows) == {float(x1[k]) for k in (254, 256, 258, 260)}
 
 
 def test_build_rule_rejects_factors_that_do_not_split(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padua import points
 from padua.cheb import MAX_DEGREE, DomainError, basis_vector, cheb_u
 from padua.ideal import (
     cd_residual,
@@ -101,6 +102,23 @@ def test_q_rows_bitwise_equal_to_q_poly(rng, n):
             member = q_poly(n, k, x)
             assert shape != () or type(member) is float
             assert _bits(rows[k]) == _bits(member)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_q_rows_on_broadcasting_axes_bitwise_broadcast_arrays(rng, n):
+    # tables in each coordinate's own shape give the bits, and the shape, of
+    # the same coordinates broadcast first: the node sub-grids of verify's
+    # vanishing check, a scalar against an array, and a 1-D against a 2-D
+    x1, x2 = points.lattice_axes(n)
+    cases = [(x1[ks][:, None], x2[etas][None, :]) for ks, etas in generate(n).sub_grids()]
+    cases += [(0.3, rng.uniform(-1, 1, 6)),
+              (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (3, 1)))]
+    for x in cases:
+        rows = q_rows(n, x)
+        expect = q_rows(n, np.broadcast_arrays(*x))
+        assert rows.shape == expect.shape == (n + 2,) + np.broadcast_shapes(*map(np.shape, x))
+        assert _bits(rows) == _bits(expect)
+    assert q_rows(n, (0.3, -0.2)).shape == (n + 2,)
 
 
 def test_q_vector_is_scaled_q_rows(rng):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
 from padua import interp, kernel
 from padua.cheb import cospi_frac, product_series_at, t_norm_lattice, t_norm_values
@@ -388,6 +389,16 @@ def test_lagrange_matrix_blocks_do_not_change_values(rng, monkeypatch, entries):
     monkeypatch.setattr(interp, "_BLOCK_ENTRIES", entries)
     got = lagrange_matrix(pset, x[:, 0], x[:, 1])
     assert np.max(np.abs(got - expect)) <= 1e-15
+
+
+@pytest.mark.parametrize("n, count", [(1, 7), (2, 7), (15, 40), (16, 40), (511, 3), (512, 2)])
+def test_lagrange_matrix_strided_writes_bitwise_scatter(rng, n, count):
+    # the blocks land through strided set-order views, with the bits of the
+    # fancy-index scatter; from n = 511 on each sub-grid is split over eta
+    pset = generate(n)
+    x = rng.uniform(-1.0, 1.0, (count, 2))
+    got = lagrange_matrix(pset, x[:, 0], x[:, 1])
+    assert got.tobytes() == oracles.lagrange_matrix_scatter(pset, x[:, 0], x[:, 1]).tobytes()
 
 
 def test_lebesgue_function_array_matches_scalar_calls(rng):
