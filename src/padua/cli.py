@@ -26,9 +26,22 @@ class SampleMismatchError(ValueError):
 # Rows assembled per write: Python strings exist for one block at a time
 _BLOCK_ROWS = 4096
 
+# Characters of node-table text per write (_LatticeRows).  Pieces this size
+# reuse heap memory, where 1 MB pieces took fresh pages on every write and
+# made points --degree 512 about 45 % slower (BENCH_node_rows.json).
+_WRITE_CHARS = 1 << 16
+
+# Slots for k and x1 in a node-row template: no number, class name,
+# separator or JSON-escaped string contains these characters
+_K_SLOT, _X1_SLOT = "\x00", "\x01"
+
 
 class OutputSpec:
-    """Where a command's table goes: CSV or JSON, to a path or '-' (stdout)."""
+    """Where a command's table goes: CSV or JSON, to a path or '-' (stdout).
+
+    A table (a _Records of columns, or a node table per lattice axis,
+    _LatticeRows) is written as its pieces(float_text, object_texts, seps,
+    last) with the CSV delimiters or the JSON key prefixes as separators."""
 
     def __init__(self, fmt, path, precision):
         if not 1 <= precision <= 17:
@@ -47,18 +60,18 @@ class OutputSpec:
         return open(self.path, "w", newline="\n"), True
 
     def write_rows(self, header, columns):
-        """Write equal-length 1-D columns as CSV: a float cell is num(v), a
-        bool cell is true or false, any other cell is str(v).  Cell texts are
-        made column by column (a float column's once per distinct bit
-        pattern, -0.0 and 0.0 apart) and joined one block of rows at a time."""
-        table = _Records(header, columns)
-        cells = [_column_cells(c, f"%.{self.precision}g".__mod__, self._csv_texts)
-                 for c in table.columns]
-        seps = [","] * (len(cells) - 1) + ["\n"]
+        """Write equal-length 1-D columns, or a _LatticeRows, as CSV: a float
+        cell is num(v), a bool cell is true or false, any other cell is
+        str(v).  Cell texts are made column by column (a float column's once
+        per distinct bit pattern, -0.0 and 0.0 apart) and joined one block of
+        rows at a time."""
+        table = _table(header, columns)
+        seps = [","] * (len(header) - 1) + ["\n"]
         out, close = self._open()
         try:
             out.write(",".join(header) + "\n")
-            out.writelines(_join_blocks(cells, seps, table.rows, "\n"))
+            out.writelines(table.pieces(f"%.{self.precision}g".__mod__, self._csv_texts,
+                                        seps, "\n"))
         finally:
             if close:
                 out.close()
@@ -83,7 +96,7 @@ class OutputSpec:
         if self.fmt == "csv":
             self.write_rows(header, columns)
         else:
-            self.write_json(_Records(header, columns) if document is None else document)
+            self.write_json(_table(header, columns) if document is None else document)
 
     def write_json(self, obj):
         """Write obj as json.dumps(obj, indent=2) writes it, byte for byte, with
@@ -107,7 +120,7 @@ class OutputSpec:
         """Pieces of the JSON text of obj, whose lines after the first start
         with nl."""
         inner = nl + "  "
-        if isinstance(obj, _Records):
+        if isinstance(obj, (_Records, _LatticeRows)):
             yield from self._json_records(obj, nl)
         elif isinstance(obj, dict):
             if not obj:
@@ -138,20 +151,19 @@ class OutputSpec:
             yield self._json_scalar(obj)
 
     def _json_records(self, table, nl):
-        """Pieces of the JSON text of a _Records, its lines after the first
-        starting with nl: one piece per block of rows, each assembled column
-        by column with the key prefixes as separators."""
+        """Pieces of the JSON text of a table, its lines after the first
+        starting with nl: the table's pieces with the key prefixes as
+        separators."""
         if table.rows == 0:
             yield "[]"
             return
         inner, item = nl + "  ", nl + "    "
         names = [_json_str(k) + ": " for k in table.keys]
-        cells = [_column_cells(c, self._json_float, self._json_texts)
-                 for c in table.columns]
         start = "{" + item + names[0]
         seps = ["," + item + k for k in names[1:]] + [inner + "}," + inner + start]
         yield "[" + inner + start
-        yield from _join_blocks(cells, seps, table.rows, inner + "}" + nl + "]")
+        yield from table.pieces(self._json_float, self._json_texts, seps,
+                                inner + "}" + nl + "]")
 
     def _json_texts(self, values):
         """JSON texts of a block of a column of objects."""
@@ -193,6 +205,64 @@ class _Records:
         self.keys = keys
         self.columns = [np.asarray(c).ravel() for c in columns]
         self.rows = len(self.columns[0]) if self.columns else 0
+
+    def pieces(self, float_text, object_texts, seps, last):
+        """Text of the rows, cells separated by seps with the last row's final
+        separator replaced by last, one piece per block of _BLOCK_ROWS rows."""
+        cells = [_column_cells(c, float_text, object_texts) for c in self.columns]
+        return _join_blocks(cells, seps, self.rows, last)
+
+
+class _LatticeRows:
+    """The node table k, j, x1, x2, class (and weight a[k] b[eta] for factors
+    (a, b)) of a PaduaSet, from the cosines and end flags of each lattice
+    axis (points.lattice_axes, points.lattice_ends); no per-node array."""
+
+    def __init__(self, keys, pset, axes, ends, factors=None):
+        self.keys, self.pset, self.axes, self.ends = keys, pset, axes, ends
+        self.factors, self.rows = factors, len(pset)
+
+    def pieces(self, float_text, object_texts, seps, last):
+        """Text of the rows as _Records.pieces gives it, about _WRITE_CHARS
+        characters per piece.  The cells of a lattice row but k and x1
+        depend only on its class: the parity of k, whether k is an end, and
+        a[k] (keyed by its bits, so the text cannot drift from a[k] b[eta]).
+        A class's text is built once from per-eta cells, as _column_cells
+        formats them; each row joins its k text into it and replaces x1."""
+        def texts(column):
+            return _column_cells(column, float_text, object_texts)(slice(None)).tolist()
+
+        n, grids = self.pset.degree, self.pset.sub_grids()
+        (axis1, axis2), (end1, end2) = self.axes, self.ends
+        a, b = self.factors or (np.zeros(n + 1), None)
+        names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
+        templates, buf, size = {}, [], 0
+        rows = zip(texts(np.arange(n + 1)), texts(axis1), end1.tolist(),
+                   a.view(np.int64).tolist())
+        for k, (k_text, x1_text, end, a_bits) in enumerate(rows):
+            key = k & 1, end, a_bits
+            if key not in templates:
+                etas = grids[k & 1][1]
+                columns = [np.arange(1, etas.size + 1), axis2[etas],
+                           names[2 - end - end2[etas]]]
+                if b is not None:
+                    columns.append(a[k] * b[etas])
+                cells = [_column_cells(c, float_text, object_texts) for c in columns]
+                cells[:1] = [lambda sl: _K_SLOT, cells[0], lambda sl: _X1_SLOT]
+                text = "".join(_join_blocks(cells, seps, etas.size, seps[-1]))
+                templates[key] = text.split(_K_SLOT)
+            if size >= _WRITE_CHARS:
+                yield "".join(buf)
+                buf, size = [], 0
+            buf.append(k_text.join(templates[key]).replace(_X1_SLOT, x1_text))
+            size += len(buf[-1])
+        text = "".join(buf)
+        yield text[:len(text) - len(seps[-1])] + last
+
+
+def _table(header, columns):
+    """columns itself when it is a _LatticeRows, else its _Records under header."""
+    return columns if isinstance(columns, _LatticeRows) else _Records(header, columns)
 
 
 def _per_distinct(column, fmt):
@@ -288,14 +358,16 @@ def _builtin_function(name):
 # subcommands
 
 
-def _node_columns(pset):
-    names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
-    return [pset.k_num, pset.j_num, pset.x1, pset.x2, names[pset.class_codes]]
+def _node_table(pset, rule=None):
+    """Header and _LatticeRows of the node table, with the weights of rule."""
+    n, factors = pset.degree, None if rule is None else (rule.a, rule.b)
+    header = ("k", "j", "x1", "x2", "class") + (() if rule is None else ("weight",))
+    return header, _LatticeRows(header, pset, points.lattice_axes(n),
+                                points.lattice_ends(n), factors)
 
 
 def cmd_points(args):
-    pset = points.generate(args.degree)
-    _out_spec(args).write_table(("k", "j", "x1", "x2", "class"), _node_columns(pset))
+    _out_spec(args).write_table(*_node_table(points.generate(args.degree)))
     return 0
 
 
@@ -409,8 +481,7 @@ def cmd_cubature(args):
         row = (args.function.name, args.degree, cubature.integrate(rule, args.function))
         spec.write_table(header, [[v] for v in row], dict(zip(header, row)))
         return 0
-    spec.write_table(("k", "j", "x1", "x2", "class", "weight"),
-                     [*_node_columns(pset), rule.weights])
+    spec.write_table(*_node_table(pset, rule))
     return 0
 
 

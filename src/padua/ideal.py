@@ -7,6 +7,7 @@ Christoffel-Darboux residual checks.  Batched evaluations read all of these
 from one table T_k(x_d), k <= n+1, per coordinate of a point set.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ class _Tables:
     Each table has its own coordinate's shape, with leading unit axes up to
     the other's number of axes, so on broadcasting axes such as a tensor
     grid's (K, 1) and (1, E) the tables stay one axis long and the products
-    of the two broadcast.
+    of the two broadcast.  For a 1-D point set, tables[key] holds the tables
+    of the points x[key], so one set of tables serves checks on any part of
+    its points: verify builds one per side of its point pairs and degree.
     """
 
     def __init__(self, n, x):
@@ -33,6 +36,12 @@ class _Tables:
             cos_table(np.arange(n + 2), np.arccos(c.reshape((1,) * (ndim - c.ndim) + c.shape)))
             for c in self.x
         )
+
+    def __getitem__(self, key):
+        part = copy.copy(self)
+        part.x = tuple(c[key] for c in self.x)
+        part.t1, part.t2 = self.t1[:, key], self.t2[:, key]
+        return part
 
     def q(self):
         """The n+2 unscaled ideal-basis rows; row k is q_poly(n, k, x)."""
@@ -156,12 +165,15 @@ def three_term_residual(n, x):
     algebraic identity, so the residual is pure rounding error.
     """
     n = check_degree(n, minimum=2)
-    mats = struct_matrices(n)
-    tx = _Tables(n, x)
+    out = _three_term(n, struct_matrices(n), _Tables(n, x))
+    return float(out) if out.ndim == 0 else out
+
+
+def _three_term(n, mats, tx):
+    """three_term_residual on the tables tx, with the structure matrices mats."""
     recon = (tx.basis(n + 1) + np.einsum("rc,c...->r...", mats.g1, tx.basis(n))
              + np.einsum("rc,c...->r...", mats.g2, tx.basis(n - 1)))
-    out = np.abs(_scaled(tx.q()) - recon).max(axis=0)
-    return float(out) if out.ndim == 0 else out
+    return np.abs(_scaled(tx.q()) - recon).max(axis=0)
 
 
 def cd_residual(n, axis, x, y):
@@ -176,9 +188,13 @@ def cd_residual(n, axis, x, y):
     n = check_degree(n, minimum=2)
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    mats = struct_matrices(n)
+    out = _cd(n, axis, struct_matrices(n), _Tables(n, x), _Tables(n, y))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _cd(n, axis, mats, tx, ty):
+    """cd_residual on the tables tx and ty, with the structure matrices mats."""
     a = mats.a1 if axis == 1 else mats.a2
-    tx, ty = _Tables(n, x), _Tables(n, y)
     qx, qy = tx.q(), ty.q()
     px, py = tx.basis(n), ty.basis(n)
     bilinear = np.einsum("c...,rc,r...->...", _scaled(qx), a, py) - np.einsum(
@@ -193,8 +209,7 @@ def cd_residual(n, axis, x, y):
     direct = kernel.direct_from_tables(tx.t1[: n + 1], tx.t2[: n + 1], ty.t1[: n + 1],
                                        ty.t2[: n + 1])
     lhs = gap * (direct - tnx * tny)
-    out = np.abs(lhs - (bilinear + corr))
-    return float(out) if np.ndim(out) == 0 else out
+    return np.abs(lhs - (bilinear + corr))
 
 
 def s_term_residuals(n, x, y):

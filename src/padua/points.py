@@ -4,8 +4,9 @@ A node set is its degree n.  Its nodes are the odd-sum half k + eta odd of
 the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
 which is the union of two tensor sub-grids: even k with odd eta, and odd k
 with even eta (sub_grids).  Code that works on those grids, such as the
-cubature sum, reads only the lattice cosines of lattice_axes; the per-node
-arrays of PaduaSet are built on their first read.
+cubature sum and the CLI's node tables, reads only per-axis data
+(lattice_axes, lattice_ends); the per-node arrays of PaduaSet are built on
+their first read.
 """
 
 import operator
@@ -155,6 +156,17 @@ def lattice_axes(n):
     return cospi_frac(np.arange(n + 1), n), cospi_frac(np.arange(n + 2), n + 1)
 
 
+def lattice_ends(n):
+    """End flags of the lattice axes, as int8: 1 at k in {0, n} of the first
+    and at eta in {0, n+1} of the second, 0 elsewhere.  A node is a vertex,
+    edge or interior node (class code 0, 1 or 2) as its two flags sum to 2, 1
+    or 0."""
+    on1 = np.zeros(n + 1, dtype=np.int8)
+    on2 = np.zeros(n + 2, dtype=np.int8)
+    on1[[0, n]] = on2[[0, n + 1]] = 1
+    return on1, on2
+
+
 def _node_arrays(n):
     """The per-node arrays of the degree-n set, keyed by their PaduaSet names.
 
@@ -171,9 +183,7 @@ def _node_arrays(n):
     starts = np.cumsum(counts) - counts
     j_num = np.arange(k_num.size, dtype=np.int64) - np.repeat(starts, counts) + 1
     eta_num = 2 * j_num - 1 - (k_num & 1)
-    on1 = np.zeros(n + 1, dtype=np.int8)
-    on2 = np.zeros(n + 2, dtype=np.int8)
-    on1[[0, n]] = on2[[0, n + 1]] = 1
+    on1, on2 = lattice_ends(n)
     axis1, axis2 = lattice_axes(n)
     return {
         "k_num": k_num,

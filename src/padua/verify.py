@@ -12,7 +12,10 @@ one lattice row of nodes at a time (interp.lagrange_node_blocks), so no
 N x N matrix is held, and the partition of unity on interp.lagrange_matrix;
 both take the fundamental polynomials from their closed-form coefficients,
 so they read at rounding level.  The compact kernel is checked against its
-direct sum on its own.
+direct sum on its own.  Per degree, each side of the random and probe point
+pairs has one Chebyshev table set (ideal._Tables) on all its points: the
+three-term and Christoffel-Darboux checks read the random points' columns of
+it, and the kernel's direct sum reads its rows 0..n.
 """
 
 import numpy as np
@@ -36,22 +39,16 @@ def singular_probe_pairs(n, rng, count=12):
     Returns (xs, ys) arrays of shape (P, 2): exact coincidences, matched
     angle sums (denominator exactly zero), and offsets just inside the band.
     """
-    xs, ys = [], []
     base = rng.uniform(-1.0, 1.0, (count, 2))
-    for x1, x2 in base:
-        th1, th2 = np.arccos(x1), np.arccos(x2)
-        # the same point: one quotient denominator is exactly zero
-        xs.append((x1, x2))
-        ys.append((x1, x2))
-        # matched sum theta1 + phi1 = theta2 + phi2
-        ph1 = rng.uniform(0.0, np.pi)
-        ph2 = th1 + ph1 - th2
-        xs.append((x1, x2))
-        ys.append((np.cos(ph1), np.cos(ph2)))
-        # a hair inside the band
-        xs.append((x1, x2))
-        ys.append((np.cos(ph1), np.cos(ph2 + 1e-9)))
-    return np.array(xs), np.array(ys)
+    # the same draws as one rng.uniform(0.0, np.pi) per base point
+    ph1 = rng.uniform(0.0, np.pi, count)
+    # matched sum theta1 + phi1 = theta2 + phi2
+    ph2 = np.arccos(base[:, 0]) + ph1 - np.arccos(base[:, 1])
+    # per base point: the same point (one quotient denominator is exactly
+    # zero), the matched sum, and the matched sum a hair inside the band
+    ys = np.stack([base, np.column_stack([np.cos(ph1), np.cos(ph2)]),
+                   np.column_stack([np.cos(ph1), np.cos(ph2 + 1e-9)])], axis=1)
+    return np.repeat(base, 3, axis=0), ys.reshape(-1, 2)
 
 
 def run_verification(max_degree, seed):
@@ -93,23 +90,25 @@ def run_verification(max_degree, seed):
 
         pts = rng.uniform(-1.0, 1.0, (64, 2))
         qts = rng.uniform(-1.0, 1.0, (64, 2))
-
-        if n >= 2:
-            resid = ideal.three_term_residual(n, (pts[:, 0], pts[:, 1]))
-            record("three_term_identity", n, float(np.max(resid)), 1e-10)
-            for axis in (1, 2):
-                resid = ideal.cd_residual(
-                    n, axis, (pts[:, 0], pts[:, 1]), (qts[:, 0], qts[:, 1])
-                )
-                record(f"cd_identity_axis{axis}", n, float(np.max(resid)), 1e-9)
-
         sx, sy = singular_probe_pairs(n, rng)
+        # one table set per side, on the random points and then the probes
         all_x = np.vstack([pts, sx])
         all_y = np.vstack([qts, sy])
-        compact = kernel.kernel_compact(n, (all_x[:, 0], all_x[:, 1]),
-                                        (all_y[:, 0], all_y[:, 1]))
-        direct = kernel.kernel_direct(n, (all_x[:, 0], all_x[:, 1]),
-                                      (all_y[:, 0], all_y[:, 1]))
+        tx = ideal._Tables(n, (all_x[:, 0], all_x[:, 1]))
+        ty = ideal._Tables(n, (all_y[:, 0], all_y[:, 1]))
+
+        if n >= 2:
+            mats = ideal.struct_matrices(n)
+            head_x, head_y = tx[:len(pts)], ty[:len(qts)]
+            resid = ideal._three_term(n, mats, head_x)
+            record("three_term_identity", n, float(np.max(resid)), 1e-10)
+            for axis in (1, 2):
+                resid = ideal._cd(n, axis, mats, head_x, head_y)
+                record(f"cd_identity_axis{axis}", n, float(np.max(resid)), 1e-9)
+
+        compact = kernel.kernel_compact(n, tx.x, ty.x)
+        direct = kernel.direct_from_tables(tx.t1[:n + 1], tx.t2[:n + 1], ty.t1[:n + 1],
+                                           ty.t2[:n + 1])
         record("kernel_oracle_agreement", n,
                float(np.max(np.abs(compact - direct))), 1e-9 * (n + 1))
 

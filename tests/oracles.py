@@ -3,13 +3,15 @@
 Chebyshev values come from the three-term recurrence (the library itself
 uses the trigonometric form), the kernel is the literal nested double sum,
 and tables are written one cell at a time.  Nothing here imports evaluation
-or output code from the package, with three exceptions, each an earlier form
+or output code from the package, with four exceptions, each an earlier form
 of a package function that its successor must match bit for bit, so each
 builds on the package's own tables and owns only the part that changed:
 convergence_study_per_degree is the convergence study in its per-degree form
 (it owns the tables of the grids, the products and the per-degree loop);
 lagrange_matrix_scatter writes the blocks of lagrange_matrix by fancy index;
-integrate_whole_sub_grids is the cubature sum over whole sub-grids.
+integrate_whole_sub_grids is the cubature sum over whole sub-grids;
+singular_probe_pairs_loop builds verify's probe pairs one base point at a
+time.
 """
 
 import json
@@ -305,3 +307,21 @@ def integrate_whole_sub_grids(rule, f):
         vals = np.asarray(f(x1[ks][:, None], x2[etas][None, :]), dtype=float)
         total += np.add.reduce(rule.a[ks] * np.add.reduce(vals * rule.b[etas], axis=1))
     return float(total)
+
+
+def singular_probe_pairs_loop(n, rng, count=12):
+    """verify.singular_probe_pairs one base point at a time, with one scalar
+    rng.uniform(0.0, np.pi) draw per point after the base points."""
+    xs, ys = [], []
+    base = rng.uniform(-1.0, 1.0, (count, 2))
+    for x1, x2 in base:
+        th1, th2 = np.arccos(x1), np.arccos(x2)
+        xs.append((x1, x2))
+        ys.append((x1, x2))
+        ph1 = rng.uniform(0.0, np.pi)
+        ph2 = th1 + ph1 - th2
+        xs.append((x1, x2))
+        ys.append((np.cos(ph1), np.cos(ph2)))
+        xs.append((x1, x2))
+        ys.append((np.cos(ph1), np.cos(ph2 + 1e-9)))
+    return np.array(xs), np.array(ys)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padua import points
+from padua import ideal, kernel, points
 from padua.cheb import MAX_DEGREE, DomainError, basis_vector, cheb_u
 from padua.ideal import (
     cd_residual,
@@ -231,6 +231,24 @@ def test_cd_residual_at_node_pairs():
     x = (pset.x1[:10], pset.x2[:10])
     y = (pset.x1[5:15], pset.x2[5:15])
     assert np.max(cd_residual(5, 2, x, y)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_residuals_on_shared_tables_match_public_functions(rng, n):
+    # verify reads its 64 random points from tables built on 100 points (the
+    # random points, then the probes), once per side and degree
+    x, y = rng.uniform(-1, 1, (2, 2, 100))
+    tx, ty = ideal._Tables(n, (x[0], x[1])), ideal._Tables(n, (y[0], y[1]))
+    head_x, head_y = tx[:64], ty[:64]
+    px, py = (x[0, :64], x[1, :64]), (y[0, :64], y[1, :64])
+    mats = struct_matrices(n)
+    assert np.array_equal(ideal._three_term(n, mats, head_x), three_term_residual(n, px))
+    for axis in (1, 2):
+        assert np.array_equal(ideal._cd(n, axis, mats, head_x, head_y),
+                              cd_residual(n, axis, px, py))
+    direct = kernel.direct_from_tables(tx.t1[:n + 1], tx.t2[:n + 1], ty.t1[:n + 1],
+                                       ty.t2[:n + 1])
+    assert np.array_equal(direct, kernel.kernel_direct(n, (x[0], x[1]), (y[0], y[1])))
 
 
 def test_cd_residual_axis_validation():

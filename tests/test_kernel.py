@@ -98,6 +98,18 @@ def test_compact_handles_singular_band(rng):
         assert np.max(np.abs(cross - direct)) <= tol
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("count", [10, 12, 24])
+def test_singular_probe_pairs_match_loop_oracle(seed, count):
+    # the same pairs, bit for bit, and the generator left in the same state
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    xs, ys = singular_probe_pairs(5, rng, count=count)
+    ref_xs, ref_ys = oracles.singular_probe_pairs_loop(5, ref_rng, count=count)
+    assert xs.shape == ys.shape == (3 * count, 2)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+    assert rng.uniform() == ref_rng.uniform()
+
+
 def test_star_matrix_row_blocks_bitwise(rng, monkeypatch):
     n = 9
     xs, ys = singular_probe_pairs(n, rng, count=10)

@@ -164,8 +164,11 @@ def _node_rows(pset, weights=None):
 
 
 @pytest.mark.parametrize("command", ["points", "cubature"])
-@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 511, 512])
 def test_node_tables_match_record_reference(tmp_path, command, n):
+    # the lattice-row writer against cell-by-cell tables of the per-point
+    # records: every row class (even and odd k, end rows, n = 1 with no
+    # interior row) at both parities of n, and tables of more than one write
     pset = points.generate(n)
     header = ["k", "j", "x1", "x2", "class"]
     weights = None
@@ -175,11 +178,17 @@ def test_node_tables_match_record_reference(tmp_path, command, n):
     rows = _node_rows(pset, weights)
     path = tmp_path / "table"
     for fmt, reference in (("csv", csv_table), ("json", json_table)):
-        for precision in (5, 17):
+        for precision in (1, 5, 17):
             code = cli.main([command, "--degree", str(n), "--format", fmt,
                              "--precision", str(precision), "--output", str(path)])
             assert code == 0
             assert path.read_text() == reference(header, rows, precision)
+
+
+def _node_columns(pset):
+    """The node table of pset as per-node columns, for the generic writer."""
+    names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
+    return [pset.k_num, pset.j_num, pset.x1, pset.x2, names[pset.class_codes]]
 
 
 def test_write_rows_memory_at_degree_1024():
@@ -187,7 +196,7 @@ def test_write_rows_memory_at_degree_1024():
     # of strings, never a string per row.  Its peak, 24.7 MiB, is np.unique's
     # work arrays for the second float column beside the first one's codes.
     pset = points.generate(1024)
-    columns = cli._node_columns(pset)
+    columns = _node_columns(pset)
     spec = cli.OutputSpec("csv", os.devnull, 17)
     tracemalloc.start()
     try:
@@ -255,7 +264,7 @@ def test_write_table_json_memory_at_degree_1024():
     # a time, it peaks where the CSV does (24.8 MiB against 24.7 MiB), not at
     # the size of its text (64 MB)
     pset = points.generate(1024)
-    columns = cli._node_columns(pset)
+    columns = _node_columns(pset)
     spec = cli.OutputSpec("json", os.devnull, 17)
     tracemalloc.start()
     try:
@@ -264,3 +273,21 @@ def test_write_table_json_memory_at_degree_1024():
     finally:
         tracemalloc.stop()
     assert peak < 27 * 2**20
+
+
+@pytest.mark.parametrize("command", ["points", "cubature"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_node_table_memory_at_degree_2048(command, fmt):
+    # 2,100,225 nodes, generated and written per lattice axis: points peaks
+    # at 1.4 MiB (row templates and pieces of text), cubature at 3.9-4.6 MiB,
+    # most of it build_rule's 50-node cross-check; one per-node float array
+    # would take 17 MB
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--degree", "2048", "--format", fmt,
+                         "--output", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20

@@ -54,15 +54,15 @@ def test_tracer_sees_verify_kernel_layers():
     assert totals["interp.lagrange_matrix"]["calls"] == 2
     assert "kernel.star_matrix" not in totals
     assert "kernel.node_tables" not in totals
-    # the oracle agreement check still evaluates both kernel forms
-    for name in ("kernel.point_tables", "kernel.kernel_compact", "kernel.kernel_direct",
-                 "cli.output"):
+    # the oracle agreement check evaluates the compact kernel; its direct
+    # sum, like the three-term and CD residuals, reads the one table set
+    # per side and degree that verify builds, so the public entry points of
+    # those are not called
+    for name in ("kernel.point_tables", "kernel.kernel_compact", "cli.output"):
         assert totals[name]["calls"] >= 1
-    # the ideal basis comes from one table per point set: no per-member
-    # q_poly calls, one three-term and two CD residual calls at n = 2
-    assert totals.get("ideal.q_poly", {"calls": 0})["calls"] == 0
-    assert totals["ideal.three_term_residual"]["calls"] == 1
-    assert totals["ideal.cd_residual"]["calls"] == 2
+    for name in ("ideal.q_poly", "ideal.three_term_residual", "ideal.cd_residual",
+                 "kernel.kernel_direct"):
+        assert name not in totals
 
 
 def test_tracer_counts_csv_output_bytes(tmp_path):
