@@ -134,16 +134,6 @@ def cospi_frac(num, den, dtype=float):
     return np.cos(ftype(_PI_DIGITS) * (r / ftype(den)))
 
 
-def sinpi_frac(num, den):
-    """sin(pi * num / den) for integer num, with exact phase reduction."""
-    num = np.asarray(num, dtype=np.int64)
-    r = np.remainder(num, 2 * den)
-    sign = np.where(r > den, -1.0, 1.0)
-    r = np.where(r > den, 2 * den - r, r)
-    r = np.minimum(r, den - r)
-    return sign * np.sin(np.pi * (r / float(den)))
-
-
 def t_lattice(kmax, nums, den, dtype=float):
     """Table T_k(cos(pi*num/den)) for k = 0..kmax without an arccos round trip."""
     ks = np.arange(check_degree(kmax) + 1, dtype=np.int64)

@@ -1,33 +1,25 @@
 """Reproducing kernels for the normalized product Chebyshev measure.
 
-The compact four-term trigonometric form (O(1) per pair) evaluates the kernel
-and the modified kernel at scattered point pairs (kernel_compact,
-kernel_star, star_matrix); Lagrange values go through the closed-form
-coefficients of the fundamental polynomials instead (interp.lagrange_matrix,
-fundamental_poly here).  The compact quotient degenerates when two cosine
-arguments coincide; pairs inside that guard band are recomputed with the
-direct double sum over the orthonormal product basis (O(n^2) per pair)
-instead of an analytic limit.  kernel_direct exposes that double sum as the
-oracle the compact route is checked against; direct_from_tables is the same
-sum on Chebyshev tables a caller already holds.  The node values have a
-closed form, one factor per lattice axis (node_star_axes), checked by a
-direct sum on the lattice (node_star_direct).  Each side of a compact
-evaluation is one SideTables: its angles and one trig table, (cos, sin) of
-theta, n*theta and (n+1)*theta per coordinate.
+The compact four-term form (O(1) per pair) evaluates the kernel and the
+modified kernel at scattered point pairs (kernel_compact, kernel_star,
+star_matrix); Lagrange values go through the closed-form coefficients of the
+fundamental polynomials instead (interp.lagrange_matrix, fundamental_poly
+here).  Each of the four terms is d_term, a sum of two products of
+Dirichlet-type ratios R_m(t) = sin(m t) / sin(t), whose singularities are
+removable: R_m takes its limit where sin(t) vanishes, so the compact form is
+finite everywhere and has no second route.  kernel_direct is the direct
+double sum over the orthonormal product basis (O(n^2) per pair), the oracle
+the compact form is checked against; direct_from_tables is the same sum on
+Chebyshev tables a caller already holds.  The node values have a closed
+form, one factor per lattice axis (node_star_axes), checked by a direct sum
+on the lattice (node_star_direct).  Each side of a compact evaluation is one
+SideTables, the angles of its points.
 """
 
 import numpy as np
 
-from .cheb import (check_degree, check_square, cos_table, cospi_frac, sinpi_frac,
-                   t_norm_lattice, t_norm_values)
+from .cheb import check_degree, check_square, cos_table, t_norm_lattice, t_norm_values
 from .points import CODE_TO_CLASS, PointClass
-
-# |cos(alpha) - cos(beta)| below this sends the whole pair to the direct sum.
-# The quotient loses roughly eps * (n+1) / den to cancellation, so the band
-# must sit well above eps * (n+1) / 1e-9 for the compact form to stay within
-# 1e-9 (n+1) of the direct sum everywhere; 1e-6 leaves a ~6x margin, measured
-# against adversarial pairs parked just outside the band.
-SINGULAR_BAND = 1e-6
 
 # Diagonal values of the modified kernel at the nodes are n(n+1) times these.
 NODE_FACTORS = {
@@ -38,58 +30,32 @@ NODE_FACTORS = {
 
 
 class SideTables:
-    """Per-point trig tables shared by every kernel evaluation at those points.
+    """The angles theta1, theta2 of the points on one side of a kernel evaluation.
 
-    trig[d][i] is the (cos, sin) pair of (1, n, n+1)[i] * theta_{d+1}, and
-    theta1, theta2 are the raw angles for direct-sum fallbacks.  Every array
-    has the points' own shape, so sides of different shapes broadcast;
-    side[key] indexes every array.
+    Both arrays have the points' own shape, so sides of different shapes
+    broadcast; side[key] indexes both.
     """
 
-    __slots__ = ("theta1", "theta2", "trig")
+    __slots__ = ("theta1", "theta2")
 
-    def __init__(self, theta1, theta2, trig):
-        self.theta1, self.theta2, self.trig = theta1, theta2, trig
+    def __init__(self, theta1, theta2):
+        self.theta1, self.theta2 = theta1, theta2
 
     def __getitem__(self, key):
-        trig = tuple(tuple((c[key], s[key]) for c, s in coord) for coord in self.trig)
-        return SideTables(self.theta1[key], self.theta2[key], trig)
+        return SideTables(self.theta1[key], self.theta2[key])
 
 
-def point_tables(n, x1, x2):
-    """Side tables for arbitrary points; cos(theta_d) is x_d itself."""
+def point_tables(x1, x2):
+    """Side tables for arbitrary points: theta_d = arccos(x_d)."""
     x1, x2 = check_square(x1, x2)
-    thetas = np.arccos(x1), np.arccos(x2)
-    trig = tuple(
-        ((x, np.sin(th)),) + tuple((np.cos(m * th), np.sin(m * th)) for m in (n, n + 1))
-        for x, th in zip((x1, x2), thetas)
-    )
-    return SideTables(*thetas, trig)
+    return SideTables(np.arccos(x1), np.arccos(x2))
 
 
 def node_tables(pset):
-    """Side tables for the nodes of a PaduaSet, built on the angle lattice.
-
-    Using the integer numerators keeps values like sin(n*theta1) exactly zero
-    at the nodes instead of 1e-16 dust.
-    """
-    return _lattice_tables(pset.degree, pset.k_num, pset.eta_num)
-
-
-def _lattice_tables(n, k, eta):
-    """node_tables for the nodes with lattice numerators k and eta, entry by entry."""
-    lattice = (k, n), (eta, n + 1)
-    trig = tuple(
-        tuple((cospi_frac(m * a, d), sinpi_frac(m * a, d)) for m in (1, n, n + 1))
-        for a, d in lattice
-    )
-    return SideTables(*(np.pi * (a / float(d)) for a, d in lattice), trig)
-
-
-def _direct_from_angles(n, th1x, th2x, th1y, th2y):
-    """Direct double sum of the reproducing kernel; the angle arrays broadcast."""
-    angles = np.stack(np.broadcast_arrays(th1x, th2x, th1y, th2y))
-    return direct_from_tables(*cos_table(np.arange(n + 1), angles).swapaxes(0, 1))
+    """Side tables for the nodes of a PaduaSet, from their lattice numerators."""
+    n = pset.degree
+    return SideTables(np.pi * (pset.k_num / float(n)),
+                      np.pi * (pset.eta_num / float(n + 1)))
 
 
 def direct_from_tables(t1x, t2x, t1y, t2y):
@@ -108,55 +74,19 @@ def direct_from_tables(t1x, t2x, t1y, t2y):
     return np.einsum("a...,a...->...", u, cv[::-1])
 
 
-def _compact_terms(sx, sy):
-    """Four-term compact sum plus the mask of pairs inside the guard band.
-
-    Every cos(m(theta +- phi)) splits into cos*cos -+ sin*sin, so twelve
-    products cover all four sign combinations; the rest is adds and four
-    divisions per pair.
-    """
-    # per coordinate, for the signs + then -: (cos(th +- ph),
-    # cos(n(th +- ph)) + cos((n+1)(th +- ph)))
-    pairs = []
-    for tx, ty in zip(sx.trig, sy.trig):
-        (p, q), (pn, qn), (pm, qm) = ((c * d, s * t) for (c, s), (d, t) in zip(tx, ty))
-        pairs.append(((p - q, (pn - qn) + (pm - qm)), (p + q, (pn + qn) + (pm + qm))))
-    total = singular = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for ca, na in pairs[0]:
-            for cb, nb in pairs[1]:
-                den = ca - cb
-                term = na - nb
-                term *= 0.25
-                term /= den
-                bad = np.abs(den) < SINGULAR_BAND
-                if total is None:
-                    total, singular = term, bad
-                else:
-                    total += term
-                    singular |= bad
-    return total, singular
-
-
 # largest number of matrix entries materialized per temporary in star_matrix
 _BLOCK_ENTRIES = 30_000
 
 
 def _kernel_from_tables(n, sx, sy):
-    """Compact kernel between side tables whose arrays broadcast together.
-
-    Pairs inside the guard band are recomputed with the direct sum.
-    """
-    k, singular = _compact_terms(sx, sy)
-    if np.any(singular):
-        t1x, t2x, t1y, t2y = np.broadcast_arrays(
-            sx.theta1, sx.theta2, sy.theta1, sy.theta2
-        )
-        k = np.asarray(k)
-        k[singular] = _direct_from_angles(
-            n, t1x[singular], t2x[singular], t1y[singular], t2y[singular]
-        )
-    return k
+    """Compact kernel between side tables whose arrays broadcast together:
+    d_term at theta1 +- phi1 against theta2 +- phi2, summed over the four
+    sign pairs."""
+    # one shape for all four, so the sign axes below lead every array
+    t1x, t2x, t1y, t2y = np.broadcast_arrays(sx.theta1, sx.theta2, sy.theta1, sy.theta2)
+    alpha = np.stack([t1x + t1y, t1x - t1y])
+    beta = np.stack([t2x + t2y, t2x - t2y])
+    return d_term(n, alpha[:, None], beta[None, :]).sum(axis=(0, 1))
 
 
 def kernel_direct(n, x, y):
@@ -167,40 +97,62 @@ def kernel_direct(n, x, y):
     to paired batches.
     """
     n = check_degree(n)
-    angles = (np.arccos(c) for p in (x, y) for c in check_square(*p))
-    out = _direct_from_angles(n, *angles)
+    angles = np.stack(np.broadcast_arrays(
+        *(np.arccos(c) for p in (x, y) for c in check_square(*p))))
+    out = direct_from_tables(*cos_table(np.arange(n + 1), angles).swapaxes(0, 1))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def d_term(n, alpha, beta):
-    """One term of the compact kernel formula, as the raw quotient.
+def _dirichlet(n, t):
+    """R_n(t) and R_{n+1}(t), where R_m(t) = sin(m t) / sin(t).
 
-    No guard is applied here: when cos(alpha) and cos(beta) are closer than
-    SINGULAR_BAND the quotient is meaningless (inf or nan) and callers are
-    expected to fall back to the direct sum, as kernel_compact does.
+    t is first reduced to r = t - j pi in [-pi/2, pi/2]: sin(r) keeps its
+    last bits near the zeros of sin, where sin(t) carries the rounding of t
+    itself.  Then R_m(t) = (-1)^(j(m-1)) R_m(r), and R_m(r) takes its limit
+    m at r = 0.
+    """
+    j = np.rint(t / np.pi)
+    r = t - j * np.pi
+    # (-1)^(j(m-1)) is 1 for odd m and (-1)^j for even m
+    alt = 1.0 - 2.0 * np.remainder(j, 2.0)
+    sin_r = np.sin(r)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in (n, n + 1):
+            ratio = np.where(r == 0.0, float(m), np.sin(m * r) / sin_r)
+            out.append(ratio * alt if m % 2 == 0 else ratio)
+    return out
+
+
+def d_term(n, alpha, beta):
+    """One term of the compact kernel formula, finite for all angles.
+
+    The quotient (cos(m alpha) - cos(m beta)) / (cos(alpha) - cos(beta))
+    equals R_m(s) R_m(d) with s = (alpha + beta) / 2, d = (alpha - beta) / 2
+    and R_m(t) = sin(m t) / sin(t), so the term
+    1/4 [(cos(n alpha) + cos((n+1) alpha)) - (cos(n beta) + cos((n+1) beta))]
+    / (cos(alpha) - cos(beta)) is 1/4 [R_n(s) R_n(d) + R_{n+1}(s) R_{n+1}(d)],
+    with R_m at its limit where sin vanishes.  alpha and beta broadcast.
     """
     n = check_degree(n)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.cos((n + 0.5) * alpha) * np.cos(alpha / 2.0) - np.cos(
-            (n + 0.5) * beta
-        ) * np.cos(beta / 2.0)
-        out = 0.5 * num / (np.cos(alpha) - np.cos(beta))
+    s_d = np.stack([0.5 * (alpha + beta), 0.5 * (alpha - beta)])
+    (rn_s, rn_d), (rm_s, rm_d) = _dirichlet(n, s_d)
+    out = 0.25 * (rn_s * rn_d + rm_s * rm_d)
     return float(out) if out.ndim == 0 else out
 
 
 def kernel_compact(n, x, y):
     """Reproducing kernel by the compact four-term formula.
 
-    Agrees with kernel_direct to rounding for all inputs; pairs whose
-    quotient denominators fall inside the guard band are recomputed with the
-    direct sum.
+    Sums d_term over the four sign pairs of theta1 +- phi1 against
+    theta2 +- phi2, where x = (cos theta1, cos theta2) and y = (cos phi1,
+    cos phi2): O(1) per pair, finite everywhere, and within rounding of
+    kernel_direct.  Array coordinates broadcast to paired batches.
     """
     n = check_degree(n)
-    sx = point_tables(n, *x)
-    sy = point_tables(n, *y)
-    out = _kernel_from_tables(n, sx, sy)
+    out = _kernel_from_tables(n, point_tables(*x), point_tables(*y))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -210,10 +162,9 @@ def kernel_star(n, x, y):
     Vanishes whenever x and y are distinct nodes of the degree-n set.
     """
     n = check_degree(n, minimum=1)
-    sx = point_tables(n, *x)
-    sy = point_tables(n, *y)
-    # trig[0][1][0] is cos(n theta1) = T_n(x1)
-    out = _kernel_from_tables(n, sx, sy) - sx.trig[0][1][0] * sy.trig[0][1][0]
+    sx, sy = point_tables(*x), point_tables(*y)
+    # T_n(x1) = cos(n theta1)
+    out = _kernel_from_tables(n, sx, sy) - np.cos(n * sx.theta1) * np.cos(n * sy.theta1)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -228,12 +179,13 @@ def star_matrix(n, sx, sy):
     rows, cols = sx.theta1.shape[0], sy.theta1.shape[0]
     col_side = sy[np.newaxis]
     block = max(1, _BLOCK_ENTRIES // max(1, cols))
+    # T_n(x1) = cos(n theta1) on each side
+    tn_rows, tn_cols = np.cos(n * sx.theta1), np.cos(n * sy.theta1)
     k = np.empty((rows, cols))
     for start in range(0, rows, block):
         sl = slice(start, start + block)
         k[sl] = _kernel_from_tables(n, sx[sl, None], col_side)
-        # trig[0][1][0] is cos(n theta1) = T_n(x1)
-        k[sl] -= sx.trig[0][1][0][sl, None] * sy.trig[0][1][0]
+        k[sl] -= tn_rows[sl, None] * tn_cols
     return k
 
 

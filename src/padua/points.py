@@ -65,9 +65,10 @@ class PaduaSet:
     The set is stored as its degree alone.  The per-node arrays (the integer
     numerators k_num, j_num, eta_num, the coordinates x1, x2 and the
     class_codes) are built together on the first read of any of them and
-    kept; the numerators let kernel code build trig tables without an arccos
-    round trip.  The per-point record view `points` is materialized lazily
-    too, so sets near the degree cap stay array-backed.
+    kept; the numerators let lattice code form cos(pi k / n) and
+    cos(pi eta / (n + 1)) without an arccos round trip.  The per-point
+    record view `points` is materialized lazily too, so sets near the degree
+    cap stay array-backed.
     """
 
     degree: int
@@ -241,7 +242,8 @@ def find_index(pset, point, tol):
     Returns the (k, j) index pair, or None when no node matches.  Raises
     AmbiguousMatchError when two or more nodes fall inside the tolerance.
     """
-    if tol <= 0:
+    # written so that NaN fails too
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     d = np.maximum(np.abs(pset.x1 - point[0]), np.abs(pset.x2 - point[1]))
     hits = np.flatnonzero(d <= tol)

@@ -34,10 +34,12 @@ MAX_VERIFY_DEGREE = 100
 
 
 def singular_probe_pairs(n, rng, count=12):
-    """Point pairs engineered to land in or near the compact-form guard band.
+    """Point pairs engineered to land on or near the removable singularities
+    of the compact form's quotient (cos m alpha - cos m beta) / (cos alpha -
+    cos beta).
 
     Returns (xs, ys) arrays of shape (P, 2): exact coincidences, matched
-    angle sums (denominator exactly zero), and offsets just inside the band.
+    angle sums (denominator exactly zero), and sums offset by 1e-9.
     """
     base = rng.uniform(-1.0, 1.0, (count, 2))
     # the same draws as one rng.uniform(0.0, np.pi) per base point
@@ -45,7 +47,7 @@ def singular_probe_pairs(n, rng, count=12):
     # matched sum theta1 + phi1 = theta2 + phi2
     ph2 = np.arccos(base[:, 0]) + ph1 - np.arccos(base[:, 1])
     # per base point: the same point (one quotient denominator is exactly
-    # zero), the matched sum, and the matched sum a hair inside the band
+    # zero), the matched sum, and the matched sum offset by 1e-9
     ys = np.stack([base, np.column_stack([np.cos(ph1), np.cos(ph2)]),
                    np.column_stack([np.cos(ph1), np.cos(ph2 + 1e-9)])], axis=1)
     return np.repeat(base, 3, axis=0), ys.reshape(-1, 2)

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Chebyshev values come from the three-term recurrence (the library itself
-uses the trigonometric form), the kernel is the literal nested double sum,
+uses the trigonometric form), the kernel is the literal nested double sum
+(in float64, and in np.longdouble as the reference for the compact form),
 and tables are written one cell at a time.  Nothing here imports evaluation
 or output code from the package, with four exceptions, each an earlier form
 of a package function that its successor must match bit for bit, so each
@@ -53,6 +54,35 @@ def kernel_double_sum(n, x, y):
             px = t_norm_rec(deg - j, x[0]) * t_norm_rec(j, x[1])
             py = t_norm_rec(deg - j, y[0]) * t_norm_rec(j, y[1])
             total += px * py
+    return total
+
+
+def kernel_double_sum_longdouble(n, x, y):
+    """Reproducing kernel as the double sum over a + b <= n in np.longdouble.
+
+    The Chebyshev values come from the three-term recurrence on the
+    coordinates cast to longdouble; x and y are (x1, x2) pairs whose arrays
+    broadcast.  sum_a 2 T_a(x1) T_a(y1) sum_{b <= n-a} 2 T_b(x2) T_b(y2), with
+    the a = 0 and b = 0 factors 1, is the orthonormal double sum.
+    """
+    ld = np.longdouble
+    x1, x2, y1, y2 = (np.asarray(c, dtype=ld) for c in np.broadcast_arrays(*x, *y))
+
+    def products(p, q):
+        # the a = 0 product 1, then 2 T_a(p) T_a(q) for a = 1..n
+        tp, tq = [np.ones_like(p), p], [np.ones_like(q), q]
+        for _ in range(n - 1):
+            tp.append(2 * p * tp[-1] - tp[-2])
+            tq.append(2 * q * tq[-1] - tq[-2])
+        return [tp[0] * tq[0]] + [2 * a * b for a, b in zip(tp[1:n + 1], tq[1:n + 1])]
+
+    u, v = products(x1, y1), products(x2, y2)
+    total = np.zeros_like(x1)
+    tail = np.zeros_like(x1)
+    # tail = sum_{b <= n-a} v[b], grown as a falls from n to 0
+    for a in range(n, -1, -1):
+        tail = tail + v[n - a]
+        total = total + u[a] * tail
     return total
 
 

@@ -61,6 +61,18 @@ def test_d_term_direct_quotient_and_periodicity():
     )
 
 
+def test_d_term_limits_at_removable_singularities():
+    # at beta = alpha the quotient's limit is sum_m m sin(m alpha) / sin(alpha)
+    # over m = n, n+1; at the zeros of sin(alpha) it is (+-1) m^2
+    for n in (0, 1, 4, 17):
+        alpha = np.array([0.3, 1.1, 2.9])
+        limit = 0.25 * sum(m * np.sin(m * alpha) / np.sin(alpha) for m in (n, n + 1))
+        assert np.allclose(d_term(n, alpha, alpha), limit, rtol=1e-13, atol=1e-13)
+        assert np.allclose(d_term(n, alpha, alpha + 2 * np.pi), limit, rtol=1e-12, atol=1e-12)
+        assert d_term(n, 0.0, 0.0) == 0.25 * (n**2 + (n + 1) ** 2)
+        assert d_term(n, np.pi, np.pi) == 0.25 * (-1) ** n * (2 * n + 1)
+
+
 def test_compact_agrees_with_direct(rng):
     for n in (1, 2, 3, 5, 8, 13, 21, 30):
         x = rng.uniform(-1, 1, (200, 2))
@@ -70,19 +82,31 @@ def test_compact_agrees_with_direct(rng):
         assert np.max(np.abs(kc - kd)) <= 1e-9 * (n + 1)
 
 
+def test_compact_broadcasts_mixed_coordinate_shapes(rng):
+    # the coordinates of one side need not share a shape
+    n = 5
+    a1, a2 = rng.uniform(-1, 1, (3, 1)), rng.uniform(-1, 1, 4)
+    b1, b2 = rng.uniform(-1, 1, 4), 0.25
+    for x, y in (((0.2, 0.1), (a1[:, 0], 0.5)), ((a1, a2), (b1, b2)), ((a1, 0.3), (0.7, a2))):
+        kc = kernel_compact(n, x, y)
+        kd = kernel_direct(n, x, y)
+        assert np.shape(kc) == np.shape(kd)
+        assert np.max(np.abs(kc - kd)) <= 1e-12
+        assert np.max(np.abs(kernel_star(n, x, y) - _direct_star(n, x, y))) <= 1e-12
+
+
 def _direct_star(n, x, y):
     return kernel_direct(n, x, y) - cheb_t(n, x[0]) * cheb_t(n, y[0])
 
 
 def test_compact_handles_singular_band(rng):
-    # the one guard-band fallback, on paired batches, 0-d pairs and the
-    # cross matrix of star_matrix
+    # the removable singularities of the quotient form, on paired batches,
+    # 0-d pairs and the cross matrix of star_matrix
     for n in (2, 9, 17):
         tol = 1e-9 * (n + 1)
         xs, ys = singular_probe_pairs(n, rng, count=20)
         x, y = (xs[:, 0], xs[:, 1]), (ys[:, 0], ys[:, 1])
-        sx, sy = kernel.point_tables(n, *x), kernel.point_tables(n, *y)
-        assert np.all(kernel._compact_terms(sx, sy)[1][::3])
+        sx, sy = kernel.point_tables(*x), kernel.point_tables(*y)
         kc = kernel_compact(n, x, y)
         kd = kernel_direct(n, x, y)
         assert np.all(np.isfinite(kc))
@@ -96,6 +120,30 @@ def test_compact_handles_singular_band(rng):
         direct = _direct_star(n, (a1, a2), (b1, b2))
         assert np.all(np.isfinite(cross))
         assert np.max(np.abs(cross - direct)) <= tol
+
+
+def _near_corner(rng, size):
+    # both coordinates within 1e-6 of +-1
+    return np.sign(rng.uniform(-1, 1, (size, 2))) * (1.0 - rng.uniform(0, 1e-6, (size, 2)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 17, 30, 64])
+def test_compact_within_rounding_of_longdouble_sum(rng, n):
+    # every pair takes the product form: on probe, random, near-coincident
+    # and near-corner pairs it stays within a few ulp of the kernel's size,
+    # about 2 (n+1)^2 at the corners
+    xs, ys = singular_probe_pairs(n, rng, count=20)
+    x = rng.uniform(-1, 1, (200, 2))
+    near = np.clip(x + rng.uniform(-1e-12, 1e-12, x.shape), -1.0, 1.0)
+    cases = [(xs, ys), (x, rng.uniform(-1, 1, (200, 2))), (x, near),
+             (_near_corner(rng, 200), _near_corner(rng, 200))]
+    for a, b in cases:
+        pa, pb = (a[:, 0], a[:, 1]), (b[:, 0], b[:, 1])
+        ref = oracles.kernel_double_sum_longdouble(n, pa, pb)
+        err = np.max(np.abs(kernel_compact(n, pa, pb) - ref))
+        assert err <= 4e-15 * (n + 1) ** 2
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -113,10 +161,10 @@ def test_singular_probe_pairs_match_loop_oracle(seed, count):
 def test_star_matrix_row_blocks_bitwise(rng, monkeypatch):
     n = 9
     xs, ys = singular_probe_pairs(n, rng, count=10)
-    sx = kernel.point_tables(n, xs[:, 0], xs[:, 1])
-    sy = kernel.point_tables(n, ys[:, 0], ys[:, 1])
+    sx = kernel.point_tables(xs[:, 0], xs[:, 1])
+    sy = kernel.point_tables(ys[:, 0], ys[:, 1])
     whole = kernel.star_matrix(n, sx, sy)
-    # 4 rows per block: several blocks, each with guard-band pairs
+    # 4 rows per block: several blocks, each with probe pairs
     monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 4 * len(ys))
     blocked = kernel.star_matrix(n, sx, sy)
     assert np.array_equal(blocked, whole)
@@ -141,29 +189,24 @@ def test_star_matrix_peak_memory_near_result():
 
 @pytest.mark.parametrize("n", [1, 2, 9, 24, 64])
 def test_node_tables_exact_on_lattice(n):
-    # trig[d][i] is (cos, sin) of (1, n, n+1)[i] * theta_d; at the nodes
-    # n*theta1 = k*pi and (n+1)*theta2 = eta*pi, so these are exact
+    # the node angles are the lattice angles: their cosines are the node
+    # coordinates bit for bit, and T_n(x1) = cos(n theta1), which kernel_star
+    # and star_matrix subtract, is exactly (-1)^k at the nodes
     pset = generate(n)
     t = kernel.node_tables(pset)
-    cn1, sn1 = t.trig[0][1]
-    cm2, sm2 = t.trig[1][2]
-    assert np.all(sn1 == 0.0) and np.all(sm2 == 0.0)
-    assert np.array_equal(cn1, (-1.0) ** pset.k_num)
-    assert np.array_equal(cm2, (-1.0) ** pset.eta_num)
+    assert np.array_equal(np.cos(t.theta1), pset.x1)
+    assert np.array_equal(np.cos(t.theta2), pset.x2)
+    assert np.array_equal(np.cos(n * t.theta1), (-1.0) ** pset.k_num)
 
 
 @pytest.mark.parametrize("key", [slice(3, 40, 2), (slice(5, 17), None), np.newaxis])
 def test_point_tables_index_bitwise(rng, key):
-    n = 7
     x1, x2 = rng.uniform(-1.0, 1.0, (2, 50))
-    whole = kernel.point_tables(n, x1, x2)[key]
-    part = kernel.point_tables(n, x1[key], x2[key])
+    whole = kernel.point_tables(x1, x2)[key]
+    part = kernel.point_tables(x1[key], x2[key])
     for name in ("theta1", "theta2"):
+        assert getattr(whole, name).shape == getattr(part, name).shape
         assert np.array_equal(getattr(whole, name), getattr(part, name))
-    for coord_w, coord_p in zip(whole.trig, part.trig, strict=True):
-        for (cw, sw), (cp, sp) in zip(coord_w, coord_p, strict=True):
-            assert cw.shape == cp.shape
-            assert np.array_equal(cw, cp) and np.array_equal(sw, sp)
 
 
 def test_compact_frozen_value_at_coincident_point():
@@ -171,15 +214,16 @@ def test_compact_frozen_value_at_coincident_point():
 
 
 def test_compact_contract_just_outside_guard_band(rng):
-    # denominators parked barely above the band are the worst case for the
-    # quotient; the compact form must still match the oracle everywhere
+    # quotient denominators at zero and a little above it, where the quotient
+    # itself loses most to cancellation; the compact form must match the
+    # oracle everywhere
     for n in (2, 13, 30, 64):
         worst = 0.0
         for _ in range(60):
             x1, x2 = rng.uniform(-1, 1, 2)
             th1, th2 = np.arccos(x1), np.arccos(x2)
             ph1 = rng.uniform(0, np.pi)
-            for eps in (1.2 * kernel.SINGULAR_BAND, 1e-5, 1e-4):
+            for eps in (0.0, 1e-12, 1e-9, 1.2e-6, 1e-5, 1e-4):
                 ph2 = th1 + ph1 - th2
                 s = np.sin(ph2) if abs(np.sin(ph2)) > 0.1 else 0.1
                 y = (np.cos(ph1), np.cos(ph2 + eps / s))

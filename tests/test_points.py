@@ -123,8 +123,9 @@ def test_find_index_ambiguous():
     pset = generate(2)
     with pytest.raises(AmbiguousMatchError, match="ambiguous match"):
         find_index(pset, (0.0, 0.0), 10.0)
-    with pytest.raises(ValueError):
-        find_index(pset, (0.0, 0.0), -1.0)
+    for tol in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            find_index(pset, (0.0, 0.0), tol)
 
 
 def test_position_lookup():
