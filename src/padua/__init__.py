@@ -35,6 +35,7 @@ from .ideal import (
 )
 from .interp import (
     EvalGrid,
+    fundamental_poly,
     interpolate,
     interpolate_grid,
     lebesgue_constant,
@@ -44,7 +45,6 @@ from .interp import (
 )
 from .kernel import (
     d_term,
-    fundamental_poly,
     kernel_compact,
     kernel_direct,
     kernel_star,

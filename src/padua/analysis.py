@@ -306,8 +306,10 @@ def measure_error(coeffs, f, p, grid, quad_m):
     and error_uniform is their largest deviation there.  error_wp is the
     weighted L^p error by tensor Gauss-Chebyshev quadrature with quad_m nodes
     per axis, or the uniform error when p = inf.  convergence_study measures
-    through the same instrument, built once for all its degrees.
+    through the same instrument, built once for all its degrees.  quad_m
+    outside 1..MAX_QUAD raises ValueError before any work.
     """
+    check_quad(quad_m)
     p = _as_p(p)
     kmax = max(coeffs.shape[-2:]) - 1
     instrument = _Instrument(f, p, grid, quad_m, np.result_type(coeffs.dtype, float),

@@ -123,9 +123,9 @@ def t_norm_values(kmax, x, dtype=float):
 def cospi_frac(num, den, dtype=float):
     """cos(pi * num / den) for integer num, with exact phase reduction.
 
-    Reducing num mod 2*den before forming the angle keeps lattice values such
-    as cos(k*pi/n) correct to one ulp even for large products k*a.  The angle
-    and cosine are formed in dtype (float64 by default, or np.longdouble).
+    Reducing num mod 2*den first keeps lattice values such as cos(k*pi/n)
+    within 3.3e-16 even for large products k*a; near zeros that is up to 42
+    ulp relative.  The angle and cosine are formed in dtype (default float64).
     """
     ftype = np.dtype(dtype).type
     num = np.asarray(num, dtype=np.int64)

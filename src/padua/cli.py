@@ -2,10 +2,13 @@
 marcinkiewicz, verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 bad arguments, 3 I/O failure,
-4 sample-data mismatch.  All output is deterministic given flags and seed.
+4 sample-data mismatch.  All output is deterministic given flags and seed
+at a fixed BLAS thread count, on one machine and numpy build.
 """
 
 import argparse
+import contextlib
+import functools
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -55,9 +58,10 @@ class OutputSpec:
         return format(float(v), f".{self.precision}g")
 
     def _open(self):
+        """The output as a context manager: stdout, left open, or the file."""
         if self.path in (None, "-"):
-            return sys.stdout, False
-        return open(self.path, "w", newline="\n"), True
+            return contextlib.nullcontext(sys.stdout)
+        return open(self.path, "w", newline="\n")
 
     def write_rows(self, header, columns):
         """Write equal-length 1-D columns, or a _LatticeRows, as CSV: a float
@@ -67,14 +71,10 @@ class OutputSpec:
         rows at a time."""
         table = _table(header, columns)
         seps = [","] * (len(header) - 1) + ["\n"]
-        out, close = self._open()
-        try:
+        with self._open() as out:
             out.write(",".join(header) + "\n")
             out.writelines(table.pieces(f"%.{self.precision}g".__mod__, self._csv_texts,
                                         seps, "\n"))
-        finally:
-            if close:
-                out.close()
 
     def _csv_texts(self, values):
         """CSV texts of a block of a column of objects; strings pass through."""
@@ -108,13 +108,9 @@ class OutputSpec:
         record table one block of _BLOCK_ROWS rows at a time, assembled column
         by column as in write_rows, and a 1-D float array in one piece, with
         its floats formatted once per distinct bit pattern."""
-        out, close = self._open()
-        try:
+        with self._open() as out:
             out.writelines(self._json(obj, "\n"))
             out.write("\n")
-        finally:
-            if close:
-                out.close()
 
     def _json(self, obj, nl):
         """Pieces of the JSON text of obj, whose lines after the first start
@@ -549,6 +545,7 @@ def cmd_verify(args):
 # parser
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="padua",
@@ -618,9 +615,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

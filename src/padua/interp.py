@@ -7,9 +7,10 @@ one matrix product per lattice row of nodes on the closed-form coefficients
 of the fundamental polynomials.  Values on the node lattice come from the
 same tables: lagrange_node_blocks gives the fundamental polynomials at the
 nodes, one lattice row of nodes at a time.  Lagrange values at scattered
-points (lagrange_matrix, the Lebesgue function) come from the same closed-form
-coefficients, summed at each point: O(n^3) per point, in blocks of bounded
-size.
+points come from one generator of the same closed form, _lagrange_blocks,
+O(n^3) per point in blocks of bounded size: lagrange_matrix writes them in
+set order, lebesgue_function sums their absolute values as they come, and
+fundamental_poly runs it on a one-node grid.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ MAX_GRID = 1000
 MAX_LEBESGUE_ENTRIES = 1 << 25
 
 
-# Largest number of float64 values in one temporary of lagrange_matrix: the
+# Largest number of float64 values in one temporary of _lagrange_blocks: the
 # point tables of a block of points, its cumulative table Y and its product
 # with the node axis.  2**17 values are 1 MB, so the temporaries of an N x N
 # Lagrange matrix stay small next to it (the peak at n = 60 over the nodes is
@@ -129,54 +130,78 @@ def sample(pset, f, dtype=float):
                     dtype, name=lambda i: f"node k={k[i]}, j={j[i]}")
 
 
+def _lagrange_blocks(n, x, grids):
+    """Fundamental-polynomial values at the points x = (x1, x2), in blocks.
+
+    Returns the broadcast shape of x and a generator of (rows, grid, cols,
+    lat) over the tensor grids (ks, etas) of nodes in grids: lat[i, p, c] is
+    the polynomial of node (ks[i], etas[cols][c]) at flat point rows[p], a
+    fresh array.  Node (k, eta) has the coefficients T1[a, k] T2[b, eta] /
+    (A[k] B[eta]) for a + b <= n, the (n, 0) term halved (node_star_axes), so
+    with u[a] = Tnorm_a(x1), v[b] = Tnorm_b(x2) it is sum_a u[a] T1[a, k] /
+    A[k] Y[a, eta], Y[a, eta] = sum_{b <= n-a} v[b] T2[b, eta] / B[eta], Y[n]
+    halved: one cumulative sum and one matrix product per block of points and
+    grid, no temporary over _BLOCK_ENTRIES values.  O(n^3) per point.
+    """
+    x1, x2 = np.broadcast_arrays(*check_square(*x))
+    shape, x1, x2 = x1.shape, np.ravel(x1), np.ravel(x2)
+    a_fac, b_fac = kernel.node_star_axes(n)
+    # x1's side runs over a in reverse, so Y[a] is the forward cumulative sum
+    # y[n - a]: the terms and order of _tail_sums, formed in one pass
+    tables = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
+               t_norm_lattice(n, etas, n + 1) / b_fac[etas]) for ks, etas in grids]
+    chunk = min((n + 3) // 2, max(1, _BLOCK_ENTRIES // (n + 1)))
+    block = max(1, _BLOCK_ENTRIES // ((n + 1) * chunk))
+
+    def blocks():  # the tables are built at the call, before a caller's result
+        for start in range(0, x1.size, block):
+            rows = slice(start, start + block)
+            u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
+            for grid, (left, right) in zip(grids, tables):
+                for first in range(0, right.shape[1], chunk):
+                    cols = slice(first, first + chunk)
+                    y = v[:, :, None] * right[:, None, cols]
+                    for m in range(1, n + 1):
+                        y[m] += y[m - 1]
+                    y[0] *= 0.5
+                    y *= u[:, :, None]
+                    lat = left.T @ y.reshape(n + 1, -1)
+                    yield rows, grid, cols, lat.reshape(left.shape[1], u.shape[1], -1)
+    return shape, blocks()
+
+
 def lagrange_matrix(pset, x1, x2):
     """Matrix of fundamental-polynomial values, shape (npoints, nnodes).
 
     x1 and x2 broadcast together; row i is the point at flat index i of the
-    broadcast shape in C order.  The fundamental polynomial of node
-    nu = (k, eta) has the coefficients T1[a, k] T2[b, eta] / (A[k] B[eta])
-    for a + b <= n, the (n, 0) term halved (kernel.node_star_axes), so at a
-    point with u[a] = Tnorm_a(x1), v[b] = Tnorm_b(x2) it is
-    sum_a u[a] T1[a, k] / A[k] Y[a, eta], with
-    Y[a, eta] = sum_{b <= n-a} v[b] T2[b, eta] / B[eta] and Y[n] halved.  The
-    nodes are two tensor grids of the lattice (pset.sub_grids), so per block
-    of points and grid this is one cumulative sum over b and one matrix
-    product over a, written through one strided view of the grid's set
-    positions (set order pairs lattice rows 2r and 2r + 1).  Besides
-    the result and the two lattice tables, no temporary holds more than
-    _BLOCK_ENTRIES values; where one point's part of a grid has more, it is
-    split over eta.  The cost is O(n^3) per point.
+    broadcast shape in C order.  Each block of _lagrange_blocks on the two
+    sub-grids is written through one strided view of its set positions.
     """
-    n = pset.degree
-    x1, x2 = (np.ravel(c) for c in np.broadcast_arrays(*check_square(x1, x2)))
-    a_fac, b_fac = kernel.node_star_axes(n)
-    # the x1 side runs over a in reverse, so Y[a] is the forward cumulative
-    # sum y[n - a]: the terms and order of _tail_sums, with the products
-    # formed in one pass rather than one outer product per row
-    grids = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
-              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks[0]])
-             for ks, etas in pset.sub_grids()]
-    out = np.empty((x1.size, len(pset)))
-    chunk = min((n + 3) // 2, max(1, _BLOCK_ENTRIES // (n + 1)))
-    block = max(1, _BLOCK_ENTRIES // ((n + 1) * chunk))
-    for start in range(0, x1.size, block):
-        rows = slice(start, start + block)
-        u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
-        for left, right, offset in grids:
-            # set order pairs lattice row 2r with row 2r + 1, n + 2 nodes a
-            # pair, so a grid's rows are rows n + 2 apart from its first node
-            dest = np.lib.stride_tricks.as_strided(
-                out[rows, offset:], shape=(u.shape[1], left.shape[1], right.shape[1]),
-                strides=(out.strides[0], (n + 2) * out.strides[1], out.strides[1]))
-            for first in range(0, right.shape[1], chunk):
-                y = v[:, :, None] * right[:, None, first:first + chunk]
-                for m in range(1, n + 1):
-                    y[m] += y[m - 1]
-                y[0] *= 0.5
-                y *= u[:, :, None]
-                lat = (left.T @ y.reshape(n + 1, -1)).reshape(left.shape[1], u.shape[1], -1)
-                dest[:, :, first:first + chunk] = lat.transpose(1, 0, 2)
+    shape, blocks = _lagrange_blocks(pset.degree, (x1, x2), pset.sub_grids())
+    out = np.empty((np.prod(shape, dtype=int), len(pset)))
+    for rows, (ks, etas), cols, lat in blocks:
+        # set order pairs lattice row 2r with row 2r + 1, n + 2 nodes a
+        # pair, so a grid's rows are rows n + 2 apart from its first node
+        dest = np.lib.stride_tricks.as_strided(
+            out[rows, pset.row_starts[ks[0]]:], shape=(lat.shape[1], ks.size, etas.size),
+            strides=(out.strides[0], (pset.degree + 2) * out.strides[1], out.strides[1]))
+        dest[:, :, cols] = lat.transpose(1, 0, 2)
     return out
+
+
+def fundamental_poly(pset, index, x):
+    """Fundamental Lagrange polynomial of node (k, j) at the points x = (x1, x2).
+
+    1 at the node, 0 at the others: _lagrange_blocks on the grid ([k], [eta]),
+    O(n) per point, reading no per-node array.  The result has the broadcast
+    shape of x, or is a float for a single point.
+    """
+    node = pset.lattice_index([pset.position(index)])
+    shape, blocks = _lagrange_blocks(pset.degree, x, [node])
+    out = np.empty(shape)
+    for rows, _, _, lat in blocks:
+        out.reshape(-1)[rows] = lat[0, :, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def lattice_tables(n, dtype=float):
@@ -215,16 +240,13 @@ def lagrange_node_blocks(pset):
     Yields (cols, block) once per row k = 0..n of the node lattice: cols are
     the set positions of the nodes with k_num == k, and block[p, j] is the
     fundamental polynomial of node cols[j] at node p, shape (N, len(cols)).
-    The values come from the tables of to_coefficients: the fundamental
-    polynomial of node (k, eta) has coefficients T1[a, k] T2[b, eta] /
-    (A[k] B[eta]) for a + b <= n (kernel.node_star_axes), so at node
-    (k', eta') it is sum_a T1[a, k'] T1[a, k] / A[k] Z[a, eta', eta] with the
-    cumulative table Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta]
-    / B[eta], built once, and Z[n] halved for the (n, 0) coefficient.  The
-    nodes are two tensor grids of the lattice (pset.sub_grids): even k' with
-    odd eta', odd k' with even eta'.  So each row is two matrix products over
-    a, one per grid, written into the set positions of the grid's rows; no
-    N x N matrix is formed.
+    By the closed form of _lagrange_blocks, at node (k', eta') it is
+    sum_a T1[a, k'] T1[a, k] / A[k] Z[a, eta', eta] with the cumulative table
+    Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta] / B[eta], built
+    once, and Z[n] halved.  The nodes are two tensor grids of the lattice
+    (pset.sub_grids), so each row is two matrix products over a, one per
+    grid, written into the set positions of the grid's rows; no N x N matrix
+    is formed.
     """
     n = pset.degree
     l1, l2 = lattice_tables(n)
@@ -286,10 +308,12 @@ def lebesgue_function(pset, x):
     """Sum of absolute fundamental-polynomial values at the points x = (x1, x2).
 
     The coordinates broadcast; the result has their broadcast shape, or is a
-    float for a single point.
+    float for one point.  It sums the blocks of _lagrange_blocks as they come.
     """
-    shape = np.broadcast_shapes(np.shape(x[0]), np.shape(x[1]))
-    out = np.abs(lagrange_matrix(pset, x[0], x[1])).sum(axis=-1).reshape(shape)
+    shape, blocks = _lagrange_blocks(pset.degree, x, pset.sub_grids())
+    out = np.zeros(shape)
+    for rows, _, _, lat in blocks:
+        out.reshape(-1)[rows] += np.abs(lat, out=lat).sum(axis=(0, 2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,22 +3,23 @@
 The compact four-term form (O(1) per pair) evaluates the kernel and the
 modified kernel at scattered point pairs (kernel_compact, kernel_star,
 star_matrix); Lagrange values go through the closed-form coefficients of the
-fundamental polynomials instead (interp.lagrange_matrix, fundamental_poly
-here).  Each of the four terms is d_term, a sum of two products of
-Dirichlet-type ratios R_m(t) = sin(m t) / sin(t), whose singularities are
-removable: R_m takes its limit where sin(t) vanishes, so the compact form is
-finite everywhere and has no second route.  kernel_direct is the direct
-double sum over the orthonormal product basis (O(n^2) per pair), the oracle
-the compact form is checked against; direct_from_tables is the same sum on
-Chebyshev tables a caller already holds.  The node values have a closed
-form, one factor per lattice axis (node_star_axes), checked by a direct sum
-on the lattice (node_star_direct).  Each side of a compact evaluation is one
-SideTables, the angles of its points.
+fundamental polynomials instead (interp.lagrange_matrix, lebesgue_function
+and fundamental_poly).  Each of the four terms is d_term, a sum of two
+products of Dirichlet-type ratios R_m(t) = sin(m t) / sin(t), whose
+singularities are removable: R_m takes its limit where sin(t) vanishes, so
+the compact form is finite everywhere and has no second route.
+kernel_direct is the direct double sum over the orthonormal product basis
+(O(n^2) per pair), the oracle the compact form is checked against;
+direct_from_tables is the same sum on Chebyshev tables a caller already
+holds.  The node values have a closed form, one factor per lattice axis
+(node_star_axes), checked by a direct sum on the lattice
+(node_star_direct).  Each side of a compact evaluation is one SideTables,
+the angles of its points.
 """
 
 import numpy as np
 
-from .cheb import check_degree, check_square, cos_table, t_norm_lattice, t_norm_values
+from .cheb import check_degree, check_square, cos_table, t_norm_lattice
 from .points import CODE_TO_CLASS, PointClass
 
 # Diagonal values of the modified kernel at the nodes are n(n+1) times these.
@@ -254,26 +255,3 @@ def kernel_star_at_node(pset, index):
     k, eta = pset.lattice_index(pset.position(index))
     a, b = node_star_axes(pset.degree)
     return float(a[k] * b[eta])
-
-
-def fundamental_poly(pset, index, x):
-    """Fundamental Lagrange polynomial of node (k, j) evaluated at x.
-
-    Equals 1 at the node itself and 0 at every other node.  The polynomial
-    of node nu = (k, eta) has the coefficients T1[a, k] T2[b, eta] / K*(nu, nu)
-    for a + b <= n, the (n, 0) term halved, so at a point it is
-    sum_a Tnorm_a(x1) T1[a, k] sum_{b <= n-a} Tnorm_b(x2) T2[b, eta] / K*(nu, nu):
-    O(n) per point, on the lattice values of this one node.  The result has
-    the broadcast shape of x, or is a float for a single point.
-    """
-    pos = pset.position(index)
-    x1, x2 = np.broadcast_arrays(*check_square(*x))
-    n = pset.degree
-    k, eta = pset.lattice_index(pos)
-    column = (-1,) + (1,) * x1.ndim
-    v = t_norm_values(n, x2) * t_norm_lattice(n, eta, n + 1).reshape(column)
-    tail = np.cumsum(v, axis=0)[::-1]
-    tail[n] *= 0.5
-    u = t_norm_values(n, x1) * t_norm_lattice(n, k, n).reshape(column)
-    out = np.einsum("a...,a...->...", u, tail) / kernel_star_at_node(pset, index)
-    return float(out) if out.ndim == 0 else out

@@ -57,13 +57,15 @@ def kernel_double_sum(n, x, y):
     return total
 
 
-def kernel_double_sum_longdouble(n, x, y):
+def kernel_double_sum_longdouble(n, x, y, absolute=False):
     """Reproducing kernel as the double sum over a + b <= n in np.longdouble.
 
     The Chebyshev values come from the three-term recurrence on the
     coordinates cast to longdouble; x and y are (x1, x2) pairs whose arrays
     broadcast.  sum_a 2 T_a(x1) T_a(y1) sum_{b <= n-a} 2 T_b(x2) T_b(y2), with
-    the a = 0 and b = 0 factors 1, is the orthonormal double sum.
+    the a = 0 and b = 0 factors 1, is the orthonormal double sum.  With
+    absolute=True it is the sum of the absolute values of its terms, the
+    size that rounding errors of the sum scale with.
     """
     ld = np.longdouble
     x1, x2, y1, y2 = (np.asarray(c, dtype=ld) for c in np.broadcast_arrays(*x, *y))
@@ -77,6 +79,8 @@ def kernel_double_sum_longdouble(n, x, y):
         return [tp[0] * tq[0]] + [2 * a * b for a, b in zip(tp[1:n + 1], tq[1:n + 1])]
 
     u, v = products(x1, y1), products(x2, y2)
+    if absolute:
+        u, v = [np.abs(t) for t in u], [np.abs(t) for t in v]
     total = np.zeros_like(x1)
     tail = np.zeros_like(x1)
     # tail = sum_{b <= n-a} v[b], grown as a falls from n to 0

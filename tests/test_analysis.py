@@ -331,6 +331,27 @@ def test_convergence_study_validation():
                 convergence_study(get("const"), p, [2, 4], EvalGrid(10), quad_m=quad_m)
 
 
+def test_measure_error_quad_outside_bound_raises_before_f_is_called():
+    # quad_m = 10**5 would be a 10**10-value quadrature grid: it is refused
+    # before f is evaluated anywhere, whatever p is
+    calls = []
+
+    def f(x1, x2):
+        calls.append(1)
+        return x1 + x2
+
+    pset = generate(4)
+    coeffs = interp.to_coefficients(pset, interp.sample(pset, lambda a, b: a + b))
+    for p in (2, "inf"):
+        for quad_m in (0, analysis.MAX_QUAD + 1, 10**5):
+            with pytest.raises(ValueError, match=str(analysis.MAX_QUAD)):
+                analysis.measure_error(coeffs, f, p, EvalGrid(10), quad_m)
+    assert calls == []
+    # in range it measures: the degree-4 interpolant of a linear f is exact
+    err = analysis.measure_error(coeffs, f, 2, EvalGrid(10), analysis.MAX_QUAD // 10)
+    assert calls and err.error_uniform <= 1e-13 and err.error_wp <= 1e-13
+
+
 def test_convergence_report_dict_round_trip():
     report = convergence_study(get("coord1"), "inf", [2, 3], EvalGrid(16))
     d = report.to_dict()

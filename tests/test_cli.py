@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from padua import interp, kernel, points, verify
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_MARCINKIEWICZ_TRIALS, MAX_QUAD
-from padua.cli import main
+from padua.cli import build_parser, main
 from padua.interp import (
     MAX_GRID,
     MAX_LEBESGUE_ENTRIES,
@@ -364,6 +368,32 @@ def test_precision_outside_range_exits_2_before_any_work(capsys, monkeypatch, pr
         f"invalid int value: '{precision}'" if precision == "five"
         else f"precision must be in 1..17, not {precision}"
     )
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process; each command, run twice in this
+    # process between the others, gives the bytes, stderr and exit code of a
+    # fresh `python -m padua` (usage lines wrap at COLUMNS in both)
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    commands = [
+        ["points", "--degree", "3", "--precision", "0"],
+        ["lebesgue", "--degrees", "2,3", "--grid", "12", "--format", "json"],
+        ["interp", "--degree", "4", "--function", "nope"],
+        ["verify", "--max-degree", "3", "--seed", "1"],
+        ["interp", "--degree", "3", "--function", "exp_sum", "--grid", "5"],
+    ]
+    fresh = [subprocess.run([sys.executable, "-m", "padua", *argv], capture_output=True,
+                            env=env) for argv in commands]
+    assert [p.returncode for p in fresh] == [2, 0, 2, 0, 0]
+    for _ in range(2):
+        for argv, proc in zip(commands, fresh):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out.encode(), err.encode()) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_output_to_missing_directory_is_io_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
-from padua import interp, kernel
+from padua import fundamental_poly, interp, kernel
 from padua.cheb import cospi_frac, product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
     EvalGrid,
@@ -372,10 +372,11 @@ def test_lagrange_matrix_splits_large_lattices_with_bounded_memory():
     assert mat.nbytes == 3 * len(pset) * 8
     assert peak < 40e6
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12
-    # one column at a time, in O(n) per point, as an independent summation
+    # one column at a time, in O(n) per point: the same blocks on a one-node
+    # grid, whose matrix products over a have another shape
     for pos in (0, 1000, len(pset) // 2, len(pset) - 1):
         idx = (int(pset.k_num[pos]), int(pset.j_num[pos]))
-        col = kernel.fundamental_poly(pset, idx, (x1, x2))
+        col = fundamental_poly(pset, idx, (x1, x2))
         assert np.max(np.abs(col - mat[:, pos])) <= 1e-14
 
 
@@ -418,6 +419,43 @@ def test_lebesgue_function_array_matches_scalar_calls(rng):
     for i in range(2):
         for j in range(3):
             assert abs(grid[i, j] - lebesgue_function(pset, (a1[i, j], a2[j]))) <= 1e-14
+
+
+@pytest.mark.parametrize("entries", [None, 17, 400])
+def test_lebesgue_function_matches_lagrange_matrix_abs_sum(rng, monkeypatch, entries):
+    # the blocks are summed as they come, against the row sums of the whole
+    # matrix; small blocks split each sub-grid over eta and the points over
+    # many blocks
+    if entries is not None:
+        monkeypatch.setattr(interp, "_BLOCK_ENTRIES", entries)
+    a1, a2 = rng.uniform(-1.0, 1.0, (7, 1)), rng.uniform(-1.0, 1.0, 5)
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [0.0, -1.0]])
+    for n in (1, 2, 7, 16, 33):
+        pset = generate(n)
+        got = lebesgue_function(pset, (a1, a2))
+        assert got.shape == (7, 5)
+        expect = np.abs(lagrange_matrix(pset, a1, a2)).sum(axis=-1)
+        assert np.max(np.abs(got.ravel() - expect)) <= 1e-13
+        at = lebesgue_function(pset, (corners[:, 0], corners[:, 1]))
+        expect = np.abs(lagrange_matrix(pset, corners[:, 0], corners[:, 1])).sum(axis=-1)
+        assert np.max(np.abs(at - expect)) <= 1e-13
+
+
+def test_lebesgue_function_bounded_memory_matches_constant():
+    # 10^4 points at n = 128: the 8385 x 10^4 matrix (671 MB) is never formed,
+    # and the grid maximum is the tensor-grid route's Lebesgue constant
+    pset, grid = generate(128), EvalGrid(100)
+    x = grid.points()
+    tracemalloc.start()
+    try:
+        vals = lebesgue_function(pset, (x[:, 0], x[:, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (grid.m * grid.m,)
+    assert peak <= 16e6
+    const = lebesgue_constant(pset, grid)
+    assert abs(vals.max() - const) <= 1e-12 * const
 
 
 def test_lebesgue_function_basics(rng):

@@ -3,11 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padua import kernel
+from padua import fundamental_poly, kernel
 from padua.cheb import DomainError, cheb_t, cospi_frac, t_norm_values
 from padua.kernel import (
     d_term,
-    fundamental_poly,
     kernel_compact,
     kernel_direct,
     kernel_star,
@@ -144,6 +143,32 @@ def test_compact_within_rounding_of_longdouble_sum(rng, n):
         ref = oracles.kernel_double_sum_longdouble(n, pa, pb)
         err = np.max(np.abs(kernel_compact(n, pa, pb) - ref))
         assert err <= 4e-15 * (n + 1) ** 2
+
+
+# Bound on |kernel_compact - long-double sum| in units of eps times the sum
+# of the absolute terms of the double sum.  Largest ratios seen for n <= 100
+# (seeds 1-5, up to 2000 pairs a degree): 17 on near-corner pairs, where
+# 4e-15 (n+1)^2 falls short at n = 100, 34 on probe pairs and 69 on random
+# and near-coincident pairs; the pairs below reach 17.  The ratio is not
+# uniform in n: single pairs reached 114 near n = 160.
+_COMPACT_TERM_ULPS = 128
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                    reason="np.longdouble is no wider than float64 here")
+def test_compact_within_rounding_of_term_sizes_at_every_degree(rng):
+    eps = np.finfo(float).eps
+    for n in range(1, 101):
+        xs, ys = singular_probe_pairs(n, rng, count=10)
+        x = rng.uniform(-1, 1, (60, 2))
+        near = np.clip(x + rng.uniform(-1e-12, 1e-12, x.shape), -1.0, 1.0)
+        a = np.vstack([xs, x, x, _near_corner(rng, 60)])
+        b = np.vstack([ys, rng.uniform(-1, 1, (60, 2)), near, _near_corner(rng, 60)])
+        pa, pb = (a[:, 0], a[:, 1]), (b[:, 0], b[:, 1])
+        ref = oracles.kernel_double_sum_longdouble(n, pa, pb)
+        size = oracles.kernel_double_sum_longdouble(n, pa, pb, absolute=True)
+        err = np.abs(kernel_compact(n, pa, pb) - ref)
+        assert np.max(err / (eps * size)) <= _COMPACT_TERM_ULPS, f"n = {n}"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
