@@ -101,31 +101,44 @@ def fourier_partial_sum(n, f, x, m=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-# Quadrature-grid entries per block of Marcinkiewicz trials.  A block of B
-# trials holds B * m * m quadrature values at once; at the default m = 200
-# that is 8 trials and 2.6 MB of float64, which keeps the process's peak
-# RSS at the level of the one-trial-at-a-time loop (16 trials raised it by
-# 5.8 MB).  At least one trial runs per block.
+# Values per block of Marcinkiewicz trials.  One trial holds, in _ratios, its
+# coefficients, the products l1.T @ C and q.T @ C, its lattice and node
+# values and its m x m quadrature values (_trial_entries); a block takes as
+# many trials as fit in 320,000 values, 2.6 MB of float64, which keeps the
+# process's peak RSS at the level of the one-trial-at-a-time loop (16 trials
+# of 200 x 200 quadrature values raised it by 5.8 MB).  That is 7 trials at
+# n = 8 and 6 at n = 32 on the 200-node axis, and 52 at n = 32 on the
+# 33-node axis of p = 2.  At least one trial runs per block.
 _BLOCK_ENTRIES = 320_000
 
 
+def _trial_entries(n, m):
+    """Values one trial holds in _ratios at degree n on an m-node quadrature axis."""
+    lattice = (n + 1) * (n + 2)
+    return 2 * (n + 1) ** 2 + lattice + lattice // 2 + m * (n + 1) + m * m
+
+
 # Largest degree of marcinkiewicz_ratio and marcinkiewicz_trials.  The
-# quadrature axis has m = max(200, 2n + 1) nodes; past m = 400 a block holds
-# one trial, whose m x m quadrature values sit beside the (m, n+1) product
-# q.T @ C and the (n+1, m) table.  At n = 500 (m = 1001) that is 1.0e6
-# values, 8 MB of float64 and the size of one MAX_GRID grid, plus 4 MB per
-# table; at n = 2000 it would be 128 MB and at n = 4096 537 MB per trial.
-# Larger degrees are refused before any work, not left to exhaust memory.
+# quadrature axis has m = max(200, 2n + 1) nodes, or pn/2 + 1 when that is
+# fewer and p is an even integer (see _marcinkiewicz_setup).  At n = 500 a
+# block holds one trial, whose m x m quadrature values sit beside the
+# (m, n+1) product q.T @ C and the (n+1, m) table: for p = 4 or any p that is
+# not an even integer (m = 1001) that is 1.0e6 values, 8 MB of float64 and
+# the size of one MAX_GRID grid, plus 4 MB per table, and for p = 2
+# (m = 501) a quarter of it.  Were the degree not bounded, m = 2n + 1 would
+# hold 128 MB at n = 2000 and 537 MB at n = 4096 per trial.  Larger degrees
+# are refused before any work, not left to exhaust memory.
 MAX_MARCINKIEWICZ_DEGREE = 500
 
 # Largest trial count of marcinkiewicz_trials.  The ratios take 8 bytes a
 # trial, and the CLI writes one table row per trial from whole-run columns
 # and one text per distinct ratio: 10^5 trials add about 28 MB to the process
-# (65 MB peak RSS against 37 MB for one trial) and take about 12 s at n = 2
-# on a 2-core Xeon, nearly all of it in the ratio blocks (200 trials at
-# n = 32 take about 0.02 s of numerical work).
-# Larger counts are refused before any allocation, not left to fail inside
-# numpy's allocator.
+# (64 MB peak RSS against 36 MB for one trial).  At n = 2 on a 2-core Xeon
+# the command takes about 0.5 s for p = 2, whose exact axis has 3 nodes, and
+# about 25 s for p = 3, nearly all of it in the ratio blocks on the 200-node
+# axis (200 trials at n = 32 take about 0.007 s of numerical work for p = 2
+# and 0.08 s for p = 3).  Larger counts are refused before any allocation,
+# not left to fail inside numpy's allocator.
 MAX_MARCINKIEWICZ_TRIALS = 100_000
 
 
@@ -141,7 +154,7 @@ def _marcinkiewicz_setup(n, p):
     if n > MAX_MARCINKIEWICZ_DEGREE:
         raise ValueError(
             f"unsupported degree {n}: one Marcinkiewicz trial holds a quadrature "
-            f"grid of (2n+1)^2 values, so degree <= {MAX_MARCINKIEWICZ_DEGREE} "
+            f"grid of up to (2n+1)^2 values, so degree <= {MAX_MARCINKIEWICZ_DEGREE} "
             f"is allowed"
         )
     p = _as_p(p)
@@ -150,7 +163,17 @@ def _marcinkiewicz_setup(n, p):
     pset = points.generate(n)
     l1, l2 = interp.lattice_tables(n)
     at_nodes = pset.k_num * (n + 2) + pset.eta_num
-    qnodes, _ = gauss_chebyshev_axis(max(200, 2 * n + 1))
+    # The denominator is the tensor Gauss-Chebyshev rule on m nodes per axis,
+    # which is exact per axis up to degree 2m - 1.  For an even integer p,
+    # |P|^p = P^p has degree at most pn in each variable, whatever the
+    # (n+1) x (n+1) coefficient matrix, so m = pn/2 + 1 (pn <= 2m - 1) gives
+    # the integral itself: at p = 2 it is Parseval's sum of c^2, on 33 nodes
+    # at n = 32.  For any other p, |P|^p is not a polynomial and the axis
+    # keeps max(200, 2n + 1) nodes, which the even-p size never exceeds.
+    m = max(200, 2 * n + 1)
+    if p % 2 == 0:
+        m = min(m, int(p) * n // 2 + 1)
+    qnodes, _ = gauss_chebyshev_axis(m)
     return n, p, (l1, l2, at_nodes, t_norm_values(n, qnodes))
 
 
@@ -172,20 +195,36 @@ def marcinkiewicz_ratio(n, coeffs, p):
     """Discrete-to-continuous p-th power ratio for one polynomial.
 
     The numerator is the plain node average (1/N) sum |P(node)|^p; the
-    denominator is the weighted integral of |P|^p by tensor quadrature.  It
-    is evaluated as a batch of one by the evaluator of marcinkiewicz_trials.
+    denominator is the weighted integral of |P|^p by tensor quadrature, which
+    is exact for an even integer p (see _marcinkiewicz_setup).  coeffs is the
+    (n+1) x (n+1) matrix of the polynomial in the orthonormal product basis;
+    a matrix of another shape, with a non-finite entry or with every entry
+    zero raises ValueError.  It is evaluated as a batch of one by the
+    evaluator of marcinkiewicz_trials.
     """
     n, p, tables = _marcinkiewicz_setup(n, p)
-    return float(_ratios(np.asarray(coeffs, dtype=float)[None], p, *tables)[0])
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n + 1, n + 1):
+        raise ValueError(
+            f"expected an ({n + 1}, {n + 1}) coefficient matrix for degree {n}, "
+            f"got shape {coeffs.shape}"
+        )
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("expected finite coefficients, got nan or inf")
+    if not np.any(coeffs):
+        raise ValueError("expected a nonzero polynomial, got all coefficients zero")
+    return float(_ratios(coeffs[None], p, *tables)[0])
 
 
 def marcinkiewicz_trials(n, p, trials, seed=0):
     """Ratios for `trials` random polynomials with iid uniform [-1,1]
     coefficients in the orthonormal basis; reproducible for a given seed.
 
+    The denominator is exact for an even integer p, on pn/2 + 1 quadrature
+    nodes per axis; other p take max(200, 2n + 1) (see _marcinkiewicz_setup).
     The tables are built once, and the polynomials are evaluated as batched
-    tensor series in blocks of at most _BLOCK_ENTRIES quadrature values
-    (8 trials at the default 200-node quadrature axis).  Each block draws its
+    tensor series in blocks of at most _BLOCK_ENTRIES values, counted over
+    every array a trial holds (_trial_entries).  Each block draws its
     (B, n+1, n+1) coefficients in one call, which takes the same numbers from
     the generator as B draws of one matrix: a seed gives the same polynomials
     whatever the block size, and the first t ratios of a run do not depend on
@@ -202,7 +241,7 @@ def marcinkiewicz_trials(n, p, trials, seed=0):
     n, p, tables = _marcinkiewicz_setup(n, p)
     ks = np.arange(n + 1)
     keep = ks[:, None] + ks[None, :] <= n
-    block = max(1, _BLOCK_ENTRIES // tables[-1].shape[-1] ** 2)
+    block = max(1, _BLOCK_ENTRIES // _trial_entries(n, tables[-1].shape[-1]))
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for start in range(0, trials, block):

@@ -125,13 +125,16 @@ def cospi_frac(num, den, dtype=float):
 
     Reducing num mod 2*den first keeps lattice values such as cos(k*pi/n)
     within 3.3e-16 even for large products k*a; near zeros that is up to 42
-    ulp relative.  The angle and cosine are formed in dtype (default float64).
+    ulp relative.  The reduced phases r lie in 0..den, so every entry is read
+    from one table of the den + 1 cosines cos(pi * r / den): a call takes
+    den + 1 cosines whatever the size of num.  The angle and cosine are formed
+    in dtype (default float64).
     """
     ftype = np.dtype(dtype).type
     num = np.asarray(num, dtype=np.int64)
     r = np.remainder(num, 2 * den)
     r = np.minimum(r, 2 * den - r)
-    return np.cos(ftype(_PI_DIGITS) * (r / ftype(den)))
+    return np.cos(ftype(_PI_DIGITS) * (np.arange(den + 1) / ftype(den)))[r]
 
 
 def t_lattice(kmax, nums, den, dtype=float):

@@ -147,6 +147,17 @@ def set_order_sums(weights, x1, x2, f):
             float(np.add.reduce(np.abs(products))))
 
 
+def cospi_frac_per_entry(num, den, dtype=float):
+    """cos(pi num / den) with one cosine per entry: the earlier form of
+    cheb.cospi_frac, whose one table of den + 1 cosines must match it bit for
+    bit.  The phase is reduced mod 2 den and folded to r in [0, den] first."""
+    ftype = np.dtype(dtype).type
+    r = np.remainder(np.asarray(num, dtype=np.int64), 2 * den)
+    r = np.minimum(r, 2 * den - r)
+    pi = ftype("3.14159265358979323846264338327950288419716939937510582")
+    return np.cos(pi * (r / ftype(den)))
+
+
 def _t_norm_lattice_table(kmax, nums, den):
     """Orthonormal T_k(cos(pi num / den)), k = 0..kmax, from reduced phases."""
     phase = np.outer(np.arange(kmax + 1), nums) % (2 * den)
@@ -155,19 +166,24 @@ def _t_norm_lattice_table(kmax, nums, den):
     return table
 
 
+def padua_node_tables(n):
+    """Orthonormal T_a at the two coordinates of every Padua node
+    (cos(k pi/n), cos(eta pi/(n+1))) with k + eta odd: two (n+1, N) tables."""
+    k, eta = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
+    return _t_norm_lattice_table(n, k, n), _t_norm_lattice_table(n, eta, n + 1)
+
+
 def marcinkiewicz_trials_loop(n, p, trials, seed):
     """Marcinkiewicz ratios, one random polynomial per loop iteration.
 
     Each trial draws (n+1) x (n+1) uniform [-1, 1] coefficients of the
     orthonormal product basis, keeps total degree <= n, sums the series at
-    every Padua node (cos(k pi/n), cos(eta pi/(n+1))) with k + eta odd, and
-    on the tensor Gauss-Chebyshev grid of max(200, 2n+1) nodes per axis, and
-    divides the node mean of |P|^p by the grid mean.
+    every Padua node (padua_node_tables), and on the tensor Gauss-Chebyshev
+    grid of max(200, 2n+1) nodes per axis, whatever p is, and divides the
+    node mean of |P|^p by the grid mean.
     """
-    k, eta = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 2)) % 2 == 1)
     m = max(200, 2 * n + 1)
-    b1 = _t_norm_lattice_table(n, k, n)
-    b2 = _t_norm_lattice_table(n, eta, n + 1)
+    b1, b2 = padua_node_tables(n)
     q = _t_norm_lattice_table(n, 2 * np.arange(1, m + 1) - 1, 2 * m)
     ks = np.arange(n + 1)
     keep = ks[:, None] + ks[None, :] <= n

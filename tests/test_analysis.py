@@ -141,7 +141,7 @@ def test_marcinkiewicz_trials_reproducible():
 
 
 @pytest.mark.parametrize("n", [1, 4, 17, 32])
-@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, 4.0])
 def test_marcinkiewicz_trials_match_per_trial_loop(n, p):
     got = marcinkiewicz_trials(n, p, 20, seed=11)
     expect = oracles.marcinkiewicz_trials_loop(n, p, 20, seed=11)
@@ -155,11 +155,42 @@ def test_marcinkiewicz_trials_match_per_trial_loop(n, p):
 
 @pytest.mark.parametrize("trials", [7, 200])
 def test_marcinkiewicz_trials_block_invariant(monkeypatch, trials):
-    # n = 8 keeps the default 200-node quadrature axis: 40,000 entries a trial
-    default = marcinkiewicz_trials(8, 3.5, trials, seed=2)
-    for block in (1, 3):
-        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block * 200 * 200)
-        assert np.array_equal(marcinkiewicz_trials(8, 3.5, trials, seed=2), default)
+    # blocks of 1 and 3 trials against the default: n = 8 keeps the default
+    # 200-node quadrature axis, and p = 2 at n = 32 takes the exact 33-node one
+    for n, p, m in ((8, 3.5, 200), (32, 2.0, 33)):
+        default = marcinkiewicz_trials(n, p, trials, seed=2)
+        for block in (1, 3):
+            monkeypatch.setattr(analysis, "_BLOCK_ENTRIES",
+                                block * analysis._trial_entries(n, m))
+            assert np.array_equal(marcinkiewicz_trials(n, p, trials, seed=2), default)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [1, 4, 17, 32, 100])
+def test_marcinkiewicz_even_p_denominator_is_parseval(rng, n):
+    # at p = 2 the exact denominator is the sum of c^2, also for coefficients
+    # above the anti-diagonal; the node mean comes from the oracle tables
+    b1, b2 = oracles.padua_node_tables(n)
+    ks = np.arange(n + 1)
+    for full in (False, True):
+        coeffs = rng.uniform(-1.0, 1.0, (n + 1, n + 1))
+        if not full:
+            coeffs[ks[:, None] + ks[None, :] > n] = 0.0
+        node_mean = np.mean(np.einsum("ab,aN,bN->N", coeffs, b1, b2) ** 2)
+        denominator = node_mean / marcinkiewicz_ratio(n, coeffs, 2)
+        assert abs(denominator - np.sum(coeffs**2)) <= 1e-13 * np.sum(coeffs**2)
+
+
+def test_marcinkiewicz_ratio_rejects_bad_coefficients():
+    with pytest.raises(ValueError, match=r"expected an \(5, 5\) coefficient matrix"):
+        marcinkiewicz_ratio(4, np.ones((3, 3)), 2)
+    for bad in (math.nan, math.inf):
+        coeffs = np.ones((5, 5))
+        coeffs[1, 2] = bad
+        with pytest.raises(ValueError, match="expected finite coefficients"):
+            marcinkiewicz_ratio(4, coeffs, 2)
+    with pytest.raises(ValueError, match="expected a nonzero polynomial"):
+        marcinkiewicz_ratio(4, np.zeros((5, 5)), 2)
 
 
 def test_marcinkiewicz_trials_seed_prefix():

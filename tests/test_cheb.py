@@ -134,6 +134,28 @@ def test_discrete_orthonormality():
                 assert abs(got - expect) <= 1e-10
 
 
+# degrees near powers of two and MAX_DEGREE, beside every n up to 200
+_COSPI_DEGREES = [*range(1, 201), 511, 512, 1023, 1024, 2047, 2048, 2049, 4096, 4097, 8192]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_cospi_frac_table_bitwise_per_entry_form(dtype):
+    # every phase of one period and its mirror, negatives and large products,
+    # as a flat array, as a 2-D lattice table and as one integer
+    for n in _COSPI_DEGREES:
+        for den in (n, n + 1, 2 * n):
+            nums = np.concatenate([np.arange(-den, 3 * den + 2), 7919 * np.arange(40)])
+            table = np.multiply.outer(np.arange(5), nums[::97])
+            for num in (nums, table, den - 1):
+                got = cospi_frac(num, den, dtype)
+                expect = oracles.cospi_frac_per_entry(num, den, dtype)
+                assert type(got) is type(expect) and np.shape(got) == np.shape(expect)
+                assert np.asarray(got).dtype == dtype
+                # equal values and signs (longdouble bytes carry padding)
+                assert np.array_equal(got, expect), (n, den)
+                assert np.array_equal(np.signbit(got), np.signbit(expect)), (n, den)
+
+
 def test_lattice_tables_match_direct_evaluation():
     n = 12
     nums = np.arange(n + 1)

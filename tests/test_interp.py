@@ -607,6 +607,21 @@ def test_coefficient_degrees_truncated(rng):
     assert np.all(coeffs[ks[:, None] + ks[None, :] > 5] == 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 63, 64, 200])
+def test_coefficient_norm_from_node_values(rng, n):
+    # Parseval on the coefficients and the delta property: with node weights
+    # w = 1 / K*(node, node), sum C^2 = sum w s^2 - (sum w s Tnorm_n(x1))^2 / 4,
+    # and the weights sum to 1
+    pset = generate(n)
+    s = rng.uniform(-1.0, 1.0, len(pset))
+    w = 1.0 / kernel.node_star_values(pset)
+    # Tnorm_n(cos(k pi / n)) = sqrt(2) (-1)^k
+    top = np.sqrt(2.0) * (-1.0) ** pset.k_num
+    norm = np.sum(w * s * s) - 0.25 * np.sum(w * s * top) ** 2
+    assert abs(np.sum(to_coefficients(pset, s) ** 2) - norm) <= 1e-14 * norm
+    assert abs(np.sum(w) - 1.0) <= 1e-14
+
+
 def _assembled_node_blocks(pset):
     """The N x N matrix of lagrange_node_blocks, columns placed by cols."""
     out = np.full((len(pset), len(pset)), np.nan)
