@@ -1,18 +1,19 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
-Values on a tensor grid come from the lattice tables of to_coefficients (see
-lattice_tables): interpolants as the Chebyshev coefficients of
-to_coefficients evaluated as a tensor series, and the Lebesgue function as
-one matrix product per lattice row of nodes on the closed-form coefficients
-of the fundamental polynomials.  Values on the node lattice come from the
-same tables: lagrange_node_blocks gives the fundamental polynomials at the
-nodes, one lattice row of nodes at a time.  Lagrange values at scattered
-points come from one generator of the same closed form, _lagrange_blocks,
-O(n^3) per point in blocks of bounded size: lagrange_matrix writes them in
-set order, lebesgue_function sums their absolute values as they come, and
+Interpolants on a tensor grid are the Chebyshev coefficients of
+to_coefficients evaluated as a tensor series.  Fundamental polynomials on a
+tensor grid come from one node-row generator, _node_rows, on their
+closed-form coefficients: a cumulative table of the grid's second axis per
+parity of lattice row, node eta last, and one matrix product per row.
+lebesgue_constant runs it on the evaluation grid, lagrange_node_blocks on
+the node lattice.  Lagrange values at scattered points come from one
+generator of the same closed form, _lagrange_blocks, O(n^3) per point in
+blocks of bounded size: lagrange_matrix writes them in set order,
+lebesgue_function sums their absolute values as they come, and
 fundamental_poly runs it on a one-node grid.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,16 @@ _GRID_KINDS = ("uniform", "chebyshev")
 MAX_GRID = 1000
 
 # Largest number of float64 table values lebesgue_constant may hold.  At
-# degree n on an m-point grid it keeps the (n+1)(n+2)m cumulative grid table
-# Y and, for one lattice row of nodes, the (n+1, B, m) gather of Y and the
-# (m, B m) product over its B <= n/2 + 1 kept nodes, besides two (m, m)
-# sums: lebesgue_entries(n, m) values in all (tracemalloc peaks within
-# 1.2 % of it at n = 64, m = 200 and at n = 32, m = 1000).  2**25 values are
-# 268 MB.  n = 256 at m = 200 needs 25.1e6 (the growth study to n = 256)
-# and n = 32 at m = 1000 needs 20.7e6.  The largest allowed degree is 301
-# at m = 200 and 53 at m = 1000; n = 4096 at m = 200 would need 5.1e9 values
-# (41 GB).  `lebesgue` and `converge` refuse larger runs before any table is
-# built.
+# degree n on an m-point grid it keeps the two cumulative grid tables of
+# _node_rows, (n+1)(n+2)m values for even n and about half for odd n, and
+# for one lattice row of nodes the (m, E m) product over its E <= n/2 + 1
+# kept nodes, besides (m, m) sums: lebesgue_entries(n, m) bounds them
+# (tracemalloc peaks at 0.85, 0.45 and 0.75 of it at (n, m) = (64, 200),
+# (65, 200) and (128, 100), 0.98 at (32, 1000)).  2**25 values are 268 MB.
+# n = 256 at m = 200 needs 25.1e6 (the growth study to n = 256) and n = 32
+# at m = 1000 needs 20.7e6.  The largest allowed degree is 301 at m = 200
+# and 53 at m = 1000; n = 4096 at m = 200 would need 5.1e9 values (41 GB).
+# `lebesgue` and `converge` refuse larger runs before any table is built.
 MAX_LEBESGUE_ENTRIES = 1 << 25
 
 
@@ -61,7 +62,7 @@ _BLOCK_ENTRIES = 1 << 17
 
 
 def lebesgue_entries(n, m):
-    """Float64 values lebesgue_constant holds at degree n on an m-point grid."""
+    """Bound on the float64 values lebesgue_constant holds at degree n, m-point grid."""
     kept = n // 2 + 1
     return (n + 1) * (n + 2) * m + kept * m * (n + 1 + m) + 2 * m * m
 
@@ -90,6 +91,10 @@ class EvalGrid:
     kind: str = "uniform"
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "m", operator.index(self.m))
+        except TypeError:
+            raise TypeError(f"grid size m must be an integer, not {self.m!r}") from None
         if self.m < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.m > MAX_GRID:
@@ -218,20 +223,38 @@ def lattice_tables(n, dtype=float):
 def _tail_sums(left, right):
     """y[a] = sum_{b <= n-a} outer(left[b], right[b]) for a = 0..n, y[n] halved.
 
-    left and right are 2-D tables of n+1 rows.  With left = T2 this is the
-    b-sum over a + b <= n of the fundamental polynomials' coefficients
-    T2[b, eta]; the halved y[n] carries the halved (n, 0) coefficient.  It is
-    accumulated in place from y[n] down, one outer product at a time.
+    left and right are 2-D tables of n+1 rows.  With right = T2 / B this is
+    the b-sum over a + b <= n of the fundamental polynomials' coefficients
+    T2[b, eta] / B[eta]; the halved y[n] carries the halved (n, 0)
+    coefficient.  The outer products of the reversed rows are accumulated
+    in place from y[n] down.
     """
     n = left.shape[0] - 1
-    y = np.empty((n + 1, left.shape[1], right.shape[1]),
-                 dtype=np.result_type(left, right))
-    np.multiply.outer(left[0], right[0], out=y[n])
-    for b in range(1, n + 1):
-        np.multiply.outer(left[b], right[b], out=y[n - b])
-        y[n - b] += y[n - b + 1]
+    y = np.multiply(left[::-1, :, None], right[::-1, None, :], order="C")
+    for a in range(n - 1, -1, -1):
+        y[a] += y[a + 1]
     y[n] *= 0.5
     return y
+
+
+def _node_rows(n, points2, rows, top):
+    """The fundamental polynomials on a tensor grid, one lattice row k at a time.
+
+    Node (k, eta) has the coefficients T1[a, k] T2[b, eta] / (A[k] B[eta])
+    for a + b <= n, the (n, 0) term halved (node_star_axes).  At grid point
+    (i, j), with P1 and points2 the orthonormal tables of the two grid axes,
+    it is sum_a P1[a, i] w[a] Y[a, j, c] with w = T1[:, k] / A[k] and the
+    cumulative table Y = _tail_sums(points2, T2[:, etas] / B[etas]) over the
+    node etas <= top of row k, eta = etas[c].  Yields (k, w, Y) for k in
+    rows; Y is built once per parity of k, whose rows share their etas.
+    """
+    l1, l2 = lattice_tables(n)
+    a_fac, b_fac = kernel.node_star_axes(n)
+    l1 /= a_fac
+    tables = [_tail_sums(points2, l2[:, etas] / b_fac[etas])
+              for etas in (np.arange(1, top + 1, 2), np.arange(0, top + 1, 2))]
+    for k in rows:
+        yield k, l1[:, k], tables[k % 2]
 
 
 def lagrange_node_blocks(pset):
@@ -240,35 +263,28 @@ def lagrange_node_blocks(pset):
     Yields (cols, block) once per row k = 0..n of the node lattice: cols are
     the set positions of the nodes with k_num == k, and block[p, j] is the
     fundamental polynomial of node cols[j] at node p, shape (N, len(cols)).
-    By the closed form of _lagrange_blocks, at node (k', eta') it is
-    sum_a T1[a, k'] T1[a, k] / A[k] Z[a, eta', eta] with the cumulative table
-    Z[a, eta', eta] = sum_{b <= n-a} T2[b, eta'] T2[b, eta] / B[eta], built
-    once, and Z[n] halved.  The nodes are two tensor grids of the lattice
-    (pset.sub_grids), so each row is two matrix products over a, one per
-    grid, written into the set positions of the grid's rows; no N x N matrix
-    is formed.
+    The nodes are two tensor grids of the lattice (pset.sub_grids), so
+    _node_rows on the eta' of both grids gives each row as two matrix
+    products over a, one per grid, written into the set positions of the
+    grid's rows; no N x N matrix is formed.
     """
     n = pset.degree
     l1, l2 = lattice_tables(n)
-    a_fac, b_fac = kernel.node_star_axes(n)
     (ks0, etas0), (ks1, etas1) = pset.sub_grids()
     n0 = etas0.size
-    # the eta' of both grids in order, so each grid's Z rows are one slice
+    # the eta' of both grids in order, so each grid's table rows are one slice
     order = np.concatenate([etas0, etas1])
-    z = [_tail_sums(l2[:, order], l2[:, etas] / b_fac[etas]) for etas in (etas0, etas1)]
     left0, left1 = (np.ascontiguousarray(l1[:, ks].T) for ks in (ks0, ks1))
-    l1 /= a_fac
     starts = pset.row_starts
-    for k in range(n + 1):
+    for k, w, zk in _node_rows(n, l2[:, order], range(n + 1), n + 1):
         cols = np.arange(starts[k], starts[k + 1])
-        zk = z[k % 2]
         # set order pairs lattice row 2r (grid 0) with row 2r + 1 (grid 1), so
         # each grid's product lands in one strided view of the block; for
         # even n the last pair has no odd row, and its slots are cut off
         pairs = np.empty((ks0.size, order.size, cols.size))
-        np.matmul(left0 * l1[:, k], zk[:, :n0].reshape(n + 1, -1),
+        np.matmul(left0 * w, zk[:, :n0].reshape(n + 1, -1),
                   out=pairs[:, :n0].reshape(ks0.size, -1))
-        np.matmul(left1 * l1[:, k], zk[:, n0:].reshape(n + 1, -1),
+        np.matmul(left1 * w, zk[:, n0:].reshape(n + 1, -1),
                   out=pairs[:ks1.size, n0:].reshape(ks1.size, -1))
         yield cols, pairs.reshape(-1, cols.size)[:len(pset)]
 
@@ -321,45 +337,30 @@ def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
-    together with the grid spec.  The fundamental polynomial of node
-    nu = (k, eta) has the coefficients w T1[a, k] T2[b, eta] for a + b <= n,
-    with the (n, 0) term halved and w = 1 / K*(nu, nu), so on the grid it is
-    w sum_a P[a, i] T1[a, k] Y[a, eta, j], where P is the orthonormal table
-    of the grid axis and Y[a, eta, j] = sum_{b <= n-a} T2[b, eta] P[b, j]
-    (Y[n] halved) is built once.  The node set, and so the Lebesgue
-    function, is invariant under one reflection: x1 -> -x1 for even n
-    (k -> n - k), x2 -> -x2 for odd n (eta -> n + 1 - eta).  Only the nodes
-    up to their mirror image in set order are summed, the self-mirrored ones
-    with weight 1/2, as one matrix product per lattice row; the reflected
-    sum is then added.  The grid axes are mirror-symmetric to rounding.
-    Runs over MAX_LEBESGUE_ENTRIES table values raise ValueError first.
+    together with the grid spec.  For each lattice row of nodes that
+    _node_rows gives on the grid table P, the absolute values of the product
+    (P^T w) Y are summed over the row's nodes by one matrix-vector product.
+    The node set, and so the Lebesgue function, is invariant under one
+    reflection: x1 -> -x1 for even n (k -> n - k), x2 -> -x2 for odd n
+    (eta -> n + 1 - eta).  Only the nodes up to their mirror image are
+    summed, the rows k <= n/2 or the etas <= (n+1)/2, the self-mirrored ones
+    with weight 1/2; the reflected sum is then added.  The grid axes are
+    mirror-symmetric to rounding.  Runs over MAX_LEBESGUE_ENTRIES table
+    values raise ValueError first.
     """
-    n = pset.degree
+    n, m = pset.degree, grid.m
     check_lebesgue_size(n, grid)
     p = t_norm_values(n, grid.axis())
-    l1, l2 = lattice_tables(n)
-    y = _tail_sums(l2, p)
-    k, eta, starts = pset.k_num, pset.eta_num, pset.row_starts
-    if n % 2 == 0:
-        k_m, eta_m = n - k, eta
-    else:
-        k_m, eta_m = k, n + 1 - eta
-    mirror = starts[k_m] + (eta_m + (k_m & 1) + 1) // 2 - 1
-    pos = np.arange(len(pset))
-    kept = pos <= mirror
-    weight = np.where(pos == mirror, 0.5, 1.0) / kernel.node_star_values(pset)
-    m = grid.m
-    total = np.zeros((m, m))
-    for row in range(n + 1):
-        cols = starts[row] + np.flatnonzero(kept[starts[row]:starts[row + 1]])
-        if cols.size == 0:
-            continue
-        ycols = np.take(y, eta[cols], axis=1)
-        ycols *= weight[cols, None]
-        vals = (p.T * l1[:, row]) @ ycols.reshape(n + 1, -1)
-        np.abs(vals, out=vals)
-        total += vals.reshape(m, cols.size, m).sum(axis=1)
-        del ycols, vals  # free this row's product before the next one is formed
+    rows, top = (range(n // 2 + 1), n + 1) if n % 2 == 0 else (range(n + 1), (n + 1) // 2)
+    total = np.zeros(m * m)
+    for k, w, y in _node_rows(n, p, rows, top):
+        vals = (p.T * w) @ y.reshape(n + 1, -1)
+        half = np.full(y.shape[2], 0.5 if 2 * k == n else 1.0)
+        if n % 2 and (k + top) % 2:  # the row holds the self-mirrored eta = top
+            half[-1] = 0.5
+        total += np.abs(vals, out=vals).reshape(m * m, -1) @ half
+        del vals  # free this row's product before the next one is formed
+    total = total.reshape(m, m)
     total += total[::-1] if n % 2 == 0 else total[:, ::-1]
     return float(total.max())
 

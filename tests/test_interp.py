@@ -202,6 +202,13 @@ def test_grid_axis_kinds():
         EvalGrid(4, "hexagonal")
 
 
+@pytest.mark.parametrize("m", [2.5, 50.0, "50"])
+def test_grid_size_must_be_an_integer(m):
+    # refused at construction with m named, not later inside numpy
+    with pytest.raises(TypeError, match="grid size m must be an integer"):
+        EvalGrid(m)
+
+
 def test_interpolate_grid_constant():
     pset = generate(4)
     out = interpolate_grid(pset, np.ones(len(pset)), EvalGrid(4))
@@ -493,9 +500,12 @@ def test_lebesgue_constant_matches_compact_kernel():
             assert lebesgue_constant(pset, grid) == pytest.approx(compact, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_lebesgue_constant_matches_double_sum_oracle(n):
-    # grid axes and nodes written out here, kernel values from the nested sum
+    # grid axes and nodes written out here, kernel values from the nested sum;
+    # n = 1..13 meets each mirror class at least twice: a self-mirrored eta
+    # in the even rows (n = 1 mod 4) or the odd rows (n = 3 mod 4), and a
+    # self-mirrored row n/2 of either parity
     for m in (9, 10):
         axes = {
             "uniform": np.linspace(-1.0, 1.0, m),
@@ -530,6 +540,28 @@ def test_lebesgue_constant_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 12.4e6
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_lebesgue_constant_builds_no_node_arrays(n):
+    # the node-row tables are per axis: no per-node array of the set is read
+    pset = generate(n)
+    lebesgue_constant(pset, EvalGrid(20))
+    assert vars(pset) == {"degree": n}
+
+
+@pytest.mark.parametrize("n, m", [(64, 200), (65, 200), (128, 100)])
+def test_lebesgue_constant_peak_within_lebesgue_entries(n, m):
+    # lebesgue_entries bounds what the run holds, so check_lebesgue_size
+    # refuses every run whose tables would pass MAX_LEBESGUE_ENTRIES
+    pset, grid = generate(n), EvalGrid(m, "chebyshev")
+    tracemalloc.start()
+    try:
+        lebesgue_constant(pset, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * interp.lebesgue_entries(n, m)
 
 
 def test_tail_sums_equal_cumulative_sum_bitwise():
