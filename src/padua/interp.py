@@ -1,16 +1,15 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
 Interpolants on a tensor grid are the Chebyshev coefficients of
-to_coefficients evaluated as a tensor series.  Fundamental polynomials on a
-tensor grid come from one node-row generator, _node_rows, on their
-closed-form coefficients: a cumulative table of the grid's second axis per
-parity of lattice row, node eta last, and one matrix product per row.
-lebesgue_constant runs it on the evaluation grid, lagrange_node_blocks on
-the node lattice.  Lagrange values at scattered points come from one
-generator of the same closed form, _lagrange_blocks, O(n^3) per point in
-blocks of bounded size: lagrange_matrix writes them in set order,
-lebesgue_function sums their absolute values as they come, and
-fundamental_poly runs it on a one-node grid.
+to_coefficients evaluated as a tensor series.  Fundamental polynomials have
+one closed form: the node factors of _node_factors, their cumulative b-sum
+_tail_sums, and a matrix product over a.  On tensor grids _node_rows builds
+one b-sum per parity of lattice row over the grid's second axis
+(lebesgue_constant on the evaluation grid, lagrange_node_blocks on the node
+lattice); at scattered points _lagrange_blocks builds one per block of
+points, O(n^3) a point in blocks of bounded size: lagrange_matrix writes
+them in set order, lebesgue_function sums their absolute values as they
+come, and fundamental_poly runs it on a one-node grid.
 """
 
 import operator
@@ -53,11 +52,10 @@ MAX_LEBESGUE_ENTRIES = 1 << 25
 
 
 # Largest number of float64 values in one temporary of _lagrange_blocks: the
-# point tables of a block of points, its cumulative table Y and its product
-# with the node axis.  2**17 values are 1 MB, so the temporaries of an N x N
-# Lagrange matrix stay small next to it (the peak at n = 60 over the nodes is
-# 1.1 times the 28.6 MB result).  One point's part of a sub-grid,
-# (n+1) (n+3)/2 values, exceeds it from n = 511 on and is then split over eta.
+# point tables of a block of points, its cumulative table and its product
+# with the k factors.  2**17 values are 1 MB, small next to an N x N Lagrange
+# matrix (the peak at n = 60 over the nodes is 1.1 times the 28.6 MB result).
+# A point's (n+1) E values over a grid of E etas, if more, are split over eta.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -141,34 +139,25 @@ def _lagrange_blocks(n, x, grids):
     Returns the broadcast shape of x and a generator of (rows, grid, cols,
     lat) over the tensor grids (ks, etas) of nodes in grids: lat[i, p, c] is
     the polynomial of node (ks[i], etas[cols][c]) at flat point rows[p], a
-    fresh array.  Node (k, eta) has the coefficients T1[a, k] T2[b, eta] /
-    (A[k] B[eta]) for a + b <= n, the (n, 0) term halved (node_star_axes), so
-    with u[a] = Tnorm_a(x1), v[b] = Tnorm_b(x2) it is sum_a u[a] T1[a, k] /
-    A[k] Y[a, eta], Y[a, eta] = sum_{b <= n-a} v[b] T2[b, eta] / B[eta], Y[n]
-    halved: one cumulative sum and one matrix product per block of points and
-    grid, no temporary over _BLOCK_ENTRIES values.  O(n^3) per point.
+    fresh array.  Per block of points and grid: _tail_sums of the Tnorm_b(x2)
+    and the grid's eta factors, times Tnorm_a(x1), then one matrix product
+    over a with its k factors (_node_factors).  Blocks are sized by the
+    grids' eta counts, no temporary over _BLOCK_ENTRIES values; O(n^3) a point.
     """
     x1, x2 = np.broadcast_arrays(*check_square(*x))
     shape, x1, x2 = x1.shape, np.ravel(x1), np.ravel(x2)
-    a_fac, b_fac = kernel.node_star_axes(n)
-    # x1's side runs over a in reverse, so Y[a] is the forward cumulative sum
-    # y[n - a]: the terms and order of _tail_sums, formed in one pass
-    tables = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
-               t_norm_lattice(n, etas, n + 1) / b_fac[etas]) for ks, etas in grids]
-    chunk = min((n + 3) // 2, max(1, _BLOCK_ENTRIES // (n + 1)))
+    tables = [_node_factors(n, ks, etas) for ks, etas in grids]
+    chunk = min(max(etas.size for _, etas in grids), max(1, _BLOCK_ENTRIES // (n + 1)))
     block = max(1, _BLOCK_ENTRIES // ((n + 1) * chunk))
 
     def blocks():  # the tables are built at the call, before a caller's result
         for start in range(0, x1.size, block):
             rows = slice(start, start + block)
-            u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
+            u, v = t_norm_values(n, x1[rows]), t_norm_values(n, x2[rows])
             for grid, (left, right) in zip(grids, tables):
                 for first in range(0, right.shape[1], chunk):
                     cols = slice(first, first + chunk)
-                    y = v[:, :, None] * right[:, None, cols]
-                    for m in range(1, n + 1):
-                        y[m] += y[m - 1]
-                    y[0] *= 0.5
+                    y = _tail_sums(v, right[:, cols])
                     y *= u[:, :, None]
                     lat = left.T @ y.reshape(n + 1, -1)
                     yield rows, grid, cols, lat.reshape(left.shape[1], u.shape[1], -1)
@@ -220,14 +209,27 @@ def lattice_tables(n, dtype=float):
             t_norm_lattice(n, np.arange(n + 2), n + 1, dtype))
 
 
+def _node_factors(n, ks, etas):
+    """(T1[:, ks] / A[ks], T2[:, etas] / B[etas]): the node factors of the
+    fundamental polynomials' closed form.
+
+    T1, T2 are the lattice_tables of the two node axes and A[k] B[eta] =
+    K*(nu, nu) splits the node values per axis.  Node (k, eta) has the
+    coefficients T1[a, k] T2[b, eta] / (A[k] B[eta]) for a + b <= n, the
+    (n, 0) term halved (Padua2D's expansion of the compact formula).
+    """
+    a_fac, b_fac = kernel.node_star_axes(n)
+    return t_norm_lattice(n, ks, n) / a_fac[ks], t_norm_lattice(n, etas, n + 1) / b_fac[etas]
+
+
 def _tail_sums(left, right):
     """y[a] = sum_{b <= n-a} outer(left[b], right[b]) for a = 0..n, y[n] halved.
 
-    left and right are 2-D tables of n+1 rows.  With right = T2 / B this is
-    the b-sum over a + b <= n of the fundamental polynomials' coefficients
-    T2[b, eta] / B[eta]; the halved y[n] carries the halved (n, 0)
-    coefficient.  The outer products of the reversed rows are accumulated
-    in place from y[n] down.
+    left and right are 2-D tables of n+1 rows.  With left the Tnorm_b of the
+    second coordinates and right the eta factors of _node_factors this is
+    the b-sum of the closed form, the halved y[n] its halved (n, 0) term:
+    node (k, eta) is sum_a Tnorm_a(x1) T1[a, k] / A[k] y[a, :, eta].  The
+    outer products of the reversed rows are accumulated in place from y[n].
     """
     n = left.shape[0] - 1
     y = np.multiply(left[::-1, :, None], right[::-1, None, :], order="C")
@@ -240,18 +242,14 @@ def _tail_sums(left, right):
 def _node_rows(n, points2, rows, top):
     """The fundamental polynomials on a tensor grid, one lattice row k at a time.
 
-    Node (k, eta) has the coefficients T1[a, k] T2[b, eta] / (A[k] B[eta])
-    for a + b <= n, the (n, 0) term halved (node_star_axes).  At grid point
-    (i, j), with P1 and points2 the orthonormal tables of the two grid axes,
-    it is sum_a P1[a, i] w[a] Y[a, j, c] with w = T1[:, k] / A[k] and the
-    cumulative table Y = _tail_sums(points2, T2[:, etas] / B[etas]) over the
-    node etas <= top of row k, eta = etas[c].  Yields (k, w, Y) for k in
+    With (w, r) = _node_factors of the whole lattice and points2 the table
+    of the grid's second axis, Y = _tail_sums(points2, r[:, etas]) over the
+    node etas <= top of row k; node (k, etas[c]) at grid point (i, j) is
+    sum_a P1[a, i] w[a, k] Y[a, j, c].  Yields (k, w[:, k], Y) for k in
     rows; Y is built once per parity of k, whose rows share their etas.
     """
-    l1, l2 = lattice_tables(n)
-    a_fac, b_fac = kernel.node_star_axes(n)
-    l1 /= a_fac
-    tables = [_tail_sums(points2, l2[:, etas] / b_fac[etas])
+    l1, l2 = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
+    tables = [_tail_sums(points2, l2[:, etas])
               for etas in (np.arange(1, top + 1, 2), np.arange(0, top + 1, 2))]
     for k in rows:
         yield k, l1[:, k], tables[k % 2]

@@ -321,26 +321,51 @@ def lagrange_matrix_scatter(pset, x1, x2):
     n = pset.degree
     x1, x2 = (np.ravel(c) for c in np.broadcast_arrays(*check_square(x1, x2)))
     a_fac, b_fac = kernel.node_star_axes(n)
-    grids = [(np.ascontiguousarray((t_norm_lattice(n, ks, n) / a_fac[ks])[::-1]),
-              t_norm_lattice(n, etas, n + 1) / b_fac[etas], pset.row_starts[ks])
-             for ks, etas in pset.sub_grids()]
+    grids = [(t_norm_lattice(n, ks, n) / a_fac[ks], t_norm_lattice(n, etas, n + 1) / b_fac[etas],
+              pset.row_starts[ks]) for ks, etas in pset.sub_grids()]
     out = np.empty((x1.size, len(pset)))
     chunk = min((n + 3) // 2, max(1, interp._BLOCK_ENTRIES // (n + 1)))
     block = max(1, interp._BLOCK_ENTRIES // ((n + 1) * chunk))
     for start in range(0, x1.size, block):
         rows = slice(start, start + block)
-        u, v = t_norm_values(n, x1[rows])[::-1], t_norm_values(n, x2[rows])
+        u, v = t_norm_values(n, x1[rows]), t_norm_values(n, x2[rows])
         for left, right, row_starts in grids:
             for first in range(0, right.shape[1], chunk):
-                y = v[:, :, None] * right[:, None, first:first + chunk]
-                for m in range(1, n + 1):
-                    y[m] += y[m - 1]
-                y[0] *= 0.5
+                # y[a] = sum_{b <= n-a} v[b] right[b], from y[n] down, y[n] halved
+                y = np.multiply(v[::-1, :, None], right[::-1, None, first:first + chunk],
+                                order="C")
+                for a in range(n - 1, -1, -1):
+                    y[a] += y[a + 1]
+                y[n] *= 0.5
                 y *= u[:, :, None]
                 lat = (left.T @ y.reshape(n + 1, -1)).reshape(left.shape[1], u.shape[1], -1)
                 pos = row_starts[:, None] + np.arange(first, first + lat.shape[2])
                 out[rows, pos] = lat.transpose(1, 0, 2)
     return out
+
+
+def fundamental_poly_tail(n, k, eta, x1, x2):
+    """Fundamental polynomial of lattice node (k, eta) in its O(n) tail-sum form.
+
+    sum_a Tn_a(nu1) Tn_a(x1) S[n-a] / K*(nu, nu), with S[m] = sum_{b <= m}
+    Tn_b(nu2) Tn_b(x2) and the a = n term halved.  The node tables are np.cos
+    of the reduced lattice angles, the point tables np.cos(a arccos x), and
+    1 / K*(nu, nu) is axis_weight_factors' a[k] b[eta].
+    """
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    degrees = np.arange(n + 1)
+
+    def at_points(x):
+        table = np.cos(np.multiply.outer(degrees, np.arccos(x)))
+        table[1:] *= np.sqrt(2.0)
+        return table
+
+    u = _t_norm_lattice_table(n, np.array([k]), n)[:, 0:1] * at_points(x1.ravel())
+    v = _t_norm_lattice_table(n, np.array([eta]), n + 1)[:, 0:1] * at_points(x2.ravel())
+    terms = u * np.cumsum(v, axis=0)[::-1]
+    terms[n] *= 0.5
+    fa, fb = axis_weight_factors(n)
+    return (terms.sum(axis=0) * (fa[k] * fb[eta])).reshape(x1.shape)
 
 
 def integrate_whole_sub_grids(rule, f):

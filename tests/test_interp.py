@@ -387,6 +387,34 @@ def test_lagrange_matrix_splits_large_lattices_with_bounded_memory():
         assert np.max(np.abs(col - mat[:, pos])) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [511, 512, 4096])
+def test_fundamental_poly_at_high_degree_matches_tail_sum_oracle(rng, n):
+    # the blocked route on a one-node grid against the O(n) tail-sum form, for
+    # the vertex (n, n+1) and an interior node of row n // 2: at 200 random
+    # points, at the node itself and at its neighbour eta + 2 in the same row
+    pset = generate(n)
+    starts = pset.row_starts
+    for pos, step in ((len(pset) - 1, -1), ((starts[n // 2] + starts[n // 2 + 1]) // 2, 1)):
+        (k,), (eta,) = pset.lattice_index([pos])
+        near = pset.lattice_index([pos + step])[1][0]
+        x1 = np.concatenate([rng.uniform(-1.0, 1.0, 200), cospi_frac([k, k], n)])
+        x2 = np.concatenate([rng.uniform(-1.0, 1.0, 200), cospi_frac([eta, near], n + 1)])
+        got = fundamental_poly(pset, (int(k), int(pos - starts[k] + 1)), (x1, x2))
+        expect = oracles.fundamental_poly_tail(n, k, eta, x1, x2)
+        assert np.max(np.abs(got - expect)) <= 1e-13
+        assert abs(got[-2] - 1.0) <= 1e-13 and abs(got[-1]) <= 1e-13
+
+
+def test_one_node_blocks_are_sized_by_their_grid(rng):
+    # a one-node grid fills each block with as many points as the entry
+    # bound allows, not with as few as a sub-grid's (n+3)//2 etas would
+    n, count = 4096, 1000
+    x = rng.uniform(-1.0, 1.0, (2, count))
+    _, blocks = interp._lagrange_blocks(n, (x[0], x[1]), [(np.array([3]), np.array([2]))])
+    per_block = interp._BLOCK_ENTRIES // (n + 1)
+    assert sum(1 for _ in blocks) <= -(-count // per_block)
+
+
 @pytest.mark.parametrize("entries", [17, 50, 400])
 def test_lagrange_matrix_blocks_do_not_change_values(rng, monkeypatch, entries):
     # one eta per block (17 values at n = 16), a split that leaves a short
