@@ -7,7 +7,6 @@ Christoffel-Darboux residual checks.  Batched evaluations read all of these
 from one table T_k(x_d), k <= n+1, per coordinate of a point set.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,10 @@ class _Tables:
     Each table has its own coordinate's shape, with leading unit axes up to
     the other's number of axes, so on broadcasting axes such as a tensor
     grid's (K, 1) and (1, E) the tables stay one axis long and the products
-    of the two broadcast.  For a 1-D point set, tables[key] holds the tables
-    of the points x[key], so one set of tables serves checks on any part of
-    its points: verify builds one per side of its point pairs and degree.
+    of the two broadcast.  The ideal-basis rows q() and the basis rows
+    basis(m) are formed on their first call and kept, so the checks that
+    read one table set share them: verify builds one per side of its point
+    pairs and degree.
     """
 
     def __init__(self, n, x):
@@ -36,27 +36,38 @@ class _Tables:
             cos_table(np.arange(n + 2), np.arccos(c.reshape((1,) * (ndim - c.ndim) + c.shape)))
             for c in self.x
         )
-
-    def __getitem__(self, key):
-        part = copy.copy(self)
-        part.x = tuple(c[key] for c in self.x)
-        part.t1, part.t2 = self.t1[:, key], self.t2[:, key]
-        return part
+        self._kept = {}
 
     def q(self):
         """The n+2 unscaled ideal-basis rows; row k is q_poly(n, k, x)."""
-        n, t1, t2 = self.n, self.t1, self.t2
-        q = np.empty((n + 2,) + np.broadcast_shapes(t1.shape[1:], t2.shape[1:]))
-        q[0] = t1[n + 1] - t1[n - 1]
-        q[1:] = t1[n::-1] * t2[1:] + t2[n::-1] * t1[: n + 1]
-        return q
+        if "q" not in self._kept:
+            n, t1, t2 = self.n, self.t1, self.t2
+            q = np.empty((n + 2,) + np.broadcast_shapes(t1.shape[1:], t2.shape[1:]))
+            q[0] = t1[n + 1] - t1[n - 1]
+            q[1:] = t1[n::-1] * t2[1:] + t2[n::-1] * t1[: n + 1]
+            self._kept["q"] = q
+        return self._kept["q"]
 
     def basis(self, m):
         """Degree-m orthonormal product-basis row (m <= n+1), as cheb.basis_vector."""
-        p1, p2 = self.t1[: m + 1].copy(), self.t2[: m + 1].copy()
-        p1[1:] *= SQRT2
-        p2[1:] *= SQRT2
-        return p1[::-1] * p2
+        if m not in self._kept:
+            p1, p2 = self.t1[: m + 1].copy(), self.t2[: m + 1].copy()
+            p1[1:] *= SQRT2
+            p2[1:] *= SQRT2
+            self._kept[m] = p1[::-1] * p2
+        return self._kept[m]
+
+
+def _direct(tx, ty):
+    """The kernel's direct double sum at the point pairs of tx and ty, on rows 0..n."""
+    n = tx.n
+    return kernel.direct_from_tables(tx.t1[: n + 1], tx.t2[: n + 1], ty.t1[: n + 1],
+                                     ty.t2[: n + 1])
+
+
+def _apply(m, v):
+    """m @ v over the first axis of v, whatever the shape of its other axes."""
+    return (m @ v.reshape(len(v), -1)).reshape(m.shape[:1] + v.shape[1:])
 
 
 def q_poly(n, k, x):
@@ -171,8 +182,7 @@ def three_term_residual(n, x):
 
 def _three_term(n, mats, tx):
     """three_term_residual on the tables tx, with the structure matrices mats."""
-    recon = (tx.basis(n + 1) + np.einsum("rc,c...->r...", mats.g1, tx.basis(n))
-             + np.einsum("rc,c...->r...", mats.g2, tx.basis(n - 1)))
+    recon = tx.basis(n + 1) + _apply(mats.g1, tx.basis(n)) + _apply(mats.g2, tx.basis(n - 1))
     return np.abs(_scaled(tx.q()) - recon).max(axis=0)
 
 
@@ -188,26 +198,24 @@ def cd_residual(n, axis, x, y):
     n = check_degree(n, minimum=2)
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    out = _cd(n, axis, struct_matrices(n), _Tables(n, x), _Tables(n, y))
+    tx, ty = _Tables(n, x), _Tables(n, y)
+    out = _cd(n, axis, struct_matrices(n), tx, ty, _direct(tx, ty))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _cd(n, axis, mats, tx, ty):
-    """cd_residual on the tables tx and ty, with the structure matrices mats."""
+def _cd(n, axis, mats, tx, ty, direct):
+    """cd_residual on the tables tx and ty, with the structure matrices mats
+    and the direct kernel sum at their pairs."""
     a = mats.a1 if axis == 1 else mats.a2
     qx, qy = tx.q(), ty.q()
     px, py = tx.basis(n), ty.basis(n)
-    bilinear = np.einsum("c...,rc,r...->...", _scaled(qx), a, py) - np.einsum(
-        "r...,rc,c...->...", px, a, _scaled(qy)
-    )
+    bilinear = (_scaled(qx) * _apply(a.T, py)).sum(0) - (px * _apply(a, _scaled(qy))).sum(0)
     tnx, tny = tx.t1[n], ty.t1[n]
     if axis == 1:
         corr = 0.5 * tnx * qy[0] - 0.5 * tny * qx[0]
     else:
         corr = tnx * qy[1] - tny * qx[1]
     gap = tx.x[axis - 1] - ty.x[axis - 1]
-    direct = kernel.direct_from_tables(tx.t1[: n + 1], tx.t2[: n + 1], ty.t1[: n + 1],
-                                       ty.t2[: n + 1])
     lhs = gap * (direct - tnx * tny)
     return np.abs(lhs - (bilinear + corr))
 

@@ -3,13 +3,15 @@
 Interpolants on a tensor grid are the Chebyshev coefficients of
 to_coefficients evaluated as a tensor series.  Fundamental polynomials have
 one closed form: the node factors of _node_factors, their cumulative b-sum
-_tail_sums, and a matrix product over a.  On tensor grids _node_rows builds
-one b-sum per parity of lattice row over the grid's second axis
-(lebesgue_constant on the evaluation grid, lagrange_node_blocks on the node
-lattice); at scattered points _lagrange_blocks builds one per block of
-points, O(n^3) a point in blocks of bounded size: lagrange_matrix writes
-them in set order, lebesgue_function sums their absolute values as they
-come, and fundamental_poly runs it on a one-node grid.
+_tail_sums, and a matrix product over a.  On an evaluation grid _node_rows
+builds one b-sum per parity of lattice row over the grid's second axis
+(lebesgue_constant); at the nodes lagrange_node_blocks builds one per node
+sub-grid over the lattice's eta axis and takes one product per pair of
+sub-grids and chunk of lattice row pairs; at scattered points
+_lagrange_blocks builds one per block of points, O(n^3) a point in blocks
+of bounded size: lagrange_matrix writes them in set order,
+lebesgue_function sums their absolute values as they come, and
+fundamental_poly runs it on a one-node grid.
 """
 
 import operator
@@ -56,6 +58,7 @@ MAX_LEBESGUE_ENTRIES = 1 << 25
 # with the k factors.  2**17 values are 1 MB, small next to an N x N Lagrange
 # matrix (the peak at n = 60 over the nodes is 1.1 times the 28.6 MB result).
 # A point's (n+1) E values over a grid of E etas, if more, are split over eta.
+# It also bounds each block of lagrange_node_blocks.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -256,35 +259,42 @@ def _node_rows(n, points2, rows, top):
 
 
 def lagrange_node_blocks(pset):
-    """Fundamental-polynomial values at the nodes, one lattice row k at a time.
+    """Fundamental-polynomial values at the nodes, in blocks of lattice row pairs.
 
-    Yields (cols, block) once per row k = 0..n of the node lattice: cols are
-    the set positions of the nodes with k_num == k, and block[p, j] is the
-    fundamental polynomial of node cols[j] at node p, shape (N, len(cols)).
-    The nodes are two tensor grids of the lattice (pset.sub_grids), so
-    _node_rows on the eta' of both grids gives each row as two matrix
-    products over a, one per grid, written into the set positions of the
-    grid's rows; no N x N matrix is formed.
+    Yields (targets, sources, block): block[r, t, c] is the fundamental
+    polynomial of the node at set position sources[r] + c at the node at set
+    position targets[r] + t.  Each r pairs a source lattice row with a
+    target lattice row, whose nodes are consecutive in set order; where
+    targets[r] == sources[r] the pair is one row, and block[r, t, t] is a
+    node's value at itself.  The nodes are two tensor grids of the lattice
+    (pset.sub_grids).  Per source grid, one _tail_sums table on the whole
+    eta axis of the lattice, ordered grid by grid, serves both target grids
+    as two slices; per (source grid, target grid) each block is one matrix
+    product over a whose left rows are the products of a source row's and a
+    target row's k factors.  A block holds at most _BLOCK_ENTRIES values,
+    or one row pair if that is more (n > 722); no N x N matrix is formed.
     """
     n = pset.degree
     l1, l2 = lattice_tables(n)
-    (ks0, etas0), (ks1, etas1) = pset.sub_grids()
-    n0 = etas0.size
-    # the eta' of both grids in order, so each grid's table rows are one slice
-    order = np.concatenate([etas0, etas1])
-    left0, left1 = (np.ascontiguousarray(l1[:, ks].T) for ks in (ks0, ks1))
-    starts = pset.row_starts
-    for k, w, zk in _node_rows(n, l2[:, order], range(n + 1), n + 1):
-        cols = np.arange(starts[k], starts[k + 1])
-        # set order pairs lattice row 2r (grid 0) with row 2r + 1 (grid 1), so
-        # each grid's product lands in one strided view of the block; for
-        # even n the last pair has no odd row, and its slots are cut off
-        pairs = np.empty((ks0.size, order.size, cols.size))
-        np.matmul(left0 * w, zk[:, :n0].reshape(n + 1, -1),
-                  out=pairs[:, :n0].reshape(ks0.size, -1))
-        np.matmul(left1 * w, zk[:, n0:].reshape(n + 1, -1),
-                  out=pairs[:ks1.size, n0:].reshape(ks1.size, -1))
-        yield cols, pairs.reshape(-1, cols.size)[:len(pset)]
+    w, r = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
+    grids = pset.sub_grids()
+    # the lattice etas grid by grid, so each grid's part of a table is a view
+    l2 = l2[:, np.concatenate([etas for _, etas in grids])]
+    split = grids[0][1].size
+    for ks_src, etas_src in grids:
+        y = _tail_sums(l2, r[:, etas_src])
+        src_w, src_starts = w[:, ks_src].T, pset.row_starts[ks_src]
+        for (ks_tgt, etas_tgt), part in zip(grids, (y[:, :split], y[:, split:])):
+            right = part.reshape(n + 1, -1)
+            tgt_l1, tgt_starts = l1[:, ks_tgt].T, pset.row_starts[ks_tgt]
+            # row pair p joins source row p // K to target row p % K, K = ks_tgt.size
+            pairs = np.arange(ks_src.size * ks_tgt.size)
+            chunk = max(1, _BLOCK_ENTRIES // right.shape[1])
+            for first in range(0, pairs.size, chunk):
+                s, i = np.divmod(pairs[first:first + chunk], ks_tgt.size)
+                block = (src_w[s] * tgt_l1[i]) @ right
+                yield tgt_starts[i], src_starts[s], block.reshape(-1, etas_tgt.size,
+                                                                  etas_src.size)
 
 
 def _check_samples(pset, samples):

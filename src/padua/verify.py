@@ -8,14 +8,17 @@ the report echoes, and the test suite's negative control tampers with that
 mapping to prove the node-value cross-check actually bites.  The ideal basis
 is checked to vanish on the lattice axes of the two node sub-grids, so its
 cos tables have n+1 and n+2 points, not N.  The delta property is checked
-one lattice row of nodes at a time (interp.lagrange_node_blocks), so no
-N x N matrix is held, and the partition of unity on interp.lagrange_matrix;
-both take the fundamental polynomials from their closed-form coefficients,
-so they read at rounding level.  The compact kernel is checked against its
-direct sum on its own.  Per degree, each side of the random and probe point
-pairs has one Chebyshev table set (ideal._Tables) on all its points: the
-three-term and Christoffel-Darboux checks read the random points' columns of
-it, and the kernel's direct sum reads its rows 0..n.
+on the blocks of interp.lagrange_node_blocks, one matrix product per pair
+of node sub-grids and chunk of lattice row pairs, so no N x N matrix is
+held, and the partition of unity sums the blocks of interp._lagrange_blocks
+at the random points as they come; both take the fundamental polynomials
+from their closed-form coefficients, so they read at rounding level.  The
+compact kernel is checked against its direct sum on its own.  Per degree,
+each side of the random and probe point pairs has one Chebyshev table set
+(ideal._Tables) on all its points, which forms its ideal-basis rows and
+degree-n basis rows once, and the pairs have one direct kernel sum: the
+three-term and Christoffel-Darboux checks read them at the random pairs,
+the kernel check at all pairs.
 """
 
 import numpy as np
@@ -24,12 +27,13 @@ from . import ideal, interp, kernel, points
 from .cheb import check_degree
 
 # Largest --max-degree.  The checks of one degree cost O(n^5) flops, most of
-# it the delta property (N fundamental polynomials at N nodes, two BLAS
-# products per lattice row), so a whole run grows like max_degree^6.  At 100
-# a run took 4.2-6.2 s in-process on a 2-core Xeon (seeds 1-10, median
-# 5.3 s), of which the delta check is 3-4 s; 150 would take roughly 11 times
-# that.  Memory stays small (the delta check peaks near 13 MB at n = 100).
-# Larger degrees are refused before any work.
+# it the delta property (N fundamental polynomials at N nodes, one BLAS
+# product per pair of node sub-grids and chunk of at most 2**17 values), so
+# a whole run grows like max_degree^6.  At 100 a run took 2.7-3.2 s
+# in-process on a 2-core Xeon (seed 1), about 1.7 s of it the delta check;
+# 150 would take roughly 11 times that.  Memory stays small (the delta check
+# peaks near 10 MB at n = 100 under tracemalloc).  Larger degrees are
+# refused before any work.
 MAX_VERIFY_DEGREE = 100
 
 
@@ -93,30 +97,32 @@ def run_verification(max_degree, seed):
         pts = rng.uniform(-1.0, 1.0, (64, 2))
         qts = rng.uniform(-1.0, 1.0, (64, 2))
         sx, sy = singular_probe_pairs(n, rng)
-        # one table set per side, on the random points and then the probes
+        # one table set per side, on the random points and then the probes;
+        # the residual checks read the random pairs, the oracle check all
         all_x = np.vstack([pts, sx])
         all_y = np.vstack([qts, sy])
         tx = ideal._Tables(n, (all_x[:, 0], all_x[:, 1]))
         ty = ideal._Tables(n, (all_y[:, 0], all_y[:, 1]))
+        direct = ideal._direct(tx, ty)
+        head = slice(len(pts))
 
         if n >= 2:
             mats = ideal.struct_matrices(n)
-            head_x, head_y = tx[:len(pts)], ty[:len(qts)]
-            resid = ideal._three_term(n, mats, head_x)
+            resid = ideal._three_term(n, mats, tx)[head]
             record("three_term_identity", n, float(np.max(resid)), 1e-10)
             for axis in (1, 2):
-                resid = ideal._cd(n, axis, mats, head_x, head_y)
+                resid = ideal._cd(n, axis, mats, tx, ty, direct)[head]
                 record(f"cd_identity_axis{axis}", n, float(np.max(resid)), 1e-9)
 
         compact = kernel.kernel_compact(n, tx.x, ty.x)
-        direct = kernel.direct_from_tables(tx.t1[:n + 1], tx.t2[:n + 1], ty.t1[:n + 1],
-                                           ty.t2[:n + 1])
         record("kernel_oracle_agreement", n,
                float(np.max(np.abs(compact - direct))), 1e-9 * (n + 1))
 
         worst = 0.0
-        for cols, block in interp.lagrange_node_blocks(pset):
-            block[cols, np.arange(cols.size)] -= 1.0
+        for targets, sources, block in interp.lagrange_node_blocks(pset):
+            # a row pair of one lattice row holds its nodes' own values on
+            # the diagonal of its square block, where the delta is 1
+            block.reshape(len(block), -1)[targets == sources, ::block.shape[2] + 1] -= 1.0
             worst = max(worst, float(block.max()), float(-block.min()))
         record("delta_property", n, worst, 1e-9)
 
@@ -128,8 +134,10 @@ def run_verification(max_degree, seed):
         weights = 1.0 / closed
         record("weight_sum", n, abs(float(np.add.reduce(weights)) - 1.0), 1e-12)
 
-        ones = np.ones(len(pset))
-        part = interp.lagrange_matrix(pset, pts[:, 0], pts[:, 1]) @ ones
+        part = np.zeros(len(pts))
+        _, blocks = interp._lagrange_blocks(n, (pts[:, 0], pts[:, 1]), pset.sub_grids())
+        for rows, _, _, lat in blocks:
+            part[rows] += lat.sum(axis=(0, 2))
         record("partition_of_unity", n, float(np.max(np.abs(part - 1.0))), 1e-8)
 
     factors = kernel.NODE_FACTORS

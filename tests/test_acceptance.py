@@ -61,8 +61,8 @@ def test_criterion_1_cardinality_and_unisolvence():
         b2n = t_norm_lattice(n, pset.eta_num, n + 1)
         for _ in range(20):
             coeffs = _random_poly(rng, n)
-            truth = np.einsum("ab,aP,bP->P", coeffs, b1p, b2p)
-            samples = np.einsum("ab,aN,bN->N", coeffs, b1n, b2n)
+            truth = ((coeffs.T @ b1p) * b2p).sum(0)
+            samples = ((coeffs.T @ b1n) * b2n).sum(0)
             got = lmat @ samples
             scale = max(1.0, float(np.max(np.abs(truth))))
             ok &= float(np.max(np.abs(got - truth))) <= 1e-8 * scale

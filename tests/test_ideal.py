@@ -14,6 +14,7 @@ from padua.ideal import (
     three_term_residual,
 )
 from padua.points import PointClass, generate
+from padua.verify import run_verification, singular_probe_pairs
 
 import oracles
 
@@ -211,6 +212,12 @@ def test_three_term_identity(rng):
     for n in range(2, 33):
         pts = rng.uniform(-1, 1, (2, 50))
         assert np.max(three_term_residual(n, (pts[0], pts[1]))) <= 1e-10
+    # a 2-D point array keeps its shape, point by point the flat residuals
+    grid = rng.uniform(-1, 1, (2, 10, 5))
+    got = three_term_residual(7, (grid[0], grid[1]))
+    assert got.shape == (10, 5)
+    assert np.max(np.abs(got.ravel() - three_term_residual(7, (grid[0].ravel(),
+                                                               grid[1].ravel())))) <= 1e-15
 
 
 def test_cd_residual_random_pairs(rng):
@@ -218,6 +225,14 @@ def test_cd_residual_random_pairs(rng):
     y = rng.uniform(-1, 1, (2, 200))
     assert np.max(cd_residual(6, 1, (x[0], x[1]), (y[0], y[1]))) <= 1e-9
     assert np.max(cd_residual(6, 2, (x[0], x[1]), (y[0], y[1]))) <= 1e-9
+    # a (20, 1) side against a (1, 30) side gives the residuals of all 600 pairs
+    side_x, side_y = (x[0, :20, None], x[1, :20, None]), (y[0, None, :30], y[1, None, :30])
+    flat_x = (np.repeat(x[0, :20], 30), np.repeat(x[1, :20], 30))
+    flat_y = (np.tile(y[0, :30], 20), np.tile(y[1, :30], 20))
+    for axis in (1, 2):
+        got = cd_residual(6, axis, side_x, side_y)
+        assert got.shape == (20, 30)
+        assert np.max(np.abs(got.ravel() - cd_residual(6, axis, flat_x, flat_y))) <= 1e-15
 
 
 def test_cd_residual_coincident_points(rng):
@@ -235,20 +250,45 @@ def test_cd_residual_at_node_pairs():
 
 @pytest.mark.parametrize("n", [2, 3, 17, 40])
 def test_residuals_on_shared_tables_match_public_functions(rng, n):
-    # verify reads its 64 random points from tables built on 100 points (the
-    # random points, then the probes), once per side and degree
+    # verify builds one table set per side and degree on 100 pairs (the
+    # random pairs, then the probes); its checks share the tables' ideal and
+    # basis rows and one direct kernel sum, and read the first 64 pairs
     x, y = rng.uniform(-1, 1, (2, 2, 100))
     tx, ty = ideal._Tables(n, (x[0], x[1])), ideal._Tables(n, (y[0], y[1]))
-    head_x, head_y = tx[:64], ty[:64]
+    direct = ideal._direct(tx, ty)
     px, py = (x[0, :64], x[1, :64]), (y[0, :64], y[1, :64])
     mats = struct_matrices(n)
-    assert np.array_equal(ideal._three_term(n, mats, head_x), three_term_residual(n, px))
+    assert np.array_equal(ideal._three_term(n, mats, tx)[:64], three_term_residual(n, px))
     for axis in (1, 2):
-        assert np.array_equal(ideal._cd(n, axis, mats, head_x, head_y),
+        assert np.array_equal(ideal._cd(n, axis, mats, tx, ty, direct)[:64],
                               cd_residual(n, axis, px, py))
-    direct = kernel.direct_from_tables(tx.t1[:n + 1], tx.t2[:n + 1], ty.t1[:n + 1],
-                                       ty.t2[:n + 1])
+    assert tx.q() is tx.q() and ty.basis(n) is ty.basis(n)
     assert np.array_equal(direct, kernel.kernel_direct(n, (x[0], x[1]), (y[0], y[1])))
+
+
+def test_verify_shared_checks_match_public_functions():
+    # replay verify's draws: per degree 64 random pairs, then the probes; its
+    # residual and oracle records are the public functions' on those points
+    seed, degrees = 5, (2, 7, 16)
+    report = run_verification(max(degrees), seed)
+    observed = {(c["check"], c["degree"]): c["observed"] for c in report["checks"]}
+    rng = np.random.default_rng(seed)
+    for n in range(1, max(degrees) + 1):
+        pts, qts = rng.uniform(-1.0, 1.0, (2, 64, 2))
+        sx, sy = singular_probe_pairs(n, rng)
+        if n not in degrees:
+            continue
+        x, y = (pts[:, 0], pts[:, 1]), (qts[:, 0], qts[:, 1])
+        all_x, all_y = np.vstack([pts, sx]).T, np.vstack([qts, sy]).T
+        expect = {
+            "three_term_identity": np.max(three_term_residual(n, x)),
+            "cd_identity_axis1": np.max(cd_residual(n, 1, x, y)),
+            "cd_identity_axis2": np.max(cd_residual(n, 2, x, y)),
+            "kernel_oracle_agreement": np.max(np.abs(
+                kernel.kernel_compact(n, all_x, all_y) - kernel.kernel_direct(n, all_x, all_y))),
+        }
+        for name, value in expect.items():
+            assert abs(observed[name, n] - value) <= 4e-15
 
 
 def test_cd_residual_axis_validation():

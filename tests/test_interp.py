@@ -33,7 +33,7 @@ def _poly_at_nodes(coeffs, pset):
     n = pset.degree
     b1 = t_norm_lattice(n, pset.k_num, n)
     b2 = t_norm_lattice(n, pset.eta_num, n + 1)
-    return np.einsum("ab,aN,bN->N", coeffs, b1, b2)
+    return ((coeffs.T @ b1) * b2).sum(0)
 
 
 def test_sample_constant():
@@ -683,17 +683,20 @@ def test_coefficient_norm_from_node_values(rng, n):
 
 
 def _assembled_node_blocks(pset):
-    """The N x N matrix of lagrange_node_blocks, columns placed by cols."""
+    """The N x N matrix of lagrange_node_blocks, each block placed by its set positions."""
     out = np.full((len(pset), len(pset)), np.nan)
-    seen = []
-    for cols, block in lagrange_node_blocks(pset):
-        assert block.shape == (len(pset), cols.size)
-        assert np.all(pset.k_num[cols] == pset.k_num[cols[0]])
-        out[:, cols] = block
-        seen.append(cols)
-    # one block per lattice row, in set order, covering every node once
-    assert len(seen) == pset.degree + 1
-    assert np.array_equal(np.concatenate(seen), np.arange(len(pset)))
+    row_sizes = dict(zip(pset.row_starts[:-1], np.diff(pset.row_starts)))
+    for targets, sources, block in lagrange_node_blocks(pset):
+        # every row pair joins two whole lattice rows
+        assert block.shape[0] == targets.size == sources.size
+        assert {row_sizes[t] for t in targets} == {block.shape[1]}
+        assert {row_sizes[s] for s in sources} == {block.shape[2]}
+        rows = targets[:, None, None] + np.arange(block.shape[1])[:, None]
+        cols = sources[:, None, None] + np.arange(block.shape[2])
+        assert np.all(np.isnan(out[rows, cols]))
+        out[rows, cols] = block
+    # every (node, node) pair once
+    assert not np.any(np.isnan(out))
     return out
 
 
@@ -717,8 +720,10 @@ def test_node_blocks_match_lagrange_matrix(n):
 
 def _delta_error(pset):
     worst = 0.0
-    for cols, block in lagrange_node_blocks(pset):
-        block[cols, np.arange(cols.size)] -= 1.0
+    for targets, sources, block in lagrange_node_blocks(pset):
+        on_diagonal = targets[:, None, None] + np.arange(block.shape[1])[:, None] == (
+            sources[:, None, None] + np.arange(block.shape[2]))
+        block[on_diagonal] -= 1.0
         worst = max(worst, float(np.max(np.abs(block))))
     return worst
 
@@ -730,9 +735,22 @@ def test_node_blocks_delta_property_tight(n):
     assert _delta_error(generate(n)) <= 1e-13
 
 
+@pytest.mark.parametrize("n, entries", [(15, 200), (16, 200), (16, 1000), (40, 5000)])
+def test_node_blocks_chunks_do_not_change_values(monkeypatch, n, entries):
+    # a cap far below the default splits each sub-grid pair into many row
+    # pair chunks, some not whole source rows; one chunk per pair is the reference
+    pset = generate(n)
+    monkeypatch.setattr(interp, "_BLOCK_ENTRIES", len(pset) ** 2)
+    expect = _assembled_node_blocks(pset)
+    monkeypatch.setattr(interp, "_BLOCK_ENTRIES", entries)
+    sizes = [block.size for _, _, block in lagrange_node_blocks(pset)]
+    assert len(sizes) > 8 and max(sizes) <= entries
+    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-15
+
+
 def test_node_blocks_delta_check_memory_at_verify_limit():
-    # the N x N matrix at n = 100 would be 212 MB; one lattice row of nodes
-    # and the cumulative table stay far below that
+    # the N x N matrix at n = 100 would be 212 MB; the cumulative table of a
+    # sub-grid and a block of row pairs stay far below that
     pset = generate(100)
     tracemalloc.start()
     try:

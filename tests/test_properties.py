@@ -78,9 +78,9 @@ def test_interpolation_reproduces_polynomials(seed):
 def test_fundamental_polynomials_are_cardinal_at_the_nodes(seed):
     rng = np.random.default_rng(2000 + seed)
     for n in _degrees(rng):
-        for cols, block in lagrange_node_blocks(generate(n)):
-            delta = np.zeros_like(block)
-            delta[cols, np.arange(cols.size)] = 1.0
+        for targets, sources, block in lagrange_node_blocks(generate(n)):
+            delta = (targets[:, None, None] + np.arange(block.shape[1])[:, None]
+                     == sources[:, None, None] + np.arange(block.shape[2]))
             assert np.max(np.abs(block - delta)) <= 1e-13
 
 

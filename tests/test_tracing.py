@@ -47,11 +47,11 @@ def test_tracer_sees_lebesgue_layers():
 def test_tracer_sees_verify_kernel_layers():
     code, totals = _traced_totals("verify", "--max-degree", "2")
     assert code == 0
-    # the partition of unity takes one lagrange_matrix per degree, on the
-    # closed-form coefficients of the fundamental polynomials, and the delta
-    # check runs on the lattice tables: neither reaches the cross matrix of
-    # the compact kernel or the node-side trig tables
-    assert totals["interp.lagrange_matrix"]["calls"] == 2
+    # the partition of unity sums the blocks of the fundamental polynomials'
+    # closed-form coefficients as they come, with no lagrange_matrix, and the
+    # delta check runs on the lattice tables: neither reaches the cross
+    # matrix of the compact kernel or the node-side trig tables
+    assert "interp.lagrange_matrix" not in totals
     assert "kernel.star_matrix" not in totals
     assert "kernel.node_tables" not in totals
     # the oracle agreement check evaluates the compact kernel; its direct
