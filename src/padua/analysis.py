@@ -10,6 +10,7 @@ once for all its degrees.
 """
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,8 +27,17 @@ from .cheb import (
 from .functions import TestFunction, evaluate
 
 
+def _quad_size(m):
+    """m as an int; TypeError naming m unless it is an integer."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise TypeError(f"quadrature size must be an integer, not {m!r}") from None
+
+
 def gauss_chebyshev_axis(m, dtype=float):
     """Quadrature nodes cos((2i-1)pi/(2m)) in dtype and their odd angle numerators."""
+    m = _quad_size(m)
     if m < 1:
         raise ValueError("quadrature size must be positive")
     nums = 2 * np.arange(1, m + 1) - 1
@@ -346,9 +356,10 @@ def measure_error(coeffs, f, p, grid, quad_m):
     weighted L^p error by tensor Gauss-Chebyshev quadrature with quad_m nodes
     per axis, or the uniform error when p = inf.  convergence_study measures
     through the same instrument, built once for all its degrees.  quad_m
-    outside 1..MAX_QUAD raises ValueError before any work.
+    outside 1..MAX_QUAD raises ValueError, and one that is not an integer
+    TypeError, before any work.
     """
-    check_quad(quad_m)
+    quad_m = check_quad(quad_m)
     p = _as_p(p)
     kmax = max(coeffs.shape[-2:]) - 1
     instrument = _Instrument(f, p, grid, quad_m, np.result_type(coeffs.dtype, float),
@@ -389,11 +400,13 @@ MAX_QUAD = 1250
 
 
 def check_quad(quad_m):
-    """ValueError unless 1 <= quad_m <= MAX_QUAD."""
+    """quad_m as an int: TypeError unless an integer, ValueError unless 1..MAX_QUAD."""
+    quad_m = _quad_size(quad_m)
     if not 1 <= quad_m <= MAX_QUAD:
         raise ValueError(
             f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"
         )
+    return quad_m
 
 
 def convergence_study(f, p, degrees, grid, quad_m=None):
@@ -414,7 +427,8 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     tables, f on both grids, each degree's fit, and each degree's series on
     the grid, which for a degree 2n in degrees is also the reference of n.
     The rows equal, bit for bit, those of one measure_error per degree.
-    quad_m outside 1..MAX_QUAD raises ValueError before any work.
+    quad_m outside 1..MAX_QUAD raises ValueError, and one that is not an
+    integer TypeError, before any work.
     """
     if not isinstance(f, TestFunction):
         raise TypeError("f must be a TestFunction (see padua.functions)")
@@ -425,7 +439,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     top = max(degrees)
     if quad_m is None:
         quad_m = 4 * top
-    check_quad(quad_m)
+    quad_m = check_quad(quad_m)
     check_degree(2 * top, minimum=1, what="reference degree")
     interp.check_lebesgue_size(top, grid)
 

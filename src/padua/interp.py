@@ -3,15 +3,15 @@
 Interpolants on a tensor grid are the Chebyshev coefficients of
 to_coefficients evaluated as a tensor series.  Fundamental polynomials have
 one closed form: the node factors of _node_factors, their cumulative b-sum
-_tail_sums, and a matrix product over a.  On an evaluation grid _node_rows
-builds one b-sum per parity of lattice row over the grid's second axis
-(lebesgue_constant); at the nodes lagrange_node_blocks builds one per node
-sub-grid over the lattice's eta axis and takes one product per pair of
-sub-grids and chunk of lattice row pairs; at scattered points
-_lagrange_blocks builds one per block of points, O(n^3) a point in blocks
-of bounded size: lagrange_matrix writes them in set order,
-lebesgue_function sums their absolute values as they come, and
-fundamental_poly runs it on a one-node grid.
+_tail_sums, and a matrix product over a.  On tensor grids _grid_blocks
+builds one b-sum per tensor grid of nodes over the second axes of the
+target grids and takes one product per target and chunk of whole lattice
+rows of nodes: lebesgue_constant runs it on an evaluation grid, verify's
+delta check at the nodes themselves.  At scattered points _lagrange_blocks
+builds one per block of points, O(n^3) a point in blocks of bounded size:
+lagrange_matrix writes them in set order, lebesgue_function sums their
+absolute values as they come, and fundamental_poly runs it on a one-node
+grid.
 """
 
 import operator
@@ -40,12 +40,13 @@ _GRID_KINDS = ("uniform", "chebyshev")
 MAX_GRID = 1000
 
 # Largest number of float64 table values lebesgue_constant may hold.  At
-# degree n on an m-point grid it keeps the two cumulative grid tables of
-# _node_rows, (n+1)(n+2)m values for even n and about half for odd n, and
-# for one lattice row of nodes the (m, E m) product over its E <= n/2 + 1
-# kept nodes, besides (m, m) sums: lebesgue_entries(n, m) bounds them
-# (tracemalloc peaks at 0.85, 0.45 and 0.75 of it at (n, m) = (64, 200),
-# (65, 200) and (128, 100), 0.98 at (32, 1000)).  2**25 values are 268 MB.
+# degree n on an m-point grid it keeps one node sub-grid's cumulative table
+# of _grid_blocks, at most (n+1)(n+2)m/2 values, and one product of lattice
+# rows with the grid, (m, E m) a row over its E <= n/2 + 1 kept nodes (more
+# rows while under _BLOCK_ENTRIES), besides (m, m) sums: lebesgue_entries(n,
+# m) bounds them, plus _BLOCK_ENTRIES on small runs (tracemalloc peaks at
+# 0.70, 0.38 and 0.50 of it at (n, m) = (64, 200), (65, 200) and (128, 100),
+# 0.95 at (32, 1000), 0.54 of the sum at (16, 41)).  2**25 values are 268 MB.
 # n = 256 at m = 200 needs 25.1e6 (the growth study to n = 256) and n = 32
 # at m = 1000 needs 20.7e6.  The largest allowed degree is 301 at m = 200
 # and 53 at m = 1000; n = 4096 at m = 200 would need 5.1e9 values (41 GB).
@@ -58,7 +59,7 @@ MAX_LEBESGUE_ENTRIES = 1 << 25
 # with the k factors.  2**17 values are 1 MB, small next to an N x N Lagrange
 # matrix (the peak at n = 60 over the nodes is 1.1 times the 28.6 MB result).
 # A point's (n+1) E values over a grid of E etas, if more, are split over eta.
-# It also bounds each block of lagrange_node_blocks.
+# It also bounds each block of _grid_blocks, or one source row if more.
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -242,59 +243,34 @@ def _tail_sums(left, right):
     return y
 
 
-def _node_rows(n, points2, rows, top):
-    """The fundamental polynomials on a tensor grid, one lattice row k at a time.
+def _grid_blocks(n, sources, targets):
+    """Fundamental-polynomial values on tensor grids, in chunks of source rows.
 
-    With (w, r) = _node_factors of the whole lattice and points2 the table
-    of the grid's second axis, Y = _tail_sums(points2, r[:, etas]) over the
-    node etas <= top of row k; node (k, etas[c]) at grid point (i, j) is
-    sum_a P1[a, i] w[a, k] Y[a, j, c].  Yields (k, w[:, k], Y) for k in
-    rows; Y is built once per parity of k, whose rows share their etas.
+    sources are tensor grids (ks, etas) of nodes, targets tensor grids of
+    points given by their axis tables (p1, p2): Tnorm_a of the first and
+    Tnorm_b of the second coordinates, a, b = 0..n.  Yields (s, t, first,
+    block): block[r, i, j, c] is the polynomial of node (ks[first + r],
+    etas[c]) of sources[s] at point (i, j) of targets[t], a fresh array.  Per
+    source grid one _tail_sums table over the targets' p2 side by side, so
+    only one grid's table is alive at a time; per target and chunk of whole
+    source rows one matrix product over a, whose left rows are w[:, k] *
+    p1[:, i] with w the k factors of _node_factors.  A block holds at most
+    _BLOCK_ENTRIES values, or one source row if that is more.
     """
-    l1, l2 = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
-    tables = [_tail_sums(points2, l2[:, etas])
-              for etas in (np.arange(1, top + 1, 2), np.arange(0, top + 1, 2))]
-    for k in rows:
-        yield k, l1[:, k], tables[k % 2]
-
-
-def lagrange_node_blocks(pset):
-    """Fundamental-polynomial values at the nodes, in blocks of lattice row pairs.
-
-    Yields (targets, sources, block): block[r, t, c] is the fundamental
-    polynomial of the node at set position sources[r] + c at the node at set
-    position targets[r] + t.  Each r pairs a source lattice row with a
-    target lattice row, whose nodes are consecutive in set order; where
-    targets[r] == sources[r] the pair is one row, and block[r, t, t] is a
-    node's value at itself.  The nodes are two tensor grids of the lattice
-    (pset.sub_grids).  Per source grid, one _tail_sums table on the whole
-    eta axis of the lattice, ordered grid by grid, serves both target grids
-    as two slices; per (source grid, target grid) each block is one matrix
-    product over a whose left rows are the products of a source row's and a
-    target row's k factors.  A block holds at most _BLOCK_ENTRIES values,
-    or one row pair if that is more (n > 722); no N x N matrix is formed.
-    """
-    n = pset.degree
-    l1, l2 = lattice_tables(n)
     w, r = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
-    grids = pset.sub_grids()
-    # the lattice etas grid by grid, so each grid's part of a table is a view
-    l2 = l2[:, np.concatenate([etas for _, etas in grids])]
-    split = grids[0][1].size
-    for ks_src, etas_src in grids:
-        y = _tail_sums(l2, r[:, etas_src])
-        src_w, src_starts = w[:, ks_src].T, pset.row_starts[ks_src]
-        for (ks_tgt, etas_tgt), part in zip(grids, (y[:, :split], y[:, split:])):
-            right = part.reshape(n + 1, -1)
-            tgt_l1, tgt_starts = l1[:, ks_tgt].T, pset.row_starts[ks_tgt]
-            # row pair p joins source row p // K to target row p % K, K = ks_tgt.size
-            pairs = np.arange(ks_src.size * ks_tgt.size)
-            chunk = max(1, _BLOCK_ENTRIES // right.shape[1])
-            for first in range(0, pairs.size, chunk):
-                s, i = np.divmod(pairs[first:first + chunk], ks_tgt.size)
-                block = (src_w[s] * tgt_l1[i]) @ right
-                yield tgt_starts[i], src_starts[s], block.reshape(-1, etas_tgt.size,
-                                                                  etas_src.size)
+    ends = np.cumsum([0] + [p2.shape[1] for _, p2 in targets])
+    p2 = np.concatenate([p2 for _, p2 in targets], axis=1)
+    for s, (ks, etas) in enumerate(sources):
+        y, wk = _tail_sums(p2, r[:, etas]), w[:, ks]
+        for t, (p1, _) in enumerate(targets):
+            part = y[:, ends[t]:ends[t + 1]].reshape(n + 1, -1)
+            chunk = max(1, _BLOCK_ENTRIES // (p1.shape[1] * part.shape[1]))
+            for first in range(0, ks.size, chunk):
+                left = (wk[:, first:first + chunk, None] * p1[:, None, :]).reshape(n + 1, -1)
+                # no name holds a block, so a caller's del frees it
+                yield s, t, first, (left.T @ part).reshape(-1, p1.shape[1],
+                                                           ends[t + 1] - ends[t], etas.size)
+        del y, part  # free this grid's table before the next one is built
 
 
 def _check_samples(pset, samples):
@@ -345,29 +321,31 @@ def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
-    together with the grid spec.  For each lattice row of nodes that
-    _node_rows gives on the grid table P, the absolute values of the product
-    (P^T w) Y are summed over the row's nodes by one matrix-vector product.
-    The node set, and so the Lebesgue function, is invariant under one
-    reflection: x1 -> -x1 for even n (k -> n - k), x2 -> -x2 for odd n
-    (eta -> n + 1 - eta).  Only the nodes up to their mirror image are
-    summed, the rows k <= n/2 or the etas <= (n+1)/2, the self-mirrored ones
-    with weight 1/2; the reflected sum is then added.  The grid axes are
-    mirror-symmetric to rounding.  Runs over MAX_LEBESGUE_ENTRIES table
-    values raise ValueError first.
+    together with the grid spec.  _grid_blocks gives the fundamental
+    polynomials on the grid table P, and the absolute values of each row of
+    nodes are summed over its nodes by one matrix-vector product.  The node
+    set, and so the Lebesgue function, is invariant under one reflection:
+    x1 -> -x1 for even n (k -> n - k), x2 -> -x2 for odd n (eta -> n + 1 -
+    eta).  Only the nodes up to their mirror image are summed, the rows
+    2k <= n or the etas 2 eta <= n + 1 of the two node sub-grids, the
+    self-mirrored ones with weight 1/2; the reflected sum is then added.
+    The grid axes are mirror-symmetric to rounding.  Runs over
+    MAX_LEBESGUE_ENTRIES table values raise ValueError first.
     """
     n, m = pset.degree, grid.m
     check_lebesgue_size(n, grid)
     p = t_norm_values(n, grid.axis())
-    rows, top = (range(n // 2 + 1), n + 1) if n % 2 == 0 else (range(n + 1), (n + 1) // 2)
+    if n % 2 == 0:
+        grids = [(ks[2 * ks <= n], etas) for ks, etas in pset.sub_grids()]
+    else:
+        grids = [(ks, etas[2 * etas <= n + 1]) for ks, etas in pset.sub_grids()]
+    weights = [0.5 ** ((2 * ks[:, None] == n) + (2 * etas == n + 1)) for ks, etas in grids]
     total = np.zeros(m * m)
-    for k, w, y in _node_rows(n, p, rows, top):
-        vals = (p.T * w) @ y.reshape(n + 1, -1)
-        half = np.full(y.shape[2], 0.5 if 2 * k == n else 1.0)
-        if n % 2 and (k + top) % 2:  # the row holds the self-mirrored eta = top
-            half[-1] = 0.5
-        total += np.abs(vals, out=vals).reshape(m * m, -1) @ half
-        del vals  # free this row's product before the next one is formed
+    for s, _, first, block in _grid_blocks(n, grids, [(p, p)]):
+        np.abs(block, out=block)
+        for r, weight in enumerate(weights[s][first:first + len(block)]):
+            total += block[r].reshape(m * m, -1) @ weight
+        del block  # free this chunk's product before the next one is formed
     total = total.reshape(m, m)
     total += total[::-1] if n % 2 == 0 else total[:, ::-1]
     return float(total.max())

@@ -8,17 +8,17 @@ the report echoes, and the test suite's negative control tampers with that
 mapping to prove the node-value cross-check actually bites.  The ideal basis
 is checked to vanish on the lattice axes of the two node sub-grids, so its
 cos tables have n+1 and n+2 points, not N.  The delta property is checked
-on the blocks of interp.lagrange_node_blocks, one matrix product per pair
-of node sub-grids and chunk of lattice row pairs, so no N x N matrix is
-held, and the partition of unity sums the blocks of interp._lagrange_blocks
-at the random points as they come; both take the fundamental polynomials
-from their closed-form coefficients, so they read at rounding level.  The
-compact kernel is checked against its direct sum on its own.  Per degree,
-each side of the random and probe point pairs has one Chebyshev table set
-(ideal._Tables) on all its points, which forms its ideal-basis rows and
-degree-n basis rows once, and the pairs have one direct kernel sum: the
-three-term and Christoffel-Darboux checks read them at the random pairs,
-the kernel check at all pairs.
+on the blocks of interp._grid_blocks from the node sub-grids onto their own
+lattice tables, one matrix product per pair of sub-grids and chunk of
+lattice rows, so no N x N matrix is held.  The partition of unity sums the
+blocks of interp._lagrange_blocks at the random points as they come; both
+take the fundamental polynomials from their closed-form coefficients, so
+they read at rounding level.  The compact kernel is checked against its
+direct sum on its own.  Per degree, each side of the random and probe point
+pairs has one Chebyshev table set (ideal._Tables) on all its points, which
+forms its ideal-basis rows and degree-n basis rows once, and the pairs have
+one direct kernel sum: the three-term and Christoffel-Darboux checks read
+them at the random pairs, the kernel check at all pairs.
 """
 
 import numpy as np
@@ -28,11 +28,11 @@ from .cheb import check_degree
 
 # Largest --max-degree.  The checks of one degree cost O(n^5) flops, most of
 # it the delta property (N fundamental polynomials at N nodes, one BLAS
-# product per pair of node sub-grids and chunk of at most 2**17 values), so
-# a whole run grows like max_degree^6.  At 100 a run took 2.7-3.2 s
-# in-process on a 2-core Xeon (seed 1), about 1.7 s of it the delta check;
-# 150 would take roughly 11 times that.  Memory stays small (the delta check
-# peaks near 10 MB at n = 100 under tracemalloc).  Larger degrees are
+# product per pair of node sub-grids and chunk of at most 2**17 values or one
+# lattice row), so a whole run grows like max_degree^6.  At 100 a run took
+# 2.7-3.2 s in-process on a 2-core Xeon (seed 1), about 1.7 s of it the delta
+# check; 150 would take roughly 11 times that.  Memory stays small (the delta
+# check peaks near 7 MB at n = 100 under tracemalloc).  Larger degrees are
 # refused before any work.
 MAX_VERIFY_DEGREE = 100
 
@@ -118,11 +118,13 @@ def run_verification(max_degree, seed):
         record("kernel_oracle_agreement", n,
                float(np.max(np.abs(compact - direct))), 1e-9 * (n + 1))
 
+        grids, (l1, l2) = pset.sub_grids(), interp.lattice_tables(n)
         worst = 0.0
-        for targets, sources, block in interp.lagrange_node_blocks(pset):
-            # a row pair of one lattice row holds its nodes' own values on
-            # the diagonal of its square block, where the delta is 1
-            block.reshape(len(block), -1)[targets == sources, ::block.shape[2] + 1] -= 1.0
+        for s, t, first, block in interp._grid_blocks(
+                n, grids, [(l1[:, ks], l2[:, etas]) for ks, etas in grids]):
+            if s == t:  # source row first + r on itself: its nodes' deltas are 1
+                rows = np.arange(len(block))
+                block[rows, first + rows] -= np.eye(block.shape[-1])
             worst = max(worst, float(block.max()), float(-block.min()))
         record("delta_property", n, worst, 1e-9)
 
@@ -135,7 +137,7 @@ def run_verification(max_degree, seed):
         record("weight_sum", n, abs(float(np.add.reduce(weights)) - 1.0), 1e-12)
 
         part = np.zeros(len(pts))
-        _, blocks = interp._lagrange_blocks(n, (pts[:, 0], pts[:, 1]), pset.sub_grids())
+        _, blocks = interp._lagrange_blocks(n, (pts[:, 0], pts[:, 1]), grids)
         for rows, _, _, lat in blocks:
             part[rows] += lat.sum(axis=(0, 2))
         record("partition_of_unity", n, float(np.max(np.abs(part - 1.0))), 1e-8)

@@ -28,3 +28,26 @@ def direct_lagrange_matrix():
         return star / diag
 
     return build
+
+
+@pytest.fixture
+def node_blocks():
+    """The fundamental polynomials at the nodes, block by block of interp._grid_blocks.
+
+    blocks(pset) runs it from the node sub-grids onto their lattice-table
+    columns and yields (targets, sources, block): block[r, i, j, c] is the
+    polynomial of the node at set position sources[r, c] at the node at set
+    position targets[i, j].  Entry (i, c) of a sub-grid (ks, etas) is the
+    node at set position row_starts[ks[i]] + c.
+    """
+    from padua.interp import _grid_blocks, lattice_tables
+
+    def blocks(pset):
+        n, grids = pset.degree, pset.sub_grids()
+        l1, l2 = lattice_tables(n)
+        pos = [pset.row_starts[ks][:, None] + np.arange(etas.size) for ks, etas in grids]
+        tables = [(l1[:, ks], l2[:, etas]) for ks, etas in grids]
+        for s, t, first, block in _grid_blocks(n, grids, tables):
+            yield pos[t], pos[s][first:first + len(block)], block
+
+    return blocks

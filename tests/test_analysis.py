@@ -383,6 +383,42 @@ def test_measure_error_quad_outside_bound_raises_before_f_is_called():
     assert calls and err.error_uniform <= 1e-13 and err.error_wp <= 1e-13
 
 
+@pytest.mark.parametrize("size", [float, np.float64])
+def test_quadrature_size_that_is_not_an_integer_raises_type_error(size):
+    # a float size used to reach the quadrature nodes and fail there with an
+    # IndexError; it is refused naming the size, as EvalGrid refuses its m
+    pset = generate(4)
+    coeffs = interp.to_coefficients(pset, interp.sample(pset, lambda a, b: a + b))
+    f = get("exp_sum")
+    calls = [
+        lambda: lp_norm(f, 2, m=size(200)),
+        lambda: tensor_quadrature(f, size(64)),
+        lambda: fourier_coefficients(4, f, m=size(40)),
+        lambda: analysis.measure_error(coeffs, f, 2, EvalGrid(10), quad_m=size(64)),
+        lambda: analysis.measure_error(coeffs, f, "inf", EvalGrid(10), quad_m=size(64)),
+        lambda: convergence_study(f, 2, [2, 4], EvalGrid(10), quad_m=size(64)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"quadrature size must be an integer, "
+                                            r"not (np\.float64\()?(200|64|40)\.0"):
+            call()
+
+
+def test_quadrature_size_as_numpy_integer_is_bitwise_the_int_result():
+    pset = generate(4)
+    coeffs = interp.to_coefficients(pset, interp.sample(pset, lambda a, b: a + b))
+    f = get("exp_sum")
+
+    def results(m):
+        values = [lp_norm(f, 2, m=m), tensor_quadrature(f, m)]
+        for p in (2, "inf"):
+            err = analysis.measure_error(coeffs, f, p, EvalGrid(10), quad_m=m)
+            values += [err.error_wp, err.error_uniform]
+        return np.concatenate([values, fourier_coefficients(4, f, m=m).ravel()]).tobytes()
+
+    assert results(np.int64(64)) == results(64)
+
+
 def test_convergence_report_dict_round_trip():
     report = convergence_study(get("coord1"), "inf", [2, 3], EvalGrid(16))
     d = report.to_dict()

@@ -13,7 +13,6 @@ from padua.interp import (
     interpolate,
     interpolate_grid,
     lagrange_matrix,
-    lagrange_node_blocks,
     lebesgue_constant,
     lebesgue_function,
     sample,
@@ -572,16 +571,18 @@ def test_lebesgue_constant_memory():
 
 @pytest.mark.parametrize("n", [16, 17])
 def test_lebesgue_constant_builds_no_node_arrays(n):
-    # the node-row tables are per axis: no per-node array of the set is read
+    # the grid-block tables are per axis: no per-node array of the set is read
     pset = generate(n)
     lebesgue_constant(pset, EvalGrid(20))
     assert vars(pset) == {"degree": n}
 
 
-@pytest.mark.parametrize("n, m", [(64, 200), (65, 200), (128, 100)])
+@pytest.mark.parametrize("n, m", [(64, 200), (65, 200), (128, 100), (16, 41)])
 def test_lebesgue_constant_peak_within_lebesgue_entries(n, m):
     # lebesgue_entries bounds what the run holds, so check_lebesgue_size
-    # refuses every run whose tables would pass MAX_LEBESGUE_ENTRIES
+    # refuses every run whose tables would pass MAX_LEBESGUE_ENTRIES; where
+    # one row's product is under _BLOCK_ENTRIES (16, 41), several rows share
+    # one, so that run may hold up to _BLOCK_ENTRIES values more
     pset, grid = generate(n), EvalGrid(m, "chebyshev")
     tracemalloc.start()
     try:
@@ -589,7 +590,8 @@ def test_lebesgue_constant_peak_within_lebesgue_entries(n, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * interp.lebesgue_entries(n, m)
+    shared = interp._BLOCK_ENTRIES if (n, m) == (16, 41) else 0
+    assert peak <= 8 * (interp.lebesgue_entries(n, m) + shared)
 
 
 def test_tail_sums_equal_cumulative_sum_bitwise():
@@ -682,17 +684,13 @@ def test_coefficient_norm_from_node_values(rng, n):
     assert abs(np.sum(w) - 1.0) <= 1e-14
 
 
-def _assembled_node_blocks(pset):
-    """The N x N matrix of lagrange_node_blocks, each block placed by its set positions."""
+def _assembled_node_blocks(pset, node_blocks):
+    """The N x N matrix of the node blocks, each block placed by its set positions."""
     out = np.full((len(pset), len(pset)), np.nan)
-    row_sizes = dict(zip(pset.row_starts[:-1], np.diff(pset.row_starts)))
-    for targets, sources, block in lagrange_node_blocks(pset):
-        # every row pair joins two whole lattice rows
-        assert block.shape[0] == targets.size == sources.size
-        assert {row_sizes[t] for t in targets} == {block.shape[1]}
-        assert {row_sizes[s] for s in sources} == {block.shape[2]}
-        rows = targets[:, None, None] + np.arange(block.shape[1])[:, None]
-        cols = sources[:, None, None] + np.arange(block.shape[2])
+    for targets, sources, block in node_blocks(pset):
+        # every block is whole source rows on a whole target sub-grid
+        assert block.shape == sources.shape[:1] + targets.shape + sources.shape[1:]
+        rows, cols = targets[None, :, :, None], sources[:, None, None, :]
         assert np.all(np.isnan(out[rows, cols]))
         out[rows, cols] = block
     # every (node, node) pair once
@@ -701,60 +699,81 @@ def _assembled_node_blocks(pset):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_node_blocks_match_double_sum_oracle(n):
+def test_node_blocks_match_double_sum_oracle(node_blocks, n):
     # L[p, nu] = K*(p, nu) / K*(nu, nu), both from the literal nested sum
     pset = generate(n)
     x = (pset.x1[:, None], pset.x2[:, None])
     y = (pset.x1[None, :], pset.x2[None, :])
     diag = kernel_star_double_sum(n, (pset.x1, pset.x2), (pset.x1, pset.x2))
     expect = kernel_star_double_sum(n, x, y) / diag
-    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-13
+    assert np.max(np.abs(_assembled_node_blocks(pset, node_blocks) - expect)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 40])
-def test_node_blocks_match_lagrange_matrix(n):
+def test_node_blocks_match_lagrange_matrix(node_blocks, n):
     pset = generate(n)
     expect = lagrange_matrix(pset, pset.x1, pset.x2)
-    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-12
+    assert np.max(np.abs(_assembled_node_blocks(pset, node_blocks) - expect)) <= 1e-12
 
 
-def _delta_error(pset):
+def _delta_error(pset, node_blocks):
     worst = 0.0
-    for targets, sources, block in lagrange_node_blocks(pset):
-        on_diagonal = targets[:, None, None] + np.arange(block.shape[1])[:, None] == (
-            sources[:, None, None] + np.arange(block.shape[2]))
-        block[on_diagonal] -= 1.0
+    for targets, sources, block in node_blocks(pset):
+        block[targets[None, :, :, None] == sources[:, None, None, :]] -= 1.0
         worst = max(worst, float(np.max(np.abs(block))))
     return worst
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 100])
-def test_node_blocks_delta_property_tight(n):
+def test_node_blocks_delta_property_tight(node_blocks, n):
     # the coefficient tables keep the deltas at rounding level; the verify
     # check and the kernel-route tests hold them to 1e-9
-    assert _delta_error(generate(n)) <= 1e-13
+    assert _delta_error(generate(n), node_blocks) <= 1e-13
 
 
 @pytest.mark.parametrize("n, entries", [(15, 200), (16, 200), (16, 1000), (40, 5000)])
-def test_node_blocks_chunks_do_not_change_values(monkeypatch, n, entries):
-    # a cap far below the default splits each sub-grid pair into many row
-    # pair chunks, some not whole source rows; one chunk per pair is the reference
+def test_node_blocks_chunks_do_not_change_values(monkeypatch, node_blocks, n, entries):
+    # a cap below two source rows' product gives one product per source row
+    # and sub-grid pair; one product per sub-grid pair is the reference
     pset = generate(n)
     monkeypatch.setattr(interp, "_BLOCK_ENTRIES", len(pset) ** 2)
-    expect = _assembled_node_blocks(pset)
+    expect = _assembled_node_blocks(pset, node_blocks)
     monkeypatch.setattr(interp, "_BLOCK_ENTRIES", entries)
-    sizes = [block.size for _, _, block in lagrange_node_blocks(pset)]
-    assert len(sizes) > 8 and max(sizes) <= entries
-    assert np.max(np.abs(_assembled_node_blocks(pset) - expect)) <= 1e-15
+    blocks = [block for _, _, block in node_blocks(pset)]
+    assert len(blocks) > 8
+    assert all(block.size <= max(entries, block[0].size) for block in blocks)
+    assert np.max(np.abs(_assembled_node_blocks(pset, node_blocks) - expect)) <= 1e-15
 
 
-def test_node_blocks_delta_check_memory_at_verify_limit():
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+def test_grid_blocks_on_two_axes_and_two_targets_match_lagrange_matrix(monkeypatch, n):
+    # unequal axes, both orders in one call, and products of several source
+    # rows (a short last chunk at n = 16 and 33) against the scattered points
+    monkeypatch.setattr(interp, "_BLOCK_ENTRIES", 4000)
+    pset = generate(n)
+    axes = [EvalGrid(13).axis(), EvalGrid(8, "chebyshev").axis()]
+    targets = [axes, axes[::-1]]
+    grids = pset.sub_grids()
+    pos = [pset.row_starts[ks][:, None] + np.arange(etas.size) for ks, etas in grids]
+    got = [np.full((ax1.size, ax2.size, len(pset)), np.nan) for ax1, ax2 in targets]
+    rows = []
+    for s, t, first, block in interp._grid_blocks(
+            n, grids, [(t_norm_values(n, ax1), t_norm_values(n, ax2)) for ax1, ax2 in targets]):
+        got[t][:, :, pos[s][first:first + len(block)]] = block.transpose(1, 2, 0, 3)
+        rows.append(len(block))
+    assert max(rows) > 1 or n == 1  # each sub-grid of n = 1 is one row
+    for (ax1, ax2), values in zip(targets, got):
+        expect = lagrange_matrix(pset, ax1[:, None], ax2[None, :])
+        assert np.max(np.abs(values.reshape(expect.shape) - expect)) <= 1e-13
+
+
+def test_node_blocks_delta_check_memory_at_verify_limit(node_blocks):
     # the N x N matrix at n = 100 would be 212 MB; the cumulative table of a
-    # sub-grid and a block of row pairs stay far below that
+    # sub-grid and a chunk of source rows stay far below that
     pset = generate(100)
     tracemalloc.start()
     try:
-        _delta_error(pset)
+        _delta_error(pset, node_blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,7 +15,6 @@ from padua.interp import (
     EvalGrid,
     interpolate,
     interpolate_grid,
-    lagrange_node_blocks,
 )
 from padua.points import generate
 
@@ -75,12 +74,11 @@ def test_interpolation_reproduces_polynomials(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fundamental_polynomials_are_cardinal_at_the_nodes(seed):
+def test_fundamental_polynomials_are_cardinal_at_the_nodes(node_blocks, seed):
     rng = np.random.default_rng(2000 + seed)
     for n in _degrees(rng):
-        for targets, sources, block in lagrange_node_blocks(generate(n)):
-            delta = (targets[:, None, None] + np.arange(block.shape[1])[:, None]
-                     == sources[:, None, None] + np.arange(block.shape[2]))
+        for targets, sources, block in node_blocks(generate(n)):
+            delta = targets[None, :, :, None] == sources[:, None, None, :]
             assert np.max(np.abs(block - delta)) <= 1e-13
 
 
