@@ -10,20 +10,28 @@ class SampleEvaluationError(RuntimeError):
     """A sampled function failed to evaluate; the message carries the point."""
 
 
+def as_real(values, dtype=float):
+    """values as an array in dtype; TypeError unless bool, integer or float."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"values of dtype {values.dtype} are not real numbers")
+    return values.astype(dtype, copy=False)
+
+
 def evaluate(f, x1, x2, dtype=float, name=None):
     """f on the broadcast of x1 and x2, as an array of that shape in dtype.
 
-    f is called once on the arrays.  If that raises or returns another shape,
-    the points are visited one at a time in C order, and the first failure
-    raises SampleEvaluationError naming the point: name(i) for the point's
-    flat index i, when given, then x=(x1, x2).  Float64 points reach f as
-    Python floats, other float types as their own scalars, so 80-bit points
-    stay 80-bit.  MemoryError and SampleEvaluationError from the call on the
-    arrays propagate at once, with no per-point retry.
+    f is called once on the arrays.  If that raises or returns another shape
+    or non-real values (as_real), the points are visited one at a time in C
+    order, and the first failure raises SampleEvaluationError naming the
+    point: name(i) for the point's flat index i, when given, then x=(x1, x2).
+    Float64 points reach f as Python floats, other float types as their own
+    scalars, so 80-bit points stay 80-bit.  MemoryError or SampleEvaluationError
+    from the call on the arrays propagates at once, with no per-point retry.
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
     try:
-        vals = np.asarray(f(x1, x2), dtype=dtype)
+        vals = as_real(f(x1, x2), dtype)
         if vals.shape == shape:
             return vals
     except (MemoryError, SampleEvaluationError):
@@ -35,7 +43,7 @@ def evaluate(f, x1, x2, dtype=float, name=None):
     out = np.empty(len(columns[0]), dtype=dtype)
     for i, (a, b) in enumerate(zip(*columns)):
         try:
-            out[i] = f(a, b)
+            out[i] = as_real(f(a, b), dtype)
         except Exception as exc:
             where = "" if name is None else f"{name(i)}, "
             raise SampleEvaluationError(

@@ -4,14 +4,14 @@ Interpolants on a tensor grid are the Chebyshev coefficients of
 to_coefficients evaluated as a tensor series.  Fundamental polynomials have
 one closed form: the node factors of _node_factors, their cumulative b-sum
 _tail_sums, and a matrix product over a.  On tensor grids _grid_blocks
-builds one b-sum per tensor grid of nodes over the second axes of the
-target grids and takes one product per target and chunk of whole lattice
-rows of nodes: lebesgue_constant runs it on an evaluation grid, verify's
-delta check at the nodes themselves.  At scattered points _lagrange_blocks
-builds one per block of points, O(n^3) a point in blocks of bounded size:
-lagrange_matrix writes them in set order, lebesgue_function sums their
-absolute values as they come, and fundamental_poly runs it on a one-node
-grid.
+builds one b-sum per node sub-grid over the second axes of the target grids
+and takes one product per target and chunk of whole lattice rows of nodes:
+lebesgue_constant runs it on the half of an evaluation grid that the node
+set's reflection maps onto the rest, verify's delta check at the nodes
+themselves.  At scattered points _lagrange_blocks builds one per block of
+points, O(n^3) a point in blocks of bounded size: lagrange_matrix writes
+them in set order, lebesgue_function sums their absolute values as they
+come, and fundamental_poly runs it on a one-node grid.
 """
 
 import operator
@@ -29,7 +29,7 @@ from .cheb import (
     t_norm_lattice,
     t_norm_values,
 )
-from .functions import SampleEvaluationError, evaluate  # noqa: F401 (re-exported)
+from .functions import SampleEvaluationError, as_real, evaluate  # noqa: F401 (re-exported)
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
@@ -39,17 +39,16 @@ _GRID_KINDS = ("uniform", "chebyshev")
 # writes 1e6 CSV rows, about 100 MB at 17 digits.
 MAX_GRID = 1000
 
-# Largest number of float64 table values lebesgue_constant may hold.  At
-# degree n on an m-point grid it keeps one node sub-grid's cumulative table
-# of _grid_blocks, at most (n+1)(n+2)m/2 values, and one product of lattice
-# rows with the grid, (m, E m) a row over its E <= n/2 + 1 kept nodes (more
-# rows while under _BLOCK_ENTRIES), besides (m, m) sums: lebesgue_entries(n,
-# m) bounds them, plus _BLOCK_ENTRIES on small runs (tracemalloc peaks at
-# 0.70, 0.38 and 0.50 of it at (n, m) = (64, 200), (65, 200) and (128, 100),
-# 0.95 at (32, 1000), 0.54 of the sum at (16, 41)).  2**25 values are 268 MB.
-# n = 256 at m = 200 needs 25.1e6 (the growth study to n = 256) and n = 32
-# at m = 1000 needs 20.7e6.  The largest allowed degree is 301 at m = 200
-# and 53 at m = 1000; n = 4096 at m = 200 would need 5.1e9 values (41 GB).
+# Largest number of float64 table values lebesgue_constant may hold, as
+# counted by lebesgue_entries(n, m).  The run holds one node sub-grid's
+# _tail_sums table, (n+1) E m values over its E <= n/2 + 2 etas (m halved
+# for odd n), one product of lattice rows with the half grid, ceil(m/2) m E
+# values a row (more rows while under _BLOCK_ENTRIES), and ceil(m/2) m sums:
+# tracemalloc peaks read 0.47, 0.44, 0.36, 0.39 and 0.49 of 8 lebesgue_entries
+# at (n, m) = (32, 200), (64, 200), (65, 200), (128, 100) and (32, 1000), and
+# 2.24 at (16, 41), where rows share a product.  2**25 values are 268 MB: the
+# growth study's n = 256 at m = 200 counts 25.1e6, n = 32 at m = 1000 20.7e6,
+# and the largest allowed degree is 301 at m = 200 and 53 at m = 1000.
 # `lebesgue` and `converge` refuse larger runs before any table is built.
 MAX_LEBESGUE_ENTRIES = 1 << 25
 
@@ -59,12 +58,12 @@ MAX_LEBESGUE_ENTRIES = 1 << 25
 # with the k factors.  2**17 values are 1 MB, small next to an N x N Lagrange
 # matrix (the peak at n = 60 over the nodes is 1.1 times the 28.6 MB result).
 # A point's (n+1) E values over a grid of E etas, if more, are split over eta.
-# It also bounds each block of _grid_blocks, or one source row if more.
+# It also bounds each block of _grid_blocks, or one lattice row if more.
 _BLOCK_ENTRIES = 1 << 17
 
 
 def lebesgue_entries(n, m):
-    """Bound on the float64 values lebesgue_constant holds at degree n, m-point grid."""
+    """Float64 values that MAX_LEBESGUE_ENTRIES caps at degree n on an m-point grid."""
     kept = n // 2 + 1
     return (n + 1) * (n + 2) * m + kept * m * (n + 1 + m) + 2 * m * m
 
@@ -243,24 +242,25 @@ def _tail_sums(left, right):
     return y
 
 
-def _grid_blocks(n, sources, targets):
-    """Fundamental-polynomial values on tensor grids, in chunks of source rows.
+def _grid_blocks(pset, targets):
+    """Fundamental-polynomial values on tensor grids, in chunks of node rows.
 
-    sources are tensor grids (ks, etas) of nodes, targets tensor grids of
-    points given by their axis tables (p1, p2): Tnorm_a of the first and
-    Tnorm_b of the second coordinates, a, b = 0..n.  Yields (s, t, first,
-    block): block[r, i, j, c] is the polynomial of node (ks[first + r],
-    etas[c]) of sources[s] at point (i, j) of targets[t], a fresh array.  Per
-    source grid one _tail_sums table over the targets' p2 side by side, so
-    only one grid's table is alive at a time; per target and chunk of whole
-    source rows one matrix product over a, whose left rows are w[:, k] *
-    p1[:, i] with w the k factors of _node_factors.  A block holds at most
-    _BLOCK_ENTRIES values, or one source row if that is more.
+    targets are tensor grids of points given by their axis tables (p1, p2):
+    Tnorm_a of the first and Tnorm_b of the second coordinates, a, b = 0..n.
+    Yields (s, t, first, block): block[r, i, j, c] is the polynomial of node
+    (ks[first + r], etas[c]) of the node sub-grid s of pset.sub_grids() at
+    point (i, j) of targets[t], a fresh array.  Per sub-grid one _tail_sums
+    table over the targets' p2 side by side, so only one sub-grid's table is
+    alive at a time; per target and chunk of whole lattice rows one matrix
+    product over a, whose left rows are w[:, k] * p1[:, i] with w the k
+    factors of _node_factors.  A block holds at most _BLOCK_ENTRIES values,
+    or one lattice row if that is more.
     """
+    n = pset.degree
     w, r = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
     ends = np.cumsum([0] + [p2.shape[1] for _, p2 in targets])
     p2 = np.concatenate([p2 for _, p2 in targets], axis=1)
-    for s, (ks, etas) in enumerate(sources):
+    for s, (ks, etas) in enumerate(pset.sub_grids()):
         y, wk = _tail_sums(p2, r[:, etas]), w[:, ks]
         for t, (p1, _) in enumerate(targets):
             part = y[:, ends[t]:ends[t + 1]].reshape(n + 1, -1)
@@ -274,10 +274,9 @@ def _grid_blocks(n, sources, targets):
 
 
 def _check_samples(pset, samples):
-    """Finite node values (last axis) as float64, or np.longdouble if given so."""
+    """Finite real node values (last axis) as float64, or np.longdouble if given so."""
     samples = np.asarray(samples)
-    dtype = np.longdouble if samples.dtype == np.longdouble else float
-    samples = samples.astype(dtype, copy=False)
+    samples = as_real(samples, np.longdouble if samples.dtype == np.longdouble else float)
     if samples.shape[-1:] != (len(pset),):
         raise ValueError(
             f"samples of shape {samples.shape} need length {len(pset)} on the last axis"
@@ -321,33 +320,25 @@ def lebesgue_constant(pset, grid):
     """Maximum of the Lebesgue function over the grid.
 
     A grid maximum is an estimate from below of the true supremum; report it
-    together with the grid spec.  _grid_blocks gives the fundamental
-    polynomials on the grid table P, and the absolute values of each row of
-    nodes are summed over its nodes by one matrix-vector product.  The node
-    set, and so the Lebesgue function, is invariant under one reflection:
-    x1 -> -x1 for even n (k -> n - k), x2 -> -x2 for odd n (eta -> n + 1 -
-    eta).  Only the nodes up to their mirror image are summed, the rows
-    2k <= n or the etas 2 eta <= n + 1 of the two node sub-grids, the
-    self-mirrored ones with weight 1/2; the reflected sum is then added.
-    The grid axes are mirror-symmetric to rounding.  Runs over
-    MAX_LEBESGUE_ENTRIES table values raise ValueError first.
+    together with the grid spec.  The Lebesgue function is invariant under
+    the node set's reflection, x1 -> -x1 for even n, x2 -> -x2 for odd n,
+    and the grid axes are mirror-symmetric to rounding, so the maximum is
+    taken on the first ceil(m/2) points of the reflected axis: there each
+    lattice row's absolute _grid_blocks values are summed over its nodes by
+    one matrix-vector product.  Runs over MAX_LEBESGUE_ENTRIES table values
+    raise ValueError first.
     """
     n, m = pset.degree, grid.m
     check_lebesgue_size(n, grid)
     p = t_norm_values(n, grid.axis())
-    if n % 2 == 0:
-        grids = [(ks[2 * ks <= n], etas) for ks, etas in pset.sub_grids()]
-    else:
-        grids = [(ks, etas[2 * etas <= n + 1]) for ks, etas in pset.sub_grids()]
-    weights = [0.5 ** ((2 * ks[:, None] == n) + (2 * etas == n + 1)) for ks, etas in grids]
-    total = np.zeros(m * m)
-    for s, _, first, block in _grid_blocks(n, grids, [(p, p)]):
+    half = p[:, :(m + 1) // 2]
+    total = np.zeros(half.shape[1] * m)
+    for _, _, _, block in _grid_blocks(pset, [(half, p) if n % 2 == 0 else (p, half)]):
         np.abs(block, out=block)
-        for r, weight in enumerate(weights[s][first:first + len(block)]):
-            total += block[r].reshape(m * m, -1) @ weight
+        ones = np.ones(block.shape[-1])
+        for r in range(len(block)):
+            total += block[r].reshape(total.size, -1) @ ones
         del block  # free this chunk's product before the next one is formed
-    total = total.reshape(m, m)
-    total += total[::-1] if n % 2 == 0 else total[:, ::-1]
     return float(total.max())
 
 

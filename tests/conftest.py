@@ -47,7 +47,7 @@ def node_blocks():
         l1, l2 = lattice_tables(n)
         pos = [pset.row_starts[ks][:, None] + np.arange(etas.size) for ks, etas in grids]
         tables = [(l1[:, ks], l2[:, etas]) for ks, etas in grids]
-        for s, t, first, block in _grid_blocks(n, grids, tables):
+        for s, t, first, block in _grid_blocks(pset, tables):
             yield pos[t], pos[s][first:first + len(block)], block
 
     return blocks

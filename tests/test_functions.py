@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from padua import interp
+from padua.analysis import lp_norm
+from padua.cubature import build_rule, integrate
 from padua.functions import SampleEvaluationError, evaluate
+from padua.points import generate
 
 
 def test_evaluate_does_not_retry_after_memory_error():
@@ -77,3 +80,44 @@ def test_evaluate_failure_names_the_point_and_chains_the_cause():
 
 def test_sample_evaluation_error_keeps_its_interp_name():
     assert interp.SampleEvaluationError is SampleEvaluationError
+
+
+@pytest.mark.parametrize("samples", [np.ones(6) + 5j, np.full(6, "1.0"), np.full(6, None)])
+def test_non_real_samples_raise_type_error_naming_the_dtype(samples):
+    # a cast would keep only the real part of complex samples and parse strings
+    with pytest.raises(TypeError, match=str(samples.dtype)):
+        interp.to_coefficients(generate(2), samples)
+
+
+def test_real_samples_of_every_real_dtype_stay_bitwise():
+    pset = generate(3)
+    values = np.arange(len(pset)) % 3
+    for samples in (values, values.astype(np.float32), values.astype(bool), values.tolist()):
+        got = interp.to_coefficients(pset, samples)
+        assert np.array_equal(got, interp.to_coefficients(pset, np.asarray(samples, float)))
+
+
+def test_non_real_function_values_name_the_first_point():
+    # exp(i x1) has real part cos(x1): integrate and lp_norm read 0.7652 and
+    # 0.7823 when the imaginary part was cut
+    def f(x1, x2):
+        return np.exp(1j * x1) + 0.0 * x2
+
+    with pytest.raises(SampleEvaluationError, match=r"at node k=0, j=1, x=\(1\.0, ") as info:
+        interp.sample(generate(3), f)
+    assert isinstance(info.value.__cause__, TypeError)
+    assert "complex128" in str(info.value.__cause__)
+    with pytest.raises(SampleEvaluationError, match=r"at node k=0, j=1, ") as info:
+        integrate(build_rule(generate(4)), f)
+    assert isinstance(info.value.__cause__, TypeError)
+    with pytest.raises(SampleEvaluationError, match=r"at x=\(") as info:
+        lp_norm(f, 2)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
+def test_evaluate_keeps_real_values_bitwise():
+    x1, x2 = np.linspace(-1, 1, 5)[:, None], np.linspace(-1, 1, 4)[None, :]
+    for f in (lambda a, b: np.exp(a + b), lambda a, b: (a > b), lambda a, b: np.float32(a) * b,
+              lambda a, b: (3 * np.ones_like(a * b)).astype(int)):
+        assert np.array_equal(evaluate(f, x1, x2), np.asarray(f(x1, x2), dtype=float))
+    assert evaluate(lambda a, b: a + b, x1, x2, np.longdouble).dtype == np.longdouble

@@ -513,9 +513,9 @@ def test_lebesgue_estimates_nondecreasing_under_refinement():
 
 
 def test_lebesgue_constant_matches_compact_kernel():
-    # lebesgue_constant's half-lattice grid products against the Lagrange
-    # matrix of the same grid points, taken point by point; 31 and 33
-    # reflect x2, 32 x1
+    # lebesgue_constant's half-grid products against the Lagrange matrix of
+    # the whole grid, taken point by point; 31 and 33 reflect x2, 32 x1, and
+    # the odd m = 41 puts grid points on the fold line
     cases = [(n, m) for n in (1, 2, 7, 16) for m in (10, 41)]
     cases += [(31, 41), (32, 41), (33, 41)]
     for n, m in cases:
@@ -530,9 +530,8 @@ def test_lebesgue_constant_matches_compact_kernel():
 @pytest.mark.parametrize("n", range(1, 14))
 def test_lebesgue_constant_matches_double_sum_oracle(n):
     # grid axes and nodes written out here, kernel values from the nested sum;
-    # n = 1..13 meets each mirror class at least twice: a self-mirrored eta
-    # in the even rows (n = 1 mod 4) or the odd rows (n = 3 mod 4), and a
-    # self-mirrored row n/2 of either parity
+    # n = 1..13 folds the grid over x1 (even n) and over x2 (odd n), and
+    # the odd m = 9 puts grid points on the fold line, the even m = 10 none
     for m in (9, 10):
         axes = {
             "uniform": np.linspace(-1.0, 1.0, m),
@@ -541,6 +540,22 @@ def test_lebesgue_constant_matches_double_sum_oracle(n):
         for kind, axis in axes.items():
             got = lebesgue_constant(generate(n), EvalGrid(m, kind))
             assert got == pytest.approx(lebesgue_grid_max(n, axis), rel=1e-13)
+
+
+def test_lebesgue_constant_is_the_non_node_corner_value():
+    # observed, not proved: the maximum on a grid with the corners is the
+    # Lebesgue function at the corner of the half grid that is not a node,
+    # (-1, 1) for even n and (1, -1) for odd n, and at its mirror (1, 1);
+    # the Chebyshev grid has no boundary points and never exceeds it
+    for n in [*range(1, 41), 63, 64, 65]:
+        pset = generate(n)
+        corner = lebesgue_function(pset, (-1.0, 1.0) if n % 2 == 0 else (1.0, -1.0))
+        mirror = lebesgue_function(pset, (1.0, 1.0))
+        for m in (11, 20, 41):
+            got = lebesgue_constant(pset, EvalGrid(m))
+            assert abs(got - corner) <= 2e-15 * corner
+            assert abs(got - mirror) <= 2e-15 * mirror
+            assert lebesgue_constant(pset, EvalGrid(m, "chebyshev")) <= corner * (1 + 2e-15)
 
 
 def test_lebesgue_constant_skips_coefficient_route(monkeypatch):
@@ -758,7 +773,7 @@ def test_grid_blocks_on_two_axes_and_two_targets_match_lagrange_matrix(monkeypat
     got = [np.full((ax1.size, ax2.size, len(pset)), np.nan) for ax1, ax2 in targets]
     rows = []
     for s, t, first, block in interp._grid_blocks(
-            n, grids, [(t_norm_values(n, ax1), t_norm_values(n, ax2)) for ax1, ax2 in targets]):
+            pset, [(t_norm_values(n, ax1), t_norm_values(n, ax2)) for ax1, ax2 in targets]):
         got[t][:, :, pos[s][first:first + len(block)]] = block.transpose(1, 2, 0, 3)
         rows.append(len(block))
     assert max(rows) > 1 or n == 1  # each sub-grid of n = 1 is one row
