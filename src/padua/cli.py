@@ -211,12 +211,12 @@ class _Records:
 
 class _LatticeRows:
     """The node table k, j, x1, x2, class (and weight a[k] b[eta] for factors
-    (a, b)) of a PaduaSet, from the cosines and end flags of each lattice
-    axis (points.lattice_axes, points.lattice_ends); no per-node array."""
+    (a, b)) of a PaduaSet.  The rows are built from the cosines and end flags
+    of each lattice axis of the set's degree (points.lattice_axes,
+    points.lattice_ends); no per-node array is read."""
 
-    def __init__(self, keys, pset, axes, ends, factors=None):
-        self.keys, self.pset, self.axes, self.ends = keys, pset, axes, ends
-        self.factors, self.rows = factors, len(pset)
+    def __init__(self, keys, pset, factors=None):
+        self.keys, self.pset, self.factors, self.rows = keys, pset, factors, len(pset)
 
     def pieces(self, float_text, object_texts, seps, last):
         """Text of the rows as _Records.pieces gives it, about _WRITE_CHARS
@@ -229,7 +229,7 @@ class _LatticeRows:
             return _column_cells(column, float_text, object_texts)(slice(None)).tolist()
 
         n, grids = self.pset.degree, self.pset.sub_grids()
-        (axis1, axis2), (end1, end2) = self.axes, self.ends
+        (axis1, axis2), (end1, end2) = points.lattice_axes(n), points.lattice_ends(n)
         a, b = self.factors or (np.zeros(n + 1), None)
         names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
         templates, buf, size = {}, [], 0
@@ -356,10 +356,9 @@ def _builtin_function(name):
 
 def _node_table(pset, rule=None):
     """Header and _LatticeRows of the node table, with the weights of rule."""
-    n, factors = pset.degree, None if rule is None else (rule.a, rule.b)
+    factors = None if rule is None else (rule.a, rule.b)
     header = ("k", "j", "x1", "x2", "class") + (() if rule is None else ("weight",))
-    return header, _LatticeRows(header, pset, points.lattice_axes(n),
-                                points.lattice_ends(n), factors)
+    return header, _LatticeRows(header, pset, factors)
 
 
 def cmd_points(args):

@@ -3,10 +3,11 @@
 A node set is its degree n.  Its nodes are the odd-sum half k + eta odd of
 the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
 which is the union of two tensor sub-grids: even k with odd eta, and odd k
-with even eta (sub_grids).  Code that works on those grids, such as the
-cubature sum and the CLI's node tables, reads only per-axis data
-(lattice_axes, lattice_ends); the per-node arrays of PaduaSet are built on
-their first read.
+with even eta (sub_grids).  The set has (n+1)(n+2)/2 nodes for every n >= 1.
+Code that works on those grids, such as the cubature sum and the CLI's node
+tables, reads only per-axis data (lattice_axes, lattice_ends).  PaduaSet
+checks its degree at construction and builds each per-node array on its own
+first read, from the degree and the arrays it depends on.
 """
 
 import operator
@@ -41,44 +42,63 @@ class PaduaPoint:
 CODE_TO_CLASS = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
 
 
-class _NodeArray:
-    """A per-node array of PaduaSet, built together with the others on first read.
-
-    A non-data descriptor: the first read stores every per-node array in the
-    instance dict, which then shadows the descriptor.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, pset, owner=None):
-        if pset is None:
-            return self
-        pset.__dict__.update(_node_arrays(pset.degree))
-        return pset.__dict__[self.name]
-
-
 @dataclass(frozen=True)
 class PaduaSet:
     """The degree-n node set, ordered lexicographically in (k, j).
 
-    The set is stored as its degree alone.  The per-node arrays (the integer
-    numerators k_num, j_num, eta_num, the coordinates x1, x2 and the
-    class_codes) are built together on the first read of any of them and
-    kept; the numerators let lattice code form cos(pi k / n) and
-    cos(pi eta / (n + 1)) without an arccos round trip.  The per-point
-    record view `points` is materialized lazily too, so sets near the degree
-    cap stay array-backed.
+    The set is stored as its degree, checked at construction (1 <= n <=
+    MAX_DEGREE) and kept as a plain int.  Each per-node array below is
+    derived from the degree and built on its own first read, so code that
+    needs only the numerators k_num, j_num, eta_num never builds x1, x2 or
+    class_codes; the numerators let lattice code form cos(pi k / n) and
+    cos(pi eta / (n + 1)) without an arccos round trip.  The record view
+    `points` is lazy too, so sets near the degree cap stay array-backed.
     """
 
     degree: int
 
-    k_num = _NodeArray()
-    j_num = _NodeArray()
-    eta_num = _NodeArray()
-    x1 = _NodeArray()
-    x2 = _NodeArray()
-    class_codes = _NodeArray()
+    def __post_init__(self):
+        object.__setattr__(self, "degree", check_degree(self.degree, minimum=1))
+
+    @cached_property
+    def row_starts(self):
+        """Set position of the first node of each lattice row k, and N at k = n+1."""
+        return np.concatenate([[0], np.cumsum(_row_counts(self.degree))])
+
+    @cached_property
+    def k_num(self):
+        """Lattice row k of each node, int64."""
+        return np.repeat(np.arange(self.degree + 1, dtype=np.int64),
+                         np.diff(self.row_starts))
+
+    @cached_property
+    def j_num(self):
+        """Place j of each node in its row, from 1, int64."""
+        starts = self.row_starts
+        row_start = np.repeat(starts[:-1], np.diff(starts))
+        return np.arange(1, len(self) + 1, dtype=np.int64) - row_start
+
+    @cached_property
+    def eta_num(self):
+        """Second lattice numerator: eta = 2j - 1 for even k, 2j - 2 for odd k."""
+        return 2 * self.j_num - 1 - (self.k_num & 1)
+
+    @cached_property
+    def x1(self):
+        """cos(k pi / n) of each node, float64."""
+        return lattice_axes(self.degree)[0][self.k_num]
+
+    @cached_property
+    def x2(self):
+        """cos(eta pi / (n + 1)) of each node, float64."""
+        return lattice_axes(self.degree)[1][self.eta_num]
+
+    @cached_property
+    def class_codes(self):
+        """0, 1 or 2 (vertex, edge, interior) as 2, 1 or 0 of k in {0, n} and
+        eta in {0, n+1} hold, int8."""
+        on1, on2 = lattice_ends(self.degree)
+        return 2 - on1[self.k_num] - on2[self.eta_num]
 
     def __len__(self):
         n = self.degree
@@ -102,11 +122,6 @@ class PaduaSet:
     def coords(self):
         return np.column_stack([self.x1, self.x2])
 
-    @cached_property
-    def row_starts(self):
-        """Set position of the first node of each lattice row k, and N at k = n+1."""
-        return np.concatenate([[0], np.cumsum(_row_counts(self.degree))])
-
     def position(self, index):
         """Array position of node (k, j); raises IndexError when absent.
 
@@ -127,8 +142,13 @@ class PaduaSet:
         The inverse of position, by arithmetic on row_starts: k is the row
         that holds the position, j - 1 its offset in the row, and
         eta = 2j - 1 for even k, 2j - 2 for odd k.  No per-node array is read.
+        Positions must have an integer dtype (TypeError otherwise, bool
+        included), so that none is silently truncated.
         """
-        pos = np.asarray(positions, dtype=np.int64)
+        pos = np.asarray(positions)
+        if pos.size and pos.dtype.kind not in "iu":
+            raise TypeError(f"set positions must be integers, not {pos.dtype}")
+        pos = pos.astype(np.int64, copy=False)
         if pos.size and (pos.min() < 0 or pos.max() >= len(self)):
             raise IndexError(f"set positions outside 0..{len(self) - 1}")
         starts = self.row_starts
@@ -168,41 +188,13 @@ def lattice_ends(n):
     return on1, on2
 
 
-def _node_arrays(n):
-    """The per-node arrays of the degree-n set, keyed by their PaduaSet names.
-
-    The first coordinate runs over cos(k*pi/n), k = 0..n.  The second runs
-    over cos(m*pi/(n+1)) where m is odd for even k and even for odd k, so the
-    set is exactly the odd-sum part of the two angle lattices and has
-    cardinality (n+1)(n+2)/2 for every n >= 1.  The coordinates are gathered
-    from the 2n+3 lattice cosines, and a node is a vertex, edge or interior
-    node as 2, 1 or 0 of its numerators are an end of their range: k in
-    {0, n}, eta in {0, n+1}.
-    """
-    counts = _row_counts(n)
-    k_num = np.repeat(np.arange(n + 1, dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts
-    j_num = np.arange(k_num.size, dtype=np.int64) - np.repeat(starts, counts) + 1
-    eta_num = 2 * j_num - 1 - (k_num & 1)
-    on1, on2 = lattice_ends(n)
-    axis1, axis2 = lattice_axes(n)
-    return {
-        "k_num": k_num,
-        "j_num": j_num,
-        "eta_num": eta_num,
-        "x1": axis1[k_num],
-        "x2": axis2[eta_num],
-        "class_codes": 2 - on1[k_num] - on2[eta_num],
-    }
-
-
 def generate(n):
-    """The degree-n node set, after checking 1 <= n <= MAX_DEGREE.
+    """The degree-n node set; PaduaSet(n) checks 1 <= n <= MAX_DEGREE.
 
-    Only the degree is stored; the per-node arrays are built on first read
-    (see PaduaSet and _node_arrays).
+    Only the degree is stored; each per-node array is built on its own first
+    read (see PaduaSet).
     """
-    return PaduaSet(check_degree(n, minimum=1))
+    return PaduaSet(n)
 
 
 def generating_curve_points(n):

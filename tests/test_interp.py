@@ -633,6 +633,15 @@ def test_batched_coefficients_bitwise(rng):
                 assert np.array_equal(coeffs[i], to_coefficients(pset, batch[i]))
 
 
+@pytest.mark.parametrize("n", [5, 64])
+def test_coefficients_build_no_coordinates(rng, n):
+    # the lattice matrix of the samples needs the numerators, not x1, x2
+    # or the class codes
+    pset = generate(n)
+    to_coefficients(pset, rng.normal(size=len(pset)))
+    assert not {"x1", "x2", "class_codes"} & set(pset.__dict__)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_coefficients_bitwise_equal_to_matmul(rng, dtype):
     # the 2-D projection goes through cheb.matmul (np.dot), which sums each

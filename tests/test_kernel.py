@@ -372,6 +372,23 @@ def test_node_functions_read_no_node_arrays():
     assert "k_num" not in pset.__dict__
 
 
+@pytest.mark.parametrize("n", [5, 64])
+def test_node_star_values_build_no_coordinates(n):
+    # the closed form reads the numerators k_num and eta_num only
+    pset = generate(n)
+    values = kernel.node_star_values(pset)
+    assert values.shape == (len(pset),)
+    assert not {"x1", "x2", "class_codes"} & set(pset.__dict__)
+
+
+def test_node_star_direct_refuses_non_integer_positions():
+    pset = generate(4)
+    with pytest.raises(TypeError, match="float64"):
+        kernel.node_star_direct(pset, [0.9, 14.99])
+    assert kernel.node_star_direct(pset, [0, 14]).tobytes() == \
+        kernel.node_star_direct(pset)[[0, 14]].tobytes()
+
+
 def test_fundamental_poly_matches_lagrange_matrix_column(rng):
     # one node's column in O(n) per point against the blocked matrix products
     # of lagrange_matrix: the same closed form, summed in another order, so

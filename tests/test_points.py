@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from padua.cheb import DegreeError, cospi_frac
+from padua.cheb import MAX_DEGREE, DegreeError, cospi_frac
 from padua.points import (
     AmbiguousMatchError,
+    PaduaSet,
     PointClass,
     curve_residual,
     find_index,
@@ -216,11 +217,61 @@ def test_generate_and_len_build_no_per_node_array():
     assert len(pset) == 4097 * 4098 // 2
     assert pset.cardinality == len(pset)
     assert "k_num" not in pset.__dict__
-    # the first read builds all six arrays together
+    # each array is built on its own first read, with the arrays it depends on
     pset = generate(5)
     pset.x2
-    assert {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} <= set(pset.__dict__)
+    assert {"k_num", "j_num", "eta_num", "x2"} <= set(pset.__dict__)
+    assert not {"x1", "class_codes"} & set(pset.__dict__)
     assert pset == generate(5) and repr(pset) == "PaduaSet(degree=5)"
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 511])
+def test_node_arrays_do_not_depend_on_read_order(n):
+    names = ("k_num", "j_num", "eta_num", "x1", "x2", "class_codes")
+    forward, backward = generate(n), generate(n)
+    ahead = {a: getattr(forward, a).tobytes() for a in names}
+    behind = {a: getattr(backward, a).tobytes() for a in reversed(names)}
+    assert ahead == behind
+
+
+@pytest.mark.parametrize("degree, error", [(0, DegreeError), (-3, DegreeError),
+                                           (MAX_DEGREE + 1, DegreeError), (1.5, TypeError)])
+def test_padua_set_checks_its_degree_at_construction(degree, error):
+    with pytest.raises(error):
+        PaduaSet(degree)
+
+
+def test_padua_set_stores_its_degree_as_int():
+    pset = PaduaSet(np.int64(5))
+    assert type(pset.degree) is int
+    assert pset == generate(5) and repr(pset) == "PaduaSet(degree=5)"
+    assert hash(pset) == hash(generate(5))
+
+
+@pytest.mark.parametrize("positions", [[1.7, 2.2], np.array([0.0]), ["3"],
+                                       [True, False], np.ones(3, dtype=bool)],
+                         ids=["floats", "float-array", "string", "bools", "bool-mask"])
+def test_lattice_index_refuses_non_integer_positions(positions):
+    # numpy would truncate floats and parse strings; a bool array is a mask
+    pset = generate(4)
+    with pytest.raises(TypeError, match=str(np.asarray(positions).dtype)):
+        pset.lattice_index(positions)
+
+
+def test_lattice_index_keeps_integer_positions_bitwise():
+    pset = generate(9)
+    k, eta = pset.k_num, pset.eta_num
+    for positions in ([3, 0, 54], np.array([3, 0, 54], dtype=np.int32),
+                      np.array([3, 0, 54], dtype=np.uint8)):
+        got = pset.lattice_index(positions)
+        assert all(a.dtype == np.int64 for a in got)
+        assert got[0].tobytes() == k[[3, 0, 54]].tobytes()
+        assert got[1].tobytes() == eta[[3, 0, 54]].tobytes()
+    got = pset.lattice_index(np.int64(17))
+    assert got[0].shape == () and (got[0], got[1]) == (k[17], eta[17])
+    for empty in ([], np.array([], dtype=np.int64)):
+        got = pset.lattice_index(empty)
+        assert got[0].size == got[1].size == 0 and got[0].dtype == np.int64
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 511])
