@@ -10,7 +10,6 @@ once for all its degrees.
 """
 
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from . import interp, points
 from .cheb import (
     check_degree,
+    check_int,
     cospi_frac,
     product_series_at,
     series_on_tables,
@@ -27,17 +27,9 @@ from .cheb import (
 from .functions import TestFunction, evaluate
 
 
-def _quad_size(m):
-    """m as an int; TypeError naming m unless it is an integer."""
-    try:
-        return operator.index(m)
-    except TypeError:
-        raise TypeError(f"quadrature size must be an integer, not {m!r}") from None
-
-
 def gauss_chebyshev_axis(m, dtype=float):
     """Quadrature nodes cos((2i-1)pi/(2m)) in dtype and their odd angle numerators."""
-    m = _quad_size(m)
+    m = check_int(m, "quadrature size")
     if m < 1:
         raise ValueError("quadrature size must be positive")
     nums = 2 * np.arange(1, m + 1) - 1
@@ -401,7 +393,7 @@ MAX_QUAD = 1250
 
 def check_quad(quad_m):
     """quad_m as an int: TypeError unless an integer, ValueError unless 1..MAX_QUAD."""
-    quad_m = _quad_size(quad_m)
+    quad_m = check_int(quad_m, "quadrature size")
     if not 1 <= quad_m <= MAX_QUAD:
         raise ValueError(
             f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"

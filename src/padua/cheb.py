@@ -27,9 +27,20 @@ class DegreeError(ValueError):
     """A degree parameter is outside the supported range."""
 
 
+def check_int(value, what):
+    """value as a plain int: numpy integers pass, a bool or any other
+    non-integer raises TypeError naming what and the value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, not {value!r}")
+
+
 def check_degree(n, minimum=0, what="degree"):
-    """Validate an integer degree, returning it as a plain int."""
-    n = operator.index(n)
+    """Validate an integer degree (check_int), returning it as a plain int."""
+    n = check_int(n, what)
     if n < minimum or n > MAX_DEGREE:
         raise DegreeError(
             f"unsupported {what} {n}: expected {minimum} <= {what} <= {MAX_DEGREE}"

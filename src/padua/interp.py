@@ -3,24 +3,24 @@
 Interpolants on a tensor grid are the Chebyshev coefficients of
 to_coefficients evaluated as a tensor series.  Fundamental polynomials have
 one closed form: the node factors of _node_factors, their cumulative b-sum
-_tail_sums, and a matrix product over a.  On tensor grids _grid_blocks
-builds one b-sum per node sub-grid over the second axes of the target grids
-and takes one product per target and chunk of whole lattice rows of nodes:
-lebesgue_constant runs it on the half of an evaluation grid that the node
-set's reflection maps onto the rest, verify's delta check at the nodes
-themselves.  At scattered points _lagrange_blocks builds one per block of
-points, O(n^3) a point in blocks of bounded size: lagrange_matrix writes
-them in set order, lebesgue_function sums their absolute values as they
-come, and fundamental_poly runs it on a one-node grid.
+_tail_sums, and a matrix product over a.  On one tensor grid _grid_blocks
+builds one b-sum per node sub-grid over the grid's second axis and takes
+one product per chunk of whole lattice rows of nodes: lebesgue_constant
+runs it on the half of an evaluation grid that the node set's reflection
+maps onto the rest, verify's delta check on each node sub-grid in turn.
+At scattered points _lagrange_blocks builds one per block of points,
+O(n^3) a point in blocks of bounded size: lagrange_matrix writes them in
+set order, lebesgue_function sums their absolute values as they come, and
+fundamental_poly runs it on a one-node grid.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
 from .cheb import (
+    check_int,
     check_square,
     cospi_frac,
     matmul,
@@ -92,10 +92,7 @@ class EvalGrid:
     kind: str = "uniform"
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "m", operator.index(self.m))
-        except TypeError:
-            raise TypeError(f"grid size m must be an integer, not {self.m!r}") from None
+        object.__setattr__(self, "m", check_int(self.m, "grid size m"))
         if self.m < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.m > MAX_GRID:
@@ -242,35 +239,29 @@ def _tail_sums(left, right):
     return y
 
 
-def _grid_blocks(pset, targets):
-    """Fundamental-polynomial values on tensor grids, in chunks of node rows.
+def _grid_blocks(pset, p1, p2):
+    """Fundamental-polynomial values on one tensor grid, in chunks of node rows.
 
-    targets are tensor grids of points given by their axis tables (p1, p2):
-    Tnorm_a of the first and Tnorm_b of the second coordinates, a, b = 0..n.
-    Yields (s, t, first, block): block[r, i, j, c] is the polynomial of node
-    (ks[first + r], etas[c]) of the node sub-grid s of pset.sub_grids() at
-    point (i, j) of targets[t], a fresh array.  Per sub-grid one _tail_sums
-    table over the targets' p2 side by side, so only one sub-grid's table is
-    alive at a time; per target and chunk of whole lattice rows one matrix
-    product over a, whose left rows are w[:, k] * p1[:, i] with w the k
-    factors of _node_factors.  A block holds at most _BLOCK_ENTRIES values,
+    The grid is given by its axis tables p1 and p2: Tnorm_a of the first and
+    Tnorm_b of the second coordinates, a, b = 0..n.  Yields (s, first,
+    block): block[r, i, j, c] is the polynomial of node (ks[first + r],
+    etas[c]) of the node sub-grid s of pset.sub_grids() at grid point (i, j),
+    a fresh array.  Per sub-grid one _tail_sums table over p2, so only one
+    sub-grid's table is alive at a time; per chunk of whole lattice rows one
+    matrix product over a, whose left rows are w[:, k] * p1[:, i] with w the
+    k factors of _node_factors.  A block holds at most _BLOCK_ENTRIES values,
     or one lattice row if that is more.
     """
     n = pset.degree
     w, r = _node_factors(n, np.arange(n + 1), np.arange(n + 2))
-    ends = np.cumsum([0] + [p2.shape[1] for _, p2 in targets])
-    p2 = np.concatenate([p2 for _, p2 in targets], axis=1)
     for s, (ks, etas) in enumerate(pset.sub_grids()):
-        y, wk = _tail_sums(p2, r[:, etas]), w[:, ks]
-        for t, (p1, _) in enumerate(targets):
-            part = y[:, ends[t]:ends[t + 1]].reshape(n + 1, -1)
-            chunk = max(1, _BLOCK_ENTRIES // (p1.shape[1] * part.shape[1]))
-            for first in range(0, ks.size, chunk):
-                left = (wk[:, first:first + chunk, None] * p1[:, None, :]).reshape(n + 1, -1)
-                # no name holds a block, so a caller's del frees it
-                yield s, t, first, (left.T @ part).reshape(-1, p1.shape[1],
-                                                           ends[t + 1] - ends[t], etas.size)
-        del y, part  # free this grid's table before the next one is built
+        y, wk = _tail_sums(p2, r[:, etas]).reshape(n + 1, -1), w[:, ks]
+        chunk = max(1, _BLOCK_ENTRIES // (p1.shape[1] * y.shape[1]))
+        for first in range(0, ks.size, chunk):
+            left = (wk[:, first:first + chunk, None] * p1[:, None, :]).reshape(n + 1, -1)
+            # no name holds a block, so a caller's del frees it
+            yield s, first, (left.T @ y).reshape(-1, p1.shape[1], p2.shape[1], etas.size)
+        del y  # free this grid's table before the next one is built
 
 
 def _check_samples(pset, samples):
@@ -333,7 +324,7 @@ def lebesgue_constant(pset, grid):
     p = t_norm_values(n, grid.axis())
     half = p[:, :(m + 1) // 2]
     total = np.zeros(half.shape[1] * m)
-    for _, _, _, block in _grid_blocks(pset, [(half, p) if n % 2 == 0 else (p, half)]):
+    for _, _, block in _grid_blocks(pset, *((half, p) if n % 2 == 0 else (p, half))):
         np.abs(block, out=block)
         ones = np.ones(block.shape[-1])
         for r in range(len(block)):

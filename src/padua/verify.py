@@ -8,13 +8,13 @@ the report echoes, and the test suite's negative control tampers with that
 mapping to prove the node-value cross-check actually bites.  The ideal basis
 is checked to vanish on the lattice axes of the two node sub-grids, so its
 cos tables have n+1 and n+2 points, not N.  The delta property is checked
-on the blocks of interp._grid_blocks(pset, ...) onto the node sub-grids'
-own lattice tables, one matrix product per pair of sub-grids and chunk of
-lattice rows, so no N x N matrix is held.  The partition of unity sums the
-blocks of interp._lagrange_blocks at the random points as they come; both
-take the fundamental polynomials from their closed-form coefficients, so
-they read at rounding level.  The compact kernel is checked against its
-direct sum on its own.  Per degree, each side of the random and probe point
+on the blocks of interp._grid_blocks(pset, ...) onto each node sub-grid's
+own lattice tables in turn, one matrix product per pair of sub-grids and
+chunk of lattice rows, so no N x N matrix is held.  The partition of unity
+sums the blocks of interp._lagrange_blocks at the random points as they
+come; both take the fundamental polynomials from their closed-form
+coefficients, so they read at rounding level.  The compact kernel is
+checked against its direct sum on its own.  Per degree, each side of the random and probe point
 pairs has one Chebyshev table set (ideal._Tables) on all its points, which
 forms its ideal-basis rows and degree-n basis rows once, and the pairs have
 one direct kernel sum: the three-term and Christoffel-Darboux checks read
@@ -120,12 +120,12 @@ def run_verification(max_degree, seed):
 
         grids, (l1, l2) = pset.sub_grids(), interp.lattice_tables(n)
         worst = 0.0
-        for s, t, first, block in interp._grid_blocks(
-                pset, [(l1[:, ks], l2[:, etas]) for ks, etas in grids]):
-            if s == t:  # source row first + r on itself: its nodes' deltas are 1
-                rows = np.arange(len(block))
-                block[rows, first + rows] -= np.eye(block.shape[-1])
-            worst = max(worst, float(block.max()), float(-block.min()))
+        for t, (ks, etas) in enumerate(grids):
+            for s, first, block in interp._grid_blocks(pset, l1[:, ks], l2[:, etas]):
+                if s == t:  # source row first + r on itself: its nodes' deltas are 1
+                    rows = np.arange(len(block))
+                    block[rows, first + rows] -= np.eye(block.shape[-1])
+                worst = max(worst, float(block.max()), float(-block.min()))
         record("delta_property", n, worst, 1e-9)
 
         closed = kernel.node_star_values(pset)

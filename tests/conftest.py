@@ -34,10 +34,10 @@ def direct_lagrange_matrix():
 def node_blocks():
     """The fundamental polynomials at the nodes, block by block of interp._grid_blocks.
 
-    blocks(pset) runs it from the node sub-grids onto their lattice-table
-    columns and yields (targets, sources, block): block[r, i, j, c] is the
-    polynomial of the node at set position sources[r, c] at the node at set
-    position targets[i, j].  Entry (i, c) of a sub-grid (ks, etas) is the
+    blocks(pset) runs it from the node sub-grids onto the lattice-table
+    columns of each sub-grid in turn and yields (targets, sources, block):
+    block[r, i, j, c] is the polynomial of the node at set position
+    sources[r, c] at the node at set position targets[i, j].  Entry (i, c) of a sub-grid (ks, etas) is the
     node at set position row_starts[ks[i]] + c.
     """
     from padua.interp import _grid_blocks, lattice_tables
@@ -46,8 +46,8 @@ def node_blocks():
         n, grids = pset.degree, pset.sub_grids()
         l1, l2 = lattice_tables(n)
         pos = [pset.row_starts[ks][:, None] + np.arange(etas.size) for ks, etas in grids]
-        tables = [(l1[:, ks], l2[:, etas]) for ks, etas in grids]
-        for s, t, first, block in _grid_blocks(pset, tables):
-            yield pos[t], pos[s][first:first + len(block)], block
+        for t, (ks, etas) in enumerate(grids):
+            for s, first, block in _grid_blocks(pset, l1[:, ks], l2[:, etas]):
+                yield pos[t], pos[s][first:first + len(block)], block
 
     return blocks

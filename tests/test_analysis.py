@@ -181,6 +181,20 @@ def test_marcinkiewicz_even_p_denominator_is_parseval(rng, n):
         assert abs(denominator - np.sum(coeffs**2)) <= 1e-13 * np.sum(coeffs**2)
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 16, 17])
+def test_marcinkiewicz_p2_ratios_lie_within_rayleigh_bounds(n):
+    # at p = 2 a ratio is the Rayleigh quotient c^T G c / |c|^2 of G = V^T V / N,
+    # V the a + b <= n orthonormal basis at the nodes (the oracle tables)
+    b1, b2 = oracles.padua_node_tables(n)
+    a, b = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    v = (b1[a] * b2[b]).T
+    lo, hi = np.linalg.eigvalsh(v.T @ v / len(v))[[0, -1]]
+    ratios = marcinkiewicz_trials(n, 2, 200, seed=n)
+    assert np.all((lo - 1e-13 <= ratios) & (ratios <= hi + 1e-13))
+    # an observed pattern, not a derived bound: lambda_min = n / (n + 2)
+    assert abs(lo - n / (n + 2)) <= 1e-12
+
+
 def test_marcinkiewicz_ratio_rejects_bad_coefficients():
     with pytest.raises(ValueError, match=r"expected an \(5, 5\) coefficient matrix"):
         marcinkiewicz_ratio(4, np.ones((3, 3)), 2)

@@ -14,6 +14,9 @@ from padua.cheb import (
     t_norm_lattice,
     t_norm_values,
 )
+from padua.analysis import gauss_chebyshev_axis
+from padua.interp import EvalGrid, lattice_tables
+from padua.points import PaduaSet
 
 import oracles
 
@@ -88,6 +91,24 @@ def test_degree_cap():
         cheb_t(cheb.MAX_DEGREE + 1, 0.5)
     with pytest.raises(DegreeError):
         cheb_t(-1, 0.5)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: PaduaSet(1.5), "degree must be an integer, not 1.5"),
+    (lambda: PaduaSet(True), "degree must be an integer, not True"),
+    (lambda: PaduaSet(np.float64(3.0)), r"degree must be an integer, not np\.float64\(3\.0\)"),
+    (lambda: cheb_t(2.5, 0.1), "degree must be an integer, not 2.5"),
+    (lambda: lattice_tables(2.0), "degree must be an integer, not 2.0"),
+    (lambda: cheb.check_degree(False, what="max degree"), "max degree must be an integer, not False"),
+    # the grid size and the quadrature size go through the same check
+    (lambda: EvalGrid(True), "grid size m must be an integer, not True"),
+    (lambda: gauss_chebyshev_axis(True), "quadrature size must be an integer, not True"),
+])
+def test_non_integer_degree_or_size_is_named(call, text):
+    with pytest.raises(TypeError, match=f"^{text}$"):
+        call()
+    # numpy integers still pass, as plain ints
+    assert type(cheb.check_degree(np.uint16(3))) is int
 
 
 def test_basis_vector_trivial_cases():

@@ -304,3 +304,116 @@ def test_s_term_identities(rng):
         assert res["s31"] <= 1e-10
         assert res["s22_product"] <= 1e-10
         assert res["s22_qform"] <= 1e-10
+
+
+# The generation certificate.  In the basis T_a(x1) T_b(x2) every q_k has
+# coefficients +-1, and 2x T_a = T_{a+1} + T_{|a-1|} keeps products by 2 x1
+# and 2 x2 integer, so the products x^alpha q_k, |alpha| <= d, scaled by
+# 2^|alpha|, are integer rows in degree m = n+1+d.  They lie in the vanishing
+# ideal of the N nodes, whose degree-m part has dimension dim Pi_m - N (the
+# nodes are unisolvent for Pi_n), so rank_p <= rank_Q <= dim Pi_m - N for a
+# prime p, and a rank mod p of dim Pi_m - N certifies that the q_k generate
+# that part of the ideal.
+
+_PRIME = 2**31 - 1
+
+
+def _times_2x(c, axis, fold=True):
+    """The T-coefficients c[..., a1, a2] times 2 x1 (axis -2) or 2 x2 (axis -1).
+
+    fold=False drops the T_{|a-1|} = T_1 term of 2x T_0: a wrong product
+    rule, for the negative control.
+    """
+    c = np.moveaxis(c, axis, 0)
+    out = np.zeros_like(c)
+    out[1:] += c[:-1]
+    out[:-1] += c[1:]
+    if fold:
+        out[1] += c[0]
+    return np.moveaxis(out, 0, axis)
+
+
+def _ideal_products(n, d, fold=True):
+    """{alpha: 2^|alpha| x^alpha q_k for k = 0..n+1}, |alpha| <= d, as
+    (n+2, m+1, m+1) integer T-coefficients in degree m = n+1+d."""
+    m = n + 1 + d
+    q = np.zeros((n + 2, m + 1, m + 1), dtype=np.int64)
+    q[0, n + 1, 0], q[0, n - 1, 0] = 1, -1
+    for k in range(1, n + 2):
+        q[k, n - k + 1, k] += 1
+        q[k, k - 1, n - k + 1] += 1
+    products = {(0, 0): q}
+    for total in range(1, d + 1):
+        for i in range(total + 1):
+            j = total - i
+            products[i, j] = (_times_2x(products[i - 1, j], -2, fold) if i
+                              else _times_2x(products[i, j - 1], -1, fold))
+    return products
+
+
+def _span_rows(n, d, fold=True):
+    """The products of _ideal_products as rows over the T_a T_b with a + b <= m."""
+    m = n + 1 + d
+    rows = np.concatenate(list(_ideal_products(n, d, fold).values()))
+    ks = np.arange(m + 1)
+    within = ks[:, None] + ks[None, :] <= m
+    assert not np.any(rows[:, ~within])  # every product has degree <= m
+    return rows[:, within]
+
+
+def _rank_mod_prime(a):
+    """Rank of the integer matrix a modulo _PRIME, by row elimination in int64."""
+    a = a % _PRIME
+    rank = 0
+    for col in range(a.shape[1]):
+        found = np.flatnonzero(a[rank:, col])
+        if found.size == 0:
+            continue
+        a[[rank, rank + found[0]]] = a[[rank + found[0], rank]]
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), _PRIME - 2, _PRIME) % _PRIME
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, col])
+        # entries below 2^31, so each product stays below 2^62
+        a[below, col:] = (a[below, col:] - a[below, col][:, None] * a[rank, col:]) % _PRIME
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _ideal_dimension(n, d):
+    """dim Pi_m - N in degree m = n+1+d."""
+    m = n + 1 + d
+    return (m + 1) * (m + 2) // 2 - (n + 1) * (n + 2) // 2
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 13) for d in (0, 1, 2)]
+                         + [(32, 2), (64, 1), (64, 2), (100, 1)])
+def test_q_rows_generate_the_node_ideal(n, d):
+    # equality, not >=: a wrong product rule can raise the rank past the bound
+    assert _rank_mod_prime(_span_rows(n, d)) == _ideal_dimension(n, d)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ideal_certificate_negative_controls(n):
+    # one generator short at d = 0 falls below the bound
+    rows = _span_rows(n, 0)
+    for k in range(n + 2):
+        assert _rank_mod_prime(np.delete(rows, k, axis=0)) < _ideal_dimension(n, 0)
+    # 2x T_0 = T_1 instead of 2 T_1 leaves the ideal and rises above it
+    for d in (1, 2):
+        assert _rank_mod_prime(_span_rows(n, d, fold=False)) > _ideal_dimension(n, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_ideal_products_match_q_rows(rng, n):
+    # the integer rows, summed by numpy's Chebyshev series, are 2^|alpha|
+    # x^alpha q_rows at random points and vanish at the nodes
+    pset = generate(n)
+    x = rng.uniform(-1.0, 1.0, (2, 50))
+    for (i, j), coeffs in _ideal_products(n, 2).items():
+        series = coeffs.transpose(1, 2, 0).astype(float)
+        expect = (2 * x[0]) ** i * (2 * x[1]) ** j * q_rows(n, (x[0], x[1]))
+        assert np.max(np.abs(np.polynomial.chebyshev.chebval2d(x[0], x[1], series)
+                             - expect)) <= 1e-12
+        at_nodes = np.polynomial.chebyshev.chebval2d(pset.x1, pset.x2, series)
+        assert np.max(np.abs(at_nodes)) <= 1e-12

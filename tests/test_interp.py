@@ -771,24 +771,23 @@ def test_node_blocks_chunks_do_not_change_values(monkeypatch, node_blocks, n, en
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
 def test_grid_blocks_on_two_axes_and_two_targets_match_lagrange_matrix(monkeypatch, n):
-    # unequal axes, both orders in one call, and products of several source
-    # rows (a short last chunk at n = 16 and 33) against the scattered points
+    # unequal axes in both orders, and products of several source rows (a
+    # short last chunk at n = 16 and 33) against the scattered points
     monkeypatch.setattr(interp, "_BLOCK_ENTRIES", 4000)
     pset = generate(n)
     axes = [EvalGrid(13).axis(), EvalGrid(8, "chebyshev").axis()]
-    targets = [axes, axes[::-1]]
     grids = pset.sub_grids()
     pos = [pset.row_starts[ks][:, None] + np.arange(etas.size) for ks, etas in grids]
-    got = [np.full((ax1.size, ax2.size, len(pset)), np.nan) for ax1, ax2 in targets]
     rows = []
-    for s, t, first, block in interp._grid_blocks(
-            pset, [(t_norm_values(n, ax1), t_norm_values(n, ax2)) for ax1, ax2 in targets]):
-        got[t][:, :, pos[s][first:first + len(block)]] = block.transpose(1, 2, 0, 3)
-        rows.append(len(block))
-    assert max(rows) > 1 or n == 1  # each sub-grid of n = 1 is one row
-    for (ax1, ax2), values in zip(targets, got):
+    for ax1, ax2 in (axes, axes[::-1]):
+        got = np.full((ax1.size, ax2.size, len(pset)), np.nan)
+        for s, first, block in interp._grid_blocks(
+                pset, t_norm_values(n, ax1), t_norm_values(n, ax2)):
+            got[:, :, pos[s][first:first + len(block)]] = block.transpose(1, 2, 0, 3)
+            rows.append(len(block))
         expect = lagrange_matrix(pset, ax1[:, None], ax2[None, :])
-        assert np.max(np.abs(values.reshape(expect.shape) - expect)) <= 1e-13
+        assert np.max(np.abs(got.reshape(expect.shape) - expect)) <= 1e-13
+    assert max(rows) > 1 or n == 1  # each sub-grid of n = 1 is one row
 
 
 def test_node_blocks_delta_check_memory_at_verify_limit(node_blocks):
