@@ -147,13 +147,18 @@ def set_order_sums(weights, x1, x2, f):
             float(np.add.reduce(np.abs(products))))
 
 
+def fold(x, period):
+    """min(x mod period, period - x mod period), for integer x."""
+    r = np.remainder(x, period)
+    return np.minimum(r, period - r)
+
+
 def cospi_frac_per_entry(num, den, dtype=float):
     """cos(pi num / den) with one cosine per entry: the earlier form of
     cheb.cospi_frac, whose one table of den + 1 cosines must match it bit for
     bit.  The phase is reduced mod 2 den and folded to r in [0, den] first."""
     ftype = np.dtype(dtype).type
-    r = np.remainder(np.asarray(num, dtype=np.int64), 2 * den)
-    r = np.minimum(r, 2 * den - r)
+    r = fold(np.asarray(num, dtype=np.int64), 2 * den)
     pi = ftype("3.14159265358979323846264338327950288419716939937510582")
     return np.cos(pi * (r / ftype(den)))
 
@@ -164,6 +169,23 @@ def _t_norm_lattice_table(kmax, nums, den):
     table = np.cos(np.pi * phase / den)
     table[1:] *= np.sqrt(2.0)
     return table
+
+
+def aliasing_image(n, alpha, beta):
+    """L_n(T_alpha(x1) T_beta(x2)), the degree-n Padua interpolant, as one term.
+
+    With a = fold(alpha, 2n) and b = fold(beta, 2(n+1)), the image is
+    T_a(x1) T_b(x2) if a + b <= n and -T_{n-a}(x1) T_{n+1-b}(x2) otherwise:
+    on the node lattice T_alpha = T_a and T_beta = T_b,
+    T_{n-a}(x1) T_{n+1-b}(x2) = (-1)^(k+eta) T_a T_b = -T_a T_b at every
+    node, and exactly one of the two candidates has total degree <= n.  This
+    map was derived for this repository; no source for it has been found in
+    the literature.  alpha and beta broadcast; returns (sign, a, b) with the
+    image sign * T_a(x1) T_b(x2).
+    """
+    a, b = fold(alpha, 2 * n), fold(beta, 2 * (n + 1))
+    low = a + b <= n
+    return np.where(low, 1, -1), np.where(low, a, n - a), np.where(low, b, n + 1 - b)
 
 
 def padua_node_tables(n):

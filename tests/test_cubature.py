@@ -67,12 +67,21 @@ def test_exactness_sweep():
 
 
 def test_degree_sharpness_probe():
-    # T_{2n}(x1) equals 1 at every node, so the rule returns 1 while the true
-    # weighted integral is 0: the rule has degree exactly 2n - 1
+    # the rule has degree exactly 2n - 1: up to degree 2n + 2 it is wrong on
+    # exactly T_{2n}(x1), T_n(x1) T_{n+1}(x2) and T_{2n+2}(x2), and at n = 1
+    # also on T_4(x1), each of which equals +-1 at every node; the rule value
+    # of T_alpha T_beta is that of its aliasing image (oracles.aliasing_image)
     for n in range(1, 21):
         rule = build_rule(generate(n))
-        got = integrate(rule, lambda a, b: np.cos(2 * n * np.arccos(a)) * np.ones_like(b))
-        assert abs(got - 0.0) > 1e-6
+        wrong = {(2 * n, 0): 1.0, (n, n + 1): -1.0, (0, 2 * n + 2): 1.0}
+        if n == 1:
+            wrong[(4, 0)] = 1.0
+        for alpha in range(2 * n + 3):
+            for beta in range(2 * n + 3 - alpha):
+                got = integrate(rule, lambda x1, x2: np.cos(alpha * np.arccos(x1))
+                                * np.cos(beta * np.arccos(x2)))
+                expect = wrong.get((alpha, beta), float(alpha == beta == 0))
+                assert abs(got - expect) <= 1e-12, (n, alpha, beta)
 
 
 def test_integrate_frozen_values():

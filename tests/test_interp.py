@@ -661,6 +661,23 @@ def test_coefficients_bitwise_equal_to_matmul(rng, dtype):
         assert np.array_equal(got, expect)
 
 
+def test_coefficients_follow_the_aliasing_map():
+    # L_n(T_alpha T_beta) is the single term oracles.aliasing_image for every
+    # 0 <= alpha, beta <= 4n+4, one batched fit per degree; the samples come
+    # from reduced phases, whose rounding (unlike cos(alpha theta)'s) is an ulp
+    for n in range(1, 21):
+        pset = generate(n)
+        orders = np.arange(4 * n + 5)
+        t1 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, pset.k_num), n)
+        t2 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, pset.eta_num), n + 1)
+        coeffs = to_coefficients(pset, t1[:, None, :] * t2[None, :, :])
+        sign, a, b = oracles.aliasing_image(n, orders[:, None], orders[None, :])
+        alpha, beta = np.indices(sign.shape)
+        # T_a T_b is Tnorm_a Tnorm_b times sqrt(1/2) for each index above 0
+        coeffs[alpha, beta, a, b] -= sign * np.sqrt(0.5) ** (np.sign(a) + np.sign(b))
+        assert np.max(np.abs(coeffs)) <= 3e-15, n
+
+
 def test_batched_nonfinite_sample_reports_node():
     pset = generate(3)
     batch = np.ones((3, len(pset)))
