@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import csv_table, json_document, json_table
-from padua import analysis, cli, cubature, functions, interp, points, verify
+from padua import analysis, cli, cubature, functions, interp, output, points, verify
 
 # floats with repeats, signed zeros, infinities, NaNs (two payloads, both
 # signs) and subnormals
@@ -50,10 +50,10 @@ _HEADER = ("f", "i", "s", "b", "ld", "u64", "neg", "const", "obj")
 @pytest.mark.parametrize("precision", range(1, 18))
 def test_write_rows_matches_cell_reference(tmp_path, monkeypatch, precision):
     block = 5
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(1000 + precision)
     path = tmp_path / "table.csv"
-    spec = cli.OutputSpec("csv", str(path), precision)
+    spec = output.OutputSpec("csv", str(path), precision)
     for rows in (0, 1, block - 1, block, block + 1, 4 * block + 3):
         columns = _random_columns(rng, rows)
         spec.write_rows(_HEADER, columns)
@@ -66,7 +66,7 @@ def test_write_rows_matches_cell_reference(tmp_path, monkeypatch, precision):
 
 def test_write_rows_with_no_rows_writes_the_header(tmp_path):
     path = tmp_path / "table.csv"
-    spec = cli.OutputSpec("csv", str(path), 17)
+    spec = output.OutputSpec("csv", str(path), 17)
     spec.write_rows(_HEADER, _random_columns(np.random.default_rng(0), 0))
     assert path.read_text() == ",".join(_HEADER) + "\n"
     spec.write_rows(["x"], [[]])
@@ -79,10 +79,10 @@ def test_write_table_json_records_match_json_table(tmp_path, monkeypatch, precis
     # header; the reference reads each column as Python values, as
     # np.asarray(column).tolist() gives them
     block = 5
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
     rng = np.random.default_rng(3000 + precision)
     path = tmp_path / "table.json"
-    spec = cli.OutputSpec("json", str(path), precision)
+    spec = output.OutputSpec("json", str(path), precision)
     for rows in (0, 1, block - 1, block, block + 1, 4 * block + 3):
         columns = _random_columns(rng, rows)
         spec.write_table(_HEADER, columns)
@@ -133,14 +133,14 @@ def _documents(rng):
 def test_write_json_matches_json_dumps(tmp_path, precision):
     rng = np.random.default_rng(2000 + precision)
     path = tmp_path / "doc.json"
-    spec = cli.OutputSpec("json", str(path), precision)
+    spec = output.OutputSpec("json", str(path), precision)
     for doc in _documents(rng):
         spec.write_json(doc)
         assert path.read_text() == json_document(doc, precision)
 
 
 def test_write_json_refuses_what_json_dumps_refuses(tmp_path):
-    spec = cli.OutputSpec("json", str(tmp_path / "doc.json"), 17)
+    spec = output.OutputSpec("json", str(tmp_path / "doc.json"), 17)
     for doc in ({"n": np.int64(3)}, [np.bool_(True)], {"rows": np.arange(3)}):
         with pytest.raises(TypeError):
             json_document(doc, 17)
@@ -150,7 +150,7 @@ def test_write_json_refuses_what_json_dumps_refuses(tmp_path):
 
 def test_write_json_refuses_keys_that_are_not_str(tmp_path):
     # json.dumps would write these keys as strings; no document has them
-    spec = cli.OutputSpec("json", str(tmp_path / "doc.json"), 17)
+    spec = output.OutputSpec("json", str(tmp_path / "doc.json"), 17)
     for doc in ({1: 0.25}, {None: "none key"}, {2.5: [0.1, 0.2]}, [{"a": {(1, 2): 3}}]):
         with pytest.raises(TypeError):
             spec.write_json(doc)
@@ -186,7 +186,7 @@ def test_node_tables_match_record_reference(tmp_path, command, n):
             text = path.read_text()
             assert text == reference(header, rows, precision)
             if n >= 127:
-                assert len(text) > cli._WRITE_CHARS
+                assert len(text) > output._WRITE_CHARS
 
 
 def _node_columns(pset):
@@ -201,7 +201,7 @@ def test_write_rows_memory_at_degree_1024():
     # work arrays for the second float column beside the first one's codes.
     pset = points.generate(1024)
     columns = _node_columns(pset)
-    spec = cli.OutputSpec("csv", os.devnull, 17)
+    spec = output.OutputSpec("csv", os.devnull, 17)
     tracemalloc.start()
     try:
         spec.write_rows(("k", "j", "x1", "x2", "class"), columns)
@@ -269,7 +269,7 @@ def test_write_table_json_memory_at_degree_1024():
     # the size of its text (64 MB)
     pset = points.generate(1024)
     columns = _node_columns(pset)
-    spec = cli.OutputSpec("json", os.devnull, 17)
+    spec = output.OutputSpec("json", os.devnull, 17)
     tracemalloc.start()
     try:
         spec.write_table(("k", "j", "x1", "x2", "class"), columns)

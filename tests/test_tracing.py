@@ -11,6 +11,7 @@ from pathlib import Path
 
 import padua
 import padua.cli
+import padua.output
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -63,6 +64,17 @@ def test_tracer_sees_verify_kernel_layers():
     for name in ("ideal.q_poly", "ideal.three_term_residual", "ideal.cd_residual",
                  "kernel.kernel_direct"):
         assert name not in totals
+
+
+def test_output_span_wraps_the_writer_where_it_lives():
+    # the writer lives in padua.output, and cli holds the same OutputSpec;
+    # the cli.output span reaches it through cli, so a move that dropped
+    # that binding would lose the span
+    spans = _load_spans()
+    assert padua.cli.OutputSpec is padua.output.OutputSpec
+    targets = [getattr(spans._resolve(padua, owner), attr)
+               for name, owner, attr, *_ in spans.TARGETS if name == "cli.output"]
+    assert targets == [padua.output.OutputSpec.write_rows, padua.output.OutputSpec.write_json]
 
 
 def test_tracer_counts_csv_output_bytes(tmp_path):
