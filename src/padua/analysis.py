@@ -18,22 +18,14 @@ from . import interp, points
 from .cheb import (
     check_degree,
     check_int,
-    cospi_frac,
+    gauss_chebyshev_axis,
     product_series_at,
     series_on_tables,
     t_norm_lattice,
     t_norm_values,
+    total_degree_mask,
 )
 from .functions import TestFunction, evaluate
-
-
-def gauss_chebyshev_axis(m, dtype=float):
-    """Quadrature nodes cos((2i-1)pi/(2m)) in dtype and their odd angle numerators."""
-    m = check_int(m, "quadrature size")
-    if m < 1:
-        raise ValueError("quadrature size must be positive")
-    nums = 2 * np.arange(1, m + 1) - 1
-    return cospi_frac(nums, 2 * m, dtype), nums
 
 
 def tensor_quadrature(f, m):
@@ -45,7 +37,10 @@ def tensor_quadrature(f, m):
 
 def _as_p(p):
     """Norm exponent from a number or string: p > 0, or +inf ("inf")."""
-    p = float(p)
+    try:
+        p = float(p)
+    except ValueError:
+        raise ValueError(f"p must be positive or inf, got {p!r}") from None
     if not p > 0:
         raise ValueError(f"p must be positive or inf, got {p}")
     return p
@@ -68,6 +63,7 @@ def lp_norm(f, p, m=200):
     integrands of degree < 2m.
     """
     p = _as_p(p)
+    m = check_int(m, "quadrature size")
     if m < 16:
         raise ValueError("quadrature size m must be at least 16")
     nodes, _ = gauss_chebyshev_axis(m)
@@ -88,10 +84,9 @@ def fourier_coefficients(n, f, m=None):
         raise ValueError("quadrature size too small for the requested degree")
     nodes, nums = gauss_chebyshev_axis(m)
     vals = evaluate(f, nodes[:, None], nodes[None, :])
-    basis = t_norm_lattice(n, nums, 2 * m)
-    coeffs = basis @ vals @ basis.T / float(m * m)
-    ks = np.arange(n + 1)
-    coeffs[ks[:, None] + ks[None, :] > n] = 0.0
+    basis = t_norm_lattice(n, nums, 2 * m).T
+    coeffs = series_on_tables(vals, basis, basis) / float(m * m)
+    coeffs[~total_degree_mask(n)] = 0.0
     return coeffs
 
 
@@ -181,13 +176,13 @@ def _marcinkiewicz_setup(n, p):
 
 def _ratios(coeffs, p, l1, l2, at_nodes, q):
     """Ratios of a (B, n+1, n+1) block of coefficient matrices, one per matrix."""
-    lattice = (l1.T @ coeffs @ l2).reshape(len(coeffs), -1)
+    lattice = series_on_tables(coeffs, l1, l2).reshape(len(coeffs), -1)
     # a C-contiguous (B, N) gather, so that each row's mean is summed in the
     # same order whatever the block size
     node_vals = np.ascontiguousarray(lattice[:, at_nodes])
     np.abs(node_vals, out=node_vals)
     node_vals **= p
-    quad_vals = q.T @ coeffs @ q
+    quad_vals = series_on_tables(coeffs, q, q)
     np.abs(quad_vals, out=quad_vals)
     quad_vals **= p
     return node_vals.mean(axis=-1) / quad_vals.mean(axis=(-2, -1))
@@ -233,6 +228,7 @@ def marcinkiewicz_trials(n, p, trials, seed=0):
     how many trials follow.  A trial count outside
     1..MAX_MARCINKIEWICZ_TRIALS raises ValueError before any allocation.
     """
+    trials = check_int(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
     if trials > MAX_MARCINKIEWICZ_TRIALS:
@@ -241,15 +237,14 @@ def marcinkiewicz_trials(n, p, trials, seed=0):
             f"{MAX_MARCINKIEWICZ_TRIALS} trials are allowed"
         )
     n, p, tables = _marcinkiewicz_setup(n, p)
-    ks = np.arange(n + 1)
-    keep = ks[:, None] + ks[None, :] <= n
+    drop = ~total_degree_mask(n)
     block = max(1, _BLOCK_ENTRIES // _trial_entries(n, tables[-1].shape[-1]))
     rng = np.random.default_rng(seed)
     out = np.empty(trials)
     for start in range(0, trials, block):
         size = min(block, trials - start)
         coeffs = rng.uniform(-1.0, 1.0, (size, n + 1, n + 1))
-        coeffs[:, ~keep] = 0.0
+        coeffs[:, drop] = 0.0
         out[start:start + size] = _ratios(coeffs, p, *tables)
     return out
 
@@ -321,7 +316,7 @@ class _Instrument:
 
     def on_grid(self, coeffs):
         """The series of coeffs on the grid."""
-        return _series(coeffs, self.grid_table)
+        return series_on_tables(coeffs, self.grid_table, self.grid_table)
 
     def measure(self, coeffs, values):
         """The ErrorMeasurement of coeffs, whose series on the grid is values."""
@@ -329,14 +324,9 @@ class _Instrument:
         if math.isinf(self.p):
             error_wp = error_uniform
         else:
-            quad = _series(coeffs, self.quad_table)
+            quad = series_on_tables(coeffs, self.quad_table, self.quad_table)
             error_wp = float(_p_mean(quad - self.truth, self.p))
         return ErrorMeasurement(values, self.reference, error_uniform, error_wp)
-
-
-def _series(coeffs, table):
-    """The series of coeffs on the tensor grid of one axis, from its table."""
-    return series_on_tables(coeffs, table[:coeffs.shape[-2]], table[:coeffs.shape[-1]])
 
 
 def measure_error(coeffs, f, p, grid, quad_m):
@@ -365,7 +355,8 @@ def measure_error(coeffs, f, p, grid, quad_m):
 # measures the operator in 80-bit arithmetic: node samples, projection,
 # series evaluation and the reference values are all np.longdouble, while
 # the operator definition is unchanged.  The test suite checks it against
-# the double-precision kernel route on errors large enough for both to see.
+# double-precision direct kernel sums (the direct_lagrange_matrix fixture)
+# on errors large enough for both to see.
 # The builtin test functions evaluate in float64, though, so their samples
 # and references are rounded to double: their errors floor near 1e-16
 # (exp_sum, n = 24: error_wp 2.9e-16), not near the 80-bit epsilon.
@@ -374,9 +365,9 @@ def measure_error(coeffs, f, p, grid, quad_m):
 # 2 max(degrees) and one quadrature table to max(degrees), f on the grid and
 # on the quadrature grid, and the grid series of each degree, so that the
 # values of degree n are also the en_proxy reference of degree n/2.  The
-# 2-D products go through cheb.matmul (np.dot), which for longdouble sums
-# in a register instead of storing each partial sum.  The rows are bitwise
-# those of one measure_error per degree.
+# 2-D products go through cheb.series_on_tables (np.dot), which for
+# longdouble sums in a register instead of storing each partial sum.  The
+# rows are bitwise those of one measure_error per degree.
 _LD = np.longdouble
 
 # Largest quadrature size per axis of a measurement against f.  A

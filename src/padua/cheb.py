@@ -118,15 +118,14 @@ def cos_table(orders, theta):
     return np.cos(np.multiply.outer(orders, theta))
 
 
-def t_values(kmax, x, dtype=float):
-    """Table of T_k(x) for k = 0..kmax, shape (kmax+1,) + shape(x)."""
-    kmax = check_degree(kmax)
-    return cos_table(np.arange(kmax + 1), np.arccos(_unit(x, dtype=dtype)))
-
-
 def t_norm_values(kmax, x, dtype=float):
-    """Table of the orthonormal polynomials for k = 0..kmax, in dtype."""
-    out = t_values(kmax, x, dtype)
+    """Table of the orthonormal polynomials for k = 0..kmax at x, in dtype.
+
+    Shape (kmax+1,) + shape(x): row 0 is 1 and row k >= 1 is
+    sqrt(2) cos(k arccos x).
+    """
+    kmax = check_degree(kmax)
+    out = cos_table(np.arange(kmax + 1), np.arccos(_unit(x, dtype=dtype)))
     out[1:] *= np.sqrt(out.dtype.type(2))
     return out
 
@@ -162,6 +161,15 @@ def t_norm_lattice(kmax, nums, den, dtype=float):
     return out
 
 
+def gauss_chebyshev_axis(m, dtype=float):
+    """Quadrature nodes cos((2i-1)pi/(2m)) in dtype and their odd angle numerators."""
+    m = check_int(m, "quadrature size")
+    if m < 1:
+        raise ValueError("quadrature size must be positive")
+    nums = 2 * np.arange(1, m + 1) - 1
+    return cospi_frac(nums, 2 * m, dtype), nums
+
+
 def basis_vector(n, point):
     """Degree-n orthonormal product-basis row at a point of the square.
 
@@ -182,28 +190,25 @@ def product_series_at(coeffs, x1, x2):
     return np.einsum("ab,a...,b...->...", coeffs, t1, t2)
 
 
-def matmul(a, b):
-    """a @ b, with 2-D operands through np.dot and batched ones through @.
+def series_on_tables(x, b1, b2):
+    """b1[:r].T @ x @ b2[:c], with (r, c) the last two axes of x.
 
-    For np.longdouble, which has no BLAS, @ runs numpy's generic matmul
-    loop, which stores each entry's partial sum to memory after every term;
-    np.dot sums the same terms in the same order with the accumulator in a
-    register, so the result is bitwise equal and about 3x faster
-    ((200 x 49)(49 x 200): 1.6 ms against 5.1 ms).  float64 goes to BLAS
-    either way.
+    The one two-sided product of the package: every coefficient projection,
+    tensor series and tensor quadrature is a matrix x (or a batch of them on
+    leading axes) between two tables, of which it reads the leading rows.  A
+    series of coefficients x reads Tnorm_a and Tnorm_b tables of two axes;
+    a projection reads the transposed tables.  2-D operands go through
+    np.dot, batched ones through @.  For np.longdouble, which has no BLAS,
+    @ runs numpy's generic matmul loop, which stores each entry's partial sum
+    to memory after every term; np.dot sums the same terms in the same order
+    with the accumulator in a register, so the result is bitwise equal and
+    about 3x faster ((200 x 49)(49 x 200): 1.6 ms against 5.1 ms).  float64
+    goes to BLAS either way.
     """
-    if a.ndim == 2 and b.ndim == 2:
-        return np.dot(a, b)
-    return a @ b
-
-
-def series_on_tables(coeffs, b1, b2):
-    """sum_ab coeffs[..., a, b] * b1[a, i] * b2[b, j], as (b1.T @ coeffs) @ b2.
-
-    b1 and b2 are orthonormal tables of two axes with one row per
-    coefficient row and column.
-    """
-    return matmul(matmul(b1.T, coeffs), b2)
+    r, c = x.shape[-2:]
+    if x.ndim == 2:
+        return np.dot(np.dot(b1[:r].T, x), b2[:c])
+    return b1[:r].T @ x @ b2[:c]
 
 
 def product_series_grid(coeffs, axis1, axis2):
@@ -211,13 +216,14 @@ def product_series_grid(coeffs, axis1, axis2):
 
     Leading axes of coeffs are a batch.  The tables are built in the
     coefficients' float type, so float64 and longdouble keep their precision.
-    When axis2 is axis1 and coeffs is square, the one table of that axis
-    serves both sides.
     """
     dtype = np.result_type(coeffs.dtype, float)
     b1 = t_norm_values(coeffs.shape[-2] - 1, axis1, dtype)
-    if axis2 is axis1 and coeffs.shape[-1] == coeffs.shape[-2]:
-        b2 = b1
-    else:
-        b2 = t_norm_values(coeffs.shape[-1] - 1, axis2, dtype)
+    b2 = t_norm_values(coeffs.shape[-1] - 1, axis2, dtype)
     return series_on_tables(coeffs, b1, b2)
+
+
+def total_degree_mask(n):
+    """(n+1, n+1) boolean mask of the coefficients [a, b] of Pi_n: a + b <= n."""
+    ks = np.arange(n + 1)
+    return ks[:, None] + ks[None, :] <= n

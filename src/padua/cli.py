@@ -191,10 +191,11 @@ def cmd_cubature(args):
 
 def cmd_lebesgue(args):
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
+    # a node set checks its degree: every degree before the size bound
+    psets = [points.PaduaSet(n) for n in args.degrees]
     interp.check_lebesgue_size(max(args.degrees), grid)
     rows = []
-    for n in args.degrees:
-        pset = points.generate(n)
+    for n, pset in zip(args.degrees, psets):
         rows.append((n, len(pset), grid.m, grid.kind,
                      interp.lebesgue_constant(pset, grid)))
     _out_spec(args).write_table(

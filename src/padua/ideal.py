@@ -19,7 +19,8 @@ class _Tables:
     """T_k(x_d) for k = 0..n+1, one table per coordinate of a point set.
 
     Order n+1 passes the public degree cap at n = MAX_DEGREE, so the tables
-    come from cos_table, not cheb.t_values.  x holds the checked coordinates.
+    come from cos_table, not cheb.t_norm_values, which checks the degree and
+    holds the orthonormal scaling.  x holds the checked coordinates.
     Each table has its own coordinate's shape, with leading unit axes up to
     the other's number of axes, so on broadcasting axes such as a tensor
     grid's (K, 1) and (1, E) the tables stay one axis long and the products

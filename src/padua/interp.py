@@ -18,16 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import cheb, kernel
 from .cheb import (
     check_int,
     check_square,
     cospi_frac,
-    matmul,
+    gauss_chebyshev_axis,
     product_series_at,
-    product_series_grid,
+    series_on_tables,
     t_norm_lattice,
     t_norm_values,
+    total_degree_mask,
 )
 from .functions import SampleEvaluationError, as_real, evaluate  # noqa: F401 (re-exported)
 
@@ -107,8 +108,7 @@ class EvalGrid:
         if self.kind == "uniform":
             ftype = np.dtype(dtype).type
             return np.linspace(ftype(-1), ftype(1), self.m)
-        nums = 2 * np.arange(1, self.m + 1) - 1
-        return np.sort(cospi_frac(nums, 2 * self.m, dtype))
+        return np.sort(gauss_chebyshev_axis(self.m, dtype)[0])
 
     def points(self):
         """All m*m tensor nodes as an (m*m, 2) array, row-major in the axes."""
@@ -291,7 +291,8 @@ def interpolate(pset, samples, x):
 def interpolate_grid(pset, samples, grid):
     """Interpolant values on a tensor grid; out[i, j] is at (axis[i], axis[j])."""
     ax = grid.axis()
-    return product_series_grid(to_coefficients(pset, samples), ax, ax)
+    # looked up on the module, so that a wrapper installed there sees the call
+    return cheb.product_series_grid(to_coefficients(pset, samples), ax, ax)
 
 
 def lebesgue_function(pset, x):
@@ -342,9 +343,9 @@ def to_coefficients(pset, samples):
     samples on the angle lattice, with the pure-x1 top-degree coefficient
     halved.  The samples sit in the (n+1) x (n+2) lattice matrix
     G[k, m] (zero off the node set), so the projection is the matrix product
-    T1 G T2^T of two lattice tables (cheb.matmul: np.dot for one sample
-    vector, @ for a batch).  C has the samples' float type: float64, or
-    np.longdouble for longdouble samples; leading axes of samples are a
+    T1 G T2^T of two lattice tables (cheb.series_on_tables: np.dot for one
+    sample vector, @ for a batch).  C has the samples' float type: float64,
+    or np.longdouble for longdouble samples; leading axes of samples are a
     batch.  The test suite checks it against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
@@ -352,8 +353,7 @@ def to_coefficients(pset, samples):
     lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
     lattice[..., pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
     t1, t2 = lattice_tables(n, samples.dtype)
-    coeffs = matmul(matmul(t1, lattice), t2.T)
-    ks = np.arange(n + 1)
-    coeffs[..., ks[:, None] + ks[None, :] > n] = 0.0
+    coeffs = series_on_tables(lattice, t1.T, t2.T)
+    coeffs[..., ~total_degree_mask(n)] = 0.0
     coeffs[..., n, 0] *= 0.5
     return coeffs

@@ -16,11 +16,12 @@ from padua.analysis import (
     tensor_quadrature,
 )
 from padua import analysis, interp
-from padua.cheb import cospi_frac, product_series_grid
+from padua.cheb import cospi_frac, product_series_grid, t_norm_lattice
 from padua.functions import (
     BUILTIN_FUNCTIONS,
     SampleEvaluationError,
     TestFunction,
+    evaluate,
     get,
 )
 from padua.interp import EvalGrid
@@ -58,8 +59,15 @@ def test_lp_norm_validation():
     for p in (0.0, -1.0, "-inf", "nan"):
         with pytest.raises(ValueError, match="p must be positive or inf"):
             lp_norm(lambda a, b: a, p)
+    # text that is no number is named too, not left to float()'s message
+    with pytest.raises(ValueError, match="^p must be positive or inf, got 'abc'$"):
+        lp_norm(lambda a, b: a, "abc")
     with pytest.raises(ValueError):
         lp_norm(lambda a, b: a, 2, m=4)
+    # a bool size is refused as every other size is, naming the value
+    for m in (True, 16.0):
+        with pytest.raises(TypeError, match=f"quadrature size must be an integer, not {m}"):
+            lp_norm(lambda a, b: a, 2, m=m)
 
 
 def test_lp_norm_monotone(rng):
@@ -245,6 +253,42 @@ def test_marcinkiewicz_rejects_small_p():
             marcinkiewicz_ratio(4, np.ones((5, 5)), p)
     with pytest.raises(ValueError):
         marcinkiewicz_trials(4, 2, 0)
+
+
+def test_marcinkiewicz_trials_refuses_a_trial_count_that_is_not_an_integer(monkeypatch):
+    # refused before any table is built, naming the count
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built before the trial check")
+
+    monkeypatch.setattr(analysis.points, "generate", refuse)
+    for trials in (3.5, True):
+        with pytest.raises(TypeError, match=f"^trial count must be an integer, not {trials}$"):
+            marcinkiewicz_trials(4, 2, trials)
+
+
+def test_fourier_coefficients_bitwise_equal_to_matmul_chain():
+    f = get("franke")
+    for n, m in ((0, None), (1, None), (1, 2), (5, 9), (12, None), (30, 61)):
+        q = 4 * n + 16 if m is None else m
+        nodes, nums = analysis.gauss_chebyshev_axis(q)
+        basis = t_norm_lattice(n, nums, 2 * q)
+        expect = basis @ evaluate(f, nodes[:, None], nodes[None, :]) @ basis.T / float(q * q)
+        ks = np.arange(n + 1)
+        expect[ks[:, None] + ks[None, :] > n] = 0.0
+        assert np.array_equal(fourier_coefficients(n, f, m), expect), (n, m)
+
+
+def test_ratios_bitwise_equal_to_matmul_chains(rng):
+    for n, p in ((1, 2), (2, 3), (4, 1.5), (9, 2), (16, 4)):
+        _, p, tables = analysis._marcinkiewicz_setup(n, p)
+        l1, l2, at_nodes, q = tables
+        for size in (1, 5):
+            coeffs = rng.uniform(-1.0, 1.0, (size, n + 1, n + 1))
+            lattice = (l1.T @ coeffs @ l2).reshape(size, -1)
+            node_vals = np.abs(np.ascontiguousarray(lattice[:, at_nodes])) ** p
+            quad_vals = np.abs(q.T @ coeffs @ q) ** p
+            expect = node_vals.mean(axis=-1) / quad_vals.mean(axis=(-2, -1))
+            assert np.array_equal(analysis._ratios(coeffs, p, *tables), expect), (n, p)
 
 
 def test_builtin_registry():

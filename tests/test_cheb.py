@@ -11,9 +11,12 @@ from padua.cheb import (
     cheb_u,
     cospi_frac,
     product_series_grid,
+    series_on_tables,
     t_norm_lattice,
     t_norm_values,
+    total_degree_mask,
 )
+from padua import analysis
 from padua.analysis import gauss_chebyshev_axis
 from padua.interp import EvalGrid, lattice_tables
 from padua.points import PaduaSet
@@ -188,7 +191,8 @@ def test_lattice_tables_match_direct_evaluation():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_product_series_grid_one_table_per_axis(rng, dtype):
-    # the same axis object on both sides builds one table; a copy builds two
+    # each side builds its own table, so the same axis object on both sides
+    # and a copy give the same values
     ax = np.linspace(-1, 1, 37).astype(dtype)
     for shape in ((9, 9), (3, 9, 9)):
         coeffs = rng.uniform(-1, 1, shape).astype(dtype)
@@ -203,8 +207,8 @@ def test_product_series_grid_one_table_per_axis(rng, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_product_series_grid_2d_bitwise_equal_to_matmul(rng, dtype):
-    # 2-D products go through cheb.matmul (np.dot), which sums each entry in
-    # the same order as @: the values are bitwise those of t.T @ c @ t
+    # 2-D products go through cheb.series_on_tables (np.dot), which sums each
+    # entry in the same order as @: the values are bitwise those of t.T @ c @ t
     for n, m in ((0, 1), (1, 2), (4, 1), (16, 37), (48, 200)):
         ax = np.sort(rng.uniform(-1, 1, m)).astype(dtype)
         coeffs = rng.uniform(-1, 1, (n + 1, n + 1)).astype(dtype)
@@ -212,3 +216,45 @@ def test_product_series_grid_2d_bitwise_equal_to_matmul(rng, dtype):
         got = product_series_grid(coeffs, ax, ax)
         assert got.dtype == dtype
         assert np.array_equal(got, t.T @ coeffs @ t)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_series_on_tables_reads_the_leading_rows(rng, dtype):
+    # tables longer than x: rows past x's own sizes are never read, and the
+    # result is bitwise that of the exact-size tables, 2-D and batched
+    b1 = rng.uniform(-1, 1, (12, 7)).astype(dtype)
+    b2 = rng.uniform(-1, 1, (9, 5)).astype(dtype)
+    spoiled1, spoiled2 = b1.copy(), b2.copy()
+    spoiled1[6:] = np.nan
+    spoiled2[4:] = np.nan
+    for shape in ((6, 4), (3, 6, 4)):
+        x = rng.uniform(-1, 1, shape).astype(dtype)
+        got = series_on_tables(x, b1, b2)
+        assert got.dtype == dtype and got.shape == shape[:-2] + (7, 5)
+        assert np.array_equal(got, series_on_tables(x, spoiled1, spoiled2))
+        assert np.array_equal(got, series_on_tables(x, b1[:6].copy(), b2[:4].copy()))
+        assert np.array_equal(got, b1[:6].T @ x @ b2[:4])
+        expect = np.einsum("...ab,ai,bj->...ij", x.astype(float), b1[:6].astype(float),
+                           b2[:4].astype(float))
+        assert np.max(np.abs(got - expect)) <= 1e-14
+
+
+def test_total_degree_mask():
+    for n in range(6):
+        a, b = np.indices((n + 1, n + 1))
+        mask = total_degree_mask(n)
+        assert mask.dtype == bool and np.array_equal(mask, a + b <= n)
+        assert mask.sum() == (n + 1) * (n + 2) // 2
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_chebyshev_grid_axis_bitwise_the_gauss_chebyshev_formula(dtype):
+    # the grid axis is the sorted quadrature axis, bitwise the formula
+    # cos((2i-1)pi/(2m)) written out here
+    assert analysis.gauss_chebyshev_axis is cheb.gauss_chebyshev_axis
+    for m in range(2, 1001):
+        old = np.sort(cospi_frac(2 * np.arange(1, m + 1) - 1, 2 * m, dtype))
+        got = EvalGrid(m, "chebyshev").axis(dtype)
+        # equal values and signs: bitwise equal, without longdouble's padding
+        assert got.dtype == dtype and np.array_equal(got, old), m
+        assert np.array_equal(np.signbit(got), np.signbit(old)), m

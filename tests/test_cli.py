@@ -9,6 +9,7 @@ import pytest
 
 from padua import interp, kernel, points, verify
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_MARCINKIEWICZ_TRIALS, MAX_QUAD
+from padua.cheb import MAX_DEGREE
 from padua.cli import build_parser, main
 from padua.interp import (
     MAX_GRID,
@@ -181,6 +182,22 @@ def test_marcinkiewicz_rejects_nonfinite_p(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("degrees, message", [
+    ("8,0", "unsupported degree 0"),
+    (f"8,{MAX_DEGREE + 1}", f"unsupported degree {MAX_DEGREE + 1}"),
+])
+def test_lebesgue_checks_every_degree_before_any_constant(capsys, monkeypatch, degrees,
+                                                          message):
+    def refuse(*args):
+        raise AssertionError("a Lebesgue constant came before a degree check")
+
+    monkeypatch.setattr(interp, "lebesgue_constant", refuse)
+    code, out, err = run_cli(capsys, "lebesgue", "--degrees", degrees, "--grid", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_marcinkiewicz_degree_limit_exits_2_before_any_work(capsys, monkeypatch):
@@ -442,7 +459,7 @@ def test_interp_chebyshev_grid(capsys):
 
 
 @pytest.mark.parametrize("command", ["interp", "converge"])
-@pytest.mark.parametrize("p", ["0", "-1", "-inf", "nan"])
+@pytest.mark.parametrize("p", ["0", "-1", "-inf", "nan", "abc"])
 def test_bad_p_exits_2(capsys, command, p):
     argv = [command, "--function", "exp_sum", f"--p={p}", "--grid", "10"]
     argv += ["--degree", "4"] if command == "interp" else ["--degrees", "2,4"]

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
-from padua import fundamental_poly, interp, kernel
+from padua import cheb, fundamental_poly, interp, kernel
 from padua.cheb import cospi_frac, product_series_at, t_norm_lattice, t_norm_values
 from padua.interp import (
     EvalGrid,
@@ -566,7 +566,7 @@ def test_lebesgue_constant_skips_coefficient_route(monkeypatch):
 
     expect = lebesgue_constant(generate(9), EvalGrid(20, "chebyshev"))
     monkeypatch.setattr(interp, "to_coefficients", refuse)
-    monkeypatch.setattr(interp, "product_series_grid", refuse)
+    monkeypatch.setattr(cheb, "product_series_grid", refuse)
     assert lebesgue_constant(generate(9), EvalGrid(20, "chebyshev")) == expect
 
 
@@ -644,8 +644,8 @@ def test_coefficients_build_no_coordinates(rng, n):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_coefficients_bitwise_equal_to_matmul(rng, dtype):
-    # the 2-D projection goes through cheb.matmul (np.dot), which sums each
-    # entry in the same order as @: bitwise equal to t1 @ G @ t2.T
+    # the 2-D projection goes through cheb.series_on_tables (np.dot), which
+    # sums each entry in the same order as @: bitwise equal to t1 @ G @ t2.T
     for n in (1, 2, 7, 24, 48):
         pset = generate(n)
         samples = rng.uniform(-1, 1, len(pset)).astype(dtype)
