@@ -25,7 +25,7 @@ from .cheb import (
     t_norm_values,
     total_degree_mask,
 )
-from .functions import TestFunction, evaluate
+from .functions import TestFunction, as_real, evaluate
 
 
 def tensor_quadrature(f, m):
@@ -78,8 +78,7 @@ def fourier_coefficients(n, f, m=None):
     Returns the (n+1) x (n+1) matrix, zero above the anti-diagonal.
     """
     n = check_degree(n)
-    if m is None:
-        m = 4 * n + 16
+    m = 4 * n + 16 if m is None else check_int(m, "quadrature size")
     if m < n + 1:
         raise ValueError("quadrature size too small for the requested degree")
     nodes, nums = gauss_chebyshev_axis(m)
@@ -196,11 +195,12 @@ def marcinkiewicz_ratio(n, coeffs, p):
     is exact for an even integer p (see _marcinkiewicz_setup).  coeffs is the
     (n+1) x (n+1) matrix of the polynomial in the orthonormal product basis;
     a matrix of another shape, with a non-finite entry or with every entry
-    zero raises ValueError.  It is evaluated as a batch of one by the
-    evaluator of marcinkiewicz_trials.
+    zero raises ValueError, and entries that are not real numbers (complex or
+    strings; functions.as_real) raise TypeError.  It is evaluated as a batch
+    of one by the evaluator of marcinkiewicz_trials.
     """
     n, p, tables = _marcinkiewicz_setup(n, p)
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = as_real(coeffs)
     if coeffs.shape != (n + 1, n + 1):
         raise ValueError(
             f"expected an ({n + 1}, {n + 1}) coefficient matrix for degree {n}, "

@@ -170,6 +170,48 @@ def gauss_chebyshev_axis(m, dtype=float):
     return cospi_frac(nums, 2 * m, dtype), nums
 
 
+class ChebTables:
+    """T_k(x_d) for k = 0..n+1, one table per coordinate of a point set.
+
+    The one builder of Chebyshev tables at points of the square: the basis
+    rows (basis_vector), the ideal-basis rows (ideal) and the direct kernel
+    sum (kernel.direct_from_tables) read them.  Order n+1 passes the public
+    degree cap at n = MAX_DEGREE, so the tables come from cos_table, not
+    t_norm_values, which checks the degree and holds the orthonormal scaling.
+    x holds the checked coordinates.  Each table has its own coordinate's
+    shape with leading unit axes up to ndim axes (at least the other
+    coordinate's number), so on broadcasting axes such as a tensor grid's
+    (K, 1) and (1, E) the tables stay one axis long and the products of the
+    two broadcast.  The basis rows basis(m) are formed on their first call
+    and kept, so the checks that read one table set share them.
+    """
+
+    def __init__(self, n, x, ndim=0):
+        self.n, self.x = n, check_square(*x)
+        ndim = max(ndim, *(c.ndim for c in self.x))
+        self.t1, self.t2 = (
+            cos_table(np.arange(n + 2), np.arccos(c.reshape((1,) * (ndim - c.ndim) + c.shape)))
+            for c in self.x
+        )
+        self._kept = {}
+
+    @classmethod
+    def pair(cls, n, x, y):
+        """Table sets of the two sides of point pairs, padded to the pair's
+        number of axes, so that the pairs broadcast as the coordinates do."""
+        ndim = max(np.ndim(c) for c in (*x, *y))
+        return cls(n, x, ndim), cls(n, y, ndim)
+
+    def basis(self, m):
+        """Degree-m orthonormal product-basis row (m <= n+1), as basis_vector."""
+        if m not in self._kept:
+            p1, p2 = self.t1[: m + 1].copy(), self.t2[: m + 1].copy()
+            p1[1:] *= SQRT2
+            p2[1:] *= SQRT2
+            self._kept[m] = p1[::-1] * p2
+        return self._kept[m]
+
+
 def basis_vector(n, point):
     """Degree-n orthonormal product-basis row at a point of the square.
 
@@ -178,8 +220,7 @@ def basis_vector(n, point):
     (n+1,) + broadcast shape and each column is the row at one point.
     """
     n = check_degree(n)
-    t1, t2 = (t_norm_values(n, c) for c in check_square(*point))
-    return t1[::-1] * t2
+    return ChebTables(n, point).basis(n)
 
 
 def product_series_at(coeffs, x1, x2):

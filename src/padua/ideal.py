@@ -4,7 +4,9 @@ The scaled vector of these polynomials satisfies a three-term relation against
 the orthonormal basis rows of consecutive degrees; the structure matrices of
 that relation are built here from their explicit stencils and feed the
 Christoffel-Darboux residual checks.  Batched evaluations read all of these
-from one table T_k(x_d), k <= n+1, per coordinate of a point set.
+from one cheb.ChebTables per point set, the tables T_k(x_d), k <= n+1, of
+its coordinates; a residual of point pairs reads the direct kernel sum from
+the same two table sets (kernel.direct_from_tables).
 """
 
 from dataclasses import dataclass
@@ -12,32 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .cheb import SQRT2, cheb_u, check_degree, check_square, cos_table
+from .cheb import SQRT2, ChebTables, cheb_u, check_degree, check_square, cos_table
 
 
-class _Tables:
-    """T_k(x_d) for k = 0..n+1, one table per coordinate of a point set.
-
-    Order n+1 passes the public degree cap at n = MAX_DEGREE, so the tables
-    come from cos_table, not cheb.t_norm_values, which checks the degree and
-    holds the orthonormal scaling.  x holds the checked coordinates.
-    Each table has its own coordinate's shape, with leading unit axes up to
-    the other's number of axes, so on broadcasting axes such as a tensor
-    grid's (K, 1) and (1, E) the tables stay one axis long and the products
-    of the two broadcast.  The ideal-basis rows q() and the basis rows
-    basis(m) are formed on their first call and kept, so the checks that
-    read one table set share them: verify builds one per side of its point
-    pairs and degree.
+class _Tables(ChebTables):
+    """A point set's Chebyshev tables with its ideal-basis rows q(), kept on
+    their first call like the basis rows: verify builds one per side of its
+    point pairs and degree, and its checks share them.
     """
-
-    def __init__(self, n, x):
-        self.n, self.x = n, check_square(*x)
-        ndim = max(c.ndim for c in self.x)
-        self.t1, self.t2 = (
-            cos_table(np.arange(n + 2), np.arccos(c.reshape((1,) * (ndim - c.ndim) + c.shape)))
-            for c in self.x
-        )
-        self._kept = {}
 
     def q(self):
         """The n+2 unscaled ideal-basis rows; row k is q_poly(n, k, x)."""
@@ -48,22 +32,6 @@ class _Tables:
             q[1:] = t1[n::-1] * t2[1:] + t2[n::-1] * t1[: n + 1]
             self._kept["q"] = q
         return self._kept["q"]
-
-    def basis(self, m):
-        """Degree-m orthonormal product-basis row (m <= n+1), as cheb.basis_vector."""
-        if m not in self._kept:
-            p1, p2 = self.t1[: m + 1].copy(), self.t2[: m + 1].copy()
-            p1[1:] *= SQRT2
-            p2[1:] *= SQRT2
-            self._kept[m] = p1[::-1] * p2
-        return self._kept[m]
-
-
-def _direct(tx, ty):
-    """The kernel's direct double sum at the point pairs of tx and ty, on rows 0..n."""
-    n = tx.n
-    return kernel.direct_from_tables(tx.t1[: n + 1], tx.t2[: n + 1], ty.t1[: n + 1],
-                                     ty.t2[: n + 1])
 
 
 def _apply(m, v):
@@ -199,8 +167,8 @@ def cd_residual(n, axis, x, y):
     n = check_degree(n, minimum=2)
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
-    tx, ty = _Tables(n, x), _Tables(n, y)
-    out = _cd(n, axis, struct_matrices(n), tx, ty, _direct(tx, ty))
+    tx, ty = _Tables.pair(n, x, y)
+    out = _cd(n, axis, struct_matrices(n), tx, ty, kernel.direct_from_tables(tx, ty))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -234,7 +202,7 @@ def s_term_residuals(n, x, y):
     """
     n = check_degree(n, minimum=2)
     mats = struct_matrices(n)
-    tx, ty = _Tables(n, x), _Tables(n, y)
+    tx, ty = _Tables.pair(n, x, y)
     px, py = tx.basis(n), ty.basis(n)
     px_low, py_low = tx.basis(n - 1), ty.basis(n - 1)
 

@@ -9,17 +9,17 @@ products of Dirichlet-type ratios R_m(t) = sin(m t) / sin(t), whose
 singularities are removable: R_m takes its limit where sin(t) vanishes, so
 the compact form is finite everywhere and has no second route.
 kernel_direct is the direct double sum over the orthonormal product basis
-(O(n^2) per pair), the oracle the compact form is checked against;
-direct_from_tables is the same sum on Chebyshev tables a caller already
-holds.  The node values have a closed form, one factor per lattice axis
-(node_star_axes), checked by a direct sum on the lattice
-(node_star_direct).  Each side of a compact evaluation is one SideTables,
-the angles of its points.
+(O(n^2) per pair), the oracle the compact form is checked against, on the
+two cheb.ChebTables of its sides; direct_from_tables is the same sum on
+table sets a caller already holds.  The node values have a closed form, one
+factor per lattice axis (node_star_axes), checked by a direct sum on the
+lattice (node_star_direct).  Each side of a compact evaluation is one
+SideTables, the angles of its points.
 """
 
 import numpy as np
 
-from .cheb import check_degree, check_square, cos_table, t_norm_lattice
+from .cheb import ChebTables, check_degree, check_square, t_norm_lattice
 from .points import CODE_TO_CLASS, PointClass
 
 # Diagonal values of the modified kernel at the nodes are n(n+1) times these.
@@ -59,16 +59,18 @@ def node_tables(pset):
                       np.pi * (pset.eta_num / float(n + 1)))
 
 
-def direct_from_tables(t1x, t2x, t1y, t2y):
-    """Direct double sum of the reproducing kernel from Chebyshev tables.
+def direct_from_tables(tx, ty):
+    """Direct double sum of the reproducing kernel on two Chebyshev table sets.
 
-    Each argument holds T_a at one coordinate of one side for a = 0..n on its
-    first axis (cos(a theta), as cheb.cos_table builds it); the other axes
-    broadcast.  The orthonormal factor 2 of the rows a >= 1 is applied to the
-    products, so the sum is over 2 T_a(x1) T_a(y1) and 2 T_b(x2) T_b(y2).
+    tx and ty are cheb.ChebTables of one degree n on the two sides, whose
+    point axes broadcast (ChebTables.pair); the sum reads their rows
+    T_a = cos(a theta), a = 0..n.  The orthonormal factor 2 of the rows
+    a >= 1 is applied to the products, so the sum is over 2 T_a(x1) T_a(y1)
+    and 2 T_b(x2) T_b(y2).
     """
-    u = t1x * t1y
-    v = t2x * t2y
+    rows = slice(tx.n + 1)
+    u = tx.t1[rows] * ty.t1[rows]
+    v = tx.t2[rows] * ty.t2[rows]
     u[1:] *= 2.0
     v[1:] *= 2.0
     cv = np.cumsum(v, axis=0)
@@ -98,9 +100,7 @@ def kernel_direct(n, x, y):
     to paired batches.
     """
     n = check_degree(n)
-    angles = np.stack(np.broadcast_arrays(
-        *(np.arccos(c) for p in (x, y) for c in check_square(*p))))
-    out = direct_from_tables(*cos_table(np.arange(n + 1), angles).swapaxes(0, 1))
+    out = direct_from_tables(*ChebTables.pair(n, x, y))
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -10,14 +10,13 @@ checks its degree at construction and builds each per-node array on its own
 first read, from the degree and the arrays it depends on.
 """
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .cheb import cheb_t, check_degree, cospi_frac
+from .cheb import cheb_t, check_degree, check_int, cospi_frac
 
 
 class PointClass(Enum):
@@ -123,12 +122,13 @@ class PaduaSet:
         return np.column_stack([self.x1, self.x2])
 
     def position(self, index):
-        """Array position of node (k, j); raises IndexError when absent.
+        """Array position of node (k, j); raises IndexError when absent or
+        when k or j is not an integer (cheb.check_int: a bool is not one).
 
         Nodes are in (k, j) order, so the position is row_starts[k] + j - 1.
         """
         try:
-            k, j = (operator.index(v) for v in index)
+            k, j = (check_int(v, "node index") for v in index)
         except (TypeError, ValueError):
             raise IndexError(f"no node with index {tuple(index)}") from None
         starts = self.row_starts

@@ -14,11 +14,13 @@ chunk of lattice rows, so no N x N matrix is held.  The partition of unity
 sums the blocks of interp._lagrange_blocks at the random points as they
 come; both take the fundamental polynomials from their closed-form
 coefficients, so they read at rounding level.  The compact kernel is
-checked against its direct sum on its own.  Per degree, each side of the random and probe point
-pairs has one Chebyshev table set (ideal._Tables) on all its points, which
-forms its ideal-basis rows and degree-n basis rows once, and the pairs have
-one direct kernel sum: the three-term and Christoffel-Darboux checks read
-them at the random pairs, the kernel check at all pairs.
+checked against its direct sum on its own.  Per degree, each side of the
+random and probe point pairs has one Chebyshev table set (cheb.ChebTables,
+with the ideal-basis rows of ideal._Tables) on all its points, which forms
+its ideal-basis rows and degree-n basis rows once, and the pairs have one
+direct kernel sum (kernel.direct_from_tables): the three-term and
+Christoffel-Darboux checks read them at the random pairs, the kernel check
+at all pairs.
 """
 
 import numpy as np
@@ -101,9 +103,8 @@ def run_verification(max_degree, seed):
         # the residual checks read the random pairs, the oracle check all
         all_x = np.vstack([pts, sx])
         all_y = np.vstack([qts, sy])
-        tx = ideal._Tables(n, (all_x[:, 0], all_x[:, 1]))
-        ty = ideal._Tables(n, (all_y[:, 0], all_y[:, 1]))
-        direct = ideal._direct(tx, ty)
+        tx, ty = ideal._Tables.pair(n, all_x.T, all_y.T)
+        direct = kernel.direct_from_tables(tx, ty)
         head = slice(len(pts))
 
         if n >= 2:

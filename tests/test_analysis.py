@@ -213,6 +213,10 @@ def test_marcinkiewicz_ratio_rejects_bad_coefficients():
             marcinkiewicz_ratio(4, coeffs, 2)
     with pytest.raises(ValueError, match="expected a nonzero polynomial"):
         marcinkiewicz_ratio(4, np.zeros((5, 5)), 2)
+    # complex entries are not cut to their real part, nor strings parsed
+    for bad in (np.ones((5, 5)) + 1j, np.full((5, 5), "1.5")):
+        with pytest.raises(TypeError, match="are not real numbers"):
+            marcinkiewicz_ratio(4, bad, 2)
 
 
 def test_marcinkiewicz_trials_seed_prefix():
@@ -460,6 +464,13 @@ def test_quadrature_size_that_is_not_an_integer_raises_type_error(size):
         with pytest.raises(TypeError, match=r"quadrature size must be an integer, "
                                             r"not (np\.float64\()?(200|64|40)\.0"):
             call()
+
+
+@pytest.mark.parametrize("m, text", [(True, "True"), ("x", "'x'")])
+def test_fourier_quadrature_size_is_checked_before_it_is_compared(m, text):
+    # a bool used to pass as 1 ("too small"), a string to fail on its '<'
+    with pytest.raises(TypeError, match=f"^quadrature size must be an integer, not {text}$"):
+        fourier_coefficients(4, get("exp_sum"), m)
 
 
 def test_quadrature_size_as_numpy_integer_is_bitwise_the_int_result():

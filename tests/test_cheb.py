@@ -114,6 +114,36 @@ def test_non_integer_degree_or_size_is_named(call, text):
     assert type(cheb.check_degree(np.uint16(3))) is int
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_gauss_chebyshev_axis_refuses_a_size_below_one(size):
+    with pytest.raises(ValueError, match="^quadrature size must be positive$"):
+        gauss_chebyshev_axis(size)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
+def test_basis_vector_bitwise_the_per_coordinate_table_form(rng, n):
+    # the earlier form, one t_norm_values table per coordinate, on
+    # coordinates of one number of axes, where it broadcast correctly
+    for shape1, shape2 in (((30,), (30,)), ((6, 1), (1, 9)), ((), ()), ((4, 3), (4, 3))):
+        x = (rng.uniform(-1, 1, shape1), rng.uniform(-1, 1, shape2))
+        t1, t2 = (t_norm_values(n, c) for c in x)
+        expect = t1[::-1] * t2
+        got = basis_vector(n, x)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_basis_vector_on_coordinates_of_different_ndim_is_pointwise(rng, n):
+    # a (2,) coordinate against a (2, 2) one: column (i, j) is the row at the
+    # broadcast point (i, j)
+    x1, x2 = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2))
+    got = basis_vector(n, (x1, x2))
+    assert got.shape == (n + 1, 2, 2)
+    b1, b2 = np.broadcast_arrays(x1, x2)
+    for i in np.ndindex(2, 2):
+        assert np.array_equal(got[(slice(None),) + i], basis_vector(n, (b1[i], b2[i])))
+
+
 def test_basis_vector_trivial_cases():
     assert np.array_equal(basis_vector(0, (0.2, -0.7)), [1.0])
     assert np.allclose(basis_vector(1, (0.0, 0.0)), [0.0, 0.0], atol=1e-15)

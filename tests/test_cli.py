@@ -495,6 +495,32 @@ def test_interp_sample_file_bad_rows_exit_4(tmp_path, capsys, extra, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("lebesgue", "--degrees", "4,x"), 2,
+     "padua lebesgue: error: argument --degrees: degrees must be comma-separated integers"),
+    (("lebesgue", "--degrees", ","), 2,
+     "padua lebesgue: error: argument --degrees: empty degree list"),
+    (("interp", "--degree", "2", "--samples", ""), 4, "error: sample file {path} is empty"),
+    (("interp", "--degree", "2", "--samples", "k,j,value\n0,1\n"), 4,
+     "error: malformed sample row: '0,1'"),
+    (("interp", "--degree", "2", "--samples", "k,j,value\n9,1,0.5\n"), 4,
+     "error: no node with index (9, 1)"),
+    (("interp", "--degree", "2", "--samples", "k,j,value\n0,1,0.5\n"), 4,
+     "error: sample file covers 1 of 6 nodes"),
+    (("interp", "--degree", "2", "--samples", "abc\n"), 4,
+     "error: malformed sample file: could not convert string to float: 'abc'"),
+])
+def test_cli_error_branches_exit_with_their_code(tmp_path, capsys, argv, code, message):
+    # a --samples argument here is the file's text, written to a file first
+    path = tmp_path / "samples.csv"
+    if "--samples" in argv:
+        path.write_text(argv[-1])
+        argv = argv[:-1] + (str(path),)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == message.format(path=path)
+
+
 def test_interp_sample_file_not_utf8_exits_4(tmp_path, capsys):
     path = tmp_path / "samples.csv"
     path.write_bytes(b"\xff\xfe")

@@ -235,6 +235,22 @@ def test_cd_residual_random_pairs(rng):
         assert np.max(np.abs(got.ravel() - cd_residual(6, axis, flat_x, flat_y))) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_cd_residual_on_sides_of_different_ndim_is_pointwise(rng, n):
+    # a (3, 1) side against a (3,) side: entry (i, j) is the residual of the
+    # pair x[i], y[j], and a scalar side against an array side broadcasts too
+    x = tuple(rng.uniform(-1, 1, (3, 1)) for _ in range(2))
+    y = tuple(rng.uniform(-1, 1, 3) for _ in range(2))
+    for axis in (1, 2):
+        got = cd_residual(n, axis, x, y)
+        assert got.shape == (3, 3)
+        for i, j in np.ndindex(3, 3):
+            one = cd_residual(n, axis, (x[0][i, 0], x[1][i, 0]), (y[0][j], y[1][j]))
+            assert abs(got[i, j] - one) <= 1e-14
+        row = cd_residual(n, axis, (x[0][0, 0], x[1][0, 0]), y)
+        assert row.shape == (3,) and np.max(np.abs(row - got[0])) <= 1e-14
+
+
 def test_cd_residual_coincident_points(rng):
     x = rng.uniform(-1, 1, (2, 50))
     for axis in (1, 2):
@@ -255,7 +271,7 @@ def test_residuals_on_shared_tables_match_public_functions(rng, n):
     # basis rows and one direct kernel sum, and read the first 64 pairs
     x, y = rng.uniform(-1, 1, (2, 2, 100))
     tx, ty = ideal._Tables(n, (x[0], x[1])), ideal._Tables(n, (y[0], y[1]))
-    direct = ideal._direct(tx, ty)
+    direct = kernel.direct_from_tables(tx, ty)
     px, py = (x[0, :64], x[1, :64]), (y[0, :64], y[1, :64])
     mats = struct_matrices(n)
     assert np.array_equal(ideal._three_term(n, mats, tx)[:64], three_term_residual(n, px))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padua import fundamental_poly, kernel
-from padua.cheb import DomainError, cheb_t, cospi_frac, t_norm_values
+from padua.cheb import DomainError, cheb_t, cos_table, cospi_frac, t_norm_values
 from padua.kernel import (
     d_term,
     kernel_compact,
@@ -70,6 +70,23 @@ def test_d_term_limits_at_removable_singularities():
         assert np.allclose(d_term(n, alpha, alpha + 2 * np.pi), limit, rtol=1e-12, atol=1e-12)
         assert d_term(n, 0.0, 0.0) == 0.25 * (n**2 + (n + 1) ** 2)
         assert d_term(n, np.pi, np.pi) == 0.25 * (-1) ** n * (2 * n + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40])
+def test_kernel_direct_bitwise_the_broadcast_angle_form(rng, n):
+    # the earlier form: the four angle arrays broadcast to the pair's shape,
+    # stacked, one cos_table on them and the double sum on its four tables
+    for shape_x, shape_y in (((30,), (30,)), ((6, 1), (9,)), ((), (4, 3)), ((5, 1), (1, 7))):
+        x = tuple(rng.uniform(-1, 1, shape_x) for _ in range(2))
+        y = tuple(rng.uniform(-1, 1, shape_y) for _ in range(2))
+        angles = np.stack(np.broadcast_arrays(*(np.arccos(c) for c in x + y)))
+        t1x, t2x, t1y, t2y = cos_table(np.arange(n + 1), angles).swapaxes(0, 1)
+        u, v = t1x * t1y, t2x * t2y
+        u[1:] *= 2.0
+        v[1:] *= 2.0
+        expect = np.einsum("a...,a...->...", u, np.cumsum(v, axis=0)[::-1])
+        got = np.asarray(kernel_direct(n, x, y))
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def test_compact_agrees_with_direct(rng):

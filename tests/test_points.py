@@ -148,7 +148,7 @@ def test_position_out_of_range():
         pset = generate(n)
         last_even, last_odd = n // 2 + 1, (n + 1) // 2 + 1
         bad = [(-1, 1), (n + 1, 1), (0, 0), (1, 0), (0, last_even + 1),
-               (1, last_odd + 1), (0, -1)]
+               (1, last_odd + 1), (0, -1), (True, 1), (1, True), (0, 1.0)]
         for index in bad:
             with pytest.raises(IndexError):
                 pset.position(index)
