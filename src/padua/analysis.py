@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import interp, points
+from . import cheb, interp, points
 from .cheb import (
     check_degree,
     check_int,
@@ -94,7 +94,7 @@ def fourier_partial_sum(n, f, x, m=None):
     coeffs = fourier_coefficients(n, f, m)
     out = product_series_at(coeffs, np.asarray(x[0], dtype=float),
                             np.asarray(x[1], dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 # Values per block of Marcinkiewicz trials.  One trial holds, in _ratios, its

@@ -1,9 +1,11 @@
 """Stable evaluation of Chebyshev polynomials and the orthonormal product basis.
 
 Everything here works on scalars or numpy arrays and evaluates through the
-trigonometric forms (cos(k*arccos x), sin((k+1)*arccos x)/sin(arccos x)),
-which stay accurate at high degree where the three-term recurrence loses
-digits near the interval ends.
+trigonometric forms T_k(x) = cos(k arccos x) and U_k(x) = R_{k+1}(arccos x),
+with R_m(t) = sin(m t) / sin(t) the Dirichlet-type ratio of dirichlet, the
+package's one formula for it and for its removable singularity.  They stay
+accurate at high degree where the three-term recurrence loses digits near the
+interval ends.
 """
 
 import operator
@@ -63,10 +65,10 @@ def check_square(x1, x2):
     return x1, x2
 
 
-def _like(values, template):
-    if np.ndim(template) == 0:
-        return float(values)
-    return values
+def float_if_scalar(out):
+    """out as a Python float when it is 0-d, else unchanged: a one-point call
+    of any public evaluation returns a float."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def cheb_t(k, x):
@@ -81,23 +83,40 @@ def cheb_t(k, x):
     """
     k = check_degree(k)
     xa = _unit(x)
-    return _like(np.cos(k * np.arccos(xa)), x)
+    return float_if_scalar(np.cos(k * np.arccos(xa)))
+
+
+def dirichlet(orders, t):
+    """R_m(t) = sin(m t) / sin(t) for each m in orders, from one reduction of t.
+
+    t is first reduced to r = t - j pi in [-pi/2, pi/2]: sin(r) keeps its
+    last bits near the zeros of sin, where sin(t) carries the rounding of t
+    itself.  Then R_m(t) = (-1)^(j(m-1)) R_m(r), and R_m(r) takes its limit
+    m at r = 0, so R_0 = 0.  Returns a list of arrays of t's shape, one per
+    order.  There is no order check: callers validate their orders.
+    """
+    j = np.rint(t / np.pi)
+    r = t - j * np.pi
+    # (-1)^(j(m-1)) is 1 for odd m and (-1)^j for even m
+    alt = 1.0 - 2.0 * np.remainder(j, 2.0)
+    sin_r = np.sin(r)
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in orders:
+            ratio = np.where(r == 0.0, float(m), np.sin(m * r) / sin_r)
+            out.append(ratio * alt if m % 2 == 0 else ratio)
+    return out
 
 
 def cheb_u(k, x):
-    """Second-kind Chebyshev polynomial U_k on [-1, 1].
+    """Second-kind Chebyshev polynomial U_k on [-1, 1], as R_{k+1}(arccos x).
 
-    At x = +-1 the sine quotient degenerates and the analytic limit
-    (k+1) * (+-1)^k is returned instead.
+    The ratio is dirichlet's, so at x = +-1 it takes its limit
+    (k+1) * (+-1)^k.
     """
     k = check_degree(k)
-    xa = _unit(x)
-    theta = np.arccos(xa)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sin((k + 1) * theta) / np.sin(theta)
-    limit = (k + 1.0) * np.where(xa < 0, (-1.0) ** k, 1.0)
-    vals = np.where(np.abs(xa) == 1.0, limit, vals)
-    return _like(vals, x)
+    (vals,) = dirichlet((k + 1,), np.arccos(_unit(x)))
+    return float_if_scalar(vals)
 
 
 def cheb_t_norm(k, x):
@@ -106,7 +125,7 @@ def cheb_t_norm(k, x):
     Returns 1 for k = 0 and sqrt(2) * T_k(x) for k >= 1.
     """
     t = cheb_t(k, x)
-    return t if k == 0 else _like(SQRT2 * t, x)
+    return t if k == 0 else float_if_scalar(SQRT2 * t)
 
 
 def cos_table(orders, theta):

@@ -6,15 +6,20 @@ that relation are built here from their explicit stencils and feed the
 Christoffel-Darboux residual checks.  Batched evaluations read all of these
 from one cheb.ChebTables per point set, the tables T_k(x_d), k <= n+1, of
 its coordinates; a residual of point pairs reads the direct kernel sum from
-the same two table sets (kernel.direct_from_tables).
+the same two table sets (kernel.direct_from_tables).  The product
+polynomials mp_poly, which vanish at the interior nodes, are products of
+second-kind Chebyshev values U_{m-1}(cos t) = R_m(t), read from the one
+Dirichlet ratio cheb.dirichlet.  q_poly keeps its own formula, which forms
+only the orders one member needs.  Index arguments (k, j, axis) pass
+cheb.check_int before their range checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
-from .cheb import SQRT2, ChebTables, cheb_u, check_degree, check_square, cos_table
+from . import cheb, kernel
+from .cheb import SQRT2, ChebTables, check_degree, check_int, check_square, cos_table
 
 
 class _Tables(ChebTables):
@@ -49,6 +54,7 @@ def q_poly(n, k, x):
     this member needs are formed.
     """
     n = check_degree(n, minimum=1)
+    k = check_int(k, "basis index")
     if not 0 <= k <= n + 1:
         raise IndexError(f"basis index {k} outside 0..{n + 1}")
     th1, th2 = (np.arccos(c) for c in check_square(*x))
@@ -59,7 +65,7 @@ def q_poly(n, k, x):
         t1 = cos_table([n - k + 1, k - 1], th1)
         t2 = cos_table([k, n - k + 1], th2)
         out = t1[0] * t2[0] + t2[1] * t1[1]
-    return float(out) if np.ndim(out) == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def q_rows(n, x):
@@ -73,17 +79,20 @@ def q_rows(n, x):
 def mp_poly(n, j, x):
     """Product polynomial U_j(x1) U_{n-j-1}(x2) + U_{n-j-2}(x1) U_j(x2).
 
-    These vanish at the interior nodes of the degree-n set.  The convention
-    U_{-1} = 0 makes the edge index j = n-1 well defined.
+    These vanish at the interior nodes of the degree-n set.  With
+    U_{k-1}(cos t) = R_k(t), the Dirichlet ratios of cheb.dirichlet, the value
+    is R_{j+1}(t1) R_{n-j}(t2) + R_{n-j-1}(t1) R_{j+1}(t2) at t_d = arccos x_d,
+    and R_0 = 0 is the convention U_{-1} = 0 that makes the edge index
+    j = n-1 well defined.
     """
     n = check_degree(n, minimum=2)
+    j = check_int(j, "index")
     if not 0 <= j <= n - 1:
         raise IndexError(f"index {j} outside 0..{n - 1}")
-    x1, x2 = x
-    first = cheb_u(j, x1) * cheb_u(n - j - 1, x2)
-    if n - j - 2 < 0:
-        return first
-    return first + cheb_u(n - j - 2, x1) * cheb_u(j, x2)
+    th1, th2 = (np.arccos(c) for c in check_square(*x))
+    u1, v1 = cheb.dirichlet((j + 1, n - j - 1), th1)
+    u2, v2 = cheb.dirichlet((n - j, j + 1), th2)
+    return cheb.float_if_scalar(u1 * u2 + v1 * v2)
 
 
 def q_vector(n, x):
@@ -146,7 +155,7 @@ def three_term_residual(n, x):
     """
     n = check_degree(n, minimum=2)
     out = _three_term(n, struct_matrices(n), _Tables(n, x))
-    return float(out) if out.ndim == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def _three_term(n, mats, tx):
@@ -165,11 +174,11 @@ def cd_residual(n, axis, x, y):
     the structure matrix for that axis, and the correction polynomials.
     """
     n = check_degree(n, minimum=2)
-    if axis not in (1, 2):
+    if check_int(axis, "axis") not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     tx, ty = _Tables.pair(n, x, y)
     out = _cd(n, axis, struct_matrices(n), tx, ty, kernel.direct_from_tables(tx, ty))
-    return float(out) if np.ndim(out) == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def _cd(n, axis, mats, tx, ty, direct):

@@ -195,7 +195,7 @@ def fundamental_poly(pset, index, x):
     out = np.empty(shape)
     for rows, _, _, lat in blocks:
         out.reshape(-1)[rows] = lat[0, :, 0]
-    return float(out) if out.ndim == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def lattice_tables(n, dtype=float):
@@ -305,7 +305,7 @@ def lebesgue_function(pset, x):
     out = np.zeros(shape)
     for rows, _, _, lat in blocks:
         out.reshape(-1)[rows] += np.abs(lat, out=lat).sum(axis=(0, 2))
-    return float(out) if out.ndim == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def lebesgue_constant(pset, grid):

@@ -5,9 +5,10 @@ modified kernel at scattered point pairs (kernel_compact, kernel_star,
 star_matrix); Lagrange values go through the closed-form coefficients of the
 fundamental polynomials instead (interp.lagrange_matrix, lebesgue_function
 and fundamental_poly).  Each of the four terms is d_term, a sum of two
-products of Dirichlet-type ratios R_m(t) = sin(m t) / sin(t), whose
-singularities are removable: R_m takes its limit where sin(t) vanishes, so
-the compact form is finite everywhere and has no second route.
+products of Dirichlet-type ratios R_m(t) = sin(m t) / sin(t) from
+cheb.dirichlet, the package's one ratio function, whose singularities are
+removable: R_m takes its limit where sin(t) vanishes, so the compact form is
+finite everywhere and has no second route.
 kernel_direct is the direct double sum over the orthonormal product basis
 (O(n^2) per pair), the oracle the compact form is checked against, on the
 two cheb.ChebTables of its sides; direct_from_tables is the same sum on
@@ -19,8 +20,9 @@ SideTables, the angles of its points.
 
 import numpy as np
 
+from . import cheb
 from .cheb import ChebTables, check_degree, check_square, t_norm_lattice
-from .points import CODE_TO_CLASS, PointClass
+from .points import CODE_TO_CLASS, PointClass, lattice_ends
 
 # Diagonal values of the modified kernel at the nodes are n(n+1) times these.
 NODE_FACTORS = {
@@ -101,28 +103,7 @@ def kernel_direct(n, x, y):
     """
     n = check_degree(n)
     out = direct_from_tables(*ChebTables.pair(n, x, y))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _dirichlet(n, t):
-    """R_n(t) and R_{n+1}(t), where R_m(t) = sin(m t) / sin(t).
-
-    t is first reduced to r = t - j pi in [-pi/2, pi/2]: sin(r) keeps its
-    last bits near the zeros of sin, where sin(t) carries the rounding of t
-    itself.  Then R_m(t) = (-1)^(j(m-1)) R_m(r), and R_m(r) takes its limit
-    m at r = 0.
-    """
-    j = np.rint(t / np.pi)
-    r = t - j * np.pi
-    # (-1)^(j(m-1)) is 1 for odd m and (-1)^j for even m
-    alt = 1.0 - 2.0 * np.remainder(j, 2.0)
-    sin_r = np.sin(r)
-    out = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in (n, n + 1):
-            ratio = np.where(r == 0.0, float(m), np.sin(m * r) / sin_r)
-            out.append(ratio * alt if m % 2 == 0 else ratio)
-    return out
+    return cheb.float_if_scalar(out)
 
 
 def d_term(n, alpha, beta):
@@ -133,15 +114,16 @@ def d_term(n, alpha, beta):
     and R_m(t) = sin(m t) / sin(t), so the term
     1/4 [(cos(n alpha) + cos((n+1) alpha)) - (cos(n beta) + cos((n+1) beta))]
     / (cos(alpha) - cos(beta)) is 1/4 [R_n(s) R_n(d) + R_{n+1}(s) R_{n+1}(d)],
-    with R_m at its limit where sin vanishes.  alpha and beta broadcast.
+    with both ratios from one cheb.dirichlet call on the stacked s and d, at
+    their limit where sin vanishes.  alpha and beta broadcast.
     """
     n = check_degree(n)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     s_d = np.stack([0.5 * (alpha + beta), 0.5 * (alpha - beta)])
-    (rn_s, rn_d), (rm_s, rm_d) = _dirichlet(n, s_d)
+    (rn_s, rn_d), (rm_s, rm_d) = cheb.dirichlet((n, n + 1), s_d)
     out = 0.25 * (rn_s * rn_d + rm_s * rm_d)
-    return float(out) if out.ndim == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def kernel_compact(n, x, y):
@@ -154,7 +136,7 @@ def kernel_compact(n, x, y):
     """
     n = check_degree(n)
     out = _kernel_from_tables(n, point_tables(*x), point_tables(*y))
-    return float(out) if np.ndim(out) == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def kernel_star(n, x, y):
@@ -166,7 +148,7 @@ def kernel_star(n, x, y):
     sx, sy = point_tables(*x), point_tables(*y)
     # T_n(x1) = cos(n theta1)
     out = _kernel_from_tables(n, sx, sy) - np.cos(n * sx.theta1) * np.cos(n * sy.theta1)
-    return float(out) if np.ndim(out) == 0 else out
+    return cheb.float_if_scalar(out)
 
 
 def star_matrix(n, sx, sy):
@@ -193,9 +175,9 @@ def star_matrix(n, sx, sy):
 def node_star_axes(n):
     """A (length n+1) and B (length n+2) with A[k] B[eta] = n(n+1) NODE_FACTORS[class].
 
-    A node is a vertex, edge or interior node as 2, 1 or 0 of k in {0, n} and
-    eta in {0, n+1} hold.  A holds n(n+1) F_interior; an end of either range
-    multiplies it by F_edge / F_interior, which splits the class values when
+    A node is a vertex, edge or interior node as 2, 1 or 0 of its end flags
+    (points.lattice_ends) are set.  A holds n(n+1) F_interior; a set flag on
+    either axis multiplies it by F_edge / F_interior, which splits the class values when
     F_edge^2 = F_interior F_vertex (RuntimeError otherwise).  With 2, 1, 1/2
     every factor is n(n+1) times a power of two: exact to the last bit.
     """
@@ -206,11 +188,8 @@ def node_star_axes(n):
             f"edge^2 = {edge * edge!r} but interior * vertex = {interior * vertex!r}"
         )
     end = edge / interior
-    a = np.full(n + 1, n * (n + 1.0) * interior)
-    a[[0, n]] *= end
-    b = np.ones(n + 2)
-    b[[0, n + 1]] = end
-    return a, b
+    on1, on2 = lattice_ends(n)
+    return n * (n + 1.0) * interior * np.where(on1, end, 1.0), np.where(on2, end, 1.0)
 
 
 def node_star_tolerance(n):

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
-Chebyshev values come from the three-term recurrence (the library itself
-uses the trigonometric form), the kernel is the literal nested double sum
-(in float64, and in np.longdouble as the reference for the compact form),
-and tables are written one cell at a time.  Nothing here imports evaluation
+Chebyshev values come from the three-term recurrence, or from mpmath at 40
+digits (the library itself uses the trigonometric form), the kernel is the
+literal nested double sum (in float64, and in np.longdouble as the reference
+for the compact form), and tables are written one cell at a time.  Nothing here imports evaluation
 or output code from the package, with four exceptions, each an earlier form
 of a package function that its successor must match bit for bit, so each
 builds on the package's own tables and owns only the part that changed:
@@ -15,6 +15,7 @@ singular_probe_pairs_loop builds verify's probe pairs one base point at a
 time.
 """
 
+import functools
 import json
 import math
 
@@ -40,6 +41,37 @@ def cheb_u_rec(k, x):
     for _ in range(k - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+def end_and_uniform_points(rng, count=21):
+    """Points 10^-1 ... 10^-15 from -1 and from +1, then count uniform points."""
+    d = 10.0 ** -np.arange(1, 16)
+    return np.concatenate([-1.0 + d, 1.0 - d, rng.uniform(-1.0, 1.0, count)])
+
+
+@functools.lru_cache(maxsize=None)
+def chebyu_mp(k, x):
+    """U_k(x) by mpmath.chebyu at 40 digits, at the float x itself; U_{-1} = 0.
+
+    Values are kept per (k, x): one costs up to 2 ms at k = 1000.  The
+    caller skips its test when mpmath is missing.
+    """
+    import mpmath
+
+    if k < 0:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        return mpmath.chebyu(k, mpmath.mpf(x))
+
+
+def error_against_mp(got, refs):
+    """Largest |got - ref| / max(1, |ref|) over paired float and mpmath values.
+
+    Each difference is exact before its one rounding to float64."""
+    import mpmath
+
+    return max(float(abs(mpmath.mpf(float(g)) - r) / max(1, abs(r)))
+               for g, r in zip(np.ravel(got), refs))
 
 
 def t_norm_rec(k, x):

@@ -44,6 +44,39 @@ def test_second_kind_boundary_limits():
         assert cheb_u(k, -1.0) == pytest.approx((k + 1.0) * (-1.0) ** k, abs=1e-12)
 
 
+def test_second_kind_within_rounding_of_mpmath(rng):
+    # near +-1, sin((k+1) theta) / sin(theta) on an unreduced theta loses
+    # about half the digits (3.3e-10 at k = 2), far above this bound
+    pytest.importorskip("mpmath")
+    x = oracles.end_and_uniform_points(rng)
+    worst = {}
+    for k in (1, 2, 5, 17, 64, 200, 1000, 4096):
+        refs = [oracles.chebyu_mp(k, float(v)) for v in x]
+        worst[k] = oracles.error_against_mp(cheb_u(k, x), refs)
+    assert {k: e for k, e in worst.items() if e > 1e-14 * (k + 1)} == {}
+
+
+def test_dirichlet_limits_and_signs():
+    # R_m(j pi) = m (-1)^(j(m-1)), R_0 = 0, and U_k = R_{k+1}(arccos x)
+    t = np.pi * np.arange(-3, 4.0)
+    for m in range(6):
+        (r,) = cheb.dirichlet((m,), t)
+        assert r.tolist() == [m * (-1.0) ** (j * (m - 1)) for j in range(-3, 4)]
+    assert cheb.dirichlet((2, 3), 0.25) == [
+        pytest.approx(np.sin(0.5) / np.sin(0.25), abs=1e-15),
+        pytest.approx(np.sin(0.75) / np.sin(0.25), abs=1e-15),
+    ]
+
+
+def test_one_point_calls_return_python_floats():
+    assert type(cheb.float_if_scalar(np.float64(2.5))) is float
+    assert type(cheb.float_if_scalar(np.array(2.5))) is float
+    out = np.zeros(1)
+    assert cheb.float_if_scalar(out) is out
+    for value in (cheb_t(3, 0.2), cheb_u(3, 0.2), cheb_u(3, -1.0), cheb_t_norm(2, 0.2)):
+        assert type(value) is float
+
+
 def test_normalized_frozen_values():
     assert cheb_t_norm(0, 0.9) == 1.0
     assert cheb_t_norm(1, 0.5) == pytest.approx(SQRT2 * 0.5, abs=1e-15)

@@ -71,6 +71,50 @@ def test_mp_poly_index_errors():
         mp_poly(4, -1, (0.0, 0.0))
 
 
+def test_mp_poly_within_rounding_of_mpmath(rng):
+    # two-ratio products of size up to about (n+1)^2 / 2; unreduced sine
+    # quotients read 1.6e-8 at n = 17, far above this bound
+    pytest.importorskip("mpmath")
+    x1 = oracles.end_and_uniform_points(rng)
+    x2 = x1[::-1]
+    u = oracles.chebyu_mp
+    worst = {}
+    for n in (2, 5, 17, 64):
+        worst[n] = max(
+            oracles.error_against_mp(
+                mp_poly(n, j, (x1, x2)),
+                [u(j, a) * u(n - j - 1, b) + u(n - j - 2, a) * u(j, b)
+                 for a, b in zip(x1.tolist(), x2.tolist())])
+            for j in range(n))
+    assert {n: e for n, e in worst.items() if e > 1e-14 * (n + 1) ** 2} == {}
+
+
+def test_mp_poly_edge_index_one_product(rng):
+    # j = n-1 reads U_{-1} = 0: the value is U_{n-1}(x1) U_0(x2)
+    x = rng.uniform(-1, 1, (2, 50))
+    for n in (2, 3, 8):
+        assert _bits(mp_poly(n, n - 1, (x[0], x[1]))) == _bits(cheb_u(n - 1, x[0]))
+    assert type(mp_poly(3, 1, (0.2, 0.4))) is float
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: q_poly(4, v, (0.3, 0.2)), "basis index"),
+    (lambda v: mp_poly(4, v, (0.3, 0.2)), "index"),
+    (lambda v: cd_residual(3, v, (0.3, 0.2), (0.1, -0.4)), "axis"),
+], ids=["q_poly", "mp_poly", "cd_residual"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1"])
+def test_index_arguments_must_be_integers(call, name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not {value!r}$"):
+        call(value)
+
+
+def test_index_arguments_accept_numpy_integers():
+    x, y = (0.3, 0.2), (0.1, -0.4)
+    assert q_poly(4, np.int64(2), x) == q_poly(4, 2, x)
+    assert mp_poly(4, np.int32(1), x) == mp_poly(4, 1, x)
+    assert cd_residual(3, np.int64(2), x, y) == cd_residual(3, 2, x, y)
+
+
 def test_q_vector_scaling_consistency():
     vec = q_vector(1, (1.0, 1.0))
     assert vec.shape == (3,)
