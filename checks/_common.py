@@ -22,9 +22,9 @@ def padua_rows(*args):
                         f"{tmp}/out.csv"], check=True)
         return list(csv.DictReader(Path(tmp, "out.csv").read_text().splitlines()))
 
-def peak_rss(label, *argv, baseline="padua.cli", read=None):
+def peak_rss(label, *argv, baseline="padua.cli", read=None, limit_mb=32):
     """Run a child importing only `baseline`, then `python argv`, stdout through read(); return
-    (both peaks as text, whether argv's is at most 32 MB higher, its exit code, read's result)."""
+    (both peaks as text, whether argv's is at most limit_mb higher, its exit code, read's result)."""
     # ru_maxrss of RUSAGE_CHILDREN is the largest peak of the children waited for, in KB;
     # a child's counts this process's pages until it execs: call once, from a small process
     subprocess.run([sys.executable, "-c", f"import {baseline}"], check=True)
@@ -32,5 +32,6 @@ def peak_rss(label, *argv, baseline="padua.cli", read=None):
     with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE if read else None) as child:
         out = read(child.stdout) if read else None
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    return (f"import-only peak {base:.1f} MB, {label} peak {peak:.1f} MB "
-            f"(+{peak - base:.1f} MB, at most +32 allowed)"), peak - base <= 32, child.returncode, out
+    text = (f"import-only peak {base:.1f} MB, {label} peak {peak:.1f} MB "
+            f"(+{peak - base:.1f} MB, at most +{limit_mb} allowed)")
+    return text, peak - base <= limit_mb, child.returncode, out

@@ -47,10 +47,20 @@ def _as_p(p):
 
 
 def _p_mean(v, p):
-    """(mean |v|^p)^(1/p) in the float type of v; the max of |v| for p = inf."""
-    v = np.abs(v)
+    """(mean |v|^p)^(1/p) in the float type of v; for p = inf the max of |v|,
+    in float64.
+
+    The max is taken after rounding v to float64, which gives the bits of
+    float(max |v|): rounding to nearest is monotone and odd, so it commutes
+    with abs and max, NaN stays NaN and values beyond float64's range round
+    to inf either way.  An 80-bit difference of two 200 x 200 grids and its
+    max |.| take 0.90-0.95 ms in 80-bit, 0.18-0.19 ms with abs and max in
+    float64 (min of 15 runs, 2-vCPU x86_64, numpy 2.4).
+    """
     if math.isinf(p):
-        return v.max()
+        with np.errstate(over="ignore"):  # the rounding to inf is the result
+            return np.abs(np.asarray(v, dtype=float)).max()
+    v = np.abs(v)
     return np.mean(v**p) ** (1 / v.dtype.type(p))
 
 
@@ -382,13 +392,18 @@ _LD = np.longdouble
 MAX_QUAD = 1250
 
 
-def check_quad(quad_m):
-    """quad_m as an int: TypeError unless an integer, ValueError unless 1..MAX_QUAD."""
+def check_quad(quad_m, degree=None, note=""):
+    """quad_m as an int: TypeError unless an integer, ValueError unless 1..MAX_QUAD.
+
+    A quad_m set by a degree, 4 * degree or max(64, 4 * degree) nodes, is
+    refused by naming the degree and its bound MAX_QUAD // 4, then note.
+    """
     quad_m = check_int(quad_m, "quadrature size")
     if not 1 <= quad_m <= MAX_QUAD:
         raise ValueError(
             f"quadrature of {quad_m} nodes per axis: 1 to {MAX_QUAD} are allowed"
-        )
+            if degree is None else f"degree {degree} measures with {quad_m} quadrature nodes "
+            f"per axis, above {MAX_QUAD}: degrees up to {MAX_QUAD // 4} are allowed{note}")
     return quad_m
 
 
@@ -420,9 +435,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
     if not degrees or any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be nonempty and strictly increasing")
     top = max(degrees)
-    if quad_m is None:
-        quad_m = 4 * top
-    quad_m = check_quad(quad_m)
+    quad_m = check_quad(4 * top, top) if quad_m is None else check_quad(quad_m)
     check_degree(2 * top, minimum=1, what="reference degree")
     interp.check_lebesgue_size(top, grid)
 
@@ -448,7 +461,7 @@ def convergence_study(f, p, degrees, grid, quad_m=None):
         ref = instrument.on_grid(fit(2 * n)[1])
         if 2 * n in degrees:
             later[2 * n] = ref
-        en_proxy = float(np.max(np.abs(ref - values)))
+        en_proxy = float(_p_mean(ref - values, math.inf))
         leb = interp.lebesgue_constant(pset, grid)
         rows.append(
             ConvergenceRow(

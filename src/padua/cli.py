@@ -132,8 +132,7 @@ def cmd_interp(args):
     pset = points.generate(args.degree)
     func = args.function
     if func is not None:
-        quad_m = max(64, 4 * args.degree)
-        analysis.check_quad(quad_m)
+        quad_m = analysis.check_quad(max(64, 4 * args.degree), args.degree)
         samples = interp.sample(pset, func)
     else:
         samples = _load_samples(args.samples, pset)
@@ -206,8 +205,11 @@ def cmd_lebesgue(args):
 
 def cmd_converge(args):
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
+    top = max(args.degrees)
+    quad_m = args.quad if args.quad is not None else analysis.check_quad(
+        4 * top, top, "; --quad sets the quadrature")
     report = analysis.convergence_study(
-        args.function, args.p, args.degrees, grid, quad_m=args.quad
+        args.function, args.p, args.degrees, grid, quad_m=quad_m
     ).to_dict()
     header = ("function", "p", "n", "cardinality", "error_wp", "error_uniform",
               "lebesgue_estimate", "en_proxy")

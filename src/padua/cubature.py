@@ -4,10 +4,12 @@ The weight of node (k, eta) is 1 / K*(nu, nu), the reciprocal of the closed
 form A[k] * B[eta] of kernel.node_star_axes, so it is a product of one factor
 per lattice axis, a[k] * b[eta] with a = 1/A and b = 1/B.  The node set is
 the union of two tensor sub-grids of the lattice (points.PaduaSet.sub_grids),
-and integrate sums a[k] b[eta] f(x1_k, x2_eta) over each of them, calling f
-on the lattice axes once per block of whole lattice rows, in sub-grid order.
-No array over the N nodes, or over a whole sub-grid, is formed, and the sums
-are bitwise those of the same reduction over each whole sub-grid.
+and integrate sums a[k] b[eta] f(x1_k, x2_eta) over each of them, with f's
+values from the package's one node sampler, points._sub_grid_values, which
+calls f on the lattice axes once per block of whole lattice rows, in
+sub-grid order.  No array over the N nodes, or over a whole sub-grid, is
+formed, and the sums are bitwise those of the same reduction over each whole
+sub-grid.
 """
 
 from dataclasses import dataclass, field
@@ -16,18 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from . import kernel, points
-from .functions import evaluate
 
 # How many nodes the construction-time weight cross-check samples.
 _CHECK_NODES = 50
-
-# Nodes per block of lattice rows in integrate.  f's values, their weighted
-# copy and f's own temporaries are a few arrays of this size, 512 KB each,
-# whatever the degree.  In-process integrate of exp_sum at n = 2048 (min of
-# 15 calls, three runs on a noisy 2-vCPU Xeon): blocks of 63 rows (this
-# size) 9.2-12.9 ms, of 16 rows 9.1-12.8 ms, of 256 rows 15.0-18.1 ms, and
-# whole 1025-row sub-grids 21.7-29.7 ms.
-_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,31 +80,23 @@ def integrate(rule, f):
     """Weighted node sum of f; equals the weighted integral for polynomials
     of total degree at most 2n-1.
 
-    Each sub-grid is walked in blocks of whole lattice rows of about
-    _BLOCK_VALUES nodes.  f goes through functions.evaluate once per block
-    with broadcasting lattice axes: x1 of shape (R, 1) for the block's R rows
-    and x2 of shape (1, E), and should return the (R, E) values.  If it
-    raises or returns another shape, that block is evaluated node by node, in
-    sub-grid order (the even rows k first, each row in set order), and the
-    first failing node is named in the SampleEvaluationError; earlier blocks
-    are not evaluated again.  Each row's b-weighted sum and each sub-grid's
-    a-weighted sum of them are numpy's fixed-tree pairwise reductions, the
-    same as over the whole sub-grid at once, so the result does not depend on
-    the block size or on any parallel schedule.
+    f's values come from points._sub_grid_values, in blocks of whole lattice
+    rows of each sub-grid: f is called once per block with broadcasting
+    lattice axes, x1 of shape (R, 1) for the block's R rows and x2 of shape
+    (1, E), and should return the (R, E) values.  If it raises or returns
+    another shape, that block is evaluated node by node, in sub-grid order
+    (the even rows k first, each row in set order), and the first failing
+    node is named in the SampleEvaluationError.  The b factors of a sub-grid
+    are gathered once, outside its blocks.  Each row's b-weighted sum and
+    each sub-grid's a-weighted sum of them are numpy's fixed-tree pairwise
+    reductions, the same as over the whole sub-grid at once, so the result
+    does not depend on the block size or on any parallel schedule.
     """
-    x1, x2 = points.lattice_axes(rule.degree)
     total = 0.0
-    for ks, etas in rule.nodes.sub_grids():
-        # block entry (r, c) is node k = rows[r], j = c + 1 (PaduaSet.sub_grids)
-        width = etas.size
-        step = max(1, _BLOCK_VALUES // width)
-        axis2, b = x2[etas][None, :], rule.b[etas]
-        row_sums = np.empty(ks.size)
-        for start in range(0, ks.size, step):
-            rows = ks[start:start + step]
-            vals = evaluate(f, x1[rows][:, None], axis2,
-                            name=lambda i: f"node k={rows[i // width]}, j={i % width + 1}")
-            np.add.reduce(vals * b, axis=1, out=row_sums[start:start + step])
+    for ks, etas, blocks in points._sub_grid_values(rule.nodes, f):
+        b, row_sums = rule.b[etas], np.empty(ks.size)
+        for rows, vals in blocks:
+            np.add.reduce(vals * b, axis=1, out=row_sums[rows])
             del vals  # release this block's values before the next are formed
         total += np.add.reduce(rule.a[ks] * row_sums)
     return float(total)

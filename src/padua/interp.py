@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cheb, kernel
+from . import cheb, kernel, points
 from .cheb import (
     check_int,
     check_square,
-    cospi_frac,
     gauss_chebyshev_axis,
     product_series_at,
     series_on_tables,
@@ -30,7 +29,7 @@ from .cheb import (
     t_norm_values,
     total_degree_mask,
 )
-from .functions import SampleEvaluationError, as_real, evaluate  # noqa: F401 (re-exported)
+from .functions import SampleEvaluationError, as_real  # noqa: F401 (re-exported)
 
 _GRID_KINDS = ("uniform", "chebyshev")
 
@@ -121,16 +120,18 @@ class EvalGrid:
 def sample(pset, f, dtype=float):
     """f at every node, in set order, as an array in dtype.
 
-    The coordinates are formed in dtype from the lattice numerators; in
-    float64 they are bitwise pset.x1 and pset.x2.  f goes through
-    functions.evaluate: a callable that takes arrays is called once, any
-    other is visited node by node, and a failure raises
-    SampleEvaluationError naming the node.
+    f is called by points._sub_grid_values, once per block of whole lattice
+    rows of a node sub-grid, on the lattice axes in dtype (in float64
+    bitwise pset.x1 and pset.x2); a callable that takes no arrays is visited
+    node by node, and a failure raises SampleEvaluationError naming the
+    first failing node in sub-grid order, even k first.  The blocks fill
+    the (n+1) x (n+2) angle lattice, which is read back in set order.
     """
-    n = pset.degree
-    k, j = pset.k_num, pset.j_num
-    return evaluate(f, cospi_frac(k, n, dtype), cospi_frac(pset.eta_num, n + 1, dtype),
-                    dtype, name=lambda i: f"node k={k[i]}, j={j[i]}")
+    lattice = np.empty((pset.degree + 1, pset.degree + 2), dtype)
+    for ks, etas, blocks in points._sub_grid_values(pset, f, dtype):
+        for rows, vals in blocks:
+            lattice[ks[rows, None], etas] = vals
+    return lattice[pset.k_num, pset.eta_num]
 
 
 def _lagrange_blocks(n, x, grids):

@@ -5,9 +5,12 @@ the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
 which is the union of two tensor sub-grids: even k with odd eta, and odd k
 with even eta (sub_grids).  The set has (n+1)(n+2)/2 nodes for every n >= 1.
 Code that works on those grids, such as the cubature sum and the CLI's node
-tables, reads only per-axis data (lattice_axes, lattice_ends).  PaduaSet
-checks its degree at construction and builds each per-node array on its own
-first read, from the degree and the arrays it depends on.
+tables, reads only per-axis data (lattice_axes, lattice_ends).  A function
+on the nodes is called by one sampler, _sub_grid_values, once per block of
+whole lattice rows of a sub-grid: cubature.integrate sums the blocks and
+interp.sample lays them on the lattice.  PaduaSet checks its degree at
+construction and builds each per-node array on its own first read, from the
+degree and the arrays it depends on.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .cheb import cheb_t, check_degree, check_int, cospi_frac
+from .functions import evaluate
 
 
 class PointClass(Enum):
@@ -172,9 +176,49 @@ def _row_counts(n):
     return np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
 
 
-def lattice_axes(n):
-    """The lattice cosines cos(k pi/n), k = 0..n, and cos(eta pi/(n+1)), eta = 0..n+1."""
-    return cospi_frac(np.arange(n + 1), n), cospi_frac(np.arange(n + 2), n + 1)
+def lattice_axes(n, dtype=float):
+    """The lattice cosines cos(k pi/n), k = 0..n, and cos(eta pi/(n+1)), eta = 0..n+1,
+    in dtype."""
+    return cospi_frac(np.arange(n + 1), n, dtype), cospi_frac(np.arange(n + 2), n + 1, dtype)
+
+
+# Nodes per block of lattice rows in _sub_grid_values.  f's values, the
+# weighted copy cubature.integrate makes of them and f's own temporaries are
+# a few arrays of this size, 512 KB each in float64, whatever the degree.
+# In-process cubature.integrate of exp_sum at n = 2048 (min of 15 calls,
+# three runs on a noisy 2-vCPU Xeon): blocks of 63 rows (this size)
+# 9.2-12.9 ms, of 16 rows 9.1-12.8 ms, of 256 rows 15.0-18.1 ms, and whole
+# 1025-row sub-grids 21.7-29.7 ms.
+_BLOCK_VALUES = 1 << 16
+
+
+def _sub_grid_values(pset, f, dtype=float):
+    """f at the nodes of pset, one sub-grid at a time, in blocks of whole lattice rows.
+
+    Yields (ks, etas, blocks) for each grid of pset.sub_grids(), even k
+    first.  blocks yields (rows, vals) for consecutive slices rows of ks of
+    about _BLOCK_VALUES nodes: vals[r, c] is f in dtype at the node of
+    lattice row k = ks[rows][r] and eta = etas[c], which is node j = c + 1 of
+    its row.  The per-grid work, such as gathering x2 at etas, is done once
+    per grid; each block is one functions.evaluate call on broadcasting
+    lattice axes in dtype, x1 of shape (R, 1) and x2 of shape (1, E), which
+    in float64 are bitwise the set's x1 and x2.  If f raises or returns
+    another shape, that block is evaluated node by node, and the first
+    failing node is named in the SampleEvaluationError, in sub-grid order:
+    the even rows k first, each row in set order.  Earlier blocks are not
+    evaluated again.
+    """
+    x1, x2 = lattice_axes(pset.degree, dtype)
+
+    def blocks(ks, axis2):
+        step = max(1, _BLOCK_VALUES // axis2.size)
+        for start in range(0, ks.size, step):
+            rows = slice(start, start + step)
+            yield rows, evaluate(f, x1[ks[rows], None], axis2, dtype, name=lambda i: (
+                f"node k={ks[start + i // axis2.size]}, j={i % axis2.size + 1}"))
+
+    for ks, etas in pset.sub_grids():
+        yield ks, etas, blocks(ks, x2[etas][None, :])
 
 
 def lattice_ends(n):

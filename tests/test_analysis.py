@@ -34,6 +34,47 @@ def _t(k, x):
     return np.cos(k * np.arccos(x))
 
 
+def _max_abs_cases():
+    ld = np.longdouble
+    one, two = ld(1), ld(2)
+    big = two ** 1023 * (two - two ** -52)  # the largest float64
+    cases = [
+        # ties and near-ties of float64 rounding around 1 and the largest float64
+        [one + two ** -53, -(one + two ** -53 - two ** -63), one],
+        [one + two ** -53 + two ** -63, -(one + two ** -52)],
+        [-(one + two ** -53), one + 3 * two ** -54],
+        [big, big + two ** 1023 * two ** -54, -(big + two ** 1023 * (two ** -53 - two ** -62))],
+        [big + two ** 1023 * two ** -53, one],  # rounds to inf, as float() does
+        # beyond float64's range, subnormals, zeros, inf and NaN
+        [two ** 1100, -two ** 2000, one],
+        [two ** -1074 * ld(0.75), -two ** -1070, two ** -16000, -ld(0.0)],
+        [-ld(0.0), ld(0.0)],
+        [ld(np.inf), one],
+        [-ld(np.inf), -two ** 1100],
+        [one, ld(np.nan), -ld(np.inf)],
+        [ld(np.nan)],
+    ]
+    rng = np.random.default_rng(5)
+    grid = rng.standard_normal((200, 200)).astype(ld)
+    # every value a hair off a float64 tie
+    grid += np.sign(grid) * np.spacing(grid.astype(float)).astype(ld) * (0.5 + two ** -60)
+    return [np.array(c, dtype=ld) for c in cases] + [grid, grid - grid.T]
+
+
+@pytest.mark.parametrize("v", _max_abs_cases())
+def test_p_mean_inf_is_the_float_of_the_80bit_max_abs(v):
+    # the max of |v| taken in float64 has the bits of float(max |v|) in
+    # 80-bit; a NaN is a NaN either way, but numpy's 80-bit abs gives -x for
+    # a NaN x, so only its sign bit may differ
+    with np.errstate(over="ignore"):
+        want = np.float64(float(np.max(np.abs(v))))
+    got = np.float64(analysis._p_mean(v, math.inf))
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert got.view(np.int64) == want.view(np.int64)
+
+
 def test_lp_norm_constant():
     for p in (0.5, 1.0, 2.0, 4.0):
         assert lp_norm(lambda a, b: -3.0 * np.ones_like(a * b), p) == pytest.approx(3.0)
@@ -387,8 +428,10 @@ def test_convergence_study_evaluates_each_grid_series_and_f_on_the_grid_once(mon
     assert sorted(series_degrees) == [4, 8, 16, 24, 32, 48]
     assert shapes.count((30, 30)) == 1
     assert shapes.count((40, 40)) == 1
-    # plus the node samples of the six fits
-    assert len(shapes) == 2 + 6
+    # plus the node samples of the six fits, one call per node sub-grid
+    fits = [(ks.size, etas.size) for n in (4, 8, 16, 24, 32, 48)
+            for ks, etas in generate(n).sub_grids()]
+    assert sorted(shapes) == sorted([(30, 30), (40, 40), *fits])
 
 
 def test_lp_norm_failure_names_the_point():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from padua import interp, kernel, points, verify
+from padua import analysis, functions, interp, kernel, points, verify
 from padua.analysis import MAX_MARCINKIEWICZ_DEGREE, MAX_MARCINKIEWICZ_TRIALS, MAX_QUAD
 from padua.cheb import MAX_DEGREE
 from padua.cli import build_parser, main
@@ -352,6 +352,40 @@ def test_interp_function_quad_outside_bound_exits_2_before_sampling(capsys, monk
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(MAX_QUAD) in err
+
+
+def test_interp_function_default_quad_refusal_names_the_degree_bound(capsys, monkeypatch):
+    def refuse(pset, f, dtype=float):
+        raise AssertionError(f"degree {pset.degree} sampled past the limit")
+
+    monkeypatch.setattr(interp, "sample", refuse)
+    code, out, err = run_cli(capsys, "interp", "--degree", "313", "--function", "franke")
+    assert (code, out) == (2, "")
+    assert err == ("error: degree 313 measures with 1252 quadrature nodes per axis, above "
+                   f"{MAX_QUAD}: degrees up to 312 are allowed\n")
+    assert analysis.check_quad(max(64, 4 * 312), 312) == 1248
+
+
+def test_converge_default_quad_refusal_names_the_degree_bound_and_quad(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"node set of degree {n} built past the limit")
+
+    monkeypatch.setattr(points, "generate", refuse)
+    code, out, err = run_cli(capsys, "converge", "--function", "franke", "--degrees", "4,400")
+    assert (code, out) == (2, "")
+    assert err == ("error: degree 400 measures with 1600 quadrature nodes per axis, above "
+                   f"{MAX_QUAD}: degrees up to 312 are allowed; --quad sets the quadrature\n")
+    # an explicit --quad keeps the plain size bound, whatever the degrees
+    code, out, err = run_cli(capsys, "converge", "--function", "franke", "--degrees", "4,400",
+                             "--quad", "2000")
+    assert (code, out) == (2, "")
+    assert err == f"error: quadrature of 2000 nodes per axis: 1 to {MAX_QUAD} are allowed\n"
+
+
+def test_convergence_study_default_quad_refusal_names_the_degree():
+    with pytest.raises(ValueError, match=r"^degree 400 measures with 1600 quadrature nodes per "
+                                         r"axis, above 1250: degrees up to 312 are allowed$"):
+        analysis.convergence_study(functions.get("franke"), 2, [4, 400], EvalGrid(10))
 
 
 def test_verify_csv_format(capsys):

@@ -464,6 +464,46 @@ def test_ideal_certificate_negative_controls(n):
         assert _rank_mod_prime(_span_rows(n, d, fold=False)) > _ideal_dimension(n, d)
 
 
+def _aliasing_rows(n, d, image=oracles.aliasing_image, flip=1):
+    """The integer rows of T_alpha(x1) T_beta(x2) - flip * sign T_a(x1) T_b(x2),
+    (sign, a, b) = image(n, alpha, beta), one per alpha + beta <= m = n+1+d,
+    over the T_a T_b with a + b <= m."""
+    m = n + 1 + d
+    ks = np.arange(m + 1)
+    within = ks[:, None] + ks[None, :] <= m
+    alpha, beta = np.nonzero(within)
+    sign, a, b = image(n, alpha, beta)
+    rows = np.zeros((alpha.size, m + 1, m + 1), dtype=np.int64)
+    i = np.arange(alpha.size)
+    rows[i, alpha, beta] += 1
+    rows[i, a, b] -= flip * sign
+    return rows[:, within]
+
+
+def _misfolded_image(n, alpha, beta):
+    """The aliasing map with x2 folded at x1's period 2n instead of 2(n+1)."""
+    a, b = oracles.fold(alpha, 2 * n), oracles.fold(beta, 2 * n)
+    low = a + b <= n
+    return np.where(low, 1, -1), np.where(low, a, n - a), np.where(low, b, n + 1 - b)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 13) for d in (0, 1, 2)])
+def test_aliasing_map_is_the_normal_form_modulo_the_node_ideal(n, d):
+    # every T_alpha T_beta minus its image under oracles.aliasing_image lies
+    # in the degree-m part of the node ideal, which the rows x^gamma q_k
+    # span (test_q_rows_generate_the_node_ideal): appending the rows leaves
+    # the rank mod p at its dimension, with no floating point anywhere
+    span, dim = _span_rows(n, d), _ideal_dimension(n, d)
+    rows = _aliasing_rows(n, d)
+    # each of the m + 1 products of degree m > n has an image of degree <= n
+    assert np.any(rows, axis=1).sum() >= n + 2 + d
+    assert _rank_mod_prime(np.concatenate([span, rows])) == dim
+    # negative controls: the image with its sign flipped, or with x2 folded
+    # at the wrong period, leaves the ideal and raises the rank
+    for wrong in (_aliasing_rows(n, d, flip=-1), _aliasing_rows(n, d, _misfolded_image)):
+        assert _rank_mod_prime(np.concatenate([span, wrong])) > dim
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_ideal_products_match_q_rows(rng, n):
     # the integer rows, summed by numpy's Chebyshev series, are 2^|alpha|

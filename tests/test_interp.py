@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 from oracles import kernel_star_double_sum, lebesgue_grid_max, t_norm_rec
-from padua import cheb, fundamental_poly, interp, kernel
+from padua import cheb, functions, fundamental_poly, interp, kernel
 from padua.cheb import cospi_frac, product_series_at, t_norm_lattice, t_norm_values
+from padua.functions import evaluate
 from padua.interp import (
     EvalGrid,
     SampleEvaluationError,
@@ -77,7 +78,7 @@ def test_sample_failure_names_node():
 
 def test_sample_scalar_fallback_reads_columns():
     # a callable that rejects arrays takes the per-node path, which reads the
-    # set's columns and leaves the PaduaPoint records unbuilt
+    # lattice axes block by block and leaves the PaduaPoint records unbuilt
     def poly(a, b):
         return a * a * b + 3.0 * a - b
 
@@ -93,16 +94,18 @@ def test_sample_scalar_fallback_reads_columns():
 
 
 def test_sample_does_not_retry_after_memory_error():
+    # f's first call is the first block: the even-k sub-grid of n = 6, rows
+    # k = 0, 2, 4, 6 by etas 1, 3, 5, 7
     calls = []
 
     def f(a, b):
-        calls.append(np.shape(a))
+        calls.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
         raise MemoryError
 
     pset = generate(6)
     with pytest.raises(MemoryError):
         sample(pset, f)
-    assert calls == [(len(pset),)]
+    assert calls == [(4, 4)]
 
 
 def test_sample_80bit_scalar_fallback_equals_vectorized():
@@ -130,18 +133,109 @@ def test_sample_80bit_scalar_fallback_equals_vectorized():
 
 @pytest.mark.parametrize("n", [*range(1, 65), 2048])
 def test_sample_float64_coordinates_are_the_sets(n):
+    # the coordinates arrive per block of lattice rows, as a column of x1 and
+    # a row of x2; in sub-grid order they are bitwise the set's x1 and x2
     seen = []
 
     def f(a, b):
-        seen.append((a, b))
+        assert a.shape[1] == b.shape[0] == 1
+        seen.append(np.broadcast_arrays(a, b))
         return a + b
 
     pset = generate(n)
     sample(pset, f)
-    (a, b), = seen
-    assert a.dtype == b.dtype == np.float64
-    assert np.array_equal(a.view(np.int64), pset.x1.view(np.int64))
-    assert np.array_equal(b.view(np.int64), pset.x2.view(np.int64))
+    order = np.concatenate([(pset.row_starts[ks][:, None] + np.arange(etas.size)).ravel()
+                            for ks, etas in pset.sub_grids()])
+    for d, want in enumerate((pset.x1, pset.x2)):
+        got = np.concatenate([block[d].ravel() for block in seen])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want[order].view(np.int64))
+
+
+def _old_sample(pset, f, dtype):
+    """sample's former route: f once on the per-node coordinate arrays."""
+    n = pset.degree
+    return evaluate(f, cospi_frac(pset.k_num, n, dtype),
+                    cospi_frac(pset.eta_num, n + 1, dtype), dtype)
+
+
+def _same_bits(a, b):
+    # an 80-bit value fills 10 of its 16 bytes; the rest is padding
+    width = 10 if a.dtype == np.longdouble else 8
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint8).reshape(a.size, -1)[:, :width],
+                               b.view(np.uint8).reshape(b.size, -1)[:, :width]))
+
+
+def _scalar_only(f):
+    def g(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        return f(a, b)
+    return g
+
+
+@pytest.mark.parametrize("dtype", [float, np.longdouble])
+@pytest.mark.parametrize("n", [*range(1, 65), 1024])
+def test_sample_bitwise_the_per_node_route(n, dtype):
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(-1.0, 1.0, (6, 5))
+
+    def series(a, b):
+        # sum of c[i, j] T_i(a) T_j(b) by Clenshaw, elementwise on the broadcast
+        return np.polynomial.chebyshev.chebval(b, np.polynomial.chebyshev.chebval(a, coeffs),
+                                               tensor=False)
+
+    pset = generate(n)
+    for f in (*functions.BUILTIN_FUNCTIONS.values(), series):
+        assert _same_bits(sample(pset, f, dtype), _old_sample(pset, f, dtype)), (n, f)
+    if n in (1, 2, 3, 16, 33, 64):
+        # node by node, each node's coordinates are the same scalars
+        for f in (functions.get("franke"), series):
+            g = _scalar_only(f)
+            assert _same_bits(sample(pset, g, dtype), _old_sample(pset, g, dtype)), (n, f)
+
+
+def test_sample_failure_names_first_node_in_sub_grid_order():
+    # rows k = 1 (odd) and k = 2 (even) fail; the even-k sub-grid comes
+    # first, so node k=2, j=1 is named although k=1 comes first in set order
+    n = 6
+    pset = generate(n)
+
+    def fails_inside(a, b):
+        if np.ndim(a) > 0:
+            raise TypeError("scalar only")
+        if 0.0 < a < 0.9:
+            raise ValueError("boom")
+        return 1.0
+
+    def message(k, j, node=""):
+        i = pset.position((k, j))
+        return (f"function evaluation failed at {node}"
+                f"x=({float(pset.x1[i])!r}, {float(pset.x2[i])!r})")
+
+    with pytest.raises(SampleEvaluationError) as info:
+        _old_sample(pset, fails_inside, float)
+    assert str(info.value) == message(1, 1)
+    with pytest.raises(SampleEvaluationError) as info:
+        sample(pset, fails_inside)
+    assert str(info.value) == message(2, 1, "node k=2, j=1, ")
+
+
+def test_sample_peak_memory_at_degree_1024():
+    # f's values fill the 1025 x 1026 lattice block by block (8.4 MB), read
+    # back in set order through the set's k and eta arrays (4.2 MB each, and
+    # j of the node that eta is built from); the per-node route's coordinate
+    # arrays and f's temporaries over all 525825 nodes peaked at 42.1 MB, the
+    # sub-grid blocks at 25.3 MB
+    pset = generate(1024)
+    tracemalloc.start()
+    try:
+        sample(pset, functions.get("franke"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 def test_interpolate_constant(rng):
