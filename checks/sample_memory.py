@@ -26,10 +26,12 @@ def node(pos, n=4096):
     eta = 2 * pos + 1 - k % 2
     return math.cos(math.pi * k / n), math.cos(math.pi * eta / (n + 1))
 
-# f is called on blocks of whole lattice rows of each node sub-grid, which fill the
-# 4097 x 4098 lattice once; the parent's per-node coordinate arrays read +642 MB
+# f is called on blocks of whole lattice rows of each node sub-grid, written straight into
+# the sub-grid views of the 67.2 MB result, which read +67.1 MB; the bound leaves 29 MB for
+# f's block temporaries and platform differences.  A lattice filled and gathered through
+# per-node index arrays read +385.6 MB, and per-node coordinate arrays +642 MB
 rss, rss_ok, code, out = peak_rss("sample(generate(4096), franke)", "-c", CHILD,
-                                  baseline="padua", limit_mb=512,
+                                  baseline="padua", limit_mb=96,
                                   read=lambda pipe: pipe.read().decode().split())
 size, *values = out
 err = max(abs(float(v) - franke(*node(i))) for i, v in zip(POSITIONS, values))

@@ -152,8 +152,8 @@ def _marcinkiewicz_setup(n, p):
     """Checked degree and p, then the tables every ratio of degree n reads.
 
     The tables are the orthonormal lattice tables of the two node axes, the
-    flat index k_num * (n+2) + eta_num of each node on that lattice, and the
-    orthonormal table at the quadrature axis.  Degrees above
+    node set, whose sub_grid_views carry the lattice values to the nodes,
+    and the orthonormal table at the quadrature axis.  Degrees above
     MAX_MARCINKIEWICZ_DEGREE raise ValueError before any table is built.
     """
     n = check_degree(n, minimum=1)
@@ -168,7 +168,6 @@ def _marcinkiewicz_setup(n, p):
         raise ValueError(f"p must be finite and at least 1, got {p}")
     pset = points.generate(n)
     l1, l2 = interp.lattice_tables(n)
-    at_nodes = pset.k_num * (n + 2) + pset.eta_num
     # The denominator is the tensor Gauss-Chebyshev rule on m nodes per axis,
     # which is exact per axis up to degree 2m - 1.  For an even integer p,
     # |P|^p = P^p has degree at most pn in each variable, whatever the
@@ -180,15 +179,19 @@ def _marcinkiewicz_setup(n, p):
     if p % 2 == 0:
         m = min(m, int(p) * n // 2 + 1)
     qnodes, _ = gauss_chebyshev_axis(m)
-    return n, p, (l1, l2, at_nodes, t_norm_values(n, qnodes))
+    return n, p, (l1, l2, pset, t_norm_values(n, qnodes))
 
 
-def _ratios(coeffs, p, l1, l2, at_nodes, q):
+def _ratios(coeffs, p, l1, l2, pset, q):
     """Ratios of a (B, n+1, n+1) block of coefficient matrices, one per matrix."""
-    lattice = series_on_tables(coeffs, l1, l2).reshape(len(coeffs), -1)
-    # a C-contiguous (B, N) gather, so that each row's mean is summed in the
-    # same order whatever the block size
-    node_vals = np.ascontiguousarray(lattice[:, at_nodes])
+    lattice = series_on_tables(coeffs, l1, l2)
+    # P at the nodes, copied sub-grid by sub-grid into a C-contiguous (B, N)
+    # array, so that each row's mean is summed in the same order whatever
+    # the block size; abs and power run on it whole, not on strided views
+    node_vals = np.empty((len(coeffs), len(pset)))
+    for view, (ks, etas) in zip(pset.sub_grid_views(node_vals), pset.sub_grids()):
+        view[...] = lattice[:, ks[0]::2, etas[0]::2]
+    del lattice  # freed before the quadrature product, which reuses its pages
     np.abs(node_vals, out=node_vals)
     node_vals **= p
     quad_vals = series_on_tables(coeffs, q, q)

@@ -120,9 +120,9 @@ def _load_samples(path, pset):
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]
+        k, j = pset.node_index(i)
         raise SampleMismatchError(
-            f"non-finite sample {values[i]} in row {i + 1} "
-            f"(node k={pset.k_num[i]}, j={pset.j_num[i]})"
+            f"non-finite sample {values[i]} in row {i + 1} (node k={k}, j={j})"
         )
     return values
 

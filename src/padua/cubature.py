@@ -38,8 +38,9 @@ class CubatureRule:
 
     @cached_property
     def weights(self):
-        """The node weights in set order, built on first read."""
-        return self.a[self.nodes.k_num] * self.b[self.nodes.eta_num]
+        """The node weights in set order, built on first read: each sub-grid
+        (ks, etas) is the outer product a[ks] b[etas] (PaduaSet.from_sub_grids)."""
+        return self.nodes.from_sub_grids(lambda ks, etas: self.a[ks, None] * self.b[etas])
 
 
 def build_rule(pset):

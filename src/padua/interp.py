@@ -1,17 +1,23 @@
 """The Lagrange interpolation operator: sampling, evaluation, Lebesgue estimates.
 
-Interpolants on a tensor grid are the Chebyshev coefficients of
-to_coefficients evaluated as a tensor series.  Fundamental polynomials have
-one closed form: the node factors of _node_factors, their cumulative b-sum
-_tail_sums, and a matrix product over a.  On one tensor grid _grid_blocks
-builds one b-sum per node sub-grid over the grid's second axis and takes
-one product per chunk of whole lattice rows of nodes: lebesgue_constant
-runs it on the half of an evaluation grid that the node set's reflection
-maps onto the rest, verify's delta check on each node sub-grid in turn.
-At scattered points _lagrange_blocks builds one per block of points,
-O(n^3) a point in blocks of bounded size: lagrange_matrix writes them in
-set order, lebesgue_function sums their absolute values as they come, and
-fundamental_poly runs it on a one-node grid.
+Values move between set order and the node lattice only through the set's
+sub-grid views (points.PaduaSet.sub_grid_views), with no per-node index
+array: sample writes f's blocks into the views of its result,
+to_coefficients writes each view's node-weighted samples into its slice of
+the lattice matrix, and lagrange_matrix writes each block of values into
+the views of its rows.  Interpolants on a tensor grid are the Chebyshev
+coefficients of to_coefficients evaluated as a tensor series.
+
+Fundamental polynomials have one closed form: the node factors of
+_node_factors, their cumulative b-sum _tail_sums, and a matrix product over
+a.  On one tensor grid _grid_blocks builds one b-sum per node sub-grid over
+the grid's second axis and takes one product per chunk of whole lattice rows
+of nodes: lebesgue_constant runs it on the half of an evaluation grid that
+the node set's reflection maps onto the rest, verify's delta check on each
+node sub-grid in turn.  At scattered points _lagrange_blocks builds one per
+block of points, O(n^3) a point in blocks of bounded size: lagrange_matrix
+writes them in set order, lebesgue_function sums their absolute values as
+they come, and fundamental_poly runs it on a one-node grid.
 """
 
 from dataclasses import dataclass
@@ -124,21 +130,23 @@ def sample(pset, f, dtype=float):
     rows of a node sub-grid, on the lattice axes in dtype (in float64
     bitwise pset.x1 and pset.x2); a callable that takes no arrays is visited
     node by node, and a failure raises SampleEvaluationError naming the
-    first failing node in sub-grid order, even k first.  The blocks fill
-    the (n+1) x (n+2) angle lattice, which is read back in set order.
+    first failing node in sub-grid order, even k first.  Each block is
+    written into the rows of its sub-grid's view of the result
+    (PaduaSet.sub_grid_views), with no lattice and no gather.
     """
-    lattice = np.empty((pset.degree + 1, pset.degree + 2), dtype)
-    for ks, etas, blocks in points._sub_grid_values(pset, f, dtype):
+    out = np.empty(len(pset), dtype)
+    views = pset.sub_grid_views(out)
+    for view, (_, _, blocks) in zip(views, points._sub_grid_values(pset, f, dtype)):
         for rows, vals in blocks:
-            lattice[ks[rows, None], etas] = vals
-    return lattice[pset.k_num, pset.eta_num]
+            view[rows] = vals
+    return out
 
 
 def _lagrange_blocks(n, x, grids):
     """Fundamental-polynomial values at the points x = (x1, x2), in blocks.
 
-    Returns the broadcast shape of x and a generator of (rows, grid, cols,
-    lat) over the tensor grids (ks, etas) of nodes in grids: lat[i, p, c] is
+    Returns the broadcast shape of x and a generator of (rows, s, cols, lat)
+    over the tensor grids (ks, etas) = grids[s] of nodes: lat[i, p, c] is
     the polynomial of node (ks[i], etas[cols][c]) at flat point rows[p], a
     fresh array.  Per block of points and grid: _tail_sums of the Tnorm_b(x2)
     and the grid's eta factors, times Tnorm_a(x1), then one matrix product
@@ -155,13 +163,13 @@ def _lagrange_blocks(n, x, grids):
         for start in range(0, x1.size, block):
             rows = slice(start, start + block)
             u, v = t_norm_values(n, x1[rows]), t_norm_values(n, x2[rows])
-            for grid, (left, right) in zip(grids, tables):
+            for s, (left, right) in enumerate(tables):
                 for first in range(0, right.shape[1], chunk):
                     cols = slice(first, first + chunk)
                     y = _tail_sums(v, right[:, cols])
                     y *= u[:, :, None]
                     lat = left.T @ y.reshape(n + 1, -1)
-                    yield rows, grid, cols, lat.reshape(left.shape[1], u.shape[1], -1)
+                    yield rows, s, cols, lat.reshape(left.shape[1], u.shape[1], -1)
     return shape, blocks()
 
 
@@ -170,17 +178,14 @@ def lagrange_matrix(pset, x1, x2):
 
     x1 and x2 broadcast together; row i is the point at flat index i of the
     broadcast shape in C order.  Each block of _lagrange_blocks on the two
-    sub-grids is written through one strided view of its set positions.
+    sub-grids is written into its sub-grid's view of the result
+    (PaduaSet.sub_grid_views).
     """
     shape, blocks = _lagrange_blocks(pset.degree, (x1, x2), pset.sub_grids())
     out = np.empty((np.prod(shape, dtype=int), len(pset)))
-    for rows, (ks, etas), cols, lat in blocks:
-        # set order pairs lattice row 2r with row 2r + 1, n + 2 nodes a
-        # pair, so a grid's rows are rows n + 2 apart from its first node
-        dest = np.lib.stride_tricks.as_strided(
-            out[rows, pset.row_starts[ks[0]]:], shape=(lat.shape[1], ks.size, etas.size),
-            strides=(out.strides[0], (pset.degree + 2) * out.strides[1], out.strides[1]))
-        dest[:, :, cols] = lat.transpose(1, 0, 2)
+    views = pset.sub_grid_views(out)
+    for rows, s, cols, lat in blocks:
+        views[s][rows, :, cols] = lat.transpose(1, 0, 2)
     return out
 
 
@@ -275,10 +280,10 @@ def _check_samples(pset, samples):
         )
     bad = np.argwhere(~np.isfinite(samples))
     if bad.size:
-        i = bad[0][-1]
+        k, j = pset.node_index(bad[0][-1])
         raise ValueError(
             f"{len(bad)} non-finite sample(s), first {samples[tuple(bad[0])]} "
-            f"at node k={pset.k_num[i]}, j={pset.j_num[i]}"
+            f"at node k={k}, j={j}"
         )
     return samples
 
@@ -342,17 +347,22 @@ def to_coefficients(pset, samples):
     Tnorm_a(x1) * Tnorm_b(x2), zero for a + b > n.  This is the node-side
     expansion of the modified kernel: a projection of the node-weighted
     samples on the angle lattice, with the pure-x1 top-degree coefficient
-    halved.  The samples sit in the (n+1) x (n+2) lattice matrix
-    G[k, m] (zero off the node set), so the projection is the matrix product
-    T1 G T2^T of two lattice tables (cheb.series_on_tables: np.dot for one
-    sample vector, @ for a batch).  C has the samples' float type: float64,
-    or np.longdouble for longdouble samples; leading axes of samples are a
-    batch.  The test suite checks it against the direct kernel sum.
+    halved.  Each sample, divided by its node value A[k] B[eta] (the
+    per-axis factors of kernel.node_star_axes), is written sub-grid by
+    sub-grid, from the samples' sub_grid_views, into the (n+1) x (n+2)
+    lattice matrix G[k, eta], zero off the node set, so the projection is
+    the matrix product T1 G T2^T of two lattice tables
+    (cheb.series_on_tables: np.dot for one sample vector, @ for a batch).
+    C has the samples' float type: float64, or np.longdouble for longdouble
+    samples; leading axes of samples are a batch.  The test suite checks it
+    against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
     n = pset.degree
     lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
-    lattice[..., pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+    a, b = kernel.node_star_axes(n)
+    for view, (ks, etas) in zip(pset.sub_grid_views(samples), pset.sub_grids()):
+        lattice[..., ks[0]::2, etas[0]::2] = view / (a[ks, None] * b[etas])
     t1, t2 = lattice_tables(n, samples.dtype)
     coeffs = series_on_tables(lattice, t1.T, t2.T)
     coeffs[..., ~total_degree_mask(n)] = 0.0

@@ -200,10 +200,12 @@ def node_star_tolerance(n):
 def node_star_values(pset):
     """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta].
 
-    verify and build_rule check this closed form against node_star_direct.
+    Each sub-grid (ks, etas) of the set is the outer product A[ks] B[etas],
+    written into its view of the result (PaduaSet.from_sub_grids).  verify
+    and build_rule check this closed form against node_star_direct.
     """
     a, b = node_star_axes(pset.degree)
-    return a[pset.k_num] * b[pset.eta_num]
+    return pset.from_sub_grids(lambda ks, etas: a[ks, None] * b[etas])
 
 
 def node_star_direct(pset, positions=slice(None)):

@@ -4,13 +4,17 @@ A node set is its degree n.  Its nodes are the odd-sum half k + eta odd of
 the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
 which is the union of two tensor sub-grids: even k with odd eta, and odd k
 with even eta (sub_grids).  The set has (n+1)(n+2)/2 nodes for every n >= 1.
-Code that works on those grids, such as the cubature sum and the CLI's node
-tables, reads only per-axis data (lattice_axes, lattice_ends).  A function
+Set order packs each sub-grid with a fixed row stride, so one map,
+PaduaSet.sub_grid_views, gives a writable view per sub-grid of any array in
+set order: every per-node gather and scatter of the package (sampling, the
+projection, the node values and weights, the Marcinkiewicz node sums, the
+Lagrange matrix and the per-node arrays themselves) goes through it, with
+per-axis data (lattice_axes, lattice_ends) on the lattice side.  A function
 on the nodes is called by one sampler, _sub_grid_values, once per block of
 whole lattice rows of a sub-grid: cubature.integrate sums the blocks and
-interp.sample lays them on the lattice.  PaduaSet checks its degree at
-construction and builds each per-node array on its own first read, from the
-degree and the arrays it depends on.
+interp.sample writes them into the sub-grid views of its result.  PaduaSet
+checks its degree at construction and builds each per-node array on its own
+first read.
 """
 
 from dataclasses import dataclass
@@ -50,12 +54,14 @@ class PaduaSet:
     """The degree-n node set, ordered lexicographically in (k, j).
 
     The set is stored as its degree, checked at construction (1 <= n <=
-    MAX_DEGREE) and kept as a plain int.  Each per-node array below is
-    derived from the degree and built on its own first read, so code that
-    needs only the numerators k_num, j_num, eta_num never builds x1, x2 or
-    class_codes; the numerators let lattice code form cos(pi k / n) and
-    cos(pi eta / (n + 1)) without an arccos round trip.  The record view
-    `points` is lazy too, so sets near the degree cap stay array-backed.
+    MAX_DEGREE) and kept as a plain int.  Values move between set order and
+    the (n+1) x (n+2) angle lattice through one map, sub_grid_views: one
+    view of a set-order array per node sub-grid, with no per-node index
+    array.  Each per-node array below is built on its own first read by
+    from_sub_grids, from per-axis data only, so reading one builds no other.
+    position, node_index and lattice_index name single nodes by arithmetic
+    on row_starts.  The record view `points` is lazy too, so sets near the
+    degree cap stay array-backed.
     """
 
     degree: int
@@ -65,43 +71,42 @@ class PaduaSet:
 
     @cached_property
     def row_starts(self):
-        """Set position of the first node of each lattice row k, and N at k = n+1."""
-        return np.concatenate([[0], np.cumsum(_row_counts(self.degree))])
+        """Set position of the first node of each lattice row k, and N at k = n+1:
+        rows 2r and 2r + 1 hold n + 2 nodes together, n//2 + 1 of them in row 2r."""
+        n, ks = self.degree, np.arange(self.degree + 2)
+        return ks // 2 * (n + 2) + ks % 2 * (n // 2 + 1)
 
     @cached_property
     def k_num(self):
         """Lattice row k of each node, int64."""
-        return np.repeat(np.arange(self.degree + 1, dtype=np.int64),
-                         np.diff(self.row_starts))
+        return self.from_sub_grids(lambda ks, etas: ks[:, None], np.int64)
 
     @cached_property
     def j_num(self):
         """Place j of each node in its row, from 1, int64."""
-        starts = self.row_starts
-        row_start = np.repeat(starts[:-1], np.diff(starts))
-        return np.arange(1, len(self) + 1, dtype=np.int64) - row_start
+        return self.from_sub_grids(lambda ks, etas: np.arange(1, etas.size + 1), np.int64)
 
     @cached_property
     def eta_num(self):
         """Second lattice numerator: eta = 2j - 1 for even k, 2j - 2 for odd k."""
-        return 2 * self.j_num - 1 - (self.k_num & 1)
+        return self.from_sub_grids(lambda ks, etas: etas, np.int64)
 
     @cached_property
     def x1(self):
         """cos(k pi / n) of each node, float64."""
-        return lattice_axes(self.degree)[0][self.k_num]
+        return self.from_sub_grids(lambda ks, etas: lattice_axes(self.degree)[0][ks, None])
 
     @cached_property
     def x2(self):
         """cos(eta pi / (n + 1)) of each node, float64."""
-        return lattice_axes(self.degree)[1][self.eta_num]
+        return self.from_sub_grids(lambda ks, etas: lattice_axes(self.degree)[1][etas])
 
     @cached_property
     def class_codes(self):
         """0, 1 or 2 (vertex, edge, interior) as 2, 1 or 0 of k in {0, n} and
         eta in {0, n+1} hold, int8."""
         on1, on2 = lattice_ends(self.degree)
-        return 2 - on1[self.k_num] - on2[self.eta_num]
+        return self.from_sub_grids(lambda ks, etas: 2 - on1[ks, None] - on2[etas], np.int8)
 
     def __len__(self):
         n = self.degree
@@ -159,10 +164,18 @@ class PaduaSet:
         k = np.searchsorted(starts, pos, side="right") - 1
         return k, 2 * (pos - starts[k]) + 1 - (k & 1)
 
+    def node_index(self, position):
+        """Index (k, j) of the node at one set position, as ints: the inverse of
+        position, from lattice_index with j = (eta + 1 + k % 2) / 2.  No
+        per-node array is read."""
+        k, eta = self.lattice_index(position)
+        return int(k), int(eta + 1 + (k & 1)) // 2
+
     def sub_grids(self):
         """The set as two tensor grids of lattice numerators: ((ks, etas), ...).
 
-        Even k with odd eta, then odd k with even eta.  Row i of a grid is
+        Even k with odd eta, then odd k with even eta: on the (n+1) x (n+2)
+        lattice, grid s is the slice [s::2, 1 - s::2].  Row i of a grid is
         lattice row ks[i], whose nodes take the etas in order, so grid entry
         (i, c) is the node at set position row_starts[ks[i]] + c.
         """
@@ -170,10 +183,32 @@ class PaduaSet:
         return ((np.arange(0, n + 1, 2), np.arange(1, n + 2, 2)),
                 (np.arange(1, n + 1, 2), np.arange(0, n + 2, 2)))
 
+    def sub_grid_views(self, values):
+        """The two sub-grids of a set-order array, as views in sub_grids() order.
 
-def _row_counts(n):
-    """Nodes per lattice row k = 0..n: n//2 + 1 for even k, (n+1)//2 + 1 for odd k."""
-    return np.where(np.arange(n + 1) % 2 == 0, n // 2 + 1, (n + 1) // 2 + 1)
+        values has the N nodes on its last axis; view s has shape
+        (..., len(ks), len(etas)), and entry (i, c) is the node (ks[i], etas[c])
+        of grid s.  This is the one map between set order and the lattice.
+        For even n every row holds n/2 + 1 nodes, so the set is an (n+1) x
+        (n/2+1) matrix of lattice rows; for odd n rows 2r and 2r + 1 hold
+        n + 2 nodes together, the first (n+1)/2 of row 2r.  Either way a view
+        splits the last axis only, so it never copies and writes to it reach
+        values.
+        """
+        n, e = self.degree, self.degree // 2 + 1
+        if n % 2 == 0:
+            rows = values.reshape(values.shape[:-1] + (n + 1, e))
+            return rows[..., 0::2, :], rows[..., 1::2, :]
+        pairs = values.reshape(values.shape[:-1] + (e, n + 2))
+        return pairs[..., :e], pairs[..., e:]
+
+    def from_sub_grids(self, value, dtype=float):
+        """The set-order array in dtype whose sub-grid view s is value(ks, etas)
+        of grid s, broadcast to (len(ks), len(etas))."""
+        out = np.empty(len(self), dtype)
+        for view, grid in zip(self.sub_grid_views(out), self.sub_grids()):
+            view[...] = value(*grid)
+        return out
 
 
 def lattice_axes(n, dtype=float):
@@ -289,5 +324,4 @@ def find_index(pset, point, tol):
         raise AmbiguousMatchError(
             f"ambiguous match: {hits.size} nodes within tolerance {tol}"
         )
-    i = hits[0]
-    return (int(pset.k_num[i]), int(pset.j_num[i]))
+    return pset.node_index(hits[0])

@@ -324,9 +324,13 @@ def test_fourier_coefficients_bitwise_equal_to_matmul_chain():
 
 
 def test_ratios_bitwise_equal_to_matmul_chains(rng):
+    # the node values are the lattice's gathered at the flat index
+    # k * (n + 2) + eta of each node, computed here from a separate set
     for n, p in ((1, 2), (2, 3), (4, 1.5), (9, 2), (16, 4)):
         _, p, tables = analysis._marcinkiewicz_setup(n, p)
-        l1, l2, at_nodes, q = tables
+        l1, l2, _, q = tables
+        nodes = generate(n)
+        at_nodes = nodes.k_num * (n + 2) + nodes.eta_num
         for size in (1, 5):
             coeffs = rng.uniform(-1.0, 1.0, (size, n + 1, n + 1))
             lattice = (l1.T @ coeffs @ l2).reshape(size, -1)

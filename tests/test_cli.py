@@ -589,13 +589,22 @@ def test_interp_sample_file_with_byte_order_mark(tmp_path, capsys, header):
     assert err == f"error: sample file {marked} is not UTF-8 text\n"
 
 
-def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys):
+def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys, monkeypatch):
     path = tmp_path / "column.csv"
     path.write_text("\n".join(["1.0"] * 4 + ["nan"] + ["1.0"] * 5))
+    made, generate = [], points.generate
+
+    def spy(n):
+        made.append(generate(n))
+        return made[-1]
+
+    monkeypatch.setattr(points, "generate", spy)
     code, out, err = run_cli(capsys, "interp", "--degree", "3", "--samples", str(path))
     assert code == 4
     assert out == ""
     assert "non-finite sample nan in row 5 (node k=1, j=3)" in err
+    # the node is named by arithmetic on the row starts, not by k_num, j_num
+    assert made and not any({"k_num", "j_num"} & set(s.__dict__) for s in made)
 
 
 def test_interp_help_lists_no_method(capsys):

@@ -729,11 +729,11 @@ def test_batched_coefficients_bitwise(rng):
 
 @pytest.mark.parametrize("n", [5, 64])
 def test_coefficients_build_no_coordinates(rng, n):
-    # the lattice matrix of the samples needs the numerators, not x1, x2
-    # or the class codes
+    # the samples reach the lattice matrix through the set's sub-grid views,
+    # with no per-node array: neither numerators nor coordinates
     pset = generate(n)
     to_coefficients(pset, rng.normal(size=len(pset)))
-    assert not {"x1", "x2", "class_codes"} & set(pset.__dict__)
+    assert not {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} & set(pset.__dict__)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -780,6 +780,7 @@ def test_batched_nonfinite_sample_reports_node():
     with pytest.raises(ValueError, match=r"2 non-finite sample\(s\), first nan at node "
                                          r"k=1, j=3"):
         to_coefficients(pset, batch)
+    assert "k_num" not in pset.__dict__ and "j_num" not in pset.__dict__
     with pytest.raises(ValueError, match="need length 10 on the last axis"):
         to_coefficients(pset, np.ones((2, len(pset) - 1)))
 

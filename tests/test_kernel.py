@@ -391,11 +391,12 @@ def test_node_functions_read_no_node_arrays():
 
 @pytest.mark.parametrize("n", [5, 64])
 def test_node_star_values_build_no_coordinates(n):
-    # the closed form reads the numerators k_num and eta_num only
+    # the closed form is written per sub-grid from the two axis factors,
+    # with no per-node array: neither numerators nor coordinates
     pset = generate(n)
     values = kernel.node_star_values(pset)
     assert values.shape == (len(pset),)
-    assert not {"x1", "x2", "class_codes"} & set(pset.__dict__)
+    assert not {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} & set(pset.__dict__)
 
 
 def test_node_star_direct_refuses_non_integer_positions():

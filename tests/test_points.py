@@ -118,6 +118,8 @@ def test_find_index_matches():
     assert find_index(pset, (0.0, -0.5), 1e-10) == (1, 2)
     assert find_index(pset, (1.0, -1.0), 1e-10) == (0, 2)
     assert find_index(pset, (0.5, 0.5), 1e-10) is None
+    # the match is named by arithmetic on the row starts, not by k_num, j_num
+    assert "k_num" not in pset.__dict__ and "j_num" not in pset.__dict__
 
 
 def test_find_index_ambiguous():
@@ -217,11 +219,12 @@ def test_generate_and_len_build_no_per_node_array():
     assert len(pset) == 4097 * 4098 // 2
     assert pset.cardinality == len(pset)
     assert "k_num" not in pset.__dict__
-    # each array is built on its own first read, with the arrays it depends on
-    pset = generate(5)
-    pset.x2
-    assert {"k_num", "j_num", "eta_num", "x2"} <= set(pset.__dict__)
-    assert not {"x1", "class_codes"} & set(pset.__dict__)
+    # each array is built on its own first read, from per-axis data only
+    names = {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes", "points", "coords"}
+    for name in names - {"points", "coords"}:
+        pset = generate(5)
+        getattr(pset, name)
+        assert names & set(pset.__dict__) == {name}
     assert pset == generate(5) and repr(pset) == "PaduaSet(degree=5)"
 
 
@@ -280,10 +283,13 @@ def test_lattice_index_inverts_position(n):
     k, eta = pset.lattice_index(np.arange(len(pset)))
     assert np.array_equal(k, pset.k_num)
     assert np.array_equal(eta, pset.eta_num)
-    with pytest.raises(IndexError):
-        pset.lattice_index([len(pset)])
-    with pytest.raises(IndexError):
-        pset.lattice_index([-1])
+    for bad in (len(pset), -1):
+        with pytest.raises(IndexError):
+            pset.lattice_index([bad])
+        with pytest.raises(IndexError):
+            pset.node_index(bad)
+    with pytest.raises(TypeError):
+        pset.node_index(1.0)
 
 
 @pytest.mark.parametrize("n", [*range(1, 41), 512])
