@@ -10,10 +10,10 @@ from padua.interp import to_coefficients
 
 n, worst = MAX_DEGREE, 0.0
 pset = generate(n)
+k, eta = pset.lattice_index(np.arange(len(pset)))  # lattice numerators in set order
 for alpha, beta in np.random.default_rng(1).integers(0, 3 * n, (3, 2)):
     # T_alpha(x1) T_beta(x2) at the nodes, from phases reduced mod 2n and 2(n+1)
-    coeffs = to_coefficients(pset, cospi_frac(alpha * pset.k_num, n)
-                             * cospi_frac(beta * pset.eta_num, n + 1))
+    coeffs = to_coefficients(pset, cospi_frac(alpha * k, n) * cospi_frac(beta * eta, n + 1))
     sign, a, b = aliasing_image(n, alpha, beta)
     # T_a T_b is Tnorm_a Tnorm_b times sqrt(1/2) for each index above 0
     coeffs[a, b] -= sign * np.sqrt(0.5) ** (np.sign(a) + np.sign(b))

@@ -52,7 +52,6 @@ from .kernel import (
 )
 from .points import (
     AmbiguousMatchError,
-    PaduaPoint,
     PaduaSet,
     PointClass,
     find_index,

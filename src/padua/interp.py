@@ -128,9 +128,9 @@ def sample(pset, f, dtype=float):
 
     f is called by points._sub_grid_values, once per block of whole lattice
     rows of a node sub-grid, on the lattice axes in dtype (in float64
-    bitwise pset.x1 and pset.x2); a callable that takes no arrays is visited
-    node by node, and a failure raises SampleEvaluationError naming the
-    first failing node in sub-grid order, even k first.  Each block is
+    bitwise the columns of pset.coords); a callable that takes no arrays is
+    visited node by node, and a failure raises SampleEvaluationError naming
+    the first failing node in sub-grid order, even k first.  Each block is
     written into the rows of its sub-grid's view of the result
     (PaduaSet.sub_grid_views), with no lattice and no gather.
     """

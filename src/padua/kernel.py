@@ -57,8 +57,8 @@ def point_tables(x1, x2):
 def node_tables(pset):
     """Side tables for the nodes of a PaduaSet, from their lattice numerators."""
     n = pset.degree
-    return SideTables(np.pi * (pset.k_num / float(n)),
-                      np.pi * (pset.eta_num / float(n + 1)))
+    return SideTables(pset.from_sub_grids(lambda ks, etas: np.pi * (ks[:, None] / float(n))),
+                      pset.from_sub_grids(lambda ks, etas: np.pi * (etas / float(n + 1))))
 
 
 def direct_from_tables(tx, ty):

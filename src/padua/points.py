@@ -8,13 +8,15 @@ Set order packs each sub-grid with a fixed row stride, so one map,
 PaduaSet.sub_grid_views, gives a writable view per sub-grid of any array in
 set order: every per-node gather and scatter of the package (sampling, the
 projection, the node values and weights, the Marcinkiewicz node sums, the
-Lagrange matrix and the per-node arrays themselves) goes through it, with
-per-axis data (lattice_axes, lattice_ends) on the lattice side.  A function
-on the nodes is called by one sampler, _sub_grid_values, once per block of
-whole lattice rows of a sub-grid: cubature.integrate sums the blocks and
-interp.sample writes them into the sub-grid views of its result.  PaduaSet
-checks its degree at construction and builds each per-node array on its own
-first read.
+Lagrange matrix and the coordinates) goes through it, with per-axis data
+(lattice_axes, lattice_ends) on the lattice side.  Single nodes are named by
+arithmetic on the lattice: position, node_index and lattice_index on the
+row starts, and find_index on the two axes.  A function on the nodes is
+called by one sampler, _sub_grid_values, once per block of whole lattice
+rows of a sub-grid: cubature.integrate sums the blocks and interp.sample
+writes them into the sub-grid views of its result.  PaduaSet checks its
+degree at construction; its one per-node array is coords, built on first
+read.
 """
 
 from dataclasses import dataclass
@@ -37,15 +39,6 @@ class AmbiguousMatchError(ValueError):
     """More than one set member lies within the match tolerance."""
 
 
-@dataclass(frozen=True, slots=True)
-class PaduaPoint:
-    k: int
-    j: int
-    x1: float
-    x2: float
-    point_class: PointClass
-
-
 CODE_TO_CLASS = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
 
 
@@ -54,14 +47,12 @@ class PaduaSet:
     """The degree-n node set, ordered lexicographically in (k, j).
 
     The set is stored as its degree, checked at construction (1 <= n <=
-    MAX_DEGREE) and kept as a plain int.  Values move between set order and
-    the (n+1) x (n+2) angle lattice through one map, sub_grid_views: one
-    view of a set-order array per node sub-grid, with no per-node index
-    array.  Each per-node array below is built on its own first read by
-    from_sub_grids, from per-axis data only, so reading one builds no other.
-    position, node_index and lattice_index name single nodes by arithmetic
-    on row_starts.  The record view `points` is lazy too, so sets near the
-    degree cap stay array-backed.
+    MAX_DEGREE) and kept as a plain int; len() is its node count.  Values
+    move between set order and the (n+1) x (n+2) angle lattice through one
+    map, sub_grid_views: one view of a set-order array per node sub-grid,
+    with no per-node index array.  position, node_index and lattice_index
+    name single nodes by arithmetic on row_starts.  The one per-node array
+    kept is coords, built on first read from the lattice axes.
     """
 
     degree: int
@@ -76,59 +67,20 @@ class PaduaSet:
         n, ks = self.degree, np.arange(self.degree + 2)
         return ks // 2 * (n + 2) + ks % 2 * (n // 2 + 1)
 
-    @cached_property
-    def k_num(self):
-        """Lattice row k of each node, int64."""
-        return self.from_sub_grids(lambda ks, etas: ks[:, None], np.int64)
-
-    @cached_property
-    def j_num(self):
-        """Place j of each node in its row, from 1, int64."""
-        return self.from_sub_grids(lambda ks, etas: np.arange(1, etas.size + 1), np.int64)
-
-    @cached_property
-    def eta_num(self):
-        """Second lattice numerator: eta = 2j - 1 for even k, 2j - 2 for odd k."""
-        return self.from_sub_grids(lambda ks, etas: etas, np.int64)
-
-    @cached_property
-    def x1(self):
-        """cos(k pi / n) of each node, float64."""
-        return self.from_sub_grids(lambda ks, etas: lattice_axes(self.degree)[0][ks, None])
-
-    @cached_property
-    def x2(self):
-        """cos(eta pi / (n + 1)) of each node, float64."""
-        return self.from_sub_grids(lambda ks, etas: lattice_axes(self.degree)[1][etas])
-
-    @cached_property
-    def class_codes(self):
-        """0, 1 or 2 (vertex, edge, interior) as 2, 1 or 0 of k in {0, n} and
-        eta in {0, n+1} hold, int8."""
-        on1, on2 = lattice_ends(self.degree)
-        return self.from_sub_grids(lambda ks, etas: 2 - on1[ks, None] - on2[etas], np.int8)
-
     def __len__(self):
         n = self.degree
         return (n + 1) * (n + 2) // 2
 
-    @property
-    def cardinality(self):
-        return len(self)
-
-    @cached_property
-    def points(self):
-        """Tuple of PaduaPoint records, lexicographic in (k, j)."""
-        return tuple(
-            PaduaPoint(int(k), int(j), float(a), float(b), CODE_TO_CLASS[c])
-            for k, j, a, b, c in zip(
-                self.k_num, self.j_num, self.x1, self.x2, self.class_codes
-            )
-        )
-
     @cached_property
     def coords(self):
-        return np.column_stack([self.x1, self.x2])
+        """The (N, 2) node coordinates (cos(k pi/n), cos(eta pi/(n+1))) in set
+        order, float64: the lattice axes written through the sub-grid views of
+        its two columns, with no per-column copy."""
+        x1, x2 = lattice_axes(self.degree)
+        out = np.empty((len(self), 2))
+        for view, (ks, etas) in zip(self.sub_grid_views(out.T), self.sub_grids()):
+            view[0], view[1] = x1[ks, None], x2[etas]
+        return out
 
     def position(self, index):
         """Array position of node (k, j); raises IndexError when absent or
@@ -237,11 +189,11 @@ def _sub_grid_values(pset, f, dtype=float):
     its row.  The per-grid work, such as gathering x2 at etas, is done once
     per grid; each block is one functions.evaluate call on broadcasting
     lattice axes in dtype, x1 of shape (R, 1) and x2 of shape (1, E), which
-    in float64 are bitwise the set's x1 and x2.  If f raises or returns
-    another shape, that block is evaluated node by node, and the first
-    failing node is named in the SampleEvaluationError, in sub-grid order:
-    the even rows k first, each row in set order.  Earlier blocks are not
-    evaluated again.
+    in float64 are bitwise the columns of the set's coords.  If f raises or
+    returns another shape, that block is evaluated node by node, and the
+    first failing node is named in the SampleEvaluationError, in sub-grid
+    order: the even rows k first, each row in set order.  Earlier blocks are
+    not evaluated again.
     """
     x1, x2 = lattice_axes(pset.degree, dtype)
 
@@ -270,8 +222,8 @@ def lattice_ends(n):
 def generate(n):
     """The degree-n node set; PaduaSet(n) checks 1 <= n <= MAX_DEGREE.
 
-    Only the degree is stored; each per-node array is built on its own first
-    read (see PaduaSet).
+    Only the degree is stored; coords is built on its first read (see
+    PaduaSet).
     """
     return PaduaSet(n)
 
@@ -312,16 +264,23 @@ def find_index(pset, point, tol):
 
     Returns the (k, j) index pair, or None when no node matches.  Raises
     AmbiguousMatchError when two or more nodes fall inside the tolerance.
+    The test is the float64 test max(|x1 - p1|, |x2 - p2|) <= tol at the
+    node coordinates, applied to each of the two lattice axes (the columns
+    of coords are bitwise lattice_axes): the matches are the pairs (k, eta)
+    of the two axes' hits with k + eta odd, counted by parity, so no
+    per-node array is built.
     """
     # written so that NaN fails too
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    d = np.maximum(np.abs(pset.x1 - point[0]), np.abs(pset.x2 - point[1]))
-    hits = np.flatnonzero(d <= tol)
-    if hits.size == 0:
+    ks, etas = (np.flatnonzero(np.abs(axis - point[d]) <= tol)
+                for d, axis in enumerate(lattice_axes(pset.degree)))
+    # odd k meet even eta, even k meet odd eta
+    odd_k, odd_eta = np.count_nonzero(ks & 1), np.count_nonzero(etas & 1)
+    count = odd_k * (etas.size - odd_eta) + (ks.size - odd_k) * odd_eta
+    if count == 0:
         return None
-    if hits.size > 1:
-        raise AmbiguousMatchError(
-            f"ambiguous match: {hits.size} nodes within tolerance {tol}"
-        )
-    return pset.node_index(hits[0])
+    if count > 1:
+        raise AmbiguousMatchError(f"ambiguous match: {count} nodes within tolerance {tol}")
+    k, eta = next((k, e) for k in ks.tolist() for e in etas.tolist() if (k + e) & 1)
+    return k, eta // 2 + 1

@@ -21,10 +21,10 @@ def direct_lagrange_matrix():
         n = pset.degree
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))[:, None]
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))[:, None]
-        nodes = (pset.x1, pset.x2)
+        nodes = tuple(pset.coords.T)
         # (P, 1) points against (N,) nodes broadcast to the (P, N) cross matrix
-        star = kernel_direct(n, (x1, x2), nodes) - cheb_t(n, x1) * cheb_t(n, pset.x1)
-        diag = kernel_direct(n, nodes, nodes) - cheb_t(n, pset.x1) ** 2
+        star = kernel_direct(n, (x1, x2), nodes) - cheb_t(n, x1) * cheb_t(n, nodes[0])
+        diag = kernel_direct(n, nodes, nodes) - cheb_t(n, nodes[0]) ** 2
         return star / diag
 
     return build

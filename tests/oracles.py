@@ -3,18 +3,20 @@
 Chebyshev values come from the three-term recurrence, or from mpmath at 40
 digits (the library itself uses the trigonometric form), the kernel is the
 literal nested double sum (in float64, and in np.longdouble as the reference
-for the compact form), and tables are written one cell at a time.  Nothing here imports evaluation
-or output code from the package, with four exceptions, each an earlier form
-of a package function that its successor must match bit for bit, so each
-builds on the package's own tables and owns only the part that changed:
-convergence_study_per_degree is the convergence study in its per-degree form
-(it owns the tables of the grids, the products and the per-degree loop);
-lagrange_matrix_scatter writes the blocks of lagrange_matrix by fancy index;
-integrate_whole_sub_grids is the cubature sum over whole sub-grids;
-singular_probe_pairs_loop builds verify's probe pairs one base point at a
-time.
+for the compact form), and tables are written one cell at a time.  The
+Padua nodes come from their definition, row by row (padua_nodes).  Nothing
+here imports evaluation or output code from the package, with five
+exceptions, each an earlier form of a package function that its successor
+must match bit for bit, so each builds on the package's own tables and owns
+only the part that changed: convergence_study_per_degree is the convergence
+study in its per-degree form (it owns the tables of the grids, the products
+and the per-degree loop); lagrange_matrix_scatter writes the blocks of
+lagrange_matrix by fancy index; integrate_whole_sub_grids is the cubature
+sum over whole sub-grids; singular_probe_pairs_loop builds verify's probe
+pairs one base point at a time; find_index_scan tests every node.
 """
 
+import collections
 import functools
 import json
 import math
@@ -129,7 +131,7 @@ def kernel_star_double_sum(n, x, y):
 def class_star_values(pset):
     """K*(nu, nu) at the nodes: n(n+1) times 2, 1 or 1/2 for vertex, edge, interior."""
     n = pset.degree
-    return n * (n + 1.0) * np.array([2.0, 1.0, 0.5])[pset.class_codes]
+    return n * (n + 1.0) * np.array([2.0, 1.0, 0.5])[padua_nodes(n).code]
 
 
 def axis_weight_factors(n):
@@ -193,6 +195,51 @@ def cospi_frac_per_entry(num, den, dtype=float):
     r = fold(np.asarray(num, dtype=np.int64), 2 * den)
     pi = ftype("3.14159265358979323846264338327950288419716939937510582")
     return np.cos(pi * (r / ftype(den)))
+
+
+PaduaNodes = collections.namedtuple("PaduaNodes", "k j eta x1 x2 code")
+
+
+def padua_nodes(n):
+    """The degree-n Padua nodes in set order, from the paper's definition.
+
+    Row by row, as perfbench/inputs.padua_nodes builds them: lattice row
+    k = 0..n holds the nodes j = 1, 2, ..., with eta = 2j - 1 for even k and
+    2j - 2 for odd k, so k + eta is odd and eta runs up to n + 1.  The node
+    is (x1, x2) = (cos(k pi/n), cos(eta pi/(n+1))), each coordinate by
+    cospi_frac_per_entry; its class code is 0, 1 or 2 (vertex, edge,
+    interior) as both, one or neither of k in {0, n} and eta in {0, n+1}
+    hold.  Every field is an array over the nodes.
+    """
+    ks, js = [], []
+    for k in range(n + 1):
+        count = n // 2 + 1 if k % 2 == 0 else (n + 1) // 2 + 1
+        ks.append(np.full(count, k))
+        js.append(np.arange(1, count + 1))
+    k, j = np.concatenate(ks), np.concatenate(js)
+    eta = np.where(k % 2 == 0, 2 * j - 1, 2 * j - 2)
+    code = 2 - np.isin(k, (0, n)).astype(int) - np.isin(eta, (0, n + 1))
+    return PaduaNodes(k, j, eta, cospi_frac_per_entry(k, n),
+                      cospi_frac_per_entry(eta, n + 1), code)
+
+
+def find_index_scan(pset, point, tol):
+    """points.find_index as a test of every node: the max-norm distance
+    max(|x1 - p1|, |x2 - p2|) of all N nodes of pset.coords against tol."""
+    from padua.points import AmbiguousMatchError
+
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    x1, x2 = pset.coords.T
+    d = np.maximum(np.abs(x1 - point[0]), np.abs(x2 - point[1]))
+    hits = np.flatnonzero(d <= tol)
+    if hits.size == 0:
+        return None
+    if hits.size > 1:
+        raise AmbiguousMatchError(
+            f"ambiguous match: {hits.size} nodes within tolerance {tol}"
+        )
+    return pset.node_index(hits[0])
 
 
 def _t_norm_lattice_table(kmax, nums, den):
@@ -315,10 +362,10 @@ def convergence_study_per_degree(f, p, degrees, grid, quad_m=None):
 
     def fit(n):
         pset = points.generate(n)
-        samples = np.asarray(f(cospi_frac(pset.k_num, n, ld),
-                               cospi_frac(pset.eta_num, n + 1, ld)), dtype=ld)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        samples = np.asarray(f(cospi_frac(k, n, ld), cospi_frac(eta, n + 1, ld)), dtype=ld)
         lattice = np.zeros((n + 1, n + 2), dtype=ld)
-        lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+        lattice[k, eta] = samples / kernel.node_star_values(pset)
         t1, t2 = interp.lattice_tables(n, ld)
         coeffs = t1 @ lattice @ t2.T
         ks = np.arange(n + 1)

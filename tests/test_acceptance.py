@@ -20,6 +20,8 @@ from padua.interp import EvalGrid
 from padua.points import generate
 from padua.verify import singular_probe_pairs
 
+import oracles
+
 
 class _Criterion:
     def __init__(self, number, label, budget_s):
@@ -57,8 +59,9 @@ def test_criterion_1_cardinality_and_unisolvence():
         lmat = interp.lagrange_matrix(pset, pts[:, 0], pts[:, 1])
         b1p = t_norm_values(n, pts[:, 0])
         b2p = t_norm_values(n, pts[:, 1])
-        b1n = t_norm_lattice(n, pset.k_num, n)
-        b2n = t_norm_lattice(n, pset.eta_num, n + 1)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        b1n = t_norm_lattice(n, k, n)
+        b2n = t_norm_lattice(n, eta, n + 1)
         for _ in range(20):
             coeffs = _random_poly(rng, n)
             truth = ((coeffs.T @ b1p) * b2p).sum(0)
@@ -76,7 +79,7 @@ def test_criterion_2_delta_property():
     ok = True
     for n in (2, 5, 10, 20):
         pset = generate(n)
-        lmat = interp.lagrange_matrix(pset, pset.x1, pset.x2)
+        lmat = interp.lagrange_matrix(pset, *pset.coords.T)
         ok &= float(np.max(np.abs(lmat - np.eye(len(pset))))) <= 1e-9
     crit.finish(ok)
 
@@ -106,7 +109,7 @@ def test_criterion_4_ideal_verification():
     for n in range(1, 65):
         pset = generate(n)
         worst = max(
-            float(np.max(np.abs(q_poly(n, k, (pset.x1, pset.x2)))))
+            float(np.max(np.abs(q_poly(n, k, tuple(pset.coords.T)))))
             for k in range(n + 2)
         )
         ok &= worst <= 1e-9 * (n + 1)
@@ -126,12 +129,12 @@ def test_criterion_5_node_values_and_weights():
         pset = generate(n)
         closed = kernel.node_star_values(pset)
         factor = {0: 2.0, 1: 1.0, 2: 0.5}
-        expect = n * (n + 1.0) * np.array([factor[c] for c in pset.class_codes])
+        expect = n * (n + 1.0) * np.array([factor[c] for c in oracles.padua_nodes(n).code])
         ok &= np.array_equal(closed, expect)
         ok &= float(np.max(np.abs(closed - kernel.node_star_direct(pset)))) <= 1e-9
     rule = cubature.build_rule(generate(2))
     by_class = {0: 1 / 12, 1: 1 / 6, 2: 1 / 3}
-    for code, w in zip(rule.nodes.class_codes, rule.weights):
+    for code, w in zip(oracles.padua_nodes(2).code, rule.weights):
         ok &= abs(w - by_class[int(code)]) <= 1e-12
     ok &= abs(float(np.sum(rule.weights)) - 1.0) <= 1e-12
     crit.finish(ok)
@@ -144,8 +147,9 @@ def test_criterion_6_cubature_exactness():
         pset = generate(n)
         rule = cubature.build_rule(pset)
         kmax = 2 * n - 1
-        b1 = t_lattice(kmax, pset.k_num, n)
-        b2 = t_lattice(kmax, pset.eta_num, n + 1)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        b1 = t_lattice(kmax, k, n)
+        b2 = t_lattice(kmax, eta, n + 1)
         vals = np.einsum("ai,bi,i->ab", b1, b2, rule.weights)
         expect = np.zeros_like(vals)
         expect[0, 0] = 1.0

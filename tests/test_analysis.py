@@ -325,12 +325,12 @@ def test_fourier_coefficients_bitwise_equal_to_matmul_chain():
 
 def test_ratios_bitwise_equal_to_matmul_chains(rng):
     # the node values are the lattice's gathered at the flat index
-    # k * (n + 2) + eta of each node, computed here from a separate set
+    # k * (n + 2) + eta of each node, computed here from the definition
     for n, p in ((1, 2), (2, 3), (4, 1.5), (9, 2), (16, 4)):
         _, p, tables = analysis._marcinkiewicz_setup(n, p)
         l1, l2, _, q = tables
-        nodes = generate(n)
-        at_nodes = nodes.k_num * (n + 2) + nodes.eta_num
+        nodes = oracles.padua_nodes(n)
+        at_nodes = nodes.k * (n + 2) + nodes.eta
         for size in (1, 5):
             coeffs = rng.uniform(-1.0, 1.0, (size, n + 1, n + 1))
             lattice = (l1.T @ coeffs @ l2).reshape(size, -1)
@@ -384,7 +384,8 @@ def test_convergence_study_80bit_matches_double_kernel_route(direct_lagrange_mat
     truth = f(ax[:, None], ax[None, :])
     for n, row in zip((8, 16), report.rows):
         pset = generate(n)
-        samples = f(cospi_frac(pset.k_num, n, ld), cospi_frac(pset.eta_num, n + 1, ld))
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        samples = f(cospi_frac(k, n, ld), cospi_frac(eta, n + 1, ld))
         coeffs = interp.to_coefficients(pset, np.asarray(samples, dtype=ld))
         assert coeffs.dtype == ld
         ext = product_series_grid(coeffs, grid.axis(ld), grid.axis(ld))

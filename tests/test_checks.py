@@ -5,8 +5,6 @@ and the same output with one value moved past the check's bound, which
 must fail.
 """
 
-import types
-
 import numpy as np
 import pytest
 
@@ -14,23 +12,26 @@ import lagrange_basis
 import lebesgue_constants
 import marcinkiewicz_ratios
 import node_arrays
-from padua import EvalGrid, generate, lebesgue_constant
+from padua import EvalGrid, cli, generate, lebesgue_constant
 from padua.analysis import marcinkiewicz_trials
 from padua.interp import lagrange_matrix
 
-NODE_ARRAYS = ("k_num", "j_num", "eta_num", "class_codes", "x1", "x2")
 
-
-# integers off by one; coordinates 2e-15 off, twice the bound of 1e-15
-@pytest.mark.parametrize("name, shift", [("k_num", 1), ("j_num", 1), ("eta_num", 1),
-                                         ("class_codes", 1), ("x1", 2e-15), ("x2", 2e-15)])
-def test_node_arrays_check_catches_a_moved_value(name, shift):
+# integers off by one, coordinates 2e-15 off (twice the bound of 1e-15), and
+# the interior node called an edge node
+@pytest.mark.parametrize("column, move", [("k", 1), ("j", 1), ("x1", 2e-15), ("x2", 2e-15),
+                                          ("class", "edge")])
+def test_node_arrays_check_catches_a_moved_value(tmp_path, column, move):
     n = 6
-    pset = generate(n)
-    arrays = {a: getattr(pset, a).copy() for a in NODE_ARRAYS}
-    assert node_arrays.compare(n, types.SimpleNamespace(**arrays))
-    arrays[name][5] += shift  # node 5 is (cos(pi/6), cos(2pi/7)), away from +-1
-    assert not node_arrays.compare(n, types.SimpleNamespace(**arrays))
+    assert cli.main(["points", "--degree", str(n), "--output", str(tmp_path / "p.csv")]) == 0
+    lines = (tmp_path / "p.csv").read_text().splitlines(keepends=True)
+    assert node_arrays.compare(n, lines)
+    # line 6 is node 5, (cos(pi/6), cos(2pi/7)), away from +-1
+    cells = lines[6].rstrip("\n").split(",")
+    i = node_arrays.HEADER.split(",").index(column)
+    cells[i] = move if isinstance(move, str) else repr(float(cells[i]) + move)
+    lines[6] = ",".join(cells) + "\n"
+    assert not node_arrays.compare(n, lines)
 
 
 def test_lebesgue_constants_check_catches_a_moved_value():

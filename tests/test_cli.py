@@ -21,6 +21,14 @@ from padua.interp import (
 from padua.points import PointClass
 from padua.verify import MAX_VERIFY_DEGREE
 
+import oracles
+
+
+def _nodes(n):
+    """(k, j, x1, x2) of every node in set order, as Python numbers, from the definition."""
+    nodes = oracles.padua_nodes(n)
+    return list(zip(*(a.tolist() for a in (nodes.k, nodes.j, nodes.x1, nodes.x2))))
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -117,11 +125,8 @@ def test_interp_unknown_function(capsys, argv):
 
 
 def test_interp_sample_file_round_trip(tmp_path, capsys):
-    from padua.points import generate
-
-    pset = generate(3)
     path = tmp_path / "samples.csv"
-    rows = ["k,j,value"] + [f"{p.k},{p.j},{p.x1 + p.x2}" for p in pset.points]
+    rows = ["k,j,value"] + [f"{k},{j},{x1 + x2}" for k, j, x1, x2 in _nodes(3)]
     path.write_text("\n".join(rows))
     code, out, _ = run_cli(
         capsys, "interp", "--degree", "3", "--samples", str(path), "--grid", "5",
@@ -504,8 +509,8 @@ def test_bad_p_exits_2(capsys, command, p):
     assert len(err.strip().splitlines()) == 1
 
 
-def _kj_file(tmp_path, pset, extra=()):
-    rows = ["k,j,value"] + [f"{p.k},{p.j},{p.x1}" for p in pset.points]
+def _kj_file(tmp_path, n, extra=()):
+    rows = ["k,j,value"] + [f"{k},{j},{x1}" for k, j, x1, _ in _nodes(n)]
     path = tmp_path / "samples.csv"
     path.write_text("\n".join(rows + list(extra)))
     return path
@@ -520,9 +525,7 @@ def _kj_file(tmp_path, pset, extra=()):
     ],
 )
 def test_interp_sample_file_bad_rows_exit_4(tmp_path, capsys, extra, message):
-    from padua.points import generate
-
-    path = _kj_file(tmp_path, generate(2), extra)
+    path = _kj_file(tmp_path, 2, extra)
     code, out, err = run_cli(capsys, "interp", "--degree", "2", "--samples", str(path))
     assert code == 4
     assert out == ""
@@ -567,11 +570,8 @@ def test_interp_sample_file_not_utf8_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("header", [True, False])
 def test_interp_sample_file_with_byte_order_mark(tmp_path, capsys, header):
     # spreadsheet tools write UTF-8 with a leading BOM
-    from padua.points import generate
-
-    pset = generate(3)
-    rows = ([f"{p.k},{p.j},{p.x1 * p.x2}" for p in pset.points] if header
-            else [f"{p.x1 * p.x2}" for p in pset.points])
+    rows = ([f"{k},{j},{x1 * x2}" for k, j, x1, x2 in _nodes(3)] if header
+            else [f"{x1 * x2}" for _, _, x1, x2 in _nodes(3)])
     text = "\n".join((["k,j,value"] if header else []) + rows)
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_text(text, encoding="utf-8")
@@ -603,8 +603,8 @@ def test_interp_sample_column_nonfinite_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "non-finite sample nan in row 5 (node k=1, j=3)" in err
-    # the node is named by arithmetic on the row starts, not by k_num, j_num
-    assert made and not any({"k_num", "j_num"} & set(s.__dict__) for s in made)
+    # the node is named by arithmetic on the row starts, not read from coords
+    assert made and not any("coords" in s.__dict__ for s in made)
 
 
 def test_interp_help_lists_no_method(capsys):

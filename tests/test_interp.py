@@ -31,8 +31,9 @@ def _random_poly(rng, n):
 
 def _poly_at_nodes(coeffs, pset):
     n = pset.degree
-    b1 = t_norm_lattice(n, pset.k_num, n)
-    b2 = t_norm_lattice(n, pset.eta_num, n + 1)
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    b1 = t_norm_lattice(n, k, n)
+    b2 = t_norm_lattice(n, eta, n + 1)
     return ((coeffs.T @ b1) * b2).sum(0)
 
 
@@ -53,7 +54,7 @@ def test_sample_product_chebyshev():
     pset = generate(4)
     f = lambda a, b: np.cos(2 * np.arccos(a)) * b
     vals = sample(pset, f)
-    direct = np.array([f(p.x1, p.x2) for p in pset.points])
+    direct = np.array([f(x1, x2) for x1, x2 in pset.coords])
     assert np.allclose(vals, direct, atol=1e-15)
 
 
@@ -69,16 +70,16 @@ def test_sample_failure_names_node():
 
     with pytest.raises(SampleEvaluationError, match="k=2, j=1") as info:
         sample(pset, bad)
-    # the coordinates print as the node's PaduaPoint record would, and the
-    # records of the sampled set stay unbuilt
-    p = generate(2).points[pset.position((2, 1))]
-    assert str(info.value).endswith(f"k=2, j=1, x=({p.x1!r}, {p.x2!r})")
-    assert "points" not in pset.__dict__
+    # the coordinates print as Python floats, those of the node in coords, and
+    # the coordinates of the sampled set stay unbuilt
+    x1, x2 = generate(2).coords[pset.position((2, 1))].tolist()
+    assert str(info.value).endswith(f"k=2, j=1, x=({x1!r}, {x2!r})")
+    assert "coords" not in pset.__dict__
 
 
 def test_sample_scalar_fallback_reads_columns():
     # a callable that rejects arrays takes the per-node path, which reads the
-    # lattice axes block by block and leaves the PaduaPoint records unbuilt
+    # lattice axes block by block and leaves coords unbuilt
     def poly(a, b):
         return a * a * b + 3.0 * a - b
 
@@ -89,7 +90,7 @@ def test_sample_scalar_fallback_reads_columns():
 
     pset = generate(9)
     vals = sample(pset, scalar_only)
-    assert "points" not in pset.__dict__
+    assert "coords" not in pset.__dict__
     assert np.array_equal(vals, sample(pset, poly))
 
 
@@ -127,14 +128,14 @@ def test_sample_80bit_scalar_fallback_equals_vectorized():
     assert vec.dtype == ld
     assert np.array_equal(sample(pset, scalar_only, ld), vec)
     n = pset.degree
-    assert np.array_equal(vec, poly(cospi_frac(pset.k_num, n, ld),
-                                    cospi_frac(pset.eta_num, n + 1, ld)))
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    assert np.array_equal(vec, poly(cospi_frac(k, n, ld), cospi_frac(eta, n + 1, ld)))
 
 
 @pytest.mark.parametrize("n", [*range(1, 65), 2048])
 def test_sample_float64_coordinates_are_the_sets(n):
     # the coordinates arrive per block of lattice rows, as a column of x1 and
-    # a row of x2; in sub-grid order they are bitwise the set's x1 and x2
+    # a row of x2; in sub-grid order they are bitwise the set's coords
     seen = []
 
     def f(a, b):
@@ -146,7 +147,7 @@ def test_sample_float64_coordinates_are_the_sets(n):
     sample(pset, f)
     order = np.concatenate([(pset.row_starts[ks][:, None] + np.arange(etas.size)).ravel()
                             for ks, etas in pset.sub_grids()])
-    for d, want in enumerate((pset.x1, pset.x2)):
+    for d, want in enumerate(pset.coords.T):
         got = np.concatenate([block[d].ravel() for block in seen])
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want[order].view(np.int64))
@@ -155,8 +156,8 @@ def test_sample_float64_coordinates_are_the_sets(n):
 def _old_sample(pset, f, dtype):
     """sample's former route: f once on the per-node coordinate arrays."""
     n = pset.degree
-    return evaluate(f, cospi_frac(pset.k_num, n, dtype),
-                    cospi_frac(pset.eta_num, n + 1, dtype), dtype)
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    return evaluate(f, cospi_frac(k, n, dtype), cospi_frac(eta, n + 1, dtype), dtype)
 
 
 def _same_bits(a, b):
@@ -210,9 +211,8 @@ def test_sample_failure_names_first_node_in_sub_grid_order():
         return 1.0
 
     def message(k, j, node=""):
-        i = pset.position((k, j))
-        return (f"function evaluation failed at {node}"
-                f"x=({float(pset.x1[i])!r}, {float(pset.x2[i])!r})")
+        x1, x2 = pset.coords[pset.position((k, j))].tolist()
+        return f"function evaluation failed at {node}x=({x1!r}, {x2!r})"
 
     with pytest.raises(SampleEvaluationError) as info:
         _old_sample(pset, fails_inside, float)
@@ -265,7 +265,7 @@ def test_interpolate_at_node_returns_sample(rng):
     pset = generate(9)
     samples = rng.normal(size=len(pset))
     for pos in (0, 7, len(pset) - 1):
-        got = interpolate(pset, samples, (pset.x1[pos], pset.x2[pos]))
+        got = interpolate(pset, samples, tuple(pset.coords[pos]))
         assert got == pytest.approx(samples[pos], abs=1e-9)
 
 
@@ -384,9 +384,7 @@ def test_grid_points_shape():
 def test_idempotence(rng):
     pset = generate(7)
     samples = rng.normal(size=len(pset))
-    once = np.array(
-        [interpolate(pset, samples, (p.x1, p.x2)) for p in pset.points]
-    )
+    once = np.array([interpolate(pset, samples, tuple(x)) for x in pset.coords])
     assert np.max(np.abs(once - samples)) <= 1e-9
 
 
@@ -430,7 +428,7 @@ def test_lagrange_matrix_matches_double_sum_oracle(rng, direct_lagrange_matrix, 
     pset = generate(n)
     x = np.vstack([rng.uniform(-1.0, 1.0, (20, 2)),
                    [(1.0, 1.0), (-1.0, -1.0), (1.0, 0.3), (-0.4, -1.0), (0.0, 0.0)],
-                   np.column_stack([pset.x1[::7], pset.x2[::7]])])
+                   pset.coords[::7]])
     got = lagrange_matrix(pset, x[:, 0], x[:, 1])
     expect = direct_lagrange_matrix(pset, x[:, 0], x[:, 1])
     assert got.shape == expect.shape
@@ -475,8 +473,7 @@ def test_lagrange_matrix_splits_large_lattices_with_bounded_memory():
     # one column at a time, in O(n) per point: the same blocks on a one-node
     # grid, whose matrix products over a have another shape
     for pos in (0, 1000, len(pset) // 2, len(pset) - 1):
-        idx = (int(pset.k_num[pos]), int(pset.j_num[pos]))
-        col = fundamental_poly(pset, idx, (x1, x2))
+        col = fundamental_poly(pset, pset.node_index(pos), (x1, x2))
         assert np.max(np.abs(col - mat[:, pos])) <= 1e-14
 
 
@@ -589,7 +586,7 @@ def test_lebesgue_function_bounded_memory_matches_constant():
 def test_lebesgue_function_basics(rng):
     pset = generate(8)
     pos = 11
-    assert lebesgue_function(pset, (pset.x1[pos], pset.x2[pos])) == pytest.approx(
+    assert lebesgue_function(pset, tuple(pset.coords[pos])) == pytest.approx(
         1.0, abs=1e-8
     )
     for _ in range(20):
@@ -733,7 +730,7 @@ def test_coefficients_build_no_coordinates(rng, n):
     # with no per-node array: neither numerators nor coordinates
     pset = generate(n)
     to_coefficients(pset, rng.normal(size=len(pset)))
-    assert not {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} & set(pset.__dict__)
+    assert "coords" not in pset.__dict__
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -744,7 +741,8 @@ def test_coefficients_bitwise_equal_to_matmul(rng, dtype):
         pset = generate(n)
         samples = rng.uniform(-1, 1, len(pset)).astype(dtype)
         lattice = np.zeros((n + 1, n + 2), dtype=dtype)
-        lattice[pset.k_num, pset.eta_num] = samples / kernel.node_star_values(pset)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        lattice[k, eta] = samples / kernel.node_star_values(pset)
         t1, t2 = interp.lattice_tables(n, dtype)
         expect = t1 @ lattice @ t2.T
         ks = np.arange(n + 1)
@@ -762,8 +760,9 @@ def test_coefficients_follow_the_aliasing_map():
     for n in range(1, 21):
         pset = generate(n)
         orders = np.arange(4 * n + 5)
-        t1 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, pset.k_num), n)
-        t2 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, pset.eta_num), n + 1)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        t1 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, k), n)
+        t2 = oracles.cospi_frac_per_entry(np.multiply.outer(orders, eta), n + 1)
         coeffs = to_coefficients(pset, t1[:, None, :] * t2[None, :, :])
         sign, a, b = oracles.aliasing_image(n, orders[:, None], orders[None, :])
         alpha, beta = np.indices(sign.shape)
@@ -780,7 +779,7 @@ def test_batched_nonfinite_sample_reports_node():
     with pytest.raises(ValueError, match=r"2 non-finite sample\(s\), first nan at node "
                                          r"k=1, j=3"):
         to_coefficients(pset, batch)
-    assert "k_num" not in pset.__dict__ and "j_num" not in pset.__dict__
+    assert "coords" not in pset.__dict__
     with pytest.raises(ValueError, match="need length 10 on the last axis"):
         to_coefficients(pset, np.ones((2, len(pset) - 1)))
 
@@ -814,7 +813,7 @@ def test_coefficient_norm_from_node_values(rng, n):
     s = rng.uniform(-1.0, 1.0, len(pset))
     w = 1.0 / kernel.node_star_values(pset)
     # Tnorm_n(cos(k pi / n)) = sqrt(2) (-1)^k
-    top = np.sqrt(2.0) * (-1.0) ** pset.k_num
+    top = np.sqrt(2.0) * (-1.0) ** pset.lattice_index(np.arange(len(pset)))[0]
     norm = np.sum(w * s * s) - 0.25 * np.sum(w * s * top) ** 2
     assert abs(np.sum(to_coefficients(pset, s) ** 2) - norm) <= 1e-14 * norm
     assert abs(np.sum(w) - 1.0) <= 1e-14
@@ -838,9 +837,10 @@ def _assembled_node_blocks(pset, node_blocks):
 def test_node_blocks_match_double_sum_oracle(node_blocks, n):
     # L[p, nu] = K*(p, nu) / K*(nu, nu), both from the literal nested sum
     pset = generate(n)
-    x = (pset.x1[:, None], pset.x2[:, None])
-    y = (pset.x1[None, :], pset.x2[None, :])
-    diag = kernel_star_double_sum(n, (pset.x1, pset.x2), (pset.x1, pset.x2))
+    x1, x2 = pset.coords.T
+    x = (x1[:, None], x2[:, None])
+    y = (x1[None, :], x2[None, :])
+    diag = kernel_star_double_sum(n, (x1, x2), (x1, x2))
     expect = kernel_star_double_sum(n, x, y) / diag
     assert np.max(np.abs(_assembled_node_blocks(pset, node_blocks) - expect)) <= 1e-13
 
@@ -848,7 +848,7 @@ def test_node_blocks_match_double_sum_oracle(node_blocks, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 40])
 def test_node_blocks_match_lagrange_matrix(node_blocks, n):
     pset = generate(n)
-    expect = lagrange_matrix(pset, pset.x1, pset.x2)
+    expect = lagrange_matrix(pset, *pset.coords.T)
     assert np.max(np.abs(_assembled_node_blocks(pset, node_blocks) - expect)) <= 1e-12
 
 

@@ -220,9 +220,10 @@ def test_star_matrix_peak_memory_near_result():
     from padua.interp import lagrange_matrix
 
     pset = generate(60)
+    x1, x2 = pset.coords.T
     tracemalloc.start()
     try:
-        lmat = lagrange_matrix(pset, pset.x1, pset.x2)
+        lmat = lagrange_matrix(pset, x1, x2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,9 +237,10 @@ def test_node_tables_exact_on_lattice(n):
     # and star_matrix subtract, is exactly (-1)^k at the nodes
     pset = generate(n)
     t = kernel.node_tables(pset)
-    assert np.array_equal(np.cos(t.theta1), pset.x1)
-    assert np.array_equal(np.cos(t.theta2), pset.x2)
-    assert np.array_equal(np.cos(n * t.theta1), (-1.0) ** pset.k_num)
+    assert np.array_equal(np.cos(t.theta1), pset.coords[:, 0])
+    assert np.array_equal(np.cos(t.theta2), pset.coords[:, 1])
+    k, _ = pset.lattice_index(np.arange(len(pset)))
+    assert np.array_equal(np.cos(n * t.theta1), (-1.0) ** k)
 
 
 @pytest.mark.parametrize("key", [slice(3, 40, 2), (slice(5, 17), None), np.newaxis])
@@ -309,11 +311,7 @@ def test_star_vanishes_at_distinct_node_pairs():
         count = len(pset)
         ii, jj = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
         mask = ii != jj
-        vals = kernel_star(
-            n,
-            (pset.x1[ii[mask]], pset.x2[ii[mask]]),
-            (pset.x1[jj[mask]], pset.x2[jj[mask]]),
-        )
+        vals = kernel_star(n, tuple(pset.coords[ii[mask]].T), tuple(pset.coords[jj[mask]].T))
         assert np.max(np.abs(vals)) <= 1e-9
 
 
@@ -386,7 +384,7 @@ def test_node_functions_read_no_node_arrays():
     node = cospi_frac(3, 4096), cospi_frac(2, 4097)
     assert abs(fundamental_poly(pset, (3, 2), node) - 1.0) <= 1e-9
     assert abs(fundamental_poly(pset, (0, 1), node)) <= 1e-9
-    assert "k_num" not in pset.__dict__
+    assert "coords" not in pset.__dict__
 
 
 @pytest.mark.parametrize("n", [5, 64])
@@ -396,7 +394,7 @@ def test_node_star_values_build_no_coordinates(n):
     pset = generate(n)
     values = kernel.node_star_values(pset)
     assert values.shape == (len(pset),)
-    assert not {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"} & set(pset.__dict__)
+    assert "coords" not in pset.__dict__
 
 
 def test_node_star_direct_refuses_non_integer_positions():
@@ -415,12 +413,12 @@ def test_fundamental_poly_matches_lagrange_matrix_column(rng):
 
     for n in (1, 5, 16, 40, 64):
         pset = generate(n)
-        x1 = np.concatenate([pset.x1, rng.uniform(-1, 1, 30)])
-        x2 = np.concatenate([pset.x2, rng.uniform(-1, 1, 30)])
+        x1 = np.concatenate([pset.coords[:, 0], rng.uniform(-1, 1, 30)])
+        x2 = np.concatenate([pset.coords[:, 1], rng.uniform(-1, 1, 30)])
         lmat = lagrange_matrix(pset, x1, x2)
         for pos in (0, len(pset) // 3, len(pset) - 1):
-            idx = (int(pset.k_num[pos]), int(pset.j_num[pos]))
-            node = (pset.x1[pos], pset.x2[pos])
+            idx = pset.node_index(pos)
+            node = (x1[pos], x2[pos])
             oracle = _direct_star(n, (x1, x2), node) / _direct_star(n, node, node)
             col = lmat[:, pos]
             # (1, m) against (m,) broadcasts to (1, m)
@@ -436,8 +434,7 @@ def test_fundamental_poly_matches_lagrange_matrix_column(rng):
 def test_node_values_match_star_direct_entrywise():
     pset = generate(6)
     for idx in ((0, 1), (3, 2), (6, 4)):
-        pos = pset.position(idx)
-        node = (pset.x1[pos], pset.x2[pos])
+        node = tuple(pset.coords[pset.position(idx)])
         assert kernel_star_at_node(pset, idx) == pytest.approx(
             _direct_star(6, node, node), abs=1e-9
         )
@@ -447,7 +444,7 @@ def test_fundamental_delta_property():
     for n in (2, 5, 10):
         pset = generate(n)
         for idx in ((0, 1), (n, 1)):
-            vals = fundamental_poly(pset, idx, (pset.x1, pset.x2))
+            vals = fundamental_poly(pset, idx, tuple(pset.coords.T))
             expect = np.zeros(len(pset))
             expect[pset.position(idx)] = 1.0
             assert np.max(np.abs(vals - expect)) <= 1e-9
@@ -458,16 +455,14 @@ def test_delta_property_at_scale():
 
     for n in (32, 64):
         pset = generate(n)
-        lmat = lagrange_matrix(pset, pset.x1, pset.x2)
+        lmat = lagrange_matrix(pset, *pset.coords.T)
         assert float(np.max(np.abs(lmat - np.eye(len(pset))))) <= 1e-9
 
 
 def test_fundamental_partition_of_unity(rng):
     pset = generate(8)
     x = tuple(rng.uniform(-1, 1, 2))
-    total = sum(
-        fundamental_poly(pset, (p.k, p.j), x) for p in pset.points
-    )
+    total = sum(fundamental_poly(pset, pset.node_index(i), x) for i in range(len(pset)))
     assert total == pytest.approx(1.0, abs=1e-8)
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import csv_table, json_document, json_table
 from padua import analysis, cli, cubature, functions, interp, output, points, verify
 
@@ -157,7 +158,7 @@ def test_write_json_refuses_keys_that_are_not_str(tmp_path):
 
 
 def _node_rows(pset, weights=None):
-    rows = [(p.k, p.j, p.x1, p.x2, p.point_class.value) for p in pset.points]
+    rows = list(zip(*(column.tolist() for column in _node_columns(pset))))
     if weights is None:
         return rows
     return [(*row, w) for row, w in zip(rows, weights)]
@@ -166,8 +167,8 @@ def _node_rows(pset, weights=None):
 @pytest.mark.parametrize("command", ["points", "cubature"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 64, 127, 128])
 def test_node_tables_match_record_reference(tmp_path, command, n):
-    # the lattice-row writer against cell-by-cell tables of the per-point
-    # records: every row class (even and odd k, end rows, n = 1 with no
+    # the lattice-row writer against cell-by-cell tables of the nodes built
+    # from the definition: every row class (even and odd k, end rows, n = 1 with no
     # interior row) at both parities of n, and at n = 127 and 128 tables of
     # more than one write in every format and precision
     pset = points.generate(n)
@@ -190,9 +191,11 @@ def test_node_tables_match_record_reference(tmp_path, command, n):
 
 
 def _node_columns(pset):
-    """The node table of pset as per-node columns, for the generic writer."""
+    """The node table of pset as per-node columns, from the definition
+    (oracles.padua_nodes), for the generic writer."""
+    nodes = oracles.padua_nodes(pset.degree)
     names = np.array([c.value for c in points.CODE_TO_CLASS], dtype=object)
-    return [pset.k_num, pset.j_num, pset.x1, pset.x2, names[pset.class_codes]]
+    return [nodes.k, nodes.j, nodes.x1, nodes.x2, names[nodes.code]]
 
 
 def test_write_rows_memory_at_degree_1024():

@@ -1,8 +1,13 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from padua.cheb import MAX_DEGREE, DegreeError, cospi_frac
 from padua.points import (
+    CODE_TO_CLASS,
     AmbiguousMatchError,
     PaduaSet,
     PointClass,
@@ -11,11 +16,20 @@ from padua.points import (
     generate,
     generating_curve_points,
     lattice_axes,
+    lattice_ends,
 )
 
 
 def _as_sorted_tuples(arr, digits=12):
     return sorted(map(tuple, np.round(np.asarray(arr), digits)))
+
+
+def _classes(pset):
+    """The class of every node in set order, from its lattice numerators and
+    the lattice end flags."""
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    on1, on2 = lattice_ends(pset.degree)
+    return [CODE_TO_CLASS[c] for c in 2 - on1[k] - on2[eta]]
 
 
 def test_degree_two_enumeration():
@@ -29,11 +43,11 @@ def test_degree_two_enumeration():
         (2, 2, -1.0, -1.0, PointClass.VERTEX),
     ]
     assert len(pset) == 6
-    for p, (k, j, x1, x2, cls) in zip(pset.points, expect):
-        assert (p.k, p.j) == (k, j)
-        assert p.x1 == pytest.approx(x1, abs=1e-15)
-        assert p.x2 == pytest.approx(x2, abs=1e-15)
-        assert p.point_class is cls
+    for i, (k, j, x1, x2, cls) in enumerate(expect):
+        assert pset.node_index(i) == (k, j)
+        assert pset.coords[i, 0] == pytest.approx(x1, abs=1e-15)
+        assert pset.coords[i, 1] == pytest.approx(x2, abs=1e-15)
+    assert _classes(pset) == [cls for *_, cls in expect]
 
 
 def test_degree_one_enumeration():
@@ -61,7 +75,7 @@ def test_points_distinct():
 
 def test_ordering_lexicographic():
     pset = generate(7)
-    seq = [(p.k, p.j) for p in pset.points]
+    seq = [pset.node_index(i) for i in range(len(pset))]
     assert seq == sorted(seq)
 
 
@@ -78,14 +92,12 @@ def test_curve_sampling_matches_set(n):
 def test_vertex_census():
     for n in range(1, 65):
         pset = generate(n)
-        classes = [p.point_class for p in pset.points]
+        classes = _classes(pset)
         assert classes.count(PointClass.VERTEX) == 2
-        for p in pset.points:
-            on_boundary = max(abs(abs(p.x1) - 1), abs(abs(p.x2) - 1)) <= 1e-14 or (
-                abs(abs(p.x1) - 1) <= 1e-14 or abs(abs(p.x2) - 1) <= 1e-14
-            )
-            if p.point_class is PointClass.INTERIOR:
-                assert abs(p.x1) < 1 - 1e-14 and abs(p.x2) < 1 - 1e-14
+        for cls, (x1, x2) in zip(classes, pset.coords.tolist()):
+            on_boundary = abs(abs(x1) - 1) <= 1e-14 or abs(abs(x2) - 1) <= 1e-14
+            if cls is PointClass.INTERIOR:
+                assert abs(x1) < 1 - 1e-14 and abs(x2) < 1 - 1e-14
             else:
                 assert on_boundary
 
@@ -93,7 +105,7 @@ def test_vertex_census():
 def test_curve_membership():
     for n in (1, 2, 3, 8, 17, 40):
         pset = generate(n)
-        resid = curve_residual(n, pset.x1, pset.x2)
+        resid = curve_residual(n, *pset.coords.T)
         assert np.max(np.abs(resid)) <= 1e-10
 
 
@@ -118,8 +130,8 @@ def test_find_index_matches():
     assert find_index(pset, (0.0, -0.5), 1e-10) == (1, 2)
     assert find_index(pset, (1.0, -1.0), 1e-10) == (0, 2)
     assert find_index(pset, (0.5, 0.5), 1e-10) is None
-    # the match is named by arithmetic on the row starts, not by k_num, j_num
-    assert "k_num" not in pset.__dict__ and "j_num" not in pset.__dict__
+    # the match is found by arithmetic on the lattice axes, not in coords
+    assert "coords" not in pset.__dict__
 
 
 def test_find_index_ambiguous():
@@ -129,6 +141,79 @@ def test_find_index_ambiguous():
     for tol in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             find_index(pset, (0.0, 0.0), tol)
+
+
+def _outcome(find, pset, point, tol):
+    """find's result, or the type and message of the ValueError it raised."""
+    try:
+        return find(pset, point, tol)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _find_index_cases(n, seed):
+    """(point, tol) cases of find_index at degree n, grouped by kind."""
+    rng = np.random.default_rng(seed)
+    axes = lattice_axes(n)
+    inf, nan = float("inf"), float("nan")
+    cases = {"random": [(tuple(rng.uniform(-1.05, 1.05, 2)), tol)
+                        for tol in (1e-9, 0.5 / n, 4.0 / n) for _ in range(4)]}
+    # a coordinate exactly midway between two lattice cosines, the other on
+    # a lattice cosine; tol the distance to either neighbour, and one ulp off
+    cases["midway"] = []
+    for d in (0, 1):
+        m = int(rng.integers(0, axes[d].size - 1))
+        mid = (axes[d][m] + axes[d][m + 1]) / 2
+        other = float(axes[1 - d][rng.integers(0, axes[1 - d].size)])
+        point = (mid, other) if d == 0 else (other, mid)
+        gap = abs(axes[d][m] - mid)
+        for t in (np.nextafter(gap, 0), gap, np.nextafter(gap, 1)):
+            cases["midway"].append((point, t))
+    # a coordinate one ulp inside, at and one ulp outside tol of a node
+    cases["ulp"] = []
+    nums = generate(n).lattice_index(rng.integers(0, (n + 1) * (n + 2) // 2))
+    x = [axes[d][nums[d]] for d in (0, 1)]
+    for d in (0, 1):
+        for tol in (1e-9, 0.3 / n):
+            for edge in (x[d] + tol, x[d] - tol):
+                for c in (np.nextafter(edge, -inf), edge, np.nextafter(edge, inf)):
+                    point = [x[0], x[1]]
+                    point[d] = c
+                    cases["ulp"].append((tuple(point), tol))
+    cases["special"] = [(point, tol) for point in
+                        [(nan, 0.0), (0.0, nan), (inf, 0.0), (-inf, 0.0), (0.0, inf),
+                         (inf, -inf), (1.5, 0.2), (-3.0, 1e300), (1e300, 1e300)]
+                        for tol in (0.1, 2.5, 1e300, inf)]
+    cases["several"] = [((0.1, -0.2), tol) for tol in (0.3, 1.0, 2.0)]
+    cases["bad tol"] = [((0.0, 0.0), tol) for tol in (0.0, -1.0, -inf, nan)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 4096])
+def test_find_index_equals_the_scan(n):
+    # the scan of every node is the oracle; at n = 4096 each scan takes
+    # about 0.1 s, so two cases of each kind are run there
+    pset = generate(n)
+    for kind, cases in _find_index_cases(n, seed=n).items():
+        for point, tol in cases if n <= 64 else cases[:2]:
+            want = _outcome(oracles.find_index_scan, pset, point, tol)
+            assert _outcome(find_index, pset, point, tol) == want, (kind, point, tol)
+
+
+def test_find_index_peak_memory_at_max_degree():
+    # tol below the lattice spacing: the test runs on the two lattice axes,
+    # not on the 8.4e6 nodes (the scan's peak is about 336 MB)
+    pset = generate(4096)
+    k, eta = pset.lattice_index(1234567)
+    point = (lattice_axes(4096)[0][k] + 1e-10, lattice_axes(4096)[1][eta] - 1e-10)
+    tracemalloc.start()
+    try:
+        got = find_index(pset, point, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pset.node_index(1234567)
+    assert peak <= 1 << 20
 
 
 def test_position_lookup():
@@ -141,7 +226,8 @@ def test_position_lookup():
 @pytest.mark.parametrize("n", range(1, 41))
 def test_position_is_enumeration_order(n):
     pset = generate(n)
-    got = [pset.position((k, j)) for k, j in zip(pset.k_num, pset.j_num)]
+    nodes = oracles.padua_nodes(n)
+    got = [pset.position((k, j)) for k, j in zip(nodes.k, nodes.j)]
     assert got == list(range(len(pset)))
 
 
@@ -163,7 +249,7 @@ def test_node_set_reflection_symmetry(n):
     # x1 -> -x1 (k -> n - k) maps the set onto itself for even n, and
     # x2 -> -x2 (eta -> n + 1 - eta) for odd n; the other one never does
     pset = generate(n)
-    nodes = set(zip(pset.k_num.tolist(), pset.eta_num.tolist()))
+    nodes = set(zip(*(a.tolist() for a in pset.lattice_index(np.arange(len(pset))))))
     flip1 = {(n - k, eta) for k, eta in nodes}
     flip2 = {(k, n + 1 - eta) for k, eta in nodes}
     assert (flip1 == nodes) == (n % 2 == 0)
@@ -173,68 +259,60 @@ def test_node_set_reflection_symmetry(n):
 def test_class_codes_match_integer_lattice():
     # on the angle lattice a coordinate is on the boundary exactly when its
     # numerator is an end of its range: k in {0, n} or eta in {0, n+1}
-    classes = (PointClass.VERTEX, PointClass.EDGE, PointClass.INTERIOR)
     for n in (1, 2, 9, 24, 128):
         pset = generate(n)
-        on1 = (pset.k_num == 0) | (pset.k_num == n)
-        on2 = (pset.eta_num == 0) | (pset.eta_num == n + 1)
+        k, eta = pset.lattice_index(np.arange(len(pset)))
+        on1 = (k == 0) | (k == n)
+        on2 = (eta == 0) | (eta == n + 1)
         # the lattice ends are exactly the coordinates +-1
-        assert np.array_equal(on1, np.abs(pset.x1) == 1.0)
-        assert np.array_equal(on2, np.abs(pset.x2) == 1.0)
+        assert np.array_equal(on1, np.abs(pset.coords[:, 0]) == 1.0)
+        assert np.array_equal(on2, np.abs(pset.coords[:, 1]) == 1.0)
         expect = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2))
-        assert list(pset.class_codes) == list(expect)
-        assert [p.point_class for p in pset.points] == [classes[c] for c in expect]
+        assert list(oracles.padua_nodes(n).code) == list(expect)
+        assert _classes(pset) == [CODE_TO_CLASS[c] for c in expect]
 
 
-def test_generate_near_degree_cap_stays_array_backed():
-    # the record view is lazy; large sets must come up without building it
-    pset = generate(2048)
-    assert len(pset) == 2049 * 2050 // 2
-    assert "points" not in pset.__dict__
-    assert int(np.sum(pset.class_codes == 0)) == 2
-    assert pset.position((0, 1)) == 0
-
-
-@pytest.mark.parametrize("n", [*range(1, 65), 256, 512, 2048, 4096])
+@pytest.mark.parametrize("n", [*range(1, 65), 256, 511, 512, 2048, 4096])
 def test_generate_fields_bitwise_per_node(n):
-    # the coordinates gathered from the lattice cosines and the class codes
-    # read from the edge tables equal their per-node definitions bit for bit
+    # the lattice numerators of every set position equal their per-node
+    # definitions, and column d of coords is cospi_frac of numerator d bit
+    # for bit (compared through int64 views, so that n = 4096 holds no copy)
     pset = generate(n)
-    counts = [n // 2 + 1 if k % 2 == 0 else (n + 1) // 2 + 1 for k in range(n + 1)]
-    j_num = np.concatenate([np.arange(1, c + 1) for c in counts])
-    assert np.array_equal(pset.j_num, j_num)
-    assert np.array_equal(pset.eta_num,
-                          np.where(pset.k_num % 2 == 0, 2 * j_num - 1, 2 * j_num - 2))
-    assert pset.x1.tobytes() == cospi_frac(pset.k_num, n).tobytes()
-    assert pset.x2.tobytes() == cospi_frac(pset.eta_num, n + 1).tobytes()
-    on1 = (pset.k_num == 0) | (pset.k_num == n)
-    on2 = (pset.eta_num == 0) | (pset.eta_num == n + 1)
-    codes = np.where(on1 & on2, 0, np.where(on1 | on2, 1, 2)).astype(np.int8)
-    assert pset.class_codes.dtype == np.int8
-    assert np.array_equal(pset.class_codes, codes)
+    k, eta = pset.lattice_index(np.arange(len(pset)))
+    counts = [n // 2 + 1 if r % 2 == 0 else (n + 1) // 2 + 1 for r in range(n + 1)]
+    j = np.concatenate([np.arange(1, c + 1) for c in counts])
+    assert np.array_equal(k, np.repeat(np.arange(n + 1), counts))
+    assert np.array_equal(eta, np.where(k % 2 == 0, 2 * j - 1, 2 * j - 2))
+    del j
+    assert pset.coords.shape == (len(pset), 2) and pset.coords.flags.c_contiguous
+    bits = pset.coords.view(np.int64)
+    for d, num in enumerate((k, eta)):
+        assert np.array_equal(bits[:, d], cospi_frac(num, n + d).view(np.int64))
+
+
+def test_coords_peak_memory_is_its_own_size():
+    pset = generate(4096)
+    tracemalloc.start()
+    try:
+        coords = pset.coords
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * coords.nbytes
 
 
 def test_generate_and_len_build_no_per_node_array():
     pset = generate(4096)
     assert len(pset) == 4097 * 4098 // 2
-    assert pset.cardinality == len(pset)
-    assert "k_num" not in pset.__dict__
-    # each array is built on its own first read, from per-axis data only
-    names = {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes", "points", "coords"}
-    for name in names - {"points", "coords"}:
-        pset = generate(5)
-        getattr(pset, name)
-        assert names & set(pset.__dict__) == {name}
+    assert set(pset.__dict__) == {"degree"}
+    # coords is the one per-node array, built on its first read
+    cached = {name for name, attr in vars(PaduaSet).items()
+              if isinstance(attr, functools.cached_property)}
+    assert cached == {"row_starts", "coords"}
+    pset = generate(5)
+    pset.coords
+    assert set(pset.__dict__) == {"degree", "coords"}
     assert pset == generate(5) and repr(pset) == "PaduaSet(degree=5)"
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 511])
-def test_node_arrays_do_not_depend_on_read_order(n):
-    names = ("k_num", "j_num", "eta_num", "x1", "x2", "class_codes")
-    forward, backward = generate(n), generate(n)
-    ahead = {a: getattr(forward, a).tobytes() for a in names}
-    behind = {a: getattr(backward, a).tobytes() for a in reversed(names)}
-    assert ahead == behind
 
 
 @pytest.mark.parametrize("degree, error", [(0, DegreeError), (-3, DegreeError),
@@ -263,7 +341,8 @@ def test_lattice_index_refuses_non_integer_positions(positions):
 
 def test_lattice_index_keeps_integer_positions_bitwise():
     pset = generate(9)
-    k, eta = pset.k_num, pset.eta_num
+    nodes = oracles.padua_nodes(9)
+    k, eta = nodes.k, nodes.eta
     for positions in ([3, 0, 54], np.array([3, 0, 54], dtype=np.int32),
                       np.array([3, 0, 54], dtype=np.uint8)):
         got = pset.lattice_index(positions)
@@ -281,8 +360,9 @@ def test_lattice_index_keeps_integer_positions_bitwise():
 def test_lattice_index_inverts_position(n):
     pset = generate(n)
     k, eta = pset.lattice_index(np.arange(len(pset)))
-    assert np.array_equal(k, pset.k_num)
-    assert np.array_equal(eta, pset.eta_num)
+    nodes = oracles.padua_nodes(n)
+    assert np.array_equal(k, nodes.k)
+    assert np.array_equal(eta, nodes.eta)
     for bad in (len(pset), -1):
         with pytest.raises(IndexError):
             pset.lattice_index([bad])
@@ -296,14 +376,15 @@ def test_lattice_index_inverts_position(n):
 def test_sub_grids_tile_the_set_in_set_order(n):
     # grid entry (i, c) is the node at row_starts[ks[i]] + c, and the two
     # grids cover every node once
-    pset = generate(n)
+    pset, nodes = generate(n), oracles.padua_nodes(n)
     x1, x2 = lattice_axes(n)
     seen = np.zeros(len(pset), dtype=int)
     for ks, etas in pset.sub_grids():
         pos = pset.row_starts[ks][:, None] + np.arange(etas.size)
-        assert np.array_equal(pset.k_num[pos], np.broadcast_to(ks[:, None], pos.shape))
-        assert np.array_equal(pset.eta_num[pos], np.broadcast_to(etas, pos.shape))
-        assert pset.x1[pos].tobytes() == np.broadcast_to(x1[ks][:, None], pos.shape).tobytes()
-        assert pset.x2[pos].tobytes() == np.broadcast_to(x2[etas], pos.shape).tobytes()
+        assert np.array_equal(nodes.k[pos], np.broadcast_to(ks[:, None], pos.shape))
+        assert np.array_equal(nodes.eta[pos], np.broadcast_to(etas, pos.shape))
+        assert (pset.coords[pos, 0].tobytes()
+                == np.broadcast_to(x1[ks][:, None], pos.shape).tobytes())
+        assert pset.coords[pos, 1].tobytes() == np.broadcast_to(x2[etas], pos.shape).tobytes()
         np.add.at(seen, pos.ravel(), 1)
     assert np.all(seen == 1)

@@ -63,7 +63,7 @@ def test_interpolation_reproduces_polynomials(seed):
     for n in _degrees(rng):
         pset = generate(n)
         coeffs = _random_poly(rng, n)
-        samples = _series(coeffs, pset.x1, pset.x2)
+        samples = _series(coeffs, *pset.coords.T)
         pts = rng.uniform(-1.0, 1.0, (20, 2))
         got = np.array([interpolate(pset, samples, (a, b)) for a, b in pts])
         assert np.max(np.abs(got - _series(coeffs, pts[:, 0], pts[:, 1]))) <= 1e-11

@@ -14,10 +14,9 @@ from padua import analysis, functions, interp, kernel, points
 from padua.cheb import series_on_tables, t_norm_values, total_degree_mask
 from padua.cubature import build_rule
 from padua.interp import lagrange_matrix, lattice_tables, sample, to_coefficients
-from padua.points import generate, lattice_axes, lattice_ends
+from padua.points import generate, lattice_axes
 
 DEGREES = [*range(1, 65), 1023, 1024]
-NODE_ARRAYS = {"k_num", "j_num", "eta_num", "x1", "x2", "class_codes"}
 
 
 def _index_arrays(n):
@@ -57,13 +56,7 @@ def test_node_arrays_and_node_index_bitwise_the_index_route(n):
     pset = generate(n)
     k, j, eta = _index_arrays(n)
     x1, x2 = lattice_axes(n)
-    on1, on2 = lattice_ends(n)
-    _same(pset.k_num, k)
-    _same(pset.j_num, j)
-    _same(pset.eta_num, eta)
-    _same(pset.x1, x1[k])
-    _same(pset.x2, x2[eta])
-    _same(pset.class_codes, 2 - on1[k] - on2[eta])
+    _same(pset.coords, np.column_stack([x1[k], x2[eta]]))
     positions = range(len(pset)) if n <= 12 else (0, 1, n // 2, len(pset) // 2, len(pset) - 1)
     assert [generate(n).node_index(i) for i in positions] == [(k[i], j[i]) for i in positions]
 
@@ -188,7 +181,7 @@ def test_sites_build_no_per_node_array(monkeypatch):
     kernel.node_star_values(pset)
     lagrange_matrix(pset, np.array([0.1, -0.3]), np.array([0.7, 0.2]))
     build_rule(pset).weights
-    assert not NODE_ARRAYS & set(pset.__dict__)
+    assert "coords" not in pset.__dict__
     made = []
 
     def spy(n):
@@ -197,4 +190,4 @@ def test_sites_build_no_per_node_array(monkeypatch):
 
     monkeypatch.setattr(points, "generate", spy)
     analysis.marcinkiewicz_trials(8, 3, 5)
-    assert made and not any(NODE_ARRAYS & set(s.__dict__) for s in made)
+    assert made and not any("coords" in s.__dict__ for s in made)
