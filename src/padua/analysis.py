@@ -6,7 +6,9 @@ for polynomials of degree below twice the node count, which gives a clean
 error model even for |f|^p integrands.  measure_error and convergence_study
 measure interpolants through one instrument (_Instrument: f on the grid and
 on the quadrature grid, one orthonormal table per axis); a study builds it
-once for all its degrees.
+once for all its degrees.  The Marcinkiewicz ratios read a polynomial at the
+nodes as the node entries (PaduaSet.from_lattice) of its values on the angle
+lattice.
 """
 
 import math
@@ -152,8 +154,8 @@ def _marcinkiewicz_setup(n, p):
     """Checked degree and p, then the tables every ratio of degree n reads.
 
     The tables are the orthonormal lattice tables of the two node axes, the
-    node set, whose sub_grid_views carry the lattice values to the nodes,
-    and the orthonormal table at the quadrature axis.  Degrees above
+    node set, whose from_lattice reads the lattice values at the nodes, and
+    the orthonormal table at the quadrature axis.  Degrees above
     MAX_MARCINKIEWICZ_DEGREE raise ValueError before any table is built.
     """
     n = check_degree(n, minimum=1)
@@ -184,14 +186,10 @@ def _marcinkiewicz_setup(n, p):
 
 def _ratios(coeffs, p, l1, l2, pset, q):
     """Ratios of a (B, n+1, n+1) block of coefficient matrices, one per matrix."""
-    lattice = series_on_tables(coeffs, l1, l2)
-    # P at the nodes, copied sub-grid by sub-grid into a C-contiguous (B, N)
-    # array, so that each row's mean is summed in the same order whatever
-    # the block size; abs and power run on it whole, not on strided views
-    node_vals = np.empty((len(coeffs), len(pset)))
-    for view, (ks, etas) in zip(pset.sub_grid_views(node_vals), pset.sub_grids()):
-        view[...] = lattice[:, ks[0]::2, etas[0]::2]
-    del lattice  # freed before the quadrature product, which reuses its pages
+    # P at the nodes as a C-contiguous (B, N) array, so that each row's mean
+    # is summed in the same order whatever the block size; abs and power run
+    # on it whole, and the lattice is freed before the quadrature product
+    node_vals = pset.from_lattice(series_on_tables(coeffs, l1, l2))
     np.abs(node_vals, out=node_vals)
     node_vals **= p
     quad_vals = series_on_tables(coeffs, q, q)

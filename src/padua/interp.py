@@ -3,10 +3,11 @@
 Values move between set order and the node lattice only through the set's
 sub-grid views (points.PaduaSet.sub_grid_views), with no per-node index
 array: sample writes f's blocks into the views of its result,
-to_coefficients writes each view's node-weighted samples into its slice of
-the lattice matrix, and lagrange_matrix writes each block of values into
-the views of its rows.  Interpolants on a tensor grid are the Chebyshev
-coefficients of to_coefficients evaluated as a tensor series.
+lagrange_matrix writes each block of values into the views of its rows,
+and to_coefficients takes the lattice of its samples from
+PaduaSet.to_lattice and divides it by the node values.  Interpolants on a
+tensor grid are the Chebyshev coefficients of to_coefficients evaluated as a
+tensor series.
 
 Fundamental polynomials have one closed form: the node factors of
 _node_factors, their cumulative b-sum _tail_sums, and a matrix product over
@@ -347,22 +348,20 @@ def to_coefficients(pset, samples):
     Tnorm_a(x1) * Tnorm_b(x2), zero for a + b > n.  This is the node-side
     expansion of the modified kernel: a projection of the node-weighted
     samples on the angle lattice, with the pure-x1 top-degree coefficient
-    halved.  Each sample, divided by its node value A[k] B[eta] (the
-    per-axis factors of kernel.node_star_axes), is written sub-grid by
-    sub-grid, from the samples' sub_grid_views, into the (n+1) x (n+2)
-    lattice matrix G[k, eta], zero off the node set, so the projection is
-    the matrix product T1 G T2^T of two lattice tables
-    (cheb.series_on_tables: np.dot for one sample vector, @ for a batch).
+    halved.  The samples' (n+1) x (n+2) lattice (PaduaSet.to_lattice, zero
+    off the node set) is divided in place by the node values A[k] B[eta],
+    the outer product of the per-axis factors of kernel.node_star_axes, into
+    G[k, eta], so the projection is the matrix product T1 G T2^T of two
+    lattice tables (cheb.series_on_tables: np.dot for one sample vector, @
+    for a batch).
     C has the samples' float type: float64, or np.longdouble for longdouble
     samples; leading axes of samples are a batch.  The test suite checks it
     against the direct kernel sum.
     """
     samples = _check_samples(pset, samples)
     n = pset.degree
-    lattice = np.zeros(samples.shape[:-1] + (n + 1, n + 2), dtype=samples.dtype)
-    a, b = kernel.node_star_axes(n)
-    for view, (ks, etas) in zip(pset.sub_grid_views(samples), pset.sub_grids()):
-        lattice[..., ks[0]::2, etas[0]::2] = view / (a[ks, None] * b[etas])
+    lattice = pset.to_lattice(samples)
+    lattice /= np.multiply.outer(*kernel.node_star_axes(n))
     t1, t2 = lattice_tables(n, samples.dtype)
     coeffs = series_on_tables(lattice, t1.T, t2.T)
     coeffs[..., ~total_degree_mask(n)] = 0.0

@@ -14,8 +14,10 @@ kernel_direct is the direct double sum over the orthonormal product basis
 two cheb.ChebTables of its sides; direct_from_tables is the same sum on
 table sets a caller already holds.  The node values have a closed form, one
 factor per lattice axis (node_star_axes), checked by a direct sum on the
-lattice (node_star_direct).  Each side of a compact evaluation is one
-SideTables, the angles of its points.
+lattice (node_star_direct); node_star_values reads their outer product at
+the nodes (points.PaduaSet.from_lattice).  Each side of a compact
+evaluation is one SideTables, the angles of its points; node_tables reads
+the nodes' angles off the lattice the same way.
 """
 
 import numpy as np
@@ -55,10 +57,11 @@ def point_tables(x1, x2):
 
 
 def node_tables(pset):
-    """Side tables for the nodes of a PaduaSet, from their lattice numerators."""
+    """Side tables for the nodes of a PaduaSet: the node entries
+    (PaduaSet.from_lattice) of the lattice angles k pi/n and eta pi/(n+1)."""
     n = pset.degree
-    return SideTables(pset.from_sub_grids(lambda ks, etas: np.pi * (ks[:, None] / float(n))),
-                      pset.from_sub_grids(lambda ks, etas: np.pi * (etas / float(n + 1))))
+    angles = np.pi * (np.indices((n + 1, n + 2)) / np.array([[[n]], [[n + 1]]], dtype=float))
+    return SideTables(*pset.from_lattice(angles))
 
 
 def direct_from_tables(tx, ty):
@@ -102,8 +105,7 @@ def kernel_direct(n, x, y):
     to paired batches.
     """
     n = check_degree(n)
-    out = direct_from_tables(*ChebTables.pair(n, x, y))
-    return cheb.float_if_scalar(out)
+    return cheb.float_if_scalar(direct_from_tables(*ChebTables.pair(n, x, y)))
 
 
 def d_term(n, alpha, beta):
@@ -122,8 +124,7 @@ def d_term(n, alpha, beta):
     beta = np.asarray(beta, dtype=float)
     s_d = np.stack([0.5 * (alpha + beta), 0.5 * (alpha - beta)])
     (rn_s, rn_d), (rm_s, rm_d) = cheb.dirichlet((n, n + 1), s_d)
-    out = 0.25 * (rn_s * rn_d + rm_s * rm_d)
-    return cheb.float_if_scalar(out)
+    return cheb.float_if_scalar(0.25 * (rn_s * rn_d + rm_s * rm_d))
 
 
 def kernel_compact(n, x, y):
@@ -135,8 +136,7 @@ def kernel_compact(n, x, y):
     kernel_direct.  Array coordinates broadcast to paired batches.
     """
     n = check_degree(n)
-    out = _kernel_from_tables(n, point_tables(*x), point_tables(*y))
-    return cheb.float_if_scalar(out)
+    return cheb.float_if_scalar(_kernel_from_tables(n, point_tables(*x), point_tables(*y)))
 
 
 def kernel_star(n, x, y):
@@ -200,12 +200,11 @@ def node_star_tolerance(n):
 def node_star_values(pset):
     """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta].
 
-    Each sub-grid (ks, etas) of the set is the outer product A[ks] B[etas],
-    written into its view of the result (PaduaSet.from_sub_grids).  verify
-    and build_rule check this closed form against node_star_direct.
+    The node entries (PaduaSet.from_lattice) of the outer product of A and
+    B.  verify and build_rule check this closed form against
+    node_star_direct.
     """
-    a, b = node_star_axes(pset.degree)
-    return pset.from_sub_grids(lambda ks, etas: a[ks, None] * b[etas])
+    return pset.from_lattice(np.multiply.outer(*node_star_axes(pset.degree)))
 
 
 def node_star_direct(pset, positions=slice(None)):

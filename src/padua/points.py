@@ -3,20 +3,24 @@
 A node set is its degree n.  Its nodes are the odd-sum half k + eta odd of
 the angle lattice (cos(k pi/n), cos(eta pi/(n+1))), k = 0..n, eta = 0..n+1,
 which is the union of two tensor sub-grids: even k with odd eta, and odd k
-with even eta (sub_grids).  The set has (n+1)(n+2)/2 nodes for every n >= 1.
-Set order packs each sub-grid with a fixed row stride, so one map,
-PaduaSet.sub_grid_views, gives a writable view per sub-grid of any array in
-set order: every per-node gather and scatter of the package (sampling, the
-projection, the node values and weights, the Marcinkiewicz node sums, the
-Lagrange matrix and the coordinates) goes through it, with per-axis data
-(lattice_axes, lattice_ends) on the lattice side.  Single nodes are named by
-arithmetic on the lattice: position, node_index and lattice_index on the
-row starts, and find_index on the two axes.  A function on the nodes is
-called by one sampler, _sub_grid_values, once per block of whole lattice
-rows of a sub-grid: cubature.integrate sums the blocks and interp.sample
-writes them into the sub-grid views of its result.  PaduaSet checks its
-degree at construction; its one per-node array is coords, built on first
-read.
+with even eta (sub_grids), the lattice slices [0::2, 1::2] and [1::2, 0::2].
+The set has (n+1)(n+2)/2 nodes for every n >= 1.  Set order packs each
+sub-grid with a fixed row stride, so one map, PaduaSet.sub_grid_views, gives
+a writable view per sub-grid of any array in set order.  This module is the
+only one that knows the lattice slices: PaduaSet.to_lattice writes a
+set-order array into a (..., n+1, n+2) lattice, zero off the set, and
+PaduaSet.from_lattice reads the node entries of a lattice back in set order.
+The projection, the Marcinkiewicz node values, the node values, the cubature
+weights and the node angles of kernel.node_tables go through these two;
+sampling, the Lagrange matrix and the coordinates write blocks straight into
+the views, with no lattice.  Per-axis data (lattice_axes, lattice_ends) is
+on the lattice side.  Single nodes are named by arithmetic on the lattice:
+position, node_index and lattice_index on the row starts, and find_index on
+the two axes.  A function on the nodes is called by one sampler,
+_sub_grid_values, once per block of whole lattice rows of a sub-grid:
+cubature.integrate sums the blocks and interp.sample writes them into the
+sub-grid views of its result.  PaduaSet checks its degree at construction;
+its one per-node array is coords, built on first read.
 """
 
 from dataclasses import dataclass
@@ -50,9 +54,10 @@ class PaduaSet:
     MAX_DEGREE) and kept as a plain int; len() is its node count.  Values
     move between set order and the (n+1) x (n+2) angle lattice through one
     map, sub_grid_views: one view of a set-order array per node sub-grid,
-    with no per-node index array.  position, node_index and lattice_index
-    name single nodes by arithmetic on row_starts.  The one per-node array
-    kept is coords, built on first read from the lattice axes.
+    with no per-node index array; to_lattice and from_lattice carry whole
+    arrays through it to and from the lattice.  position, node_index and
+    lattice_index name single nodes by arithmetic on row_starts.  The one
+    per-node array kept is coords, built on first read from the lattice axes.
     """
 
     degree: int
@@ -68,8 +73,7 @@ class PaduaSet:
         return ks // 2 * (n + 2) + ks % 2 * (n // 2 + 1)
 
     def __len__(self):
-        n = self.degree
-        return (n + 1) * (n + 2) // 2
+        return (self.degree + 1) * (self.degree + 2) // 2
 
     @cached_property
     def coords(self):
@@ -154,12 +158,27 @@ class PaduaSet:
         pairs = values.reshape(values.shape[:-1] + (e, n + 2))
         return pairs[..., :e], pairs[..., e:]
 
-    def from_sub_grids(self, value, dtype=float):
-        """The set-order array in dtype whose sub-grid view s is value(ks, etas)
-        of grid s, broadcast to (len(ks), len(etas))."""
-        out = np.empty(len(self), dtype)
-        for view, grid in zip(self.sub_grid_views(out), self.sub_grids()):
-            view[...] = value(*grid)
+    def to_lattice(self, values):
+        """The (..., n+1, n+2) lattice of a set-order array, in its dtype: its
+        values at the nodes and zero elsewhere.  Sub-grid s is the lattice
+        slice [s::2, 1 - s::2], written from its sub_grid_views view."""
+        n = self.degree
+        lattice = np.zeros(values.shape[:-1] + (n + 1, n + 2), values.dtype)
+        for s, view in enumerate(self.sub_grid_views(values)):
+            lattice[..., s::2, 1 - s::2] = view
+        return lattice
+
+    def from_lattice(self, lattice):
+        """The node entries of a (..., n+1, n+2) lattice as a C-contiguous
+        set-order array in its dtype, a fresh one: the inverse of to_lattice
+        on the set.  ValueError names both shapes unless the last two axes
+        of lattice are (n+1, n+2)."""
+        n = self.degree
+        if lattice.shape[-2:] != (n + 1, n + 2):
+            raise ValueError(f"lattice shape {lattice.shape}, expected (..., {n + 1}, {n + 2})")
+        out = np.empty(lattice.shape[:-2] + (len(self),), lattice.dtype)
+        for s, view in enumerate(self.sub_grid_views(out)):
+            view[...] = lattice[..., s::2, 1 - s::2]
         return out
 
 
@@ -263,13 +282,16 @@ def find_index(pset, point, tol):
     """Locate the unique node within tol of the point in max-norm.
 
     Returns the (k, j) index pair, or None when no node matches.  Raises
-    AmbiguousMatchError when two or more nodes fall inside the tolerance.
+    AmbiguousMatchError when two or more nodes fall inside the tolerance,
+    and ValueError when point is not two coordinates or tol is not positive.
     The test is the float64 test max(|x1 - p1|, |x2 - p2|) <= tol at the
     node coordinates, applied to each of the two lattice axes (the columns
     of coords are bitwise lattice_axes): the matches are the pairs (k, eta)
     of the two axes' hits with k + eta odd, counted by parity, so no
     per-node array is built.
     """
+    if np.shape(point) != (2,):
+        raise ValueError(f"a point has two coordinates, got {point!r}")
     # written so that NaN fails too
     if not tol > 0:
         raise ValueError("tolerance must be positive")

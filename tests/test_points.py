@@ -143,6 +143,13 @@ def test_find_index_ambiguous():
             find_index(pset, (0.0, 0.0), tol)
 
 
+def test_find_index_needs_two_coordinates():
+    pset = generate(4)
+    for point in ((1.0,), (1.0, 0.0, 99), 1.0, ()):
+        with pytest.raises(ValueError, match="a point has two coordinates"):
+            find_index(pset, point, 1e-3)
+
+
 def _outcome(find, pset, point, tol):
     """find's result, or the type and message of the ValueError it raised."""
     try:

@@ -1,11 +1,15 @@
 """Every move between set order and the node lattice against per-node index arrays.
 
-PaduaSet.sub_grid_views is the one map between set order and the lattice.
-Each site that goes through it is compared here with the fancy-index
-expression it replaced, written inline on index arrays built from the row
-counts: float64 and batches by their bytes, np.longdouble by value (the six
-padding bytes of an 80-bit value are not part of it).
+PaduaSet.sub_grid_views is the one map between set order and the lattice,
+and PaduaSet.to_lattice and from_lattice, written on it, carry whole arrays
+to and from the (n+1) x (n+2) lattice.  The two maps, and each site that
+goes through them, are compared here with the fancy-index expression they
+replaced, written inline on index arrays built from the row counts: float64
+and batches by their bytes, np.longdouble by value (the six padding bytes
+of an 80-bit value are not part of it).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +53,47 @@ def test_views_are_the_sub_grids_and_write_through(n):
         assert np.array_equal(eta[pos], np.broadcast_to(etas, pos.shape))
         view[...] = -1
     assert np.all(values == -1)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_lattice_maps_bitwise_the_index_route(n):
+    # to_lattice is the scatter lattice[..., k, eta] = values, zero where k + eta
+    # is even; from_lattice the gather lattice[..., k, eta], a fresh C-contiguous
+    # array; and from_lattice(to_lattice(v)) is v, on a vector, a batch and a
+    # strided vector
+    pset = generate(n)
+    k, _, eta = _index_arrays(n)
+    even = (np.arange(n + 1)[:, None] + np.arange(n + 2)) % 2 == 0
+    rng = np.random.default_rng(n)
+    for dtype in (np.float64, np.longdouble):
+        for values in (rng.uniform(-1.0, 1.0, len(pset)).astype(dtype),
+                       rng.uniform(-1.0, 1.0, (2, 3, len(pset))).astype(dtype),
+                       rng.uniform(-1.0, 1.0, (len(pset), 2)).astype(dtype)[:, 1]):
+            lattice = pset.to_lattice(values)
+            want = np.zeros(values.shape[:-1] + (n + 1, n + 2), dtype)
+            want[..., k, eta] = values
+            _same(lattice, want)
+            assert not np.any(lattice[..., even])
+            _same(pset.from_lattice(lattice), np.ascontiguousarray(values))
+        full = rng.uniform(-1.0, 1.0, (2, n + 1, n + 2)).astype(dtype)
+        got = pset.from_lattice(full)
+        _same(got, full[..., k, eta])
+        assert got.flags.c_contiguous and not np.shares_memory(got, full)
+
+
+def test_lattice_maps_refuse_a_wrong_shape():
+    pset = generate(1)
+    # neither a (2, 2) array, nor the (3, 2) transpose, nor a flat or batched
+    # array of another shape is the (2, 3) lattice of degree 1
+    for lattice in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((3, 2)), np.zeros(6),
+                    np.zeros((4, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"lattice shape {lattice.shape}, "
+                                                       f"expected (..., 2, 3)")):
+            pset.from_lattice(lattice)
+    # to_lattice refuses a last axis that is not the N = 3 nodes
+    for values in (np.zeros(4), np.zeros((3, 2))):
+        with pytest.raises(ValueError):
+            pset.to_lattice(values)
 
 
 @pytest.mark.parametrize("n", DEGREES)
