@@ -9,7 +9,6 @@ from .analysis import (
     lp_norm,
     marcinkiewicz_ratios,
     marcinkiewicz_trials,
-    tensor_quadrature,
 )
 from .cheb import (
     MAX_DEGREE,
@@ -28,8 +27,6 @@ from .ideal import (
     mp_poly,
     q_poly,
     q_rows,
-    q_vector,
-    s_term_residuals,
     struct_matrices,
     three_term_residual,
 )
@@ -38,6 +35,7 @@ from .interp import (
     fundamental_poly,
     interpolate,
     interpolate_grid,
+    lagrange_matrix,
     lebesgue_constant,
     lebesgue_function,
     sample,
@@ -48,7 +46,6 @@ from .kernel import (
     kernel_compact,
     kernel_direct,
     kernel_star,
-    kernel_star_at_node,
 )
 from .points import (
     AmbiguousMatchError,

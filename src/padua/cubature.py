@@ -3,8 +3,8 @@
 The weight of node (k, eta) is 1 / K*(nu, nu), the reciprocal of the closed
 form A[k] * B[eta] of kernel.node_star_axes, so it is a product of one factor
 per lattice axis, a[k] * b[eta] with a = 1/A and b = 1/B.  The weights in set
-order, built only when read, are the node entries of the outer product of a
-and b (points.PaduaSet.from_lattice).  The node set is the union of two
+order, built only when read, are those products at the nodes
+(points.PaduaSet.from_axes).  The node set is the union of two
 tensor sub-grids of the lattice (points.PaduaSet.sub_grids), and integrate
 sums a[k] b[eta] f(x1_k, x2_eta) over each of them, with f's values from the
 package's one node sampler, points._sub_grid_values, which calls f on the
@@ -39,9 +39,9 @@ class CubatureRule:
 
     @cached_property
     def weights(self):
-        """The node weights in set order, built on first read: the node
-        entries (PaduaSet.from_lattice) of the outer product of a and b."""
-        return self.nodes.from_lattice(np.multiply.outer(self.a, self.b))
+        """The node weights a[k] b[eta] in set order (PaduaSet.from_axes),
+        built on first read."""
+        return self.nodes.from_axes(self.a, self.b)
 
 
 def build_rule(pset):

@@ -95,16 +95,9 @@ def mp_poly(n, j, x):
     return cheb.float_if_scalar(u1 * u2 + v1 * v2)
 
 
-def q_vector(n, x):
-    """Scaled ideal-basis vector at a point: sqrt(2) on the end entries, 2 inside.
-
-    Returns an array of length n+2 (or shape (n+2,) + broadcast shape for
-    array coordinates): the rows of q_rows times those scales.
-    """
-    return _scaled(q_rows(n, x))
-
-
 def _scaled(q):
+    """The scaled ideal-basis vector of rows q (q_rows): sqrt(2) times the
+    end rows, 2 times the others."""
     out = 2.0 * q
     out[[0, -1]] = SQRT2 * q[[0, -1]]
     return out
@@ -196,42 +189,3 @@ def _cd(n, axis, mats, tx, ty, direct):
     gap = tx.x[axis - 1] - ty.x[axis - 1]
     lhs = gap * (direct - tnx * tny)
     return np.abs(lhs - (bilinear + corr))
-
-
-def s_term_residuals(n, x, y):
-    """Rounding residuals of the cross-term identities used by the CD split.
-
-    Returns a dict with keys:
-      's31'          residual of the axis-1 cross term against
-                     (x1-y1) T_n(x1) T_n(y1) plus the k=0 corrections,
-      's22_product'  residual of the axis-2 cross term against
-                     T_n(x1) T_n(y2) - T_n(x2) T_n(y1),
-      's22_qform'    residual of the axis-2 cross term against
-                     (x2-y2) T_n(x1) T_n(y1) plus the k=1 corrections.
-    """
-    n = check_degree(n, minimum=2)
-    mats = struct_matrices(n)
-    tx, ty = _Tables.pair(n, x, y)
-    px, py = tx.basis(n), ty.basis(n)
-    px_low, py_low = tx.basis(n - 1), ty.basis(n - 1)
-
-    m31 = mats.a1 @ mats.g2
-    s31 = np.einsum("r...,rc,c...->...", px, m31, py_low) - np.einsum(
-        "c...,rc,r...->...", px_low, m31, py
-    )
-    m22 = mats.a2 @ mats.g1
-    m22 = m22 - m22.T
-    s22 = np.einsum("r...,rc,c...->...", px, m22, py)
-
-    d1, d2 = (a - b for a, b in zip(tx.x, ty.x))
-    qx, qy = tx.q(), ty.q()
-    tn1x, tn2x, tn1y, tn2y = tx.t1[n], tx.t2[n], ty.t1[n], ty.t2[n]
-    h = tn1x * tn1y
-    r31 = np.abs(s31 - d1 * h - 0.5 * tn1x * qy[0] + 0.5 * tn1y * qx[0])
-    r22_prod = np.abs(s22 - (tn1x * tn2y - tn2x * tn1y))
-    r22_q = np.abs(s22 - d2 * h + tn1y * qx[1] - tn1x * qy[1])
-    return {
-        "s31": float(np.max(r31)),
-        "s22_product": float(np.max(r22_prod)),
-        "s22_qform": float(np.max(r22_q)),
-    }

@@ -14,8 +14,8 @@ kernel_direct is the direct double sum over the orthonormal product basis
 two cheb.ChebTables of its sides; direct_from_tables is the same sum on
 table sets a caller already holds.  The node values have a closed form, one
 factor per lattice axis (node_star_axes), checked by a direct sum on the
-lattice (node_star_direct); node_star_values reads their outer product at
-the nodes (points.PaduaSet.from_lattice).  Each side of a compact
+lattice (node_star_direct); node_star_values writes their products at the
+nodes (points.PaduaSet.from_axes).  Each side of a compact
 evaluation is one SideTables, the angles of its points; node_tables reads
 the nodes' angles off the lattice the same way.
 """
@@ -198,13 +198,11 @@ def node_star_tolerance(n):
 
 
 def node_star_values(pset):
-    """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta].
-
-    The node entries (PaduaSet.from_lattice) of the outer product of A and
-    B.  verify and build_rule check this closed form against
-    node_star_direct.
+    """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta]
+    (PaduaSet.from_axes).  verify and build_rule check this closed form
+    against node_star_direct.
     """
-    return pset.from_lattice(np.multiply.outer(*node_star_axes(pset.degree)))
+    return pset.from_axes(*node_star_axes(pset.degree))
 
 
 def node_star_direct(pset, positions=slice(None)):
@@ -228,10 +226,3 @@ def node_star_direct(pset, positions=slice(None)):
     # tail[a] = sum_{b <= n-a} t2[b]
     tail = np.cumsum(t2, axis=0)[::-1]
     return np.einsum("ak,ae->ke", t1, tail)[ik, ie] - 1.0
-
-
-def kernel_star_at_node(pset, index):
-    """Diagonal modified-kernel value at node (k, j), A[k] B[eta] of node_star_axes."""
-    k, eta = pset.lattice_index(pset.position(index))
-    a, b = node_star_axes(pset.degree)
-    return float(a[k] * b[eta])

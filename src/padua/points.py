@@ -10,17 +10,19 @@ a writable view per sub-grid of any array in set order.  This module is the
 only one that knows the lattice slices: PaduaSet.to_lattice writes a
 set-order array into a (..., n+1, n+2) lattice, zero off the set, and
 PaduaSet.from_lattice reads the node entries of a lattice back in set order.
-The projection, the Marcinkiewicz node values, the node values, the cubature
-weights and the node angles of kernel.node_tables go through these two;
-sampling, the Lagrange matrix and the coordinates write blocks straight into
-the views, with no lattice.  Per-axis data (lattice_axes, lattice_ends) is
-on the lattice side.  Single nodes are named by arithmetic on the lattice:
-position, node_index and lattice_index on the row starts, and find_index on
-the two axes.  A function on the nodes is called by one sampler,
-_sub_grid_values, once per block of whole lattice rows of a sub-grid:
-cubature.integrate sums the blocks and interp.sample writes them into the
-sub-grid views of its result.  PaduaSet checks its degree at construction;
-its one per-node array is coords, built on first read.
+The projection, the Marcinkiewicz node values and the node angles of
+kernel.node_tables go through these two; sampling, the Lagrange matrix and
+the coordinates write blocks straight into the views, with no lattice, and
+so does PaduaSet.from_axes, the products a[k] b[eta] of one factor per
+lattice axis behind the node values and the cubature weights.  Per-axis
+data (lattice_axes, lattice_ends) is on the lattice side.  Single nodes are
+named by arithmetic on the lattice: position, node_index and lattice_index
+on the row starts, and find_index on the two axes.  A function on the nodes
+is called by one sampler, _sub_grid_values, once per block of whole lattice
+rows of a sub-grid: cubature.integrate sums the blocks and interp.sample
+writes them into the sub-grid views of its result.  PaduaSet checks its
+degree at construction; its one per-node array is coords, built on first
+read.
 """
 
 from dataclasses import dataclass
@@ -179,6 +181,17 @@ class PaduaSet:
         out = np.empty(lattice.shape[:-2] + (len(self),), lattice.dtype)
         for s, view in enumerate(self.sub_grid_views(out)):
             view[...] = lattice[..., s::2, 1 - s::2]
+        return out
+
+    def from_axes(self, a, b):
+        """a[k] * b[eta] at the nodes as a set-order array, for a factor a per
+        lattice row (n+1 values) and b per lattice column (n+2): the node
+        entries of their outer product, written into each sub_grid_views view
+        as a[ks, None] * b[etas], so no lattice is formed and the peak is
+        the result's own size."""
+        out = np.empty(len(self), np.result_type(a, b))
+        for view, (ks, etas) in zip(self.sub_grid_views(out), self.sub_grids()):
+            np.multiply(a[ks, None], b[etas], out=view)
         return out
 
 

@@ -5,15 +5,18 @@ digits (the library itself uses the trigonometric form), the kernel is the
 literal nested double sum (in float64, and in np.longdouble as the reference
 for the compact form), and tables are written one cell at a time.  The
 Padua nodes come from their definition, row by row (padua_nodes).  Nothing
-here imports evaluation or output code from the package, with five
-exceptions, each an earlier form of a package function that its successor
-must match bit for bit, so each builds on the package's own tables and owns
-only the part that changed: convergence_study_per_degree is the convergence
+here imports evaluation or output code from the package, with six
+exceptions.  Five are each an earlier form of a package function that its
+successor must match bit for bit, so each builds on the package's own tables
+and owns only the part that changed: convergence_study_per_degree is the convergence
 study in its per-degree form (it owns the tables of the grids, the products
 and the per-degree loop); lagrange_matrix_scatter writes the blocks of
 lagrange_matrix by fancy index; integrate_whole_sub_grids is the cubature
 sum over whole sub-grids; singular_probe_pairs_loop builds verify's probe
-pairs one base point at a time; find_index_scan tests every node.
+pairs one base point at a time; find_index_scan tests every node.  The
+sixth, s_term_residuals, checks the cross-term identities of the
+Christoffel-Darboux split on the package's tables and structure matrices:
+no package route needs it, so it lives here beside its one test.
 """
 
 import collections
@@ -64,6 +67,23 @@ def chebyu_mp(k, x):
         return mpmath.mpf(0)
     with mpmath.workdps(40):
         return mpmath.chebyu(k, mpmath.mpf(x))
+
+
+def p_mean_mp(values, p):
+    """(mean |v|^p)^(1/p) of float64 or np.longdouble values by mpmath at 40
+    digits, rounded once to a float.
+
+    Each value is read exactly, as its 64-bit mantissa times a power of two.
+    The caller skips its test when mpmath is missing.
+    """
+    import mpmath
+
+    mant, expo = np.frexp(np.abs(np.ravel(values)).astype(np.longdouble))
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        total = mpmath.fsum(mpmath.ldexp(int(m), int(e) - 64) ** p
+                            for m, e in zip(np.ldexp(mant, 64), expo))
+        return float((total / mant.size) ** (1 / p))
 
 
 def error_against_mp(got, refs):
@@ -163,7 +183,8 @@ def lebesgue_grid_max(n, axis):
 
 
 def gauss_chebyshev_integral(f, m):
-    """Tensor quadrature for the normalized Chebyshev weight, m per axis."""
+    """Tensor quadrature for the normalized Chebyshev weight, m per axis: the
+    mean of f over the m x m Gauss-Chebyshev nodes."""
     nodes = np.cos((2.0 * np.arange(1, m + 1) - 1.0) * np.pi / (2.0 * m))
     vals = np.asarray(f(nodes[:, None], nodes[None, :]), dtype=float)
     return float(np.mean(vals * np.ones((m, m))))
@@ -274,14 +295,15 @@ def padua_node_tables(n):
     return _t_norm_lattice_table(n, k, n), _t_norm_lattice_table(n, eta, n + 1)
 
 
-def marcinkiewicz_trials_loop(n, p, trials, seed):
+def marcinkiewicz_trials_loop(n, p, trials, seed, dtype=float):
     """Marcinkiewicz ratios, one random polynomial per loop iteration.
 
     Each trial draws (n+1) x (n+1) uniform [-1, 1] coefficients of the
     orthonormal product basis, keeps total degree <= n, sums the series at
     every Padua node (padua_node_tables), and on the tensor Gauss-Chebyshev
     grid of max(200, 2n+1) nodes per axis, whatever p is, and divides the
-    node mean of |P|^p by the grid mean.
+    node mean of |P|^p by the grid mean, the powers and means in dtype
+    (np.longdouble holds |P|^p far beyond float64's range).
     """
     m = max(200, 2 * n + 1)
     b1, b2 = padua_node_tables(n)
@@ -295,7 +317,8 @@ def marcinkiewicz_trials_loop(n, p, trials, seed):
         coeffs[~keep] = 0.0
         at_nodes = np.einsum("ab,aN,bN->N", coeffs, b1, b2)
         on_grid = q.T @ coeffs @ q
-        out[t] = np.mean(np.abs(at_nodes) ** p) / np.mean(np.abs(on_grid) ** p)
+        at_nodes, on_grid = (np.abs(v.astype(dtype)) ** p for v in (at_nodes, on_grid))
+        out[t] = np.mean(at_nodes) / np.mean(on_grid)
     return out
 
 
@@ -501,3 +524,43 @@ def singular_probe_pairs_loop(n, rng, count=12):
         xs.append((x1, x2))
         ys.append((np.cos(ph1), np.cos(ph2 + 1e-9)))
     return np.array(xs), np.array(ys)
+
+
+def s_term_residuals(n, x, y):
+    """Rounding residuals of the cross-term identities used by the CD split.
+
+    Returns a dict with keys:
+      's31'          residual of the axis-1 cross term against
+                     (x1-y1) T_n(x1) T_n(y1) plus the k=0 corrections,
+      's22_product'  residual of the axis-2 cross term against
+                     T_n(x1) T_n(y2) - T_n(x2) T_n(y1),
+      's22_qform'    residual of the axis-2 cross term against
+                     (x2-y2) T_n(x1) T_n(y1) plus the k=1 corrections.
+    """
+    from padua.ideal import _Tables, struct_matrices
+
+    mats = struct_matrices(n)
+    tx, ty = _Tables.pair(n, x, y)
+    px, py = tx.basis(n), ty.basis(n)
+    px_low, py_low = tx.basis(n - 1), ty.basis(n - 1)
+
+    m31 = mats.a1 @ mats.g2
+    s31 = np.einsum("r...,rc,c...->...", px, m31, py_low) - np.einsum(
+        "c...,rc,r...->...", px_low, m31, py
+    )
+    m22 = mats.a2 @ mats.g1
+    m22 = m22 - m22.T
+    s22 = np.einsum("r...,rc,c...->...", px, m22, py)
+
+    d1, d2 = (a - b for a, b in zip(tx.x, ty.x))
+    qx, qy = tx.q(), ty.q()
+    tn1x, tn2x, tn1y, tn2y = tx.t1[n], tx.t2[n], ty.t1[n], ty.t2[n]
+    h = tn1x * tn1y
+    r31 = np.abs(s31 - d1 * h - 0.5 * tn1x * qy[0] + 0.5 * tn1y * qx[0])
+    r22_prod = np.abs(s22 - (tn1x * tn2y - tn2x * tn1y))
+    r22_q = np.abs(s22 - d2 * h + tn1y * qx[1] - tn1x * qy[1])
+    return {
+        "s31": float(np.max(r31)),
+        "s22_product": float(np.max(r22_prod)),
+        "s22_qform": float(np.max(r22_q)),
+    }

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,9 @@ from padua.analysis import (
     marcinkiewicz_ratio,
     marcinkiewicz_ratios,
     marcinkiewicz_trials,
-    tensor_quadrature,
 )
 from padua import analysis, interp
-from padua.cheb import cospi_frac, product_series_grid, t_norm_lattice
+from padua.cheb import cospi_frac, product_series_grid, series_on_tables, t_norm_lattice
 from padua.functions import (
     BUILTIN_FUNCTIONS,
     SampleEvaluationError,
@@ -96,6 +96,97 @@ def test_lp_norm_inf_is_max_over_nodes():
     assert lp_norm(lambda a, b: a * b, np.inf) == pytest.approx(corner, abs=1e-15)
 
 
+def _quad_difference(coeffs, f, p, grid, quad_m):
+    """The interpolant minus f on the quadrature grid of a measurement, in the
+    coefficients' float type: the values whose p-mean is its error_wp."""
+    kmax = coeffs.shape[-1] - 1
+    inst = analysis._Instrument(f, p, grid, quad_m, coeffs.dtype, kmax, kmax)
+    return series_on_tables(coeffs, inst.quad_table, inst.quad_table) - inst.truth
+
+
+@pytest.mark.parametrize("scale, p, dtype, rtol", [
+    (1e-15, 24, np.float64, 1e-14),     # |v|^24 underflowed to 0
+    (1e-15, 500, np.float64, 1e-14),
+    (1e-17, 400, np.longdouble, 1e-14),  # beyond even 80-bit's range
+    (1e200, 2, np.float64, 1e-14),      # |v|^2 overflowed to inf
+    (1.0, 2, np.float64, 1e-15),
+    (3.0, analysis.MIN_P, np.float64, 1e-12),
+])
+def test_p_mean_stays_in_range_against_mpmath(scale, p, dtype, rtol):
+    pytest.importorskip("mpmath")
+    v = (np.random.default_rng(7).standard_normal((60, 60)) * scale).astype(dtype)
+    want = oracles.p_mean_mp(v, p)
+    assert abs(float(analysis._p_mean(v, p)) - want) <= rtol * want
+
+
+def test_p_mean_keeps_its_bits_where_the_powers_are_in_range():
+    # the power-of-two scale is 1 unless max |v|^p leaves 2^+-256
+    rng = np.random.default_rng(3)
+    for v, p in ((rng.standard_normal(500) * 1e-15, 2), (rng.standard_normal(500), 24.5),
+                 (rng.standard_normal(500).astype(np.longdouble) * 1e-17, 2)):
+        plain = np.mean(np.abs(v) ** p) ** (1 / v.dtype.type(p))
+        assert np.array_equal(analysis._p_mean(v, p), plain)
+
+
+def test_lp_norm_of_a_tiny_constant_at_p_24():
+    # 1e-15 ** 24 is below float64's range; the scaled mean is not
+    got = lp_norm(lambda a, b: np.full(np.broadcast_shapes(a.shape, b.shape), 1e-15), 24)
+    assert abs(got - 1e-15) <= 1e-14 * 1e-15
+
+
+def test_interpolation_error_at_p_24_against_mpmath():
+    # the float64 measurement of `interp --degree 30 --function exp_sum
+    # --grid 20 --p 24`, which read error_wp = 0 where p = 16 read 6.6e-15
+    pytest.importorskip("mpmath")
+    f, grid, pset = get("exp_sum"), EvalGrid(20), generate(30)
+    coeffs = interp.to_coefficients(pset, interp.sample(pset, f))
+    err = analysis.measure_error(coeffs, f, 24, grid, 120)
+    want = oracles.p_mean_mp(_quad_difference(coeffs, f, 24, grid, 120), 24)
+    assert want > 1e-15
+    assert abs(err.error_wp - want) <= 1e-13 * want
+
+
+def test_convergence_error_at_p_400_against_mpmath():
+    # the 80-bit study of `converge --function exp_sum --degrees 16,24
+    # --grid 20 --p 400`, whose error_wp read 0
+    pytest.importorskip("mpmath")
+    f, grid = get("exp_sum"), EvalGrid(20)
+    report = convergence_study(f, 400, [16, 24], grid)
+    for row in report.rows:
+        pset = generate(row.n)
+        coeffs = interp.to_coefficients(pset, interp.sample(pset, f, np.longdouble))
+        want = oracles.p_mean_mp(_quad_difference(coeffs, f, 400, grid, 96), 400)
+        assert want > 1e-16
+        assert abs(row.error_wp - want) <= 1e-14 * want
+
+
+def test_marcinkiewicz_at_p_400_against_an_80bit_loop():
+    # |P|^400 overflowed float64 on the quadrature grid, which made every
+    # ratio 0; the 80-bit loop holds the powers themselves
+    got = marcinkiewicz_trials(4, 400, 2)
+    want = oracles.marcinkiewicz_trials_loop(4, 400, 2, 0, np.longdouble)
+    assert np.all(want > 0)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1e-300, analysis.MIN_P / 2, analysis.MAX_P * 1.001, 1e300])
+def test_p_outside_its_range_is_refused(p):
+    message = re.escape(f"p must be inf or from {analysis.MIN_P} to {analysis.MAX_P}, got {p}")
+    pset = generate(4)
+    coeffs = interp.to_coefficients(pset, interp.sample(pset, lambda a, b: a + b))
+    calls = [
+        lambda: lp_norm(lambda a, b: a, p),
+        lambda: analysis.measure_error(coeffs, get("exp_sum"), p, EvalGrid(10), 64),
+        lambda: convergence_study(get("exp_sum"), p, [2, 4], EvalGrid(10)),
+        lambda: marcinkiewicz_trials(4, p, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    for p in (analysis.MIN_P, analysis.MAX_P):
+        assert lp_norm(lambda a, b: 2.0 * np.ones_like(a * b), p) == pytest.approx(2.0)
+
+
 def test_lp_norm_validation():
     for p in (0.0, -1.0, "-inf", "nan"):
         with pytest.raises(ValueError, match="p must be positive or inf"):
@@ -126,7 +217,8 @@ def test_lp_norm_orthonormal_cross_terms():
 
 
 def test_tensor_quadrature_constant():
-    assert tensor_quadrature(lambda a, b: np.ones_like(a * b), 32) == pytest.approx(1.0)
+    assert oracles.gauss_chebyshev_integral(lambda a, b: np.ones_like(a * b), 32) == \
+        pytest.approx(1.0)
 
 
 def test_fourier_reproduces_polynomials(rng):
@@ -502,7 +594,6 @@ def test_quadrature_size_that_is_not_an_integer_raises_type_error(size):
     f = get("exp_sum")
     calls = [
         lambda: lp_norm(f, 2, m=size(200)),
-        lambda: tensor_quadrature(f, size(64)),
         lambda: fourier_coefficients(4, f, m=size(40)),
         lambda: analysis.measure_error(coeffs, f, 2, EvalGrid(10), quad_m=size(64)),
         lambda: analysis.measure_error(coeffs, f, "inf", EvalGrid(10), quad_m=size(64)),
@@ -527,7 +618,7 @@ def test_quadrature_size_as_numpy_integer_is_bitwise_the_int_result():
     f = get("exp_sum")
 
     def results(m):
-        values = [lp_norm(f, 2, m=m), tensor_quadrature(f, m)]
+        values = [lp_norm(f, 2, m=m)]
         for p in (2, "inf"):
             err = analysis.measure_error(coeffs, f, p, EvalGrid(10), quad_m=m)
             values += [err.error_wp, err.error_uniform]

@@ -8,6 +8,7 @@ must fail.
 import numpy as np
 import pytest
 
+import code_lines
 import lagrange_basis
 import lebesgue_constants
 import marcinkiewicz_ratios
@@ -58,3 +59,28 @@ def test_marcinkiewicz_check_catches_a_moved_value():
     assert marcinkiewicz_ratios.compare(ratios, n, trials, seed)
     ratios[4][1] *= 1 + 2e-12  # a relative change twice the bound of 1e-12
     assert not marcinkiewicz_ratios.compare(ratios, n, trials, seed)
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+
+class A:
+    """Class docstring."""
+
+    x = (1,
+         2)
+
+    def f(self):
+        """Function docstring."""
+        # a comment line
+        return """not a docstring"""
+'''
+    # import, class, x over two lines, def and return
+    assert code_lines.code_lines(source) == 6
+    (tmp_path / "a.py").write_text(source)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert code_lines.main(tmp_path) == 7

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -507,6 +510,39 @@ def test_bad_p_exits_2(capsys, command, p):
     assert out == ""
     assert err.startswith("error: p must be positive or inf")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["interp", "--degree", "30", "--function", "exp_sum", "--grid", "20", "--p", "24"], None),
+    (["converge", "--function", "exp_sum", "--degrees", "16,24", "--grid", "20",
+      "--p", "400"], "error_wp"),
+    (["marcinkiewicz", "--degree", "4", "--p", "400", "--trials", "2"], "ratio"),
+])
+def test_large_p_gives_nonzero_values(capsys, argv, column):
+    # each read 0 (and marcinkiewicz warned of overflow) where |v|^p left the
+    # float range; tests/test_analysis.py checks the values against mpmath
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    if column is None:
+        assert float(re.search(r"error_wp=(\S+)", err).group(1)) > 1e-15
+        return
+    assert err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2 and all(float(r[column]) > 1e-60 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["interp", "--degree", "3", "--function", "franke", "--grid", "2", "--p", "1e-300"],
+    ["converge", "--function", "exp_sum", "--degrees", "2,4", "--grid", "10", "--p", "1e-300"],
+    ["marcinkiewicz", "--degree", "4", "--p", "501", "--trials", "2"],
+])
+def test_p_outside_its_range_exits_2(capsys, argv):
+    # p = 1e-300 printed error_wp=1: the mean of the |v|^p rounds to 1
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: p must be inf or from 0.001 to 500, got ")
+    assert err.count("\n") == 1
 
 
 def _kj_file(tmp_path, n, extra=()):

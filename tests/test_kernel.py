@@ -10,7 +10,7 @@ from padua.kernel import (
     kernel_compact,
     kernel_direct,
     kernel_star,
-    kernel_star_at_node,
+    node_star_axes,
     node_star_values,
 )
 from padua.points import generate
@@ -315,13 +315,20 @@ def test_star_vanishes_at_distinct_node_pairs():
         assert np.max(np.abs(vals)) <= 1e-9
 
 
+def _star_at_node(pset, index):
+    """A[k] B[eta] of node_star_axes at node (k, j)."""
+    k, eta = pset.lattice_index(pset.position(index))
+    a, b = node_star_axes(pset.degree)
+    return float(a[k] * b[eta])
+
+
 def test_node_values_frozen_degree_two():
     pset = generate(2)
-    assert kernel_star_at_node(pset, (1, 2)) == pytest.approx(3.0)   # interior
-    assert kernel_star_at_node(pset, (1, 1)) == pytest.approx(6.0)   # edge
-    assert kernel_star_at_node(pset, (0, 2)) == pytest.approx(12.0)  # vertex
+    assert _star_at_node(pset, (1, 2)) == pytest.approx(3.0)   # interior
+    assert _star_at_node(pset, (1, 1)) == pytest.approx(6.0)   # edge
+    assert _star_at_node(pset, (0, 2)) == pytest.approx(12.0)  # vertex
     with pytest.raises(IndexError):
-        kernel_star_at_node(pset, (9, 9))
+        _star_at_node(pset, (9, 9))
 
 
 def test_node_values_match_direct():
@@ -379,8 +386,8 @@ def test_node_functions_read_no_node_arrays():
     # one node's value or fundamental polynomial needs none of the 8.4e6-long
     # per-node arrays of the degree-4096 set
     pset = generate(4096)
-    assert kernel_star_at_node(pset, (3, 2)) == 4096 * 4097 * 0.5
-    assert kernel_star_at_node(pset, (0, 1)) == 4096 * 4097 * 1.0
+    assert _star_at_node(pset, (3, 2)) == 4096 * 4097 * 0.5
+    assert _star_at_node(pset, (0, 1)) == 4096 * 4097 * 1.0
     node = cospi_frac(3, 4096), cospi_frac(2, 4097)
     assert abs(fundamental_poly(pset, (3, 2), node) - 1.0) <= 1e-9
     assert abs(fundamental_poly(pset, (0, 1), node)) <= 1e-9
@@ -435,7 +442,7 @@ def test_node_values_match_star_direct_entrywise():
     pset = generate(6)
     for idx in ((0, 1), (3, 2), (6, 4)):
         node = tuple(pset.coords[pset.position(idx)])
-        assert kernel_star_at_node(pset, idx) == pytest.approx(
+        assert _star_at_node(pset, idx) == pytest.approx(
             _direct_star(6, node, node), abs=1e-9
         )
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
+from padua import kernel
 from padua.cheb import MAX_DEGREE, DegreeError, cospi_frac
+from padua.cubature import build_rule
 from padua.points import (
     CODE_TO_CLASS,
     AmbiguousMatchError,
@@ -306,6 +308,23 @@ def test_coords_peak_memory_is_its_own_size():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * coords.nbytes
+
+
+@pytest.mark.parametrize("site", ["node values", "weights"])
+def test_node_values_and_weights_peak_memory_is_their_own_size(site):
+    # PaduaSet.from_axes writes a[ks, None] * b[etas] into each sub-grid view,
+    # so no (n+1) x (n+2) outer product is formed: 67.2 MB of result at
+    # n = 4096, where the outer product and its gather peaked at 201.5 MB
+    pset = generate(4096)
+    rule = build_rule(pset)
+    tracemalloc.start()
+    try:
+        values = kernel.node_star_values(pset) if site == "node values" else rule.weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (len(pset),)
+    assert peak <= 1.1 * values.nbytes
 
 
 def test_generate_and_len_build_no_per_node_array():

@@ -116,6 +116,20 @@ def test_node_values_and_weights_bitwise_the_index_route(n):
     _same(rule.weights, rule.a[k] * rule.b[eta])
 
 
+@pytest.mark.parametrize("n", DEGREES)
+def test_from_axes_bitwise_the_index_route(n):
+    # a[k] * b[eta] at the nodes, and the node entries of the outer product
+    pset = generate(n)
+    k, _, eta = _index_arrays(n)
+    rng = np.random.default_rng(n)
+    for dtype in (np.float64, np.longdouble):
+        a = rng.uniform(-1.0, 1.0, n + 1).astype(dtype)
+        b = rng.uniform(-1.0, 1.0, n + 2).astype(dtype)
+        got = pset.from_axes(a, b)
+        _same(got, a[k] * b[eta])
+        _same(got, pset.from_lattice(np.multiply.outer(a, b)))
+
+
 def _old_sample(pset, f, dtype):
     """sample's lattice route: the blocks fill the lattice, read back by the index arrays."""
     n = pset.degree
