@@ -164,14 +164,14 @@ def _trial_entries(n, m):
 MAX_MARCINKIEWICZ_DEGREE = 500
 
 # Largest trial count of marcinkiewicz_trials.  The ratios take 8 bytes a
-# trial, and the CLI writes one table row per trial from whole-run columns
-# and one text per distinct ratio: 10^5 trials add about 28 MB to the process
-# (64 MB peak RSS against 36 MB for one trial).  At n = 2 on a 2-core Xeon
-# the command takes about 0.5 s for p = 2, whose exact axis has 3 nodes, and
-# about 25 s for p = 3, nearly all of it in the ratio blocks on the 200-node
-# axis (200 trials at n = 32 take about 0.007 s of numerical work for p = 2
-# and 0.08 s for p = 3).  Larger counts are refused before any allocation,
-# not left to fail inside numpy's allocator.
+# trial, and the CLI writes one table row per trial from whole-run columns,
+# their text made one block of rows at a time: 10^5 trials add about 6 MB to
+# the process (42 MB peak RSS against 36 MB for one trial).  At n = 2 on a
+# 2-core Xeon the command takes about 0.5 s for p = 2, whose exact axis has
+# 3 nodes, and about 25 s for p = 3, nearly all of it in the ratio blocks on
+# the 200-node axis (200 trials at n = 32 take about 0.007 s of numerical
+# work for p = 2 and 0.08 s for p = 3).  Larger counts are refused before
+# any allocation, not left to fail inside numpy's allocator.
 MAX_MARCINKIEWICZ_TRIALS = 100_000
 
 

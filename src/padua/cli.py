@@ -138,39 +138,41 @@ def cmd_interp(args):
         samples = _load_samples(args.samples, pset)
     grid = interp.EvalGrid(m=args.grid, kind=args.grid_kind)
     ax = grid.axis()
-    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
     if func is None:
         values = interp.interpolate_grid(pset, samples, grid)
-        header, columns, summary = ("x1", "x2", "value"), [x1, x2, values], None
+        summary = None
     else:
         # the measured series on the grid is the interpolant's grid values
         err = analysis.measure_error(interp.to_coefficients(pset, samples), func, p,
                                      grid, quad_m)
         values = err.values
-        header = ("x1", "x2", "value", "reference", "abs_error")
-        columns = [x1, x2, values, err.reference, np.abs(values - err.reference)]
         summary = {"error_uniform": err.error_uniform, "error_wp": err.error_wp,
                    "p": "inf" if math.isinf(p) else p}
 
     spec = _out_spec(args)
-    spec.write_table(
-        header,
-        columns,
-        {
+    if spec.fmt == "json":
+        spec.write_json({
             "degree": args.degree,
             "function": None if func is None else func.name,
             "grid": {"m": grid.m, "kind": grid.kind},
             "axis": ax,
             "summary": summary,
             "values": values,
-        },
+        })
+        return 0
+    # the document reads only axis and values: the m x m coordinate and
+    # error columns are built for the CSV table alone
+    x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+    if func is None:
+        spec.write_rows(("x1", "x2", "value"), [x1, x2, values])
+        return 0
+    spec.write_rows(("x1", "x2", "value", "reference", "abs_error"),
+                    [x1, x2, values, err.reference, np.abs(values - err.reference)])
+    print(
+        f"error_uniform={spec.num(summary['error_uniform'])} "
+        f"error_wp={spec.num(summary['error_wp'])} p={summary['p']}",
+        file=sys.stderr,
     )
-    if summary is not None and spec.fmt == "csv":
-        print(
-            f"error_uniform={spec.num(summary['error_uniform'])} "
-            f"error_wp={spec.num(summary['error_wp'])} p={summary['p']}",
-            file=sys.stderr,
-        )
     return 0
 
 

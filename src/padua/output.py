@@ -3,10 +3,11 @@
 A table is a Records of equal-length columns, or a LatticeRows node table.
 Both formats write it through the same pieces: the rows with the CSV
 delimiters or the JSON key prefixes as separators, and one per-value
-formatter per format for float cells and one for object cells.  A float
-column's text is made once per distinct bit pattern (per-distinct float
-text), and a node table is written one lattice row at a time from per-axis
-data, with no array over the nodes.
+formatter per format for float cells and one for object cells.  Every
+number becomes text in one place, _per_distinct, one block of rows at a
+time: each distinct value of the block is formatted once.  A node table is
+written one lattice row at a time from per-axis data, with no array over
+the nodes.
 """
 
 import contextlib
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import points
 
-# Rows assembled per write: Python strings exist for one block at a time
+# Rows assembled per write: the texts of every column, and of a JSON float
+# array's values, exist for one block at a time
 _BLOCK_ROWS = 4096
 
 # Characters of node-table text per write (LatticeRows).  Pieces this size
@@ -58,9 +60,10 @@ class OutputSpec:
     def write_rows(self, header, columns):
         """Write equal-length 1-D columns under header, or a LatticeRows under
         its own keys, as CSV: a float cell is num(v), a bool cell is true or
-        false, any other cell is str(v).  Cell texts are made column by
-        column (a float column's once per distinct bit pattern, -0.0 and 0.0
-        apart) and joined one block of rows at a time."""
+        false, any other cell is str(v).  Cell texts are made and joined one
+        block of rows at a time, a float or integer column's once per
+        distinct value of the block (floats by bit pattern, -0.0 and 0.0
+        apart)."""
         table = _table(header, columns)
         seps = [","] * (len(table.keys) - 1) + ["\n"]
         with self._open() as out:
@@ -92,8 +95,8 @@ class OutputSpec:
         or None; anything else raises TypeError, as in json.dumps, but only
         once the text before it is written.  The text is written piece by
         piece: a table one block of _BLOCK_ROWS rows at a time, assembled
-        column by column as in write_rows, and a 1-D float array in one piece,
-        with its floats formatted once per distinct bit pattern."""
+        as in write_rows, and a 1-D float array one block of _BLOCK_ROWS
+        values at a time, formatted as a float column's cells."""
         with self._open() as out:
             out.writelines(self._json(obj, "\n"))
             out.write("\n")
@@ -120,8 +123,9 @@ class OutputSpec:
             if len(obj) == 0:
                 yield "[]"
             elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-                texts, codes = _per_distinct(obj, self._json_float)
-                yield "[" + inner + ("," + inner).join(texts[codes].tolist()) + nl + "]"
+                yield "[" + inner
+                yield from _join_blocks([lambda sl: _per_distinct(obj[sl], self._json_float)],
+                                        ["," + inner], len(obj), nl + "]")
             else:
                 sep = "[" + inner
                 for v in obj:
@@ -242,38 +246,31 @@ def _table(header, columns):
     return columns if isinstance(columns, LatticeRows) else Records(header, columns)
 
 
-def _per_distinct(column, fmt):
-    """fmt(v) of each distinct float64 bit pattern of column (-0.0 and 0.0
-    apart), and the index of each value's text: (texts, codes)."""
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-    distinct, codes = np.unique(bits, return_inverse=True)
-    texts = [fmt(v) for v in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object), codes
+def _per_distinct(values, fmt):
+    """fmt(v) of each value of one block of a float or integer column, made
+    once per distinct value of the block: floats as float64 keyed by their
+    bit pattern (-0.0 and 0.0 apart), integers as Python ints keyed by value."""
+    is_float = values.dtype.kind == "f"
+    if is_float:
+        values = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, codes = np.unique(values, return_inverse=True)
+    if is_float:
+        distinct = distinct.view(np.float64)
+    return np.array([fmt(v) for v in distinct.tolist()], dtype=object)[codes]
 
 
 def _column_cells(column, float_text, object_text):
-    """Cell texts of a 1-D column as a function of a slice of rows.  A float,
-    bool or integer column's texts are looked up in a table: float_text(v)
-    per distinct float, true/false, and str(i) for i in min..max when that
-    range is no longer than the column (str per value otherwise).  Any other
-    column's values (as Python objects) go to object_text one by one."""
+    """Cell texts of a 1-D column as a function of a slice of rows: a float or
+    integer column's from _per_distinct on that slice (float_text per distinct
+    float, str per distinct integer), a bool column's true/false, and any
+    other column's values (as Python objects) from object_text one by one."""
     kind = column.dtype.kind
-    if kind == "f":
-        texts, codes = _per_distinct(column, float_text)
-        return lambda sl: texts[codes[sl]]
+    if kind in "fiu":
+        return lambda sl: _per_distinct(column[sl], float_text if kind == "f" else str)
     if kind == "b":
         texts = np.array(["false", "true"], dtype=object)
         return lambda sl: texts[column[sl].view(np.uint8)]
-    if kind not in "iu":
-        return lambda sl: list(map(object_text, column[sl].tolist()))
-    # 64-bit, so that v - lo cannot wrap when hi - lo fits the row count
-    column = column.astype(np.uint64 if kind == "u" else np.int64, copy=False)
-    lo, hi = (int(column.min()), int(column.max())) if column.size else (0, -1)
-    if hi - lo >= column.size:
-        return lambda sl: list(map(str, column[sl].tolist()))
-    texts = np.array([str(i) for i in range(lo, hi + 1)], dtype=object)
-    lo = column.dtype.type(lo)
-    return lambda sl: texts[column[sl] - lo]
+    return lambda sl: list(map(object_text, column[sl].tolist()))
 
 
 def _join_blocks(cells, seps, rows, last):

@@ -31,13 +31,12 @@ def _random_columns(rng, rows):
              -7, "x,y"]
     return [
         floats,
-        # a range wider than the row count: str per value
+        # a range wider than the row count
         rng.integers(-10**12, 10**12, rows),
         rng.choice(np.array(["vertex", "edge", "interior", "exp_sum"]), rows),
         rng.integers(0, 2, rows).astype(bool),
         rng.choice(pool[:5], rows).astype(np.longdouble),
-        # at least 2**63, then small negative and constant ints: a text table
-        # over min..max once the range fits the row count
+        # at least 2**63, then small negative and constant ints
         np.uint64(2**63) + rng.integers(0, 5, rows).astype(np.uint64),
         rng.integers(-6, 0, rows),
         np.full(rows, 7, dtype=np.int32),
@@ -72,6 +71,39 @@ def test_write_rows_with_no_rows_writes_the_header(tmp_path):
     assert path.read_text() == ",".join(_HEADER) + "\n"
     spec.write_rows(["x"], [[]])
     assert path.read_text() == "x\n"
+
+
+def _integer_columns(rng, rows):
+    """Integer columns at the ends of their dtypes: int64 minimum and maximum,
+    uint64 maximum, negative values, narrow dtypes, and values spread far
+    wider than the row count."""
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    return [
+        rng.choice(np.array([i64.min, i64.max, -1, 0, 1], dtype=np.int64), rows),
+        rng.choice(np.array([0, 1, 2**63 - 1, 2**63, u64.max], dtype=np.uint64), rows),
+        rng.integers(i64.min, i64.max, rows, endpoint=True),
+        rng.integers(-3, 0, rows),
+        rng.choice(np.array([-128, -1, 0, 127], dtype=np.int8), rows),
+        rng.choice(np.array([0, 255], dtype=np.uint8), rows),
+        np.full(rows, i64.min),
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 3, 5])
+def test_integer_cells_match_cell_reference(tmp_path, monkeypatch, block):
+    # integers are written with str, in CSV and in JSON records, whatever
+    # their dtype, range and place in a block of rows
+    monkeypatch.setattr(output, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(4000 + block)
+    header = ("i64_ends", "u64_ends", "i64_wide", "neg", "i8", "u8", "i64_min")
+    path = tmp_path / "table"
+    for rows in (1, block - 1, block, block + 1, 4 * block + 3):
+        columns = _integer_columns(rng, rows)
+        output.OutputSpec("csv", str(path), 17).write_rows(header, columns)
+        assert path.read_text() == csv_table(header, zip(*columns), 17)
+        output.OutputSpec("json", str(path), 17).write_table(header, columns)
+        values = zip(*(c.tolist() for c in columns))
+        assert path.read_text() == json_table(header, values, 17)
 
 
 @pytest.mark.parametrize("precision", range(1, 18))
@@ -198,20 +230,44 @@ def _node_columns(pset):
     return [nodes.k, nodes.j, nodes.x1, nodes.x2, names[nodes.code]]
 
 
-def test_write_rows_memory_at_degree_1024():
-    # 525,825 rows: the writer holds the float columns' codes and one block
-    # of strings, never a string per row.  Its peak, 24.7 MiB, is np.unique's
-    # work arrays for the second float column beside the first one's codes.
-    pset = points.generate(1024)
-    columns = _node_columns(pset)
-    spec = output.OutputSpec("csv", os.devnull, 17)
+def _traced_peak(write, *args):
+    """The tracemalloc peak of write(*args), in bytes."""
     tracemalloc.start()
     try:
-        spec.write_rows(("k", "j", "x1", "x2", "class"), columns)
-        peak = tracemalloc.get_traced_memory()[1]
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27 * 2**20
+
+
+def test_write_rows_memory_at_degree_1024():
+    # 525,825 rows: the writer holds the texts of one block of rows, never a
+    # text per row or per distinct value of a column.  It peaks at 1.0 MiB;
+    # float texts made for a whole column peaked at 24.7 MiB.
+    columns = _node_columns(points.generate(1024))
+    spec = output.OutputSpec("csv", os.devnull, 17)
+    assert _traced_peak(spec.write_rows, ("k", "j", "x1", "x2", "class"), columns) < 3 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["float", "int"])
+def test_write_table_memory_with_every_value_distinct(fmt, kind):
+    # 2**16 distinct values in one column: 0.7-0.8 MiB, texts for one block of
+    # rows at a time; texts for the whole column took 4.4 MiB (ints, a table
+    # over min..max) and 7.8 MiB (floats)
+    rng = np.random.default_rng(7)
+    rows = 2**16
+    column = rng.standard_normal(rows) if kind == "float" else rng.permutation(rows) - rows // 2
+    spec = output.OutputSpec(fmt, os.devnull, 17)
+    assert _traced_peak(spec.write_table, (kind,), [column]) < 2 * 2**20
+
+
+def test_write_json_memory_with_a_distinct_float_array():
+    # a 2**16-value float array in a document is written one block of values
+    # at a time: 0.8 MiB, where the array's text in one piece took 8.3 MiB
+    document = {"values": np.random.default_rng(8).standard_normal(2**16)}
+    spec = output.OutputSpec("json", os.devnull, 17)
+    assert _traced_peak(spec.write_json, document) < 2 * 2**20
 
 
 def _command_reference(command):
@@ -268,18 +324,10 @@ def test_command_tables_match_cell_reference(tmp_path, command):
 
 def test_write_table_json_memory_at_degree_1024():
     # the same table as JSON records with no document: written one block at
-    # a time, it peaks where the CSV does (24.8 MiB against 24.7 MiB), not at
-    # the size of its text (64 MB)
-    pset = points.generate(1024)
-    columns = _node_columns(pset)
+    # a time, it peaks at 1.6 MiB, not at the size of its text (64 MB)
+    columns = _node_columns(points.generate(1024))
     spec = output.OutputSpec("json", os.devnull, 17)
-    tracemalloc.start()
-    try:
-        spec.write_table(("k", "j", "x1", "x2", "class"), columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 27 * 2**20
+    assert _traced_peak(spec.write_table, ("k", "j", "x1", "x2", "class"), columns) < 3 * 2**20
 
 
 @pytest.mark.parametrize("command", ["points", "cubature"])
