@@ -20,9 +20,6 @@ import numpy as np
 
 from . import kernel, points
 
-# How many nodes the construction-time weight cross-check samples.
-_CHECK_NODES = 50
-
 
 @dataclass(frozen=True)
 class CubatureRule:
@@ -49,33 +46,11 @@ def build_rule(pset):
 
     The per-axis factors are the reciprocals of kernel.node_star_axes, which
     raises RuntimeError when the node factors do not split into one factor
-    per axis.  The closed form is cross-checked against the direct double sum
-    at up to 50 nodes before the rule is returned; a mismatch raises
-    RuntimeError rather than producing silently wrong weights.
+    per axis.  The closed form is checked against its direct double sum by
+    verify and the tests, not here.
     """
-    values = kernel.node_star_axes(pset.degree)
-    _cross_check(pset, *values)
-    a, b = (1.0 / v for v in values)
+    a, b = (1.0 / v for v in kernel.node_star_axes(pset.degree))
     return CubatureRule(degree=pset.degree, nodes=pset, a=a, b=b)
-
-
-def _cross_check(pset, axis_k, axis_eta):
-    n = pset.degree
-    count = len(pset)
-    if count <= _CHECK_NODES:
-        positions = np.arange(count)
-    else:
-        rng = np.random.default_rng(n)  # deterministic per degree
-        positions = rng.choice(count, size=_CHECK_NODES, replace=False)
-    k, eta = pset.lattice_index(positions)
-    direct = kernel.node_star_direct(pset, positions)
-    tol = kernel.node_star_tolerance(n)
-    err = np.max(np.abs(direct - axis_k[k] * axis_eta[eta]))
-    if err > tol:
-        raise RuntimeError(
-            f"node weight cross-check failed at degree {n}: "
-            f"max deviation {err:.3e} exceeds {tol:.3e}"
-        )
 
 
 def integrate(rule, f):

@@ -13,11 +13,12 @@ kernel_direct is the direct double sum over the orthonormal product basis
 (O(n^2) per pair), the oracle the compact form is checked against, on the
 two cheb.ChebTables of its sides; direct_from_tables is the same sum on
 table sets a caller already holds.  The node values have a closed form, one
-factor per lattice axis (node_star_axes), checked by a direct sum on the
-lattice (node_star_direct); node_star_values writes their products at the
-nodes (points.PaduaSet.from_axes).  Each side of a compact
-evaluation is one SideTables, the angles of its points; node_tables reads
-the nodes' angles off the lattice the same way.
+factor per lattice axis (node_star_axes), checked by verify and the tests
+against the direct sum over the whole lattice (node_star_direct);
+node_star_values writes their products at the nodes
+(points.PaduaSet.from_axes).  Each side of a compact evaluation is one
+SideTables, the angles of its points; node_tables reads the nodes' angles
+off the lattice the same way.
 """
 
 import numpy as np
@@ -199,30 +200,24 @@ def node_star_tolerance(n):
 
 def node_star_values(pset):
     """Diagonal modified-kernel values at the nodes in set order, A[k] B[eta]
-    (PaduaSet.from_axes).  verify and build_rule check this closed form
-    against node_star_direct.
+    (PaduaSet.from_axes).  verify checks this closed form against
+    node_star_direct.
     """
     return pset.from_axes(*node_star_axes(pset.degree))
 
 
-def node_star_direct(pset, positions=slice(None)):
-    """Diagonal modified-kernel values by the direct double sum.
+def node_star_direct(pset):
+    """Diagonal modified-kernel values at the nodes by the direct double sum,
+    in set order.
 
-    positions selects nodes in set order (an index array or a slice; all
-    nodes by default).  The value at node (k, eta) is D[k, eta] =
-    sum_a T1[a, k]^2 sum_{b <= n-a} T2[b, eta]^2 - T_n(x1)^2, T_n(x1) = +-1,
-    on the orthonormal lattice tables of the distinct k and eta selected.  The
-    contraction is an einsum, not BLAS, so a node's value does not depend on
-    which other nodes are selected.
+    The value at node (k, eta) is D[k, eta] = sum_a T1[a, k]^2
+    sum_{b <= n-a} T2[b, eta]^2 - T_n(x1)^2, T_n(x1) = +-1, on the
+    orthonormal lattice tables.  D is one einsum over the whole
+    (n+1) x (n+2) lattice, read at the nodes (PaduaSet.from_lattice).
     """
     n = pset.degree
-    if isinstance(positions, slice):
-        positions = np.arange(*positions.indices(len(pset)))
-    k, eta = pset.lattice_index(positions)
-    ks, ik = np.unique(k, return_inverse=True)
-    etas, ie = np.unique(eta, return_inverse=True)
-    t1 = np.square(t_norm_lattice(n, ks, n))
-    t2 = np.square(t_norm_lattice(n, etas, n + 1))
+    t1 = np.square(t_norm_lattice(n, np.arange(n + 1), n))
+    t2 = np.square(t_norm_lattice(n, np.arange(n + 2), n + 1))
     # tail[a] = sum_{b <= n-a} t2[b]
     tail = np.cumsum(t2, axis=0)[::-1]
-    return np.einsum("ak,ae->ke", t1, tail)[ik, ie] - 1.0
+    return pset.from_lattice(np.einsum("ak,ae->ke", t1, tail) - 1.0)

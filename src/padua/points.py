@@ -10,8 +10,9 @@ a writable view per sub-grid of any array in set order.  This module is the
 only one that knows the lattice slices: PaduaSet.to_lattice writes a
 set-order array into a (..., n+1, n+2) lattice, zero off the set, and
 PaduaSet.from_lattice reads the node entries of a lattice back in set order.
-The projection, the Marcinkiewicz node values and the node angles of
-kernel.node_tables go through these two; sampling, the Lagrange matrix and
+The projection, the Marcinkiewicz node values, the direct sum of the node
+values (kernel.node_star_direct) and the node angles of kernel.node_tables
+go through these two; sampling, the Lagrange matrix and
 the coordinates write blocks straight into the views, with no lattice, and
 so does PaduaSet.from_axes, the products a[k] b[eta] of one factor per
 lattice axis behind the node values and the cubature weights.  Per-axis
@@ -31,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cheb import cheb_t, check_degree, check_int, cospi_frac
+from .cheb import check_degree, check_int, cospi_frac
 from .functions import evaluate
 
 
@@ -280,15 +281,6 @@ def generating_curve_points(n):
     if n % 2 == 0:
         return np.column_stack([a, -b])
     return np.column_stack([-a, b])
-
-
-def curve_residual(n, x1, x2):
-    """Residual of the algebraic equation of the generating curve.
-
-    Every point of generate(n) satisfies T_n(x1) + T_{n+1}(x2) = 0; the
-    returned value is that sum.
-    """
-    return cheb_t(n, x1) + cheb_t(n + 1, x2)
 
 
 def find_index(pset, point, tol):

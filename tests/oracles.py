@@ -5,16 +5,17 @@ digits (the library itself uses the trigonometric form), the kernel is the
 literal nested double sum (in float64, and in np.longdouble as the reference
 for the compact form), and tables are written one cell at a time.  The
 Padua nodes come from their definition, row by row (padua_nodes).  Nothing
-here imports evaluation or output code from the package, with six
-exceptions.  Five are each an earlier form of a package function that its
+here imports evaluation or output code from the package, with seven
+exceptions.  Six are each an earlier form of a package function that its
 successor must match bit for bit, so each builds on the package's own tables
 and owns only the part that changed: convergence_study_per_degree is the convergence
 study in its per-degree form (it owns the tables of the grids, the products
 and the per-degree loop); lagrange_matrix_scatter writes the blocks of
 lagrange_matrix by fancy index; integrate_whole_sub_grids is the cubature
-sum over whole sub-grids; singular_probe_pairs_loop builds verify's probe
+sum over whole sub-grids; node_star_direct_at is the direct sum of the node
+values at sampled nodes only; singular_probe_pairs_loop builds verify's probe
 pairs one base point at a time; find_index_scan tests every node.  The
-sixth, s_term_residuals, checks the cross-term identities of the
+seventh, s_term_residuals, checks the cross-term identities of the
 Christoffel-Darboux split on the package's tables and structure matrices:
 no package route needs it, so it lives here beside its one test.
 """
@@ -46,6 +47,12 @@ def cheb_u_rec(k, x):
     for _ in range(k - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+def curve_residual(n, x1, x2):
+    """T_n(x1) + T_{n+1}(x2) by recurrence: zero on the generating curve of
+    the degree-n Padua points, and so at every node."""
+    return cheb_t_rec(n, x1) + cheb_t_rec(n + 1, x2)
 
 
 def end_and_uniform_points(rng, count=21):
@@ -506,6 +513,25 @@ def integrate_whole_sub_grids(rule, f):
         vals = np.asarray(f(x1[ks][:, None], x2[etas][None, :]), dtype=float)
         total += np.add.reduce(rule.a[ks] * np.add.reduce(vals * rule.b[etas], axis=1))
     return float(total)
+
+
+def node_star_direct_at(pset, positions):
+    """kernel.node_star_direct at the nodes of the given set positions only.
+
+    The same einsum over the orthonormal lattice tables, on the distinct k
+    and eta of those nodes alone, so each value does not depend on which
+    other nodes are selected.
+    """
+    from padua.cheb import t_norm_lattice
+
+    n = pset.degree
+    k, eta = pset.lattice_index(positions)
+    ks, ik = np.unique(k, return_inverse=True)
+    etas, ie = np.unique(eta, return_inverse=True)
+    t1 = np.square(t_norm_lattice(n, ks, n))
+    t2 = np.square(t_norm_lattice(n, etas, n + 1))
+    tail = np.cumsum(t2, axis=0)[::-1]
+    return np.einsum("ak,ae->ke", t1, tail)[ik, ie] - 1.0
 
 
 def singular_probe_pairs_loop(n, rng, count=12):

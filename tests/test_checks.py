@@ -13,7 +13,8 @@ import lagrange_basis
 import lebesgue_constants
 import marcinkiewicz_ratios
 import node_arrays
-from padua import EvalGrid, cli, generate, lebesgue_constant
+import node_values
+from padua import EvalGrid, cli, generate, kernel, lebesgue_constant
 from padua.analysis import marcinkiewicz_trials
 from padua.interp import lagrange_matrix
 
@@ -59,6 +60,14 @@ def test_marcinkiewicz_check_catches_a_moved_value():
     assert marcinkiewicz_ratios.compare(ratios, n, trials, seed)
     ratios[4][1] *= 1 + 2e-12  # a relative change twice the bound of 1e-12
     assert not marcinkiewicz_ratios.compare(ratios, n, trials, seed)
+
+
+def test_node_values_check_catches_a_moved_value():
+    pset = generate(9)
+    values = kernel.node_star_values(pset)
+    assert node_values.compare(pset, values)
+    values[7] += 2 * kernel.node_star_tolerance(9)  # twice the bound
+    assert not node_values.compare(pset, values)
 
 
 def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):

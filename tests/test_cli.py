@@ -268,6 +268,29 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert report["node_factors"] == {"edge": 1.0, "interior": 2.0, "vertex": 0.5}
 
 
+@pytest.mark.parametrize("argv", [
+    ("points", "--degree", "5"),
+    ("interp", "--degree", "5", "--function", "franke", "--grid", "7"),
+    ("interp", "--degree", "3", "--samples", "{samples}", "--grid", "5"),
+    ("cubature", "--degree", "7"),
+    ("cubature", "--degree", "7", "--function", "exp_sum"),
+    ("lebesgue", "--degrees", "3,4", "--grid", "21"),
+    ("converge", "--function", "exp_sum", "--degrees", "2,4", "--grid", "21"),
+    ("marcinkiewicz", "--degree", "4", "--trials", "3"),
+], ids=["points", "interp-function", "interp-samples", "cubature-weights",
+        "cubature-function", "lebesgue", "converge", "marcinkiewicz"])
+def test_only_verify_calls_an_oracle(tmp_path, monkeypatch, argv):
+    # the direct sums are oracles, read by verify and the tests alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called outside verify")
+
+    for name in ("node_star_direct", "kernel_direct", "direct_from_tables"):
+        monkeypatch.setattr(kernel, name, refuse)
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(str(x1 * x2) for _, _, x1, x2 in _nodes(3)))
+    assert main([a.format(samples=samples) for a in argv]) == 0
+
+
 def test_verify_degree_limit_exits_2_before_any_work(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"node set of degree {n} built past the limit")

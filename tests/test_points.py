@@ -13,7 +13,6 @@ from padua.points import (
     AmbiguousMatchError,
     PaduaSet,
     PointClass,
-    curve_residual,
     find_index,
     generate,
     generating_curve_points,
@@ -107,14 +106,14 @@ def test_vertex_census():
 def test_curve_membership():
     for n in (1, 2, 3, 8, 17, 40):
         pset = generate(n)
-        resid = curve_residual(n, *pset.coords.T)
+        resid = oracles.curve_residual(n, *pset.coords.T)
         assert np.max(np.abs(resid)) <= 1e-10
 
 
 def test_generating_curve_points_on_curve():
     for n in (2, 5, 12):
         pts = generating_curve_points(n)
-        resid = curve_residual(n, pts[:, 0], pts[:, 1])
+        resid = oracles.curve_residual(n, pts[:, 0], pts[:, 1])
         assert np.max(np.abs(resid)) <= 1e-10
 
 
